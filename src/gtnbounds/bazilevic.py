@@ -25,6 +25,7 @@ is the point of this package).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,10 @@ class ClassParams:
     varkappa: float
 
     def __post_init__(self):
-        if self.vartheta < 0 or self.kappa < 0 or self.varkappa < 0:
+        values = (self.vartheta, self.kappa, self.varkappa)
+        if not all(math.isfinite(x) for x in values):
+            raise ValueError("vartheta, kappa and varkappa must all be finite")
+        if min(values) < 0:
             raise ValueError("vartheta, kappa and varkappa must all be >= 0")
 
     @property

@@ -95,78 +95,72 @@ def _axes(grid: GridSpec):
     return rho, alpha, tau, beta
 
 
+def _evaluate(functional: Functional, r, a, tau, phase_b) -> np.ndarray:
+    """Functional values of shape (N, T, B) on c1 = 2 r e^{i a}, where one of
+    ``r`` and ``a`` holds N values, and every (tau, beta)."""
+    c1_vec = 2.0 * r * np.exp(1j * a)  # (N,)
+    radius = 2.0 - np.abs(c1_vec) ** 2 / 2.0
+    c1 = c1_vec[:, None, None]
+    c2 = c1**2 / 2.0 + radius[:, None, None] * tau[None, :, None] * phase_b[None, None, :]
+    vals = np.asarray(functional(c1, c2), dtype=float)
+    return np.broadcast_to(vals, c2.shape)
+
+
+def _candidate_rows(functional: Functional, grid: GridSpec, rho, alpha, tau, phase_b):
+    """Mask of the rho rows that can hold the scan's maximum.
+
+    The functional is evaluated once on the alpha = 0 slice of every rho.
+    When the alpha grid maps the beta grid onto itself under c2 -> e^{2it} c2
+    (``2 * beta_steps % alpha_steps == 0``), rotation invariance makes that
+    slice's maximum the row maximum up to rounding, so a row whose reduced
+    maximum lies more than ``2 * delta`` below the overall one cannot win.
+    Rounding moves values by about 1e-15 relative; ``delta`` is 1e-9 relative.
+    """
+    keep_all = np.ones(rho.shape, dtype=bool)
+    if (2 * grid.beta_steps) % grid.alpha_steps != 0:
+        return keep_all
+    vals = _evaluate(functional, rho, alpha[0], tau, phase_b)
+    row_max = vals.reshape(len(rho), -1).max(axis=1)
+    top = float(row_max.max())
+    if not np.isfinite(top):
+        return keep_all
+    delta = 1e-9 * max(1.0, abs(top))
+    # NaN row maxima compare False and keep their row, as the full scan would
+    return ~(row_max < top - 2.0 * delta)
+
+
 def brute_force_sup(
     functional: Functional,
     grid: GridSpec = GridSpec(),
-    refine: bool = False,
 ) -> Tuple[float, CaratheodoryPoint]:
     """Maximum of the functional over the sampled body with its argmax.
 
     ``functional`` must accept numpy arrays of c1 and c2 (broadcast together)
-    and return real values elementwise.  The scan order is lexicographic in
-    (rho, alpha, tau, beta) with strict improvement, so ties break toward the
-    smallest parameter tuple and the result does not depend on chunking.
+    and return real values elementwise.  It must also be invariant under the
+    rotation ``(c1, c2) -> (e^{it} c1, e^{2it} c2)``, as every functional of
+    the form ``F(|c1|, |c2 - v c1^2|)`` is.
 
-    ``refine=True`` runs a few deterministic golden-section passes around the
-    grid argmax; off by default so results are reproducible grid evaluations.
+    The scan order is lexicographic in (rho, alpha, tau, beta) with strict
+    improvement, so ties break toward the smallest parameter tuple and the
+    result does not depend on chunking.  Before the scan, one pass over the
+    alpha = 0 slice of every rho row (see :func:`_candidate_rows`) drops the
+    rows whose maximum is, by rotation invariance, below the overall maximum
+    by more than rounding can explain.  The kept rows are scanned exactly as
+    the dropped ones would have been, so the value and the witness equal
+    those of the unpruned scan bit for bit.
     """
     rho, alpha, tau, beta = _axes(grid)
     phase_b = np.exp(1j * beta)
+    keep = _candidate_rows(functional, grid, rho, alpha, tau, phase_b)
     best = -np.inf
     best_params = (0.0, 0.0, 0.0, 0.0)
-    for r in rho:
-        c1_row = 2.0 * r * np.exp(1j * alpha)  # (A,)
-        radius = 2.0 - np.abs(c1_row) ** 2 / 2.0
-        c1 = c1_row[:, None, None]
-        c2 = c1**2 / 2.0 + radius[:, None, None] * tau[None, :, None] * phase_b[None, None, :]
-        vals = np.asarray(functional(c1, c2), dtype=float)
-        vals = np.broadcast_to(vals, c2.shape)
+    for r in rho[keep]:
+        vals = _evaluate(functional, r, alpha, tau, phase_b)
         idx = int(np.argmax(vals))
         m = float(vals.flat[idx])
         if m > best:
-            ia, it, ib = np.unravel_index(idx, c2.shape)
+            ia, it, ib = np.unravel_index(idx, vals.shape)
             best = m
             best_params = (float(r), float(alpha[ia]), float(tau[it]), float(beta[ib]))
-    if refine:
-        best, best_params = _golden_refine(functional, best, best_params, grid)
     p = sample_point(*best_params)
     return best, p
-
-
-_INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_refine(functional, best, params, grid, passes: int = 3, iters: int = 24):
-    spans = (
-        1.0 / (grid.rho_steps - 1),
-        2.0 * np.pi / grid.alpha_steps,
-        1.0 / (grid.tau_steps - 1),
-        2.0 * np.pi / grid.beta_steps,
-    )
-    lims = ((0.0, 1.0), (-np.inf, np.inf), (0.0, 1.0), (-np.inf, np.inf))
-
-    def value(p):
-        pt = sample_point(p[0], p[1], min(max(p[2], 0.0), 1.0), p[3])
-        return float(functional(np.asarray(pt.c1), np.asarray(pt.c2)))
-
-    p = list(params)
-    for _ in range(passes):
-        for axis in range(4):
-            lo = max(lims[axis][0], p[axis] - spans[axis])
-            hi = min(lims[axis][1], p[axis] + spans[axis])
-            a, b = lo, hi
-            for _ in range(iters):
-                x1 = b - _INVPHI * (b - a)
-                x2 = a + _INVPHI * (b - a)
-                q1, q2 = list(p), list(p)
-                q1[axis], q2[axis] = x1, x2
-                if value(q1) >= value(q2):
-                    b = x2
-                else:
-                    a = x1
-            cand = list(p)
-            cand[axis] = (a + b) / 2.0
-            if value(cand) > best:
-                best = value(cand)
-                p = cand
-    return best, tuple(p)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -41,6 +42,11 @@ BUILTIN_DEFAULTS = {
     "format": "table",
 }
 
+# Complex values in the largest array one scan allocates: the pass over
+# (rho, tau, beta) or one row over (alpha, tau, beta).  2**21 values take
+# 32 MiB per array, so a uniform grid may have at most 128 steps.
+MAX_SCAN_VALUES = 2**21
+
 
 class CliParser(argparse.ArgumentParser):
     """argparse parser that exits 1 (not 2) on usage errors."""
@@ -57,17 +63,25 @@ def _parse_rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _parse_complex(text: str) -> complex:
-    """Parse 'RE' or 'RE,IM'."""
-    parts = text.split(",")
+def _parse_finite(text: str) -> float:
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        value = float(text)
+        if math.isfinite(value):
+            return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected RE or RE,IM, got {text!r}")
+    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+
+
+def _parse_complex(text: str) -> complex:
+    """Parse 'RE' or 'RE,IM' with finite parts."""
+    parts = text.split(",")
+    if len(parts) in (1, 2):
+        try:
+            return complex(*(_parse_finite(part) for part in parts))
+        except argparse.ArgumentTypeError:
+            pass
+    raise argparse.ArgumentTypeError(f"expected finite RE or RE,IM, got {text!r}")
 
 
 def load_config(path: str | None) -> dict:
@@ -80,12 +94,15 @@ def load_config(path: str | None) -> dict:
             continue
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
-        if key in ("vartheta", "kappa", "varkappa"):
-            cfg[key] = float(Fraction(value))
-        elif key == "grid":
-            cfg[key] = int(value)
-        elif key == "format":
-            cfg[key] = value
+        try:
+            if key in ("vartheta", "kappa", "varkappa"):
+                cfg[key] = float(Fraction(value))
+            elif key == "grid":
+                cfg[key] = int(value)
+            elif key == "format":
+                cfg[key] = value
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise ValueError(f"{path}: bad value for {key}: {value!r}") from None
     return cfg
 
 
@@ -94,6 +111,19 @@ def _resolve(args: argparse.Namespace, cfg: dict, key: str):
     if flag is not None:
         return flag
     return cfg.get(key, BUILTIN_DEFAULTS[key])
+
+
+def _grid(args, cfg) -> GridSpec:
+    """The uniform scan grid, refused before any allocation when too large."""
+    n = int(_resolve(args, cfg, "grid"))
+    grid = GridSpec.uniform(n)
+    values = max(grid.rho_steps, grid.alpha_steps) * grid.tau_steps * grid.beta_steps
+    if values > MAX_SCAN_VALUES:
+        raise ValueError(
+            f"grid {n} needs {values} complex values per scan array, "
+            f"more than the cap of {MAX_SCAN_VALUES}"
+        )
+    return grid
 
 
 def _params(args, cfg) -> ClassParams:
@@ -320,7 +350,7 @@ def cmd_member(args, cfg) -> int:
 
 def cmd_lemma(args, cfg) -> int:
     v = args.v
-    n = int(_resolve(args, cfg, "grid"))
+    grid = _grid(args, cfg)
     if args.which == "1":
         stated = lemma1_bound(v.real)
         veff = complex(v.real, 0.0)
@@ -331,7 +361,7 @@ def cmd_lemma(args, cfg) -> int:
         stated = lemma4_bound(v)
         veff = v / 2.0
     sup, witness = brute_force_sup(
-        lambda c1, c2: np.abs(c2 - veff * c1**2), GridSpec.uniform(n)
+        lambda c1, c2: np.abs(c2 - veff * c1**2), grid
     )
     emit_rows(
         [{
@@ -349,9 +379,9 @@ def cmd_lemma(args, cfg) -> int:
 
 
 def cmd_verify(args, cfg) -> int:
-    n = int(_resolve(args, cfg, "grid"))
+    grid = _grid(args, cfg)
     vk = float(_resolve(args, cfg, "varkappa"))
-    reports, summary = verify.run_suite(args.suite, varkappa=vk, grid=GridSpec.uniform(n))
+    reports, summary = verify.run_suite(args.suite, varkappa=vk, grid=grid)
     out = Path(args.out) if args.out else verify.default_report_path()
     verify.write_reports(out, reports, summary)
     print(f"wrote {len(reports)} reports to {out}")
@@ -367,11 +397,11 @@ def cmd_verify(args, cfg) -> int:
 
 def build_parser() -> CliParser:
     common = CliParser(add_help=False)
-    common.add_argument("--vartheta", type=float, default=None,
+    common.add_argument("--vartheta", type=_parse_finite, default=None,
                         help="class exponent parameter (>= 0)")
-    common.add_argument("--kappa", type=float, default=None,
+    common.add_argument("--kappa", type=_parse_finite, default=None,
                         help="class weight parameter (>= 0)")
-    common.add_argument("--varkappa", type=float, default=None,
+    common.add_argument("--varkappa", type=_parse_finite, default=None,
                         help="subordination weight (>= 0)")
     common.add_argument("--format", choices=("json", "csv", "table"), default=None)
 
@@ -414,16 +444,16 @@ def build_parser() -> CliParser:
                        help="convolution-class Fekete-Szego bound")
     p.add_argument("--dist", choices=("poisson", "borel", "pascal", "custom"),
                    default="custom")
-    p.add_argument("--dist-param", type=float, default=None)
+    p.add_argument("--dist-param", type=_parse_finite, default=None)
     p.add_argument("--s", type=int, default=1, help="Pascal shape parameter")
-    p.add_argument("--wp2", type=float, default=1.0)
-    p.add_argument("--wp3", type=float, default=1.0)
+    p.add_argument("--wp2", type=_parse_finite, default=1.0)
+    p.add_argument("--wp3", type=_parse_finite, default=1.0)
     p.add_argument("--mu", type=_parse_complex, default=complex(0.0))
     p.set_defaults(handler=cmd_conv_fs)
 
     p = sub.add_parser("dist", parents=[common], help="distribution coefficients")
     p.add_argument("--kind", choices=("poisson", "borel", "pascal"), required=True)
-    p.add_argument("--param", type=float, required=True)
+    p.add_argument("--param", type=_parse_finite, required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--max-n", type=int, default=10)
     p.set_defaults(handler=cmd_dist)
@@ -457,6 +487,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
         return args.handler(args, cfg)

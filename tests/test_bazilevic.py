@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,14 @@ def test_w_and_l_at_least_one():
 def test_negative_parameters_rejected():
     with pytest.raises(ValueError):
         ClassParams(-0.1, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "values", [(math.nan, 0.0, 1.0), (0.0, math.inf, 1.0), (0.0, 0.0, -math.inf)]
+)
+def test_non_finite_parameters_rejected(values):
+    with pytest.raises(ValueError, match="finite"):
+        ClassParams(*values)
 
 
 def test_relation_multipliers_must_be_positive():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtnbounds import verify
 from gtnbounds.caratheodory import (
     GridSpec,
     ParameterOutOfRange,
@@ -14,6 +15,7 @@ from gtnbounds.caratheodory import (
     lemma4_bound,
     sample_point,
 )
+from gtnbounds.verify import LEMMA1_V_VALUES
 
 
 def test_sample_boundary_collapse():
@@ -129,10 +131,132 @@ def test_sup_is_deterministic_and_lex_tie_broken():
     assert w.c2 == pytest.approx(0.0)
 
 
-def test_golden_refinement_only_improves():
-    v = 0.37 + 0.81j
-    f = lambda c1, c2: np.abs(c2 - v * c1**2)
-    coarse, _ = brute_force_sup(f, GridSpec.uniform(7))
-    refined, _ = brute_force_sup(f, GridSpec.uniform(7), refine=True)
-    assert refined >= coarse - 1e-15
-    assert refined <= lemma3_bound(v) + 1e-9
+# ---------------------------------------------------------------------------
+# The row-pruned scan must return exactly what the plain 4-D scan returns.
+
+def reference_sup(functional, grid):
+    """The unpruned scan: every rho row, lexicographic, strict improvement."""
+    rho = np.linspace(0.0, 1.0, grid.rho_steps)
+    alpha = np.linspace(0.0, 2.0 * np.pi, grid.alpha_steps, endpoint=False)
+    tau = np.linspace(0.0, 1.0, grid.tau_steps)
+    beta = np.linspace(0.0, 2.0 * np.pi, grid.beta_steps, endpoint=False)
+    phase_b = np.exp(1j * beta)
+    best, best_params = -np.inf, (0.0, 0.0, 0.0, 0.0)
+    for r in rho:
+        c1_row = 2.0 * r * np.exp(1j * alpha)
+        radius = 2.0 - np.abs(c1_row) ** 2 / 2.0
+        c1 = c1_row[:, None, None]
+        c2 = c1**2 / 2.0 + radius[:, None, None] * tau[None, :, None] * phase_b[None, None, :]
+        vals = np.broadcast_to(np.asarray(functional(c1, c2), dtype=float), c2.shape)
+        idx = int(np.argmax(vals))
+        m = float(vals.flat[idx])
+        if m > best:
+            ia, it, ib = np.unravel_index(idx, c2.shape)
+            best = m
+            best_params = (float(r), float(alpha[ia]), float(tau[it]), float(beta[ib]))
+    return best, sample_point(*best_params)
+
+
+def fekete(v):
+    return lambda c1, c2: np.abs(c2 - v * c1**2)
+
+
+def modulus_c1(c1, c2):
+    return np.abs(c1)
+
+
+def constant(c1, c2):
+    return np.abs(c1) * 0.0 + 1.0
+
+
+def weighted(v, s):
+    """Invariant, with its maximum inside the rho range: which row wins depends
+    on how close the beta grid comes to the optimal phase."""
+    return lambda c1, c2: np.abs(c2 - v * c1**2) * (1.0 + s * np.abs(c1) * (2.0 - np.abs(c1)))
+
+
+SEEDED_V = [
+    complex(a, b)
+    for a, b in np.random.default_rng(4321).uniform(-2.0, 2.0, size=(40, 2))
+]
+DEGENERATE_V = [0.0, 1.0, 0.5 + 0.5j, 0.5 - 0.5j]  # every rho row attains 2
+GRIDS = [2, 3, 4, 5, 7, 8, 12, 16, 24]
+
+
+@pytest.mark.parametrize("n", GRIDS)
+@pytest.mark.parametrize("v", list(LEMMA1_V_VALUES) + DEGENERATE_V[2:])
+def test_pruned_scan_is_exact_for_lemma_functionals(v, n):
+    grid = GridSpec.uniform(n)
+    assert brute_force_sup(fekete(v), grid) == reference_sup(fekete(v), grid)
+
+
+@pytest.mark.parametrize("v", SEEDED_V)
+def test_pruned_scan_is_exact_for_seeded_complex_v(v):
+    grid = GridSpec.uniform(16)
+    assert brute_force_sup(fekete(v), grid) == reference_sup(fekete(v), grid)
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+@pytest.mark.parametrize("functional", [modulus_c1, constant])
+def test_pruned_scan_is_exact_for_c1_modulus_and_constant(functional, n):
+    grid = GridSpec.uniform(n)
+    assert brute_force_sup(functional, grid) == reference_sup(functional, grid)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        # alpha and beta grids not aligned (2 * beta_steps % alpha_steps != 0)
+        GridSpec(6, 5, 6, 7),
+        GridSpec(6, 7, 7, 5),
+        # aligned
+        GridSpec(9, 3, 4, 6),
+        GridSpec(7, 8, 5, 4),
+        GridSpec(5, 4, 3, 6),
+        GridSpec.uniform(12),
+    ],
+    ids=lambda g: f"{g.rho_steps}x{g.alpha_steps}x{g.tau_steps}x{g.beta_steps}",
+)
+@pytest.mark.parametrize(
+    "functional",
+    [modulus_c1, constant, fekete(0.3 - 1.1j), fekete(0.0),
+     weighted(-0.5 + 0.5j, 1.5), weighted(0.5 + 1.5j, 0.5)],
+    ids=["c1", "constant", "fekete-a", "fekete-b", "weighted-a", "weighted-b"],
+)
+def test_pruned_scan_is_exact_on_non_uniform_grids(grid, functional):
+    assert brute_force_sup(functional, grid) == reference_sup(functional, grid)
+
+
+def test_pruned_scan_is_exact_for_every_verify_closure(monkeypatch):
+    checked = []
+
+    def checking_sup(functional, grid):
+        got = brute_force_sup(functional, grid)
+        assert got == reference_sup(functional, grid)
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(verify, "brute_force_sup", checking_sup)
+    reports, _ = verify.run_suite("full", 1.0, GridSpec.uniform(12))
+    assert len(checked) == len(reports) == 87
+
+
+def _calls_per_scan(functional, grid):
+    calls = []
+
+    def counted(c1, c2):
+        calls.append(c2.shape)
+        return functional(c1, c2)
+
+    brute_force_sup(counted, grid)
+    return len(calls)
+
+
+def test_scan_skips_rows_that_cannot_hold_the_maximum():
+    # |c1| peaks only at rho = 1: the reduced pass plus that one row
+    assert _calls_per_scan(modulus_c1, GridSpec.uniform(12)) == 2
+    # |c2 - v c1^2| reaches 2 on every row, so every row is scanned after the pass
+    for v in DEGENERATE_V:
+        assert _calls_per_scan(fekete(v), GridSpec.uniform(12)) == 1 + 12
+    # without aligned alpha and beta grids there is no reduced pass
+    assert _calls_per_scan(modulus_c1, GridSpec(6, 5, 6, 7)) == 6

@@ -181,3 +181,68 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "n,value"
+
+
+# Malformed requests from the benchmark's cli-mix catalogue: each must exit 1
+# with a message on stderr and no traceback.
+MALFORMED_ARGV = [
+    ["fs", "--varkappa", "nan", "--mu", "0.5", "--format", "json"],
+    ["bound", "a3", "--kappa", "inf", "--format", "json"],
+    ["log-coeff", "--kappa", "nan"],
+    ["xseries", "--varkappa", "inf", "--order", "6", "--format", "json"],
+    ["inverse-fs", "--varkappa", "inf", "--hbar", "1"],
+    ["conv-fs", "--dist", "poisson", "--dist-param", "1", "--kappa", "nan"],
+    ["--config", "{work}/grid-fraction.cfg", "lemma", "--which", "3", "--v", "1"],
+    ["--config", "{work}/grid-word.cfg", "verify", "--suite", "lemmas",
+     "--out", "{work}/verify.jsonl"],
+]
+
+
+def exit_code(argv):
+    """Exit code of main(argv), whether it returns or raises SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV, ids=lambda a: " ".join(a))
+def test_malformed_request_exits_one_without_traceback(capsys, tmp_path, argv):
+    (tmp_path / "grid-fraction.cfg").write_text("grid = 12.5\n")
+    (tmp_path / "grid-word.cfg").write_text("grid = twelve\n")
+    code = exit_code([a.replace("{work}", str(tmp_path)) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "error" in captured.err
+    assert not (tmp_path / "verify.jsonl").exists()
+
+
+@pytest.mark.parametrize("mu", ["nan", "inf", "1,nan", "-inf,0", "0.5,1,2", "x"])
+def test_complex_flag_rejects_non_finite(capsys, mu):
+    assert exit_code(["fs", f"--mu={mu}"]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["1/0", "nan", "1e400"])
+def test_config_bad_class_value_exits_one(capsys, tmp_path, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"kappa = {value}\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "bound", "a2")
+    assert code == 1
+    assert "bad value for kappa" in err
+
+
+def test_oversized_grid_is_refused_before_allocation(capsys, tmp_path):
+    # a million steps would need 1e18 complex values per scan array
+    code, out, err = run_cli(capsys, "lemma", "--which", "3", "--v", "1",
+                             "--grid", "1000000")
+    assert (code, out) == (1, "")
+    assert "cap" in err
+    # 128 steps is the largest uniform grid under the cap
+    out_path = tmp_path / "r.jsonl"
+    code, out, err = run_cli(capsys, "verify", "--suite", "lemmas", "--grid", "129",
+                             "--out", str(out_path))
+    assert (code, out) == (1, "")
+    assert "cap" in err
+    assert not out_path.exists()

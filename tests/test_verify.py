@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gtnbounds.caratheodory import GridSpec
 from gtnbounds.verify import Functional
 
 SMALL = GridSpec.uniform(20)
+DATA = Path(__file__).parent / "data"
 
 
 def test_a2_experiment_at_origin():
@@ -59,6 +61,13 @@ def test_empty_sweep_rejected():
         verify.sweep([], [Functional("a2")])
     with pytest.raises(verify.EmptySweep):
         verify.sweep(verify.preset_entries(1.0), [])
+
+
+def test_full_suite_reproduces_golden_bytes_at_grid_12():
+    # tests/data/verify-full-g12.jsonl was written by the unpruned 4-D scan
+    lines = verify.reports_to_lines(*verify.run_suite("full", 1.0, GridSpec.uniform(12)))
+    golden = (DATA / "verify-full-g12.jsonl").read_bytes()
+    assert ("\n".join(lines) + "\n").encode() == golden
 
 
 def test_full_suite_flags_all_catalogued_discrepancies(tmp_path):
