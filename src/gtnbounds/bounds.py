@@ -19,6 +19,7 @@ non-positivity flag.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 from gtnbounds.bazilevic import ClassParams
@@ -38,6 +39,9 @@ class FeketeSzegoInputs:
     wp3: float = 1.0
 
     def __post_init__(self):
+        values = (self.mu, self.hbar, self.wp2, self.wp3)
+        if not all(cmath.isfinite(x) for x in values):
+            raise ValueError("mu, hbar, wp2 and wp3 must all be finite")
         if self.wp2 <= 0 or self.wp3 <= 0:
             raise ZeroConvolutionCoefficient("wp2 and wp3 must be > 0")
 

@@ -106,27 +106,28 @@ def _evaluate(functional: Functional, r, a, tau, phase_b) -> np.ndarray:
     return np.broadcast_to(vals, c2.shape)
 
 
-def _candidate_rows(functional: Functional, grid: GridSpec, rho, alpha, tau, phase_b):
-    """Mask of the rho rows that can hold the scan's maximum.
+def _candidate_pairs(functional: Functional, grid: GridSpec, rho, alpha, tau, phase_b):
+    """Mask of shape (R, T) of the (rho, tau) pairs that can hold the maximum.
 
-    The functional is evaluated once on the alpha = 0 slice of every rho.
-    When the alpha grid maps the beta grid onto itself under c2 -> e^{2it} c2
-    (``2 * beta_steps % alpha_steps == 0``), rotation invariance makes that
-    slice's maximum the row maximum up to rounding, so a row whose reduced
-    maximum lies more than ``2 * delta`` below the overall one cannot win.
-    Rounding moves values by about 1e-15 relative; ``delta`` is 1e-9 relative.
+    The functional is evaluated once on the alpha = 0 slice of every rho and
+    reduced over beta.  When the alpha grid maps the beta grid onto itself
+    under c2 -> e^{2it} c2 (``2 * beta_steps % alpha_steps == 0``), rotation
+    takes (rho, alpha_a, tau, beta_b) to (rho, 0, tau, beta_{b - 2aB/A}) up to
+    rounding, so that slice's maximum over beta is the maximum of the pair
+    over (alpha, beta), and a pair whose reduced maximum lies more than
+    ``2 * delta`` below the overall one cannot win.  Rounding moves values by
+    about 1e-15 relative; ``delta`` is 1e-9 relative.
     """
-    keep_all = np.ones(rho.shape, dtype=bool)
+    keep_all = np.ones((len(rho), len(tau)), dtype=bool)
     if (2 * grid.beta_steps) % grid.alpha_steps != 0:
         return keep_all
-    vals = _evaluate(functional, rho, alpha[0], tau, phase_b)
-    row_max = vals.reshape(len(rho), -1).max(axis=1)
-    top = float(row_max.max())
+    pair_max = _evaluate(functional, rho, alpha[0], tau, phase_b).max(axis=2)
+    top = float(pair_max.max())
     if not np.isfinite(top):
         return keep_all
     delta = 1e-9 * max(1.0, abs(top))
-    # NaN row maxima compare False and keep their row, as the full scan would
-    return ~(row_max < top - 2.0 * delta)
+    # NaN pair maxima compare False and keep their pair, as the full scan would
+    return ~(pair_max < top - 2.0 * delta)
 
 
 def brute_force_sup(
@@ -143,24 +144,29 @@ def brute_force_sup(
     The scan order is lexicographic in (rho, alpha, tau, beta) with strict
     improvement, so ties break toward the smallest parameter tuple and the
     result does not depend on chunking.  Before the scan, one pass over the
-    alpha = 0 slice of every rho row (see :func:`_candidate_rows`) drops the
-    rows whose maximum is, by rotation invariance, below the overall maximum
-    by more than rounding can explain.  The kept rows are scanned exactly as
-    the dropped ones would have been, so the value and the witness equal
-    those of the unpruned scan bit for bit.
+    alpha = 0 slice of every rho row (see :func:`_candidate_pairs`) marks the
+    (rho, tau) pairs whose maximum over beta is, by rotation invariance,
+    within rounding of the overall maximum; no point of an unmarked pair can
+    attain it.  Each row with a marked pair is then scanned over every
+    (alpha, beta) but only its marked tau values, in the same order and with
+    the same arithmetic as the full row.  Every point that attains the
+    maximum is scanned, and the first of them in scan order is the first of
+    the full scan, so the value and the witness equal those of the unpruned
+    scan bit for bit.
     """
     rho, alpha, tau, beta = _axes(grid)
     phase_b = np.exp(1j * beta)
-    keep = _candidate_rows(functional, grid, rho, alpha, tau, phase_b)
+    keep = _candidate_pairs(functional, grid, rho, alpha, tau, phase_b)
     best = -np.inf
     best_params = (0.0, 0.0, 0.0, 0.0)
-    for r in rho[keep]:
-        vals = _evaluate(functional, r, alpha, tau, phase_b)
+    for i in np.flatnonzero(keep.any(axis=1)):
+        r, tau_kept = rho[i], tau[keep[i]]
+        vals = _evaluate(functional, r, alpha, tau_kept, phase_b)
         idx = int(np.argmax(vals))
         m = float(vals.flat[idx])
         if m > best:
             ia, it, ib = np.unravel_index(idx, vals.shape)
             best = m
-            best_params = (float(r), float(alpha[ia]), float(tau[it]), float(beta[ib]))
+            best_params = (float(r), float(alpha[ia]), float(tau_kept[it]), float(beta[ib]))
     p = sample_point(*best_params)
     return best, p

@@ -85,24 +85,34 @@ def _parse_complex(text: str) -> complex:
 
 
 def load_config(path: str | None) -> dict:
+    """Read ``key = value`` lines; ``#`` comments and blank lines are skipped.
+
+    Any other line must set one of the keys of ``BUILTIN_DEFAULTS`` to a valid
+    value, or a ``ValueError`` names the file, the line and the key.
+    """
     if not path:
         return {}
     cfg: dict = {}
-    for raw in Path(path).read_text().splitlines():
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("#") or "=" not in line:
+        if not line or line.startswith("#"):
             continue
+        where = f"{path}:{lineno}"
+        if "=" not in line:
+            raise ValueError(f"{where}: expected key = value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
         key = key.replace("-", "_")
+        if key not in BUILTIN_DEFAULTS:
+            raise ValueError(f"{where}: unknown key {key!r}")
         try:
             if key in ("vartheta", "kappa", "varkappa"):
                 cfg[key] = float(Fraction(value))
             elif key == "grid":
                 cfg[key] = int(value)
-            elif key == "format":
+            else:
                 cfg[key] = value
         except (ValueError, ZeroDivisionError, OverflowError):
-            raise ValueError(f"{path}: bad value for {key}: {value!r}") from None
+            raise ValueError(f"{where}: bad value for {key}: {value!r}") from None
     return cfg
 
 
@@ -162,7 +172,7 @@ def emit_rows(rows: list[dict], fmt: str, stream=None) -> None:
     stream = stream or sys.stdout
     if fmt == "json":
         payload = _sanitize(rows if len(rows) != 1 else rows[0], 12)
-        stream.write(json.dumps(payload, indent=2) + "\n")
+        stream.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         return
     header = list(rows[0].keys())
     if fmt == "csv":
@@ -385,7 +395,7 @@ def cmd_verify(args, cfg) -> int:
     out = Path(args.out) if args.out else verify.default_report_path()
     verify.write_reports(out, reports, summary)
     print(f"wrote {len(reports)} reports to {out}")
-    print(json.dumps({"summary": summary}, indent=2, default=str))
+    print(json.dumps({"summary": summary}, indent=2, default=str, allow_nan=False))
     if not summary["soundness"]:
         print("SOUNDNESS VIOLATION: empirical supremum exceeded the oracle bound",
               file=sys.stderr)

@@ -56,8 +56,8 @@ class DistributionCoeffs:
 
 
 def poisson_coeff(m: float, n: int) -> float:
-    if m <= 0:
-        raise BadParameter("Poisson parameter must be > 0")
+    if not (math.isfinite(m) and m > 0):
+        raise BadParameter("Poisson parameter must be finite and > 0")
     if n < 2:
         raise BadParameter("coefficients are defined for n >= 2")
     if n + 1 > _LOG_SPACE_CUTOFF:

@@ -408,22 +408,27 @@ def report_to_dict(r: BoundReport) -> dict:
 
 
 def reports_to_lines(reports: Sequence[BoundReport], summary: dict) -> list[str]:
-    lines = [json.dumps(report_to_dict(r), separators=(",", ":")) for r in reports]
+    lines = [
+        json.dumps(report_to_dict(r), separators=(",", ":"), allow_nan=False)
+        for r in reports
+    ]
     clean = dict(summary)
     if isinstance(clean.get("max_sup_minus_oracle"), float) and math.isfinite(
         clean["max_sup_minus_oracle"]
     ):
         clean["max_sup_minus_oracle"] = _f12(clean["max_sup_minus_oracle"])
-    lines.append(json.dumps({"summary": clean}, separators=(",", ":")))
+    lines.append(json.dumps({"summary": clean}, separators=(",", ":"), allow_nan=False))
     return lines
 
 
 def write_reports(path: str | Path, reports: Sequence[BoundReport], summary: dict) -> Path:
-    """Append report lines; runs never overwrite earlier output."""
+    """Append report lines; runs never overwrite earlier output.  Nothing is
+    written when a report does not serialize (a non-finite value)."""
+    lines = reports_to_lines(reports, summary)
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with p.open("a", encoding="utf-8") as fh:
-        for line in reports_to_lines(reports, summary):
+        for line in lines:
             fh.write(line + "\n")
     return p
 

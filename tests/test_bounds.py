@@ -247,6 +247,17 @@ def test_conv_rejects_zero_weights():
         bounds.FeketeSzegoInputs(P000, wp2=0.0)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("mu", math.nan), ("mu", complex(0.5, math.inf)), ("hbar", complex(math.nan, 0.0)),
+     ("hbar", -math.inf), ("wp2", math.inf), ("wp2", math.nan), ("wp3", math.inf)],
+)
+def test_fs_inputs_reject_non_finite_values(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        bounds.FeketeSzegoInputs(P000, **{field: value})
+    assert bounds.FeketeSzegoInputs(P000, mu=2 + 1j, hbar=-1.5, wp2=0.5, wp3=3.0)
+
+
 def test_conv_real_large_mu_is_positive():
     v = bounds.conv_fs_real(P000, 50.0, 0.5, 0.7)
     assert v.branch == bounds.BRANCH_ABOVE

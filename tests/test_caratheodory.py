@@ -241,15 +241,19 @@ def test_pruned_scan_is_exact_for_every_verify_closure(monkeypatch):
     assert len(checked) == len(reports) == 87
 
 
-def _calls_per_scan(functional, grid):
-    calls = []
+def _recorded_scan(functional, grid):
+    """The scan's result and the shape of c2 in each call of the functional."""
+    shapes = []
 
-    def counted(c1, c2):
-        calls.append(c2.shape)
+    def recorded(c1, c2):
+        shapes.append(c2.shape)
         return functional(c1, c2)
 
-    brute_force_sup(counted, grid)
-    return len(calls)
+    return brute_force_sup(recorded, grid), shapes
+
+
+def _calls_per_scan(functional, grid):
+    return len(_recorded_scan(functional, grid)[1])
 
 
 def test_scan_skips_rows_that_cannot_hold_the_maximum():
@@ -260,3 +264,44 @@ def test_scan_skips_rows_that_cannot_hold_the_maximum():
         assert _calls_per_scan(fekete(v), GridSpec.uniform(12)) == 1 + 12
     # without aligned alpha and beta grids there is no reduced pass
     assert _calls_per_scan(modulus_c1, GridSpec(6, 5, 6, 7)) == 6
+
+
+def _points_per_scan(functional, grid):
+    return sum(math.prod(shape) for shape in _recorded_scan(functional, grid)[1])
+
+
+def test_scan_evaluates_only_candidate_rho_tau_pairs():
+    # the reduced pass costs 12^3 points; the rows then keep tau = 1 only,
+    # except rho = 1, where the radius vanishes and every tau ties
+    for v in DEGENERATE_V:
+        assert _points_per_scan(fekete(v), GridSpec.uniform(12)) == 12**3 + 23 * 12**2
+    # |c1| ignores tau: the whole rho = 1 row is kept
+    assert _points_per_scan(modulus_c1, GridSpec.uniform(12)) == 2 * 12**3
+    # without aligned alpha and beta grids every row is scanned in full
+    assert _points_per_scan(modulus_c1, GridSpec(6, 5, 6, 7)) == 6 * 5 * 6 * 7
+
+
+def flat_top(distance, eps):
+    """Invariant, flat at -eps where ``distance`` <= eps and peaked at
+    |c1| = 1: the best rows keep only interior tau values, most rows none."""
+    return lambda c1, c2: -np.maximum(distance(c1, c2), eps) - np.abs(np.abs(c1) - 1.0)
+
+
+@pytest.mark.parametrize("n", [9, 12, 16, 24])
+@pytest.mark.parametrize(
+    "functional",
+    [
+        flat_top(lambda c1, c2: np.abs(np.abs(c2 - c1**2 / 2) - 0.9), 0.1),
+        flat_top(lambda c1, c2: np.abs(c2 - (-0.4 + 0.9j) * c1**2), 0.15),
+    ],
+    ids=["modulus-band", "phase-band"],
+)
+def test_pruned_scan_is_exact_when_rows_keep_part_of_tau(functional, n):
+    grid = GridSpec.uniform(n)
+    got, shapes = _recorded_scan(functional, grid)
+    assert got == reference_sup(functional, grid)
+    # after the reduced pass, some row is scanned on a strict subset of tau
+    assert any(0 < shape[1] < n for shape in shapes[1:])
+    _, w = got
+    tau_w = abs(w.c2 - w.c1**2 / 2) / (2 - abs(w.c1) ** 2 / 2)
+    assert 0.0 < tau_w < 1.0

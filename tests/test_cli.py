@@ -233,6 +233,44 @@ def test_config_bad_class_value_exits_one(capsys, tmp_path, value):
     assert "bad value for kappa" in err
 
 
+def test_non_finite_json_output_exits_one(capsys):
+    # 1e308 is finite, but the bound for it overflows to inf
+    code, out, err = run_cli(capsys, "fs", "--mu", "1e308", "--format", "json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+    # the same request in a text format still prints the overflowed value
+    code, out, _ = run_cli(capsys, "fs", "--mu", "1e308", "--format", "csv")
+    assert code == 0
+    assert "inf" in out
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("gird = 8\n", "bad.cfg:1: unknown key 'gird'"),
+        ("# header\n\nvartheta = 1/2\ngrid 8\n", "bad.cfg:4: expected key = value"),
+        ("kappa = 1\nformats = json\n", "bad.cfg:2: unknown key 'formats'"),
+    ],
+)
+def test_config_typo_exits_one(capsys, tmp_path, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, "--config", str(cfg), "lemma", "--which", "3",
+                             "--v", "1", "--grid", "4")
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+def test_config_accepts_comments_blanks_and_every_known_key(capsys, tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("# every key\n\nvartheta = 1/2\nkappa = 1/4\nvarkappa = 2\n"
+                   "  grid = 6\nformat = json\n")
+    code, out, _ = run_cli(capsys, "--config", str(cfg), "bound", "a2")
+    assert code == 0
+    assert json.loads(out)["kappa"] == 0.25
+
+
 def test_oversized_grid_is_refused_before_allocation(capsys, tmp_path):
     # a million steps would need 1e18 complex values per scan array
     code, out, err = run_cli(capsys, "lemma", "--which", "3", "--v", "1",

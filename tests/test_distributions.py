@@ -76,6 +76,14 @@ def test_parameter_validation():
         coefficients("gamma", 1.0, 5)
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+def test_poisson_rejects_non_finite_parameter(m):
+    with pytest.raises(BadParameter):
+        poisson_coeff(m, 2)
+    with pytest.raises(BadParameter):
+        coefficients("poisson", m, 3)
+
+
 def test_log_space_fallback_agrees_with_incremental():
     # the ratio identity must hold straight across the n + s > 100 cutoff
     m = 1.3

@@ -94,6 +94,19 @@ def test_reports_are_append_only(tmp_path):
     assert len(path.read_text().splitlines()) == 2 * (len(reports) + 1)
 
 
+def test_non_finite_report_is_refused_and_nothing_written(tmp_path):
+    reports, summary = verify.sweep(
+        verify.preset_entries(1.0)[:1], [Functional("a2")], SMALL
+    )
+    reports[0].empirical_sup = float("nan")
+    with pytest.raises(ValueError):
+        verify.reports_to_lines(reports, summary)
+    path = tmp_path / "out.jsonl"
+    with pytest.raises(ValueError):
+        verify.write_reports(path, reports, summary)
+    assert not path.exists()
+
+
 def test_serialization_is_deterministic():
     reports1, s1 = verify.sweep(verify.preset_entries(1.0)[:2], [Functional("a3")], SMALL)
     reports2, s2 = verify.sweep(verify.preset_entries(1.0)[:2], [Functional("a3")], SMALL)
