@@ -5,7 +5,9 @@ Usage:
     python scripts/run_verification.py [--grid N] [--varkappa R] [--suite NAME]
 
 Writes reports/verify-<timestamp>.jsonl (append-only) and prints a compact
-discrepancy summary.  Exits 2 if the master soundness property fails.
+discrepancy summary.  Exits 2 if the master soundness property fails, and 1
+with a one-line message for a bad value (a non-finite or negative varkappa,
+a grid outside 2..128, or a varkappa so large that a report overflows).
 """
 
 import argparse
@@ -13,22 +15,25 @@ import sys
 from collections import defaultdict
 
 from gtnbounds import verify
-from gtnbounds.caratheodory import GridSpec
+from gtnbounds.cli import checked_grid
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--grid", type=int, default=60)
     ap.add_argument("--varkappa", type=float, default=1.0)
     ap.add_argument("--suite", default="full", choices=("remarks", "lemmas", "full"))
     ap.add_argument("--out", default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    reports, summary = verify.run_suite(
-        args.suite, varkappa=args.varkappa, grid=GridSpec.uniform(args.grid)
-    )
     out = args.out or verify.default_report_path()
-    verify.write_reports(out, reports, summary)
+    try:
+        grid = checked_grid(args.grid)
+        reports, summary = verify.run_suite(args.suite, varkappa=args.varkappa, grid=grid)
+        verify.write_reports(out, reports, summary)
+    except (ValueError, OverflowError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     by_id: dict[str, list] = defaultdict(list)
     for r in reports:

@@ -14,6 +14,7 @@ so grid search with endpoints included approaches them from below.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -86,6 +87,11 @@ def lemma4_bound(hbar: complex) -> float:
 
 Functional = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+# Points per call of the functional: 64 KiB per complex128 array, below
+# glibc's 128 KiB mmap threshold, so temporaries are reused from the heap
+# instead of being mapped and zero-filled by the kernel on every call.
+BLOCK_POINTS = 4096
+
 
 def _axes(grid: GridSpec):
     rho = np.linspace(0.0, 1.0, grid.rho_steps)
@@ -95,18 +101,28 @@ def _axes(grid: GridSpec):
     return rho, alpha, tau, beta
 
 
-def _evaluate(functional: Functional, r, a, tau, phase_b) -> np.ndarray:
-    """Functional values of shape (N, T, B) on c1 = 2 r e^{i a}, where one of
-    ``r`` and ``a`` holds N values, and every (tau, beta)."""
-    c1_vec = 2.0 * r * np.exp(1j * a)  # (N,)
+def _evaluate(functional: Functional, r, phase_a, tau, phase_b) -> np.ndarray:
+    """Functional values of shape (N, T, B) on c1 = 2 r e^{i alpha}, where one
+    of ``r`` and ``phase_a = e^{i alpha}`` holds N values, and every
+    (tau, beta)."""
+    c1_vec = 2.0 * r * phase_a  # (N,)
     radius = 2.0 - np.abs(c1_vec) ** 2 / 2.0
     c1 = c1_vec[:, None, None]
     c2 = c1**2 / 2.0 + radius[:, None, None] * tau[None, :, None] * phase_b[None, None, :]
     vals = np.asarray(functional(c1, c2), dtype=float)
-    return np.broadcast_to(vals, c2.shape)
+    return vals if vals.shape == c2.shape else np.broadcast_to(vals, c2.shape)
 
 
-def _candidate_pairs(functional: Functional, grid: GridSpec, rho, alpha, tau, phase_b):
+def _blocks(n_lead: int, slice_points: int):
+    """Leading-axis slices that cover an (N, T, B) scan in order: as many
+    whole (tau, beta) slices of ``slice_points`` points as fit in
+    ``BLOCK_POINTS``, and always at least one."""
+    step = max(1, BLOCK_POINTS // slice_points)
+    for i in range(0, n_lead, step):
+        yield slice(i, i + step)
+
+
+def _candidate_pairs(functional: Functional, grid: GridSpec, rho, phase_a, tau, phase_b):
     """Mask of shape (R, T) of the (rho, tau) pairs that can hold the maximum.
 
     The functional is evaluated once on the alpha = 0 slice of every rho and
@@ -118,13 +134,15 @@ def _candidate_pairs(functional: Functional, grid: GridSpec, rho, alpha, tau, ph
     ``2 * delta`` below the overall one cannot win.  Rounding moves values by
     about 1e-15 relative; ``delta`` is 1e-9 relative.
     """
-    keep_all = np.ones((len(rho), len(tau)), dtype=bool)
     if (2 * grid.beta_steps) % grid.alpha_steps != 0:
-        return keep_all
-    pair_max = _evaluate(functional, rho, alpha[0], tau, phase_b).max(axis=2)
+        return np.ones((len(rho), len(tau)), dtype=bool)
+    pair_max = np.empty((len(rho), len(tau)))
+    for lead in _blocks(len(rho), len(tau) * len(phase_b)):
+        vals = _evaluate(functional, rho[lead], phase_a[0], tau, phase_b)
+        pair_max[lead] = vals.max(axis=2)
     top = float(pair_max.max())
-    if not np.isfinite(top):
-        return keep_all
+    if not math.isfinite(top):
+        return np.ones(pair_max.shape, dtype=bool)
     delta = 1e-9 * max(1.0, abs(top))
     # NaN pair maxima compare False and keep their pair, as the full scan would
     return ~(pair_max < top - 2.0 * delta)
@@ -153,20 +171,41 @@ def brute_force_sup(
     maximum is scanned, and the first of them in scan order is the first of
     the full scan, so the value and the witness equal those of the unpruned
     scan bit for bit.
+
+    Both passes call the functional on blocks of at most ``BLOCK_POINTS``
+    points: whole (tau, beta) slices of several rho or alpha values, or one
+    slice when a slice is larger.  The arithmetic is per point, so every
+    value equals the whole slab's, and the reduced pass still takes each
+    pair's maximum over all of beta.  Within a row, blocks are visited in
+    scan order, and the first maximum within a block plus strict
+    improvement across blocks give the row's first maximum.  A row in which
+    the functional returns NaN at a scanned point is skipped, as the
+    whole-row argmax would skip it, wherever the block boundaries fall.
     """
     rho, alpha, tau, beta = _axes(grid)
-    phase_b = np.exp(1j * beta)
-    keep = _candidate_pairs(functional, grid, rho, alpha, tau, phase_b)
+    phase_a, phase_b = np.exp(1j * alpha), np.exp(1j * beta)
+    keep = _candidate_pairs(functional, grid, rho, phase_a, tau, phase_b)
     best = -np.inf
     best_params = (0.0, 0.0, 0.0, 0.0)
     for i in np.flatnonzero(keep.any(axis=1)):
         r, tau_kept = rho[i], tau[keep[i]]
-        vals = _evaluate(functional, r, alpha, tau_kept, phase_b)
-        idx = int(np.argmax(vals))
-        m = float(vals.flat[idx])
-        if m > best:
-            ia, it, ib = np.unravel_index(idx, vals.shape)
-            best = m
-            best_params = (float(r), float(alpha[ia]), float(tau_kept[it]), float(beta[ib]))
+        row_best, row_params = best, best_params
+        for lead in _blocks(len(alpha), len(tau_kept) * len(beta)):
+            vals = _evaluate(functional, r, phase_a[lead], tau_kept, phase_b)
+            idx = int(vals.argmax())
+            m = float(vals.flat[idx])
+            if math.isnan(m):
+                break  # argmax over the whole row would be NaN: skip the row
+            if m > row_best:
+                ia, it, ib = np.unravel_index(idx, vals.shape)
+                row_best = m
+                row_params = (
+                    float(r),
+                    float(alpha[lead.start + ia]),
+                    float(tau_kept[it]),
+                    float(beta[ib]),
+                )
+        else:
+            best, best_params = row_best, row_params
     p = sample_point(*best_params)
     return best, p

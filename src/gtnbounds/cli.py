@@ -42,9 +42,12 @@ BUILTIN_DEFAULTS = {
     "format": "table",
 }
 
-# Complex values in the largest array one scan allocates: the pass over
-# (rho, tau, beta) or one row over (alpha, tau, beta).  2**21 values take
-# 32 MiB per array, so a uniform grid may have at most 128 steps.
+FORMATS = ("json", "csv", "table")
+
+# Points in the largest pass of one scan: the reduced pass over
+# (rho, tau, beta) or one row over (alpha, tau, beta).  The scan works on
+# small blocks, so this bounds its work rather than its memory: a uniform
+# grid may have at most 128 steps.
 MAX_SCAN_VALUES = 2**21
 
 
@@ -109,8 +112,10 @@ def load_config(path: str | None) -> dict:
                 cfg[key] = float(Fraction(value))
             elif key == "grid":
                 cfg[key] = int(value)
-            else:
+            elif value in FORMATS:
                 cfg[key] = value
+            else:
+                raise ValueError
         except (ValueError, ZeroDivisionError, OverflowError):
             raise ValueError(f"{where}: bad value for {key}: {value!r}") from None
     return cfg
@@ -124,13 +129,18 @@ def _resolve(args: argparse.Namespace, cfg: dict, key: str):
 
 
 def _grid(args, cfg) -> GridSpec:
-    """The uniform scan grid, refused before any allocation when too large."""
-    n = int(_resolve(args, cfg, "grid"))
+    """The uniform scan grid, refused before any scan when too large."""
+    return checked_grid(int(_resolve(args, cfg, "grid")))
+
+
+def checked_grid(n: int) -> GridSpec:
+    """``GridSpec.uniform(n)``, or a ``ValueError`` when one pass of its scan
+    would evaluate more than ``MAX_SCAN_VALUES`` points."""
     grid = GridSpec.uniform(n)
     values = max(grid.rho_steps, grid.alpha_steps) * grid.tau_steps * grid.beta_steps
     if values > MAX_SCAN_VALUES:
         raise ValueError(
-            f"grid {n} needs {values} complex values per scan array, "
+            f"grid {n} needs {values} points per scan pass, "
             f"more than the cap of {MAX_SCAN_VALUES}"
         )
     return grid
@@ -335,7 +345,13 @@ def _read_coeffs(path: str) -> TruncatedSeries:
     text = Path(path).read_text().strip()
     if text.startswith("["):
         data = json.loads(text)
-        coeffs = [complex(c[0], c[1]) if isinstance(c, list) else complex(c) for c in data]
+        try:
+            coeffs = [complex(c[0], c[1]) if isinstance(c, list) else complex(c)
+                      for c in data]
+        except (IndexError, TypeError):
+            raise ValueError(
+                f"{path}: expected a list of numbers or [re, im] pairs"
+            ) from None
     else:
         coeffs = [complex(float(tok), 0.0) for tok in text.replace(",", " ").split()]
     return TruncatedSeries(coeffs)
@@ -413,7 +429,7 @@ def build_parser() -> CliParser:
                         help="class weight parameter (>= 0)")
     common.add_argument("--varkappa", type=_parse_finite, default=None,
                         help="subordination weight (>= 0)")
-    common.add_argument("--format", choices=("json", "csv", "table"), default=None)
+    common.add_argument("--format", choices=FORMATS, default=None)
 
     parser = CliParser(prog="gtnbounds",
                        description="coefficient-bound verification toolkit")
@@ -424,7 +440,7 @@ def build_parser() -> CliParser:
     p.add_argument("--varkappa", type=_parse_rational, default=None,
                    help="weight, rational syntax allowed (e.g. 7/2)")
     p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--format", choices=("json", "csv", "table"), default=None)
+    p.add_argument("--format", choices=FORMATS, default=None)
     p.set_defaults(handler=cmd_gtn)
 
     p = sub.add_parser("xseries", parents=[common],
@@ -505,6 +521,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: the inputs overflow the computation: {exc}", file=sys.stderr)
         return 1
 
 

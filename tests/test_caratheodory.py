@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gtnbounds import verify
 from gtnbounds.caratheodory import (
+    BLOCK_POINTS,
     GridSpec,
     ParameterOutOfRange,
     brute_force_sup,
@@ -305,3 +306,119 @@ def test_pruned_scan_is_exact_when_rows_keep_part_of_tau(functional, n):
     _, w = got
     tau_w = abs(w.c2 - w.c1**2 / 2) / (2 - abs(w.c1) ** 2 / 2)
     assert 0.0 < tau_w < 1.0
+
+
+# ---------------------------------------------------------------------------
+# The scan calls the functional on blocks of at most BLOCK_POINTS points.
+
+# 360 points per (tau, beta) slice, 11 slices per block: rho splits 11 + 11 + 3
+# and alpha 11 + 5
+MULTI_BLOCK = GridSpec(25, 16, 15, 24)
+# 240 points per slice, 17 per block; alpha and beta grids not aligned, so
+# every row keeps every tau
+MULTI_BLOCK_UNALIGNED = GridSpec(25, 25, 15, 16)
+# 5600 points per slice: one slice per block
+WIDE_SLICE = GridSpec(3, 4, 70, 80)
+BLOCKED_GRIDS = [GridSpec.uniform(12), GridSpec.uniform(60), MULTI_BLOCK,
+                 MULTI_BLOCK_UNALIGNED, WIDE_SLICE]
+
+
+def _grid_id(g):
+    return f"{g.rho_steps}x{g.alpha_steps}x{g.tau_steps}x{g.beta_steps}"
+
+
+@pytest.mark.parametrize("grid", BLOCKED_GRIDS, ids=_grid_id)
+@pytest.mark.parametrize(
+    "functional", [modulus_c1, constant, fekete(0.0), fekete(0.3 - 1.1j)],
+    ids=["c1", "constant", "fekete-0", "fekete-a"],
+)
+def test_no_functional_call_exceeds_a_block(functional, grid):
+    _, shapes = _recorded_scan(functional, grid)
+    slice_points = grid.tau_steps * grid.beta_steps
+    assert max(math.prod(shape) for shape in shapes) <= max(BLOCK_POINTS, slice_points)
+
+
+def test_blocking_keeps_the_points_per_scan():
+    # the reduced pass plus every kept pair, as for the whole-slab scan
+    n = 60
+    for v in DEGENERATE_V:
+        assert _points_per_scan(fekete(v), GridSpec.uniform(n)) == n**3 + (2 * n - 1) * n**2
+    assert _points_per_scan(modulus_c1, GridSpec.uniform(n)) == 2 * n**3
+    r, a, t, b = 25, 16, 15, 24
+    assert _points_per_scan(modulus_c1, MULTI_BLOCK) == r * t * b + a * t * b
+
+
+def test_blocks_split_the_leading_axis_only():
+    # the reduced pass over rho, then the rho = 1 row over alpha
+    _, shapes = _recorded_scan(modulus_c1, MULTI_BLOCK)
+    assert [shape[0] for shape in shapes] == [11, 11, 3, 11, 5]
+    assert all(shape[1:] == (15, 24) for shape in shapes)
+
+
+def test_blocks_visit_the_points_in_scan_order():
+    grid = MULTI_BLOCK_UNALIGNED
+    seen = []
+
+    def recorded(c1, c2):
+        seen.append(c2.ravel().copy())
+        return modulus_c1(c1, c2)
+
+    brute_force_sup(recorded, grid)
+    rho = np.linspace(0.0, 1.0, grid.rho_steps)
+    alpha = np.linspace(0.0, 2.0 * np.pi, grid.alpha_steps, endpoint=False)
+    tau = np.linspace(0.0, 1.0, grid.tau_steps)
+    phase_b = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, grid.beta_steps, endpoint=False))
+    slabs = []
+    for r in rho:
+        c1 = (2.0 * r * np.exp(1j * alpha))[:, None, None]
+        radius = 2.0 - np.abs(c1) ** 2 / 2.0
+        slabs.append((c1**2 / 2.0 + radius * tau[None, :, None] * phase_b).ravel())
+    assert np.array_equal(np.concatenate(seen), np.concatenate(slabs))
+
+
+@pytest.mark.parametrize("grid", [MULTI_BLOCK, MULTI_BLOCK_UNALIGNED], ids=_grid_id)
+@pytest.mark.parametrize(
+    "functional",
+    [fekete(v) for v in DEGENERATE_V]
+    + [
+        modulus_c1,
+        constant,
+        flat_top(lambda c1, c2: np.abs(np.abs(c2 - c1**2 / 2) - 0.9), 0.1),
+        flat_top(lambda c1, c2: np.abs(c2 - (-0.4 + 0.9j) * c1**2), 0.15),
+    ],
+    ids=[f"fekete-{v}" for v in DEGENERATE_V]
+    + ["c1", "constant", "modulus-band", "phase-band"],
+)
+def test_blocked_scan_is_exact_across_block_boundaries(functional, grid):
+    assert brute_force_sup(functional, grid) == reference_sup(functional, grid)
+
+
+def test_witness_may_lie_in_a_later_block():
+    # not rotation invariant, but the unaligned grid is not pruned; the
+    # maximum lies at alpha index 18, in the second alpha block
+    def toward(c1, c2):
+        return np.real(c1 * np.exp(-4.5j))
+
+    value, w = got = brute_force_sup(toward, MULTI_BLOCK_UNALIGNED)
+    assert got == reference_sup(toward, MULTI_BLOCK_UNALIGNED)
+    assert np.angle(w.c1) % (2 * np.pi) == pytest.approx(18 * 2 * np.pi / 25)
+
+
+@pytest.mark.parametrize(
+    "grid, point",
+    [(MULTI_BLOCK, 2.0), (MULTI_BLOCK_UNALIGNED, 2.0 * np.exp(2j * np.pi * 24 / 25))],
+    ids=["first-block", "last-block"],
+)
+def test_a_nan_skips_its_whole_row_wherever_the_blocks_fall(grid, point):
+    # NaN at one point of the rho = 1 row, whose other blocks attain |c1| = 2
+    def nan_at_point(c1, c2):
+        return np.where(np.abs(c1 - point) < 1e-9, np.nan, np.abs(c1))
+
+    value, _ = got = brute_force_sup(nan_at_point, grid)
+    assert got == reference_sup(nan_at_point, grid)
+    assert value == 2.0 * 23 / 24  # the rho = 23/24 row
+
+
+def test_functional_may_return_a_scalar():
+    grid = GridSpec.uniform(5)
+    assert brute_force_sup(lambda c1, c2: 1.0, grid) == reference_sup(constant, grid)

@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtnbounds.cli import main
 
@@ -284,3 +289,115 @@ def test_oversized_grid_is_refused_before_allocation(capsys, tmp_path):
     assert (code, out) == (1, "")
     assert "cap" in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("value", ["xml", "JSON", "", "tables"])
+def test_config_bad_format_exits_one(capsys, tmp_path, value):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"grid = 8\nformat = {value}\n")
+    code, out, err = run_cli(capsys, "--config", str(cfg), "bound", "a2")
+    assert (code, out) == (1, "")
+    assert f"bad.cfg:2: bad value for format: {value!r}" in err
+
+
+@pytest.mark.parametrize("text", ["[1, [2]]", "[0, {}]", "[[1, null]]", "[0, 1, null]"])
+def test_member_malformed_coefficient_list_exits_one(capsys, tmp_path, text):
+    path = tmp_path / "f.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "member", "--f-coeffs", str(path))
+    assert (code, out) == (1, "")
+    assert "expected a list of numbers" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["log-coeff", "--kappa", "1e308"], ["fs", "--kappa", "1e308"],
+     ["conv-fs", "--kappa", "1e308"], ["bound", "a3", "--kappa", "1e308"]],
+    ids=lambda a: a[0],
+)
+def test_overflowing_inputs_exit_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: the inputs overflow the computation")
+
+
+# ---------------------------------------------------------------------------
+# Hostile argv: any mix of real subcommands and flags with hostile values must
+# end in exit code 0, 1 or 2, never in an escaped exception.
+
+HOSTILE = ["nan", "inf", "-inf", "-0", "1e309", "", "abc", "1/0", "1,nan", "--"]
+NUMBERS = ["0", "1", "0.5", "2.5", "-1", "1e308", "1,1", "-0.5,2"]
+GRIDS = ["-3", "0", "1", "129", str(10**20), "2", "3", "8", "16", "2.5", "nan"]
+COUNTS = ["-3", "0", "1", "3", "6", "x"]
+FORMAT_VALUES = ["json", "csv", "table", "xml", ""]
+NUMBER = HOSTILE + NUMBERS
+CLASS_FLAGS = {"--vartheta": NUMBER, "--kappa": NUMBER, "--varkappa": NUMBER,
+               "--format": FORMAT_VALUES}
+
+# subcommand -> (required argv choices, optional flags with their values)
+SPECS = {
+    "gtn": ([[]], {"--varkappa": NUMBER + ["7/2", "-1/2"], "--max-n": COUNTS,
+                   "--format": FORMAT_VALUES}),
+    "xseries": ([[]], {**CLASS_FLAGS, "--order": COUNTS}),
+    "bound": ([["a2"], ["a3"], ["a4"], [""]], CLASS_FLAGS),
+    "fs": ([[]], {**CLASS_FLAGS, "--mu": NUMBER}),
+    "inverse-fs": ([[]], {**CLASS_FLAGS, "--hbar": NUMBER}),
+    "log-coeff": ([[]], CLASS_FLAGS),
+    "conv-fs": ([[]], {**CLASS_FLAGS, "--dist": ["poisson", "borel", "pascal", "custom",
+                                                 "x"],
+                       "--dist-param": NUMBER, "--s": COUNTS, "--wp2": NUMBER,
+                       "--wp3": NUMBER, "--mu": NUMBER}),
+    "dist": ([["--kind", k, "--param", p] for k in ("poisson", "borel", "pascal", "")
+              for p in ("1", "0.5", "nan", "-0", "")],
+             {**CLASS_FLAGS, "--s": COUNTS, "--max-n": COUNTS}),
+    "member": ([["--f-coeffs", "{work}/" + name] for name in
+                ("identity.txt", "koebe.txt", "empty.txt", "bad.json", "missing.txt")],
+               CLASS_FLAGS),
+    "lemma": ([["--which", w, "--v", v] for w in ("1", "3", "4", "2")
+               for v in ("0.5", "1,1", "nan", "1e308", "")],
+              {**CLASS_FLAGS, "--grid": GRIDS}),
+    # verify always gets a grid, so a valid run stays at grid 16 or less
+    "verify": ([["--suite", s, "--out", "{work}/r.jsonl", "--grid", g]
+                for s in ("remarks", "lemmas", "full", "none") for g in GRIDS],
+               CLASS_FLAGS),
+}
+CONFIGS = {
+    "ok.cfg": "grid = 8\nformat = json\n",
+    "format.cfg": "format = xml\n",
+    "grid.cfg": "grid = 129\n",
+    "nan.cfg": "kappa = nan\n",
+}
+
+
+@pytest.fixture(scope="module")
+def hostile_work(tmp_path_factory):
+    work = tmp_path_factory.mktemp("hostile")
+    files = {"identity.txt": "0 1 0 0 0 0\n", "koebe.txt": "0 1 2 3 4 5\n",
+             "empty.txt": "", "bad.json": "[1, [2]]", **CONFIGS}
+    for name, text in files.items():
+        (work / name).write_text(text)
+    return work
+
+
+@st.composite
+def hostile_argv(draw):
+    sub = draw(st.sampled_from(sorted(SPECS)))
+    required, optional = SPECS[sub]
+    argv = [sub, *draw(st.sampled_from(required))]
+    for flag in draw(st.lists(st.sampled_from(sorted(optional)), max_size=4)):
+        argv += [flag, draw(st.sampled_from(optional[flag]))]
+    config = draw(st.sampled_from([None, *sorted(CONFIGS), "missing.cfg"]))
+    if config is not None:
+        argv = ["--config", "{work}/" + config, *argv]
+    return argv
+
+
+@given(argv=hostile_argv())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_hostile_argv_exits_cleanly(hostile_work, argv):
+    argv = [a.replace("{work}", str(hostile_work)) for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = exit_code(argv)
+    assert code in (0, 1, 2)
