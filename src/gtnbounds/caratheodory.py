@@ -101,16 +101,43 @@ def _axes(grid: GridSpec):
     return rho, alpha, tau, beta
 
 
-def _evaluate(functional: Functional, r, phase_a, tau, phase_b) -> np.ndarray:
-    """Functional values of shape (N, T, B) on c1 = 2 r e^{i alpha}, where one
-    of ``r`` and ``phase_a = e^{i alpha}`` holds N values, and every
-    (tau, beta)."""
-    c1_vec = 2.0 * r * phase_a  # (N,)
-    radius = 2.0 - np.abs(c1_vec) ** 2 / 2.0
+def _leading(rho, alpha):
+    """c1 = 2 rho e^{i alpha} and the perturbation radius 2 - |c1|^2 / 2 of
+    every (rho, alpha) slice, each of shape (R, A)."""
+    c1 = 2.0 * rho[:, None] * np.exp(1j * alpha)
+    return c1, 2.0 - np.abs(c1) ** 2 / 2.0
+
+
+def _evaluate(functional: Functional, c1_vec, radius, tau, phase_b) -> np.ndarray:
+    """Functional values of shape (N, T, B) on N values of c1 with their
+    perturbation radii, and every (tau, beta)."""
     c1 = c1_vec[:, None, None]
     c2 = c1**2 / 2.0 + radius[:, None, None] * tau[None, :, None] * phase_b[None, None, :]
     vals = np.asarray(functional(c1, c2), dtype=float)
     return vals if vals.shape == c2.shape else np.broadcast_to(vals, c2.shape)
+
+
+def _split(c1, radius, slice_points: int):
+    """Split one leading axis into the slices to collapse and the rest, as
+    (indices, mask), or ``(None, slice(None))`` when nothing is split off.
+
+    A slice collapses when its c2 is one bit pattern: its radius is exactly
+    0.0, so the perturbation ``0 * tau * e^{i beta}`` has parts +0.0 or
+    -0.0, and adding either leaves a part of ``c1^2 / 2`` unchanged unless
+    that part is -0.0 (``-0.0 + 0.0`` is +0.0).  Only slices of more than
+    half a block collapse.  Each of them then takes a call of its own, and
+    one call for all collapsed slices saves all but one of those calls;
+    smaller slices share blocks, where the check and the extra call cost
+    more than the points they save.
+    """
+    if 2 * slice_points <= BLOCK_POINTS:
+        return None, slice(None)
+    # the bits of the real and imaginary parts; -0.0 is the sign bit alone
+    half = (c1**2 / 2.0).view(np.int64).reshape(-1, 2)
+    zero = (radius == 0.0) & ~(half == np.iinfo(np.int64).min).any(axis=1)
+    if not zero.any():
+        return None, slice(None)
+    return np.flatnonzero(zero), ~zero
 
 
 def _blocks(n_lead: int, slice_points: int):
@@ -122,7 +149,13 @@ def _blocks(n_lead: int, slice_points: int):
         yield slice(i, i + step)
 
 
-def _candidate_pairs(functional: Functional, grid: GridSpec, rho, phase_a, tau, phase_b):
+def _first_point(functional: Functional, c1_vec, radius, tau, phase_b) -> np.ndarray:
+    """The functional at the first point (tau[0], beta[0]) of each collapsed
+    slice, which is its value at every point of that slice."""
+    return _evaluate(functional, c1_vec, radius, tau[:1], phase_b[:1]).ravel()
+
+
+def _candidate_pairs(functional: Functional, grid: GridSpec, c1, radius, tau, phase_b):
     """Mask of shape (R, T) of the (rho, tau) pairs that can hold the maximum.
 
     The functional is evaluated once on the alpha = 0 slice of every rho and
@@ -132,14 +165,25 @@ def _candidate_pairs(functional: Functional, grid: GridSpec, rho, phase_a, tau, 
     rounding, so that slice's maximum over beta is the maximum of the pair
     over (alpha, beta), and a pair whose reduced maximum lies more than
     ``2 * delta`` below the overall one cannot win.  Rounding moves values by
-    about 1e-15 relative; ``delta`` is 1e-9 relative.
+    about 1e-15 relative; ``delta`` is 1e-9 relative.  The value at the
+    first point of a collapsed slice (``rho = 1``) is the maximum of each of
+    its pairs.
     """
     if (2 * grid.beta_steps) % grid.alpha_steps != 0:
-        return np.ones((len(rho), len(tau)), dtype=bool)
-    pair_max = np.empty((len(rho), len(tau)))
-    for lead in _blocks(len(rho), len(tau) * len(phase_b)):
-        vals = _evaluate(functional, rho[lead], phase_a[0], tau, phase_b)
-        pair_max[lead] = vals.max(axis=2)
+        return np.ones((len(c1), len(tau)), dtype=bool)
+    slice_points = len(tau) * len(phase_b)
+    pair_max = np.empty((len(c1), len(tau)))
+    first, rest = _split(c1[:, 0], radius[:, 0], slice_points)
+    if first is not None:
+        pair_max[first] = _first_point(
+            functional, c1[first, 0], radius[first, 0], tau, phase_b
+        )[:, None]
+    c1_col, radius_col = c1[rest, 0], radius[rest, 0]
+    rest_max = np.empty((len(c1_col), len(tau)))
+    for lead in _blocks(len(c1_col), slice_points):
+        vals = _evaluate(functional, c1_col[lead], radius_col[lead], tau, phase_b)
+        rest_max[lead] = vals.max(axis=2)
+    pair_max[rest] = rest_max
     top = float(pair_max.max())
     if not math.isfinite(top):
         return np.ones(pair_max.shape, dtype=bool)
@@ -155,56 +199,83 @@ def brute_force_sup(
     """Maximum of the functional over the sampled body with its argmax.
 
     ``functional`` must accept numpy arrays of c1 and c2 (broadcast together)
-    and return real values elementwise.  It must also be invariant under the
-    rotation ``(c1, c2) -> (e^{it} c1, e^{2it} c2)``, as every functional of
-    the form ``F(|c1|, |c2 - v c1^2|)`` is.
+    and return real values elementwise: the value at a point depends only on
+    that point's (c1, c2).  It must also be invariant under the rotation
+    ``(c1, c2) -> (e^{it} c1, e^{2it} c2)``, as every functional of the form
+    ``F(|c1|, |c2 - v c1^2|)`` is.
 
     The scan order is lexicographic in (rho, alpha, tau, beta) with strict
-    improvement, so ties break toward the smallest parameter tuple and the
-    result does not depend on chunking.  Before the scan, one pass over the
-    alpha = 0 slice of every rho row (see :func:`_candidate_pairs`) marks the
-    (rho, tau) pairs whose maximum over beta is, by rotation invariance,
-    within rounding of the overall maximum; no point of an unmarked pair can
-    attain it.  Each row with a marked pair is then scanned over every
-    (alpha, beta) but only its marked tau values, in the same order and with
-    the same arithmetic as the full row.  Every point that attains the
-    maximum is scanned, and the first of them in scan order is the first of
-    the full scan, so the value and the witness equal those of the unpruned
-    scan bit for bit.
+    improvement, so ties break toward the smallest parameter tuple.  Before
+    the scan, one pass over the alpha = 0 slice of every rho row (see
+    :func:`_candidate_pairs`) marks the (rho, tau) pairs whose maximum over
+    beta is, by rotation invariance, within rounding of the overall maximum;
+    no point of an unmarked pair can attain it.  Each row with a marked pair
+    is then scanned over every (alpha, beta) but only its marked tau values,
+    in the same order and with the same arithmetic as the full row.  Every
+    point that attains the maximum is scanned, and the first of them in scan
+    order is the first of the full scan, so the value and the witness equal
+    those of the unpruned scan bit for bit.
+
+    Where the perturbation radius ``2 - |c1|^2 / 2`` rounds to exactly 0.0
+    (only on the ``rho = 1`` row, for about 60% of the alpha values), every
+    point of the (rho, alpha) slice has the same c1 and, bit for bit, the
+    same c2 (see :func:`_split`).  By the elementwise contract the slice
+    holds one value, and its first maximum in scan order is its first point
+    (tau[0], beta[0]); no rotation or tie argument is needed.  When slices
+    are large enough to take a call each (more than half a block), such a
+    slice is evaluated at that point only, all of a row's (or of the
+    reduced pass) in one call.
 
     Both passes call the functional on blocks of at most ``BLOCK_POINTS``
     points: whole (tau, beta) slices of several rho or alpha values, or one
     slice when a slice is larger.  The arithmetic is per point, so every
     value equals the whole slab's, and the reduced pass still takes each
-    pair's maximum over all of beta.  Within a row, blocks are visited in
-    scan order, and the first maximum within a block plus strict
-    improvement across blocks give the row's first maximum.  A row in which
-    the functional returns NaN at a scanned point is skipped, as the
-    whole-row argmax would skip it, wherever the block boundaries fall.
+    pair's maximum over all of beta.  Within a row, the collapsed slices
+    come first, then the blocks of the others in scan order; the first
+    maximum within each call plus strict improvement across calls give the
+    row's first maximum, except that a block that ties a collapsed maximum
+    wins when its alpha comes first.  A row in which the functional returns
+    NaN at a scanned point is skipped, as the whole-row argmax would skip
+    it, wherever the block boundaries fall and whether or not the slice
+    holding the NaN collapsed.
     """
     rho, alpha, tau, beta = _axes(grid)
-    phase_a, phase_b = np.exp(1j * alpha), np.exp(1j * beta)
-    keep = _candidate_pairs(functional, grid, rho, phase_a, tau, phase_b)
+    phase_b = np.exp(1j * beta)
+    c1, radius = _leading(rho, alpha)
+    keep = _candidate_pairs(functional, grid, c1, radius, tau, phase_b)
     best = -np.inf
     best_params = (0.0, 0.0, 0.0, 0.0)
     for i in np.flatnonzero(keep.any(axis=1)):
-        r, tau_kept = rho[i], tau[keep[i]]
+        r, tau_kept = float(rho[i]), tau[keep[i]]
+        slice_points = len(tau_kept) * len(beta)
         row_best, row_params = best, best_params
-        for lead in _blocks(len(alpha), len(tau_kept) * len(beta)):
-            vals = _evaluate(functional, r, phase_a[lead], tau_kept, phase_b)
+        # alpha of the row's own best so far (none yet: -inf).  A block that
+        # ties it wins only at a smaller alpha, which only a collapsed best
+        # can leave behind: blocks come in alpha order.
+        row_alpha = -np.inf
+        first, rest = _split(c1[i], radius[i], slice_points)
+        if first is not None:
+            vals = _first_point(functional, c1[i, first], radius[i, first], tau_kept, phase_b)
+            j = int(vals.argmax())
+            m = float(vals[j])
+            if math.isnan(m):
+                continue  # argmax over the whole row would be NaN: skip the row
+            if m > row_best:
+                row_best, row_alpha = m, float(alpha[first[j]])
+                row_params = (r, row_alpha, float(tau_kept[0]), float(beta[0]))
+        c1_row, radius_row, alpha_row = c1[i, rest], radius[i, rest], alpha[rest]
+        for lead in _blocks(len(alpha_row), slice_points):
+            vals = _evaluate(functional, c1_row[lead], radius_row[lead], tau_kept, phase_b)
             idx = int(vals.argmax())
             m = float(vals.flat[idx])
             if math.isnan(m):
                 break  # argmax over the whole row would be NaN: skip the row
-            if m > row_best:
+            if m >= row_best:
                 ia, it, ib = np.unravel_index(idx, vals.shape)
-                row_best = m
-                row_params = (
-                    float(r),
-                    float(alpha[lead.start + ia]),
-                    float(tau_kept[it]),
-                    float(beta[ib]),
-                )
+                a = float(alpha_row[lead.start + ia])
+                if m > row_best or a < row_alpha:
+                    row_best, row_alpha = m, a
+                    row_params = (r, a, float(tau_kept[it]), float(beta[ib]))
         else:
             best, best_params = row_best, row_params
     p = sample_point(*best_params)

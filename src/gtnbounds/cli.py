@@ -346,9 +346,10 @@ def _read_coeffs(path: str) -> TruncatedSeries:
     if text.startswith("["):
         data = json.loads(text)
         try:
-            coeffs = [complex(c[0], c[1]) if isinstance(c, list) else complex(c)
+            # a pair must be exactly [re, im]: complex() of any other list fails
+            coeffs = [complex(*c) if isinstance(c, list) and len(c) == 2 else complex(c)
                       for c in data]
-        except (IndexError, TypeError):
+        except TypeError:
             raise ValueError(
                 f"{path}: expected a list of numbers or [re, im] pairs"
             ) from None

@@ -10,6 +10,10 @@ from gtnbounds.caratheodory import (
     BLOCK_POINTS,
     GridSpec,
     ParameterOutOfRange,
+    _axes,
+    _evaluate,
+    _leading,
+    _split,
     brute_force_sup,
     lemma1_bound,
     lemma3_bound,
@@ -238,8 +242,14 @@ def test_pruned_scan_is_exact_for_every_verify_closure(monkeypatch):
         return got
 
     monkeypatch.setattr(verify, "brute_force_sup", checking_sup)
-    reports, _ = verify.run_suite("full", 1.0, GridSpec.uniform(12))
-    assert len(checked) == len(reports) == 87
+    # at grid 12 nothing collapses; on WIDE_ALIGNED part of the rho = 1 row does
+    for grid in (GridSpec.uniform(12), WIDE_ALIGNED):
+        checked.clear()
+        reports, _ = verify.run_suite("full", 1.0, grid)
+        # 87 reports from 67 distinct scans: per preset, a3, fs(0), inverse-fs(2)
+        # and conv-fs(unit) share one scan, and fs(2) and inverse-fs(0) another
+        assert len(reports) == 87
+        assert len(checked) == 87 - 5 * 4
 
 
 def _recorded_scan(functional, grid):
@@ -258,6 +268,7 @@ def _calls_per_scan(functional, grid):
 
 
 def test_scan_skips_rows_that_cannot_hold_the_maximum():
+    # Slices of 144 points share blocks, so nothing collapses at grid 12.
     # |c1| peaks only at rho = 1: the reduced pass plus that one row
     assert _calls_per_scan(modulus_c1, GridSpec.uniform(12)) == 2
     # |c2 - v c1^2| reaches 2 on every row, so every row is scanned after the pass
@@ -265,6 +276,13 @@ def test_scan_skips_rows_that_cannot_hold_the_maximum():
         assert _calls_per_scan(fekete(v), GridSpec.uniform(12)) == 1 + 12
     # without aligned alpha and beta grids there is no reduced pass
     assert _calls_per_scan(modulus_c1, GridSpec(6, 5, 6, 7)) == 6
+    # Slices of 3600 points take a call each.  The reduced pass: rho = 1 at
+    # one point, then 59 rows; the rho = 1 row: its 38 slices of radius 0.0
+    # in one call, then its 22 others.
+    assert _calls_per_scan(modulus_c1, GridSpec.uniform(60)) == 1 + 59 + 1 + 22
+    for v in DEGENERATE_V:
+        # the 59 rows below rho = 1 keep tau = 1 only, one call each
+        assert _calls_per_scan(fekete(v), GridSpec.uniform(60)) == 1 + 59 + 59 + 1 + 22
 
 
 def _points_per_scan(functional, grid):
@@ -273,13 +291,17 @@ def _points_per_scan(functional, grid):
 
 def test_scan_evaluates_only_candidate_rho_tau_pairs():
     # the reduced pass costs 12^3 points; the rows then keep tau = 1 only,
-    # except rho = 1, where the radius vanishes and every tau ties
+    # except rho = 1, where the radius vanishes and every tau ties (its
+    # slices of 144 points do not collapse)
     for v in DEGENERATE_V:
         assert _points_per_scan(fekete(v), GridSpec.uniform(12)) == 12**3 + 23 * 12**2
     # |c1| ignores tau: the whole rho = 1 row is kept
     assert _points_per_scan(modulus_c1, GridSpec.uniform(12)) == 2 * 12**3
     # without aligned alpha and beta grids every row is scanned in full
     assert _points_per_scan(modulus_c1, GridSpec(6, 5, 6, 7)) == 6 * 5 * 6 * 7
+    # slices of 5600 points: rho = 1 at one point in the reduced pass, then
+    # the rho = 1 row, all 4 of whose slices collapse
+    assert _points_per_scan(modulus_c1, WIDE_SLICE) == 1 + 2 * 70 * 80 + 4
 
 
 def flat_top(distance, eps):
@@ -317,10 +339,17 @@ MULTI_BLOCK = GridSpec(25, 16, 15, 24)
 # 240 points per slice, 17 per block; alpha and beta grids not aligned, so
 # every row keeps every tau
 MULTI_BLOCK_UNALIGNED = GridSpec(25, 25, 15, 16)
-# 5600 points per slice: one slice per block
+# Slices of more than half a block take a call each, and those of radius 0.0
+# collapse.  5600 points per slice; all 4 rho = 1 slices have radius 0.0.
 WIDE_SLICE = GridSpec(3, 4, 70, 80)
+# 2208 points per slice; 7 of the 8 rho = 1 slices have radius 0.0, all but
+# alpha index 5
+WIDE_ALIGNED = GridSpec(3, 8, 46, 48)
+# 2400 points per slice; alpha and beta grids not aligned, so nothing is
+# pruned; 7 of the 9 rho = 1 slices have radius 0.0, all but alpha indices 1, 2
+WIDE_UNALIGNED = GridSpec(3, 9, 50, 48)
 BLOCKED_GRIDS = [GridSpec.uniform(12), GridSpec.uniform(60), MULTI_BLOCK,
-                 MULTI_BLOCK_UNALIGNED, WIDE_SLICE]
+                 MULTI_BLOCK_UNALIGNED, WIDE_SLICE, WIDE_UNALIGNED]
 
 
 def _grid_id(g):
@@ -339,11 +368,19 @@ def test_no_functional_call_exceeds_a_block(functional, grid):
 
 
 def test_blocking_keeps_the_points_per_scan():
-    # the reduced pass plus every kept pair, as for the whole-slab scan
-    n = 60
+    # At grid 60 every block holds one slice, so each slice with radius 0.0
+    # collapses to one point: the rho = 1 slice of the reduced pass, and 38
+    # of the 60 slices of the rho = 1 row.
+    n, z = 60, 38
+    reduced = (n - 1) * n**2 + 1
+    rho_one = (n - z) * n**2 + z
     for v in DEGENERATE_V:
-        assert _points_per_scan(fekete(v), GridSpec.uniform(n)) == n**3 + (2 * n - 1) * n**2
-    assert _points_per_scan(modulus_c1, GridSpec.uniform(n)) == 2 * n**3
+        # tau = 1 on the 59 rows below rho = 1, every tau on rho = 1
+        assert _points_per_scan(fekete(v), GridSpec.uniform(n)) == (
+            reduced + (n - 1) * n**2 + rho_one
+        )
+    assert _points_per_scan(modulus_c1, GridSpec.uniform(n)) == reduced + rho_one
+    # slices of 360 points share blocks and do not collapse
     r, a, t, b = 25, 16, 15, 24
     assert _points_per_scan(modulus_c1, MULTI_BLOCK) == r * t * b + a * t * b
 
@@ -353,10 +390,22 @@ def test_blocks_split_the_leading_axis_only():
     _, shapes = _recorded_scan(modulus_c1, MULTI_BLOCK)
     assert [shape[0] for shape in shapes] == [11, 11, 3, 11, 5]
     assert all(shape[1:] == (15, 24) for shape in shapes)
+    # one slice per block: the collapsed rho = 1 slice of the reduced pass,
+    # the other two rows, then the rho = 1 row, all 4 of its slices collapsed
+    _, shapes = _recorded_scan(modulus_c1, WIDE_SLICE)
+    assert shapes == [(1, 1, 1), (1, 70, 80), (1, 70, 80), (4, 1, 1)]
 
 
 def test_blocks_visit_the_points_in_scan_order():
-    grid = MULTI_BLOCK_UNALIGNED
+    for grid in (MULTI_BLOCK_UNALIGNED, WIDE_UNALIGNED):
+        _check_scan_order(grid)
+
+
+def _check_scan_order(grid):
+    # Every row is scanned (the grids are unaligned), in scan order.  Where
+    # slices collapse (over half a block), the rho = 1 row starts with its
+    # slices of radius 0.0, in one call, each as its first point, in alpha
+    # order; its other slices follow in scan order.
     seen = []
 
     def recorded(c1, c2):
@@ -368,15 +417,26 @@ def test_blocks_visit_the_points_in_scan_order():
     alpha = np.linspace(0.0, 2.0 * np.pi, grid.alpha_steps, endpoint=False)
     tau = np.linspace(0.0, 1.0, grid.tau_steps)
     phase_b = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, grid.beta_steps, endpoint=False))
+    collapses = 2 * grid.tau_steps * grid.beta_steps > BLOCK_POINTS
     slabs = []
     for r in rho:
         c1 = (2.0 * r * np.exp(1j * alpha))[:, None, None]
         radius = 2.0 - np.abs(c1) ** 2 / 2.0
-        slabs.append((c1**2 / 2.0 + radius * tau[None, :, None] * phase_b).ravel())
-    assert np.array_equal(np.concatenate(seen), np.concatenate(slabs))
+        slab = c1**2 / 2.0 + radius * tau[None, :, None] * phase_b
+        zero = radius.ravel() == 0.0
+        assert zero.any() == (r == 1.0)
+        if collapses and r == 1.0:
+            slabs += [slab[zero, 0, 0], slab[~zero].ravel()]
+        else:
+            slabs.append(slab.ravel())
+    got, want = np.concatenate(seen), np.concatenate(slabs)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-@pytest.mark.parametrize("grid", [MULTI_BLOCK, MULTI_BLOCK_UNALIGNED], ids=_grid_id)
+@pytest.mark.parametrize(
+    "grid", [MULTI_BLOCK, MULTI_BLOCK_UNALIGNED, WIDE_SLICE, WIDE_ALIGNED], ids=_grid_id
+)
 @pytest.mark.parametrize(
     "functional",
     [fekete(v) for v in DEGENERATE_V]
@@ -404,19 +464,137 @@ def test_witness_may_lie_in_a_later_block():
     assert np.angle(w.c1) % (2 * np.pi) == pytest.approx(18 * 2 * np.pi / 25)
 
 
+def _on_circle(grid, a):
+    return 2.0 * np.exp(2j * np.pi * a / grid.alpha_steps)
+
+
 @pytest.mark.parametrize(
     "grid, point",
-    [(MULTI_BLOCK, 2.0), (MULTI_BLOCK_UNALIGNED, 2.0 * np.exp(2j * np.pi * 24 / 25))],
-    ids=["first-block", "last-block"],
+    [
+        (MULTI_BLOCK, 2.0),
+        (MULTI_BLOCK_UNALIGNED, _on_circle(MULTI_BLOCK_UNALIGNED, 24)),
+        # collapsed slices of the rho = 1 row
+        (WIDE_UNALIGNED, 2.0),
+        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 8)),
+        # slices of that row that do not collapse
+        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 1)),
+        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 2)),
+        # the collapsed rho = 1 slice of the reduced pass, and of its row
+        (WIDE_SLICE, 2.0),
+    ],
+    ids=["first-block", "last-block", "collapsed-first", "collapsed-last",
+         "open-first", "open-last", "reduced-pass"],
 )
 def test_a_nan_skips_its_whole_row_wherever_the_blocks_fall(grid, point):
-    # NaN at one point of the rho = 1 row, whose other blocks attain |c1| = 2
+    # NaN at one point of the rho = 1 row, whose other slices attain |c1| = 2
     def nan_at_point(c1, c2):
         return np.where(np.abs(c1 - point) < 1e-9, np.nan, np.abs(c1))
 
     value, _ = got = brute_force_sup(nan_at_point, grid)
     assert got == reference_sup(nan_at_point, grid)
-    assert value == 2.0 * 23 / 24  # the rho = 23/24 row
+    # the row below rho = 1
+    assert value == pytest.approx(2.0 * (grid.rho_steps - 2) / (grid.rho_steps - 1))
+
+
+# ---------------------------------------------------------------------------
+# Slices with perturbation radius 0.0 are evaluated at their first point.
+
+PREMISE_GRIDS = [GridSpec.uniform(n) for n in range(2, 129)] + [
+    GridSpec(6, 5, 6, 7), GridSpec(6, 7, 7, 5), GridSpec(9, 3, 4, 6), GridSpec(7, 8, 5, 4),
+    GridSpec(5, 4, 3, 6), MULTI_BLOCK, MULTI_BLOCK_UNALIGNED, WIDE_SLICE, WIDE_ALIGNED,
+    WIDE_UNALIGNED,
+]
+
+
+def _c2_of(c1_vec, radius, tau, phase_b):
+    """c2 over every (tau, beta) as the scan builds it, shape (N, T, B)."""
+    seen = []
+    _evaluate(lambda c1, c2: seen.append(c2) or 0.0, c1_vec, radius, tau, phase_b)
+    return seen[0]
+
+
+def test_collapsible_slices_hold_one_c2_bit_pattern():
+    collapsible = {}
+    for grid in PREMISE_GRIDS:
+        rho, alpha, tau, beta = _axes(grid)
+        c1, radius = _leading(rho, alpha)
+        phase_b = np.exp(1j * beta)
+        for i in range(len(rho)):
+            # as for slices of a whole block: every slice the scan may collapse
+            first, _ = _split(c1[i], radius[i], BLOCK_POINTS)
+            if first is None:
+                continue
+            collapsible[grid] = collapsible.get(grid, 0) + len(first)
+            assert rho[i] == 1.0
+            # bytes tell -0.0 from +0.0, which == does not
+            for c2 in _c2_of(c1[i, first], radius[i, first], tau, phase_b):
+                assert c2.tobytes() == c2[0, 0].tobytes() * c2.size
+    assert collapsible[GridSpec.uniform(60)] == 38
+    assert collapsible[GridSpec.uniform(12)] == 12
+    assert len(collapsible) > 100
+
+
+def test_a_negative_zero_part_of_c1_squared_blocks_the_collapse():
+    # radius 0.0, but c1^2 / 2 = 2 - 0.0j: the sign of c2's imaginary zero
+    # then follows the quadrant of beta, so the slice is not one bit pattern
+    c1 = np.array([complex(2.0, -0.0)])
+    radius = 2.0 - np.abs(c1) ** 2 / 2.0
+    assert radius[0] == 0.0 and np.signbit((c1**2 / 2.0).imag[0])
+    tau, beta = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
+    c2 = _c2_of(c1, radius, tau, np.exp(1j * beta))
+    assert set(np.signbit(c2.imag).ravel()) == {False, True}
+    assert _split(c1, radius, BLOCK_POINTS) == (None, slice(None))
+    # with a +0.0 imaginary part it collapses
+    first, rest = _split(c1.conj(), radius, BLOCK_POINTS)
+    assert first.tolist() == [0] and not rest.any()
+
+
+def test_only_slices_over_half_a_block_collapse():
+    c1, radius = np.full(3, 2.0 + 0.0j), np.array([0.0, 0.5, 0.0])
+    assert _split(c1, radius, BLOCK_POINTS // 2) == (None, slice(None))
+    first, rest = _split(c1, radius, BLOCK_POINTS // 2 + 1)
+    assert first.tolist() == [0, 2] and rest.tolist() == [False, True, False]
+
+
+def sign_of_zero(c1, c2):
+    """Reads the sign of zero: arctan2 of -0.0 and +0.0 differ by 2 pi."""
+    return np.arctan2(c2.imag, c2.real) + np.abs(c1)
+
+
+def rounded_modulus(c1, c2):
+    """|c1| rounded: every slice of the rho = 1 row ties at 2."""
+    return np.round(np.abs(c1), 6)
+
+
+def rounded_modulus_off_axis(c1, c2):
+    """As rounded_modulus, but lower on alpha = 0.  On WIDE_UNALIGNED the
+    first maximum of the rho = 1 row is then alpha index 1, a slice that does
+    not collapse, before index 3, the first collapsed slice that ties it."""
+    return np.round(np.abs(c1), 6) - (np.abs(c1.imag) < 1e-12)
+
+
+@pytest.mark.parametrize("grid", [MULTI_BLOCK_UNALIGNED, WIDE_UNALIGNED], ids=_grid_id)
+@pytest.mark.parametrize(
+    "functional",
+    [sign_of_zero, rounded_modulus, rounded_modulus_off_axis, modulus_c1, constant],
+    ids=["sign-of-zero", "rounded", "rounded-off-axis", "c1", "constant"],
+)
+def test_scan_is_exact_for_any_elementwise_functional(functional, grid):
+    # the grids are unaligned, so nothing is pruned and rotation invariance
+    # is not needed; on WIDE_UNALIGNED the rho = 1 row collapses in part
+    got, shapes = _recorded_scan(functional, grid)
+    assert got == reference_sup(functional, grid)
+    assert any(shape[1:] == (1, 1) for shape in shapes) == (grid == WIDE_UNALIGNED)
+
+
+def test_a_tie_goes_to_the_smaller_alpha_across_collapsed_and_other_slices():
+    grid = WIDE_UNALIGNED
+    # the collapsed slice at alpha index 0 comes first
+    _, w = brute_force_sup(rounded_modulus, grid)
+    assert w.c1 == 2.0
+    # the slice at alpha index 1 beats the collapsed one at index 3
+    _, w = brute_force_sup(rounded_modulus_off_axis, grid)
+    assert np.angle(w.c1) == pytest.approx(2 * np.pi / 9)
 
 
 def test_functional_may_return_a_scalar():

@@ -300,7 +300,12 @@ def test_config_bad_format_exits_one(capsys, tmp_path, value):
     assert f"bad.cfg:2: bad value for format: {value!r}" in err
 
 
-@pytest.mark.parametrize("text", ["[1, [2]]", "[0, {}]", "[[1, null]]", "[0, 1, null]"])
+@pytest.mark.parametrize(
+    "text",
+    ["[1, [2]]", "[0, {}]", "[[1, null]]", "[0, 1, null]",
+     # a pair with extra entries is not read as its first two
+     "[[0, 0, 5], [1, 0]]", "[[0, 0], [1, 0, 0], [0.1, 0]]", "[[], [1, 0]]"],
+)
 def test_member_malformed_coefficient_list_exits_one(capsys, tmp_path, text):
     path = tmp_path / "f.json"
     path.write_text(text)

@@ -77,3 +77,34 @@ def test_bound_tables_prints_one_row_per_preset():
     rows = [line.split() for line in lines[2:]]
     assert [row[0] for row in rows] == [p.preset_id for p in verify.PRESETS]
     assert all(row[1] == "1" and len(row) == 6 for row in rows)
+
+
+@pytest.mark.parametrize(
+    "value, message", [("nan", "must all be finite"), ("-1", "must all be >= 0")]
+)
+def test_bound_tables_bad_varkappa_exits_one(value, message):
+    proc = run_script("bound_tables.py", "--varkappa", "1", value)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_bound_tables_ends_quietly_when_the_reader_leaves():
+    # as ``bound_tables.py ... | head -1`` when head exits before the
+    # script writes: the read end of the pipe is already closed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "bound_tables.py"),
+             "--varkappa", *map(str, range(1, 9))],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

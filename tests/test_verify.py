@@ -158,3 +158,53 @@ def test_conv_unit_experiment_carries_d4():
     d4 = next(d for d in r.discrepancies if d["id"] == "D4")
     assert d4["unit_weight_value"] == pytest.approx(6.0)
     assert d4["base_value"] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Experiments with the same |a3 - mu_eff a2^2| share one scan within a sweep.
+
+def _counting_scans(monkeypatch):
+    calls = []
+    inner = verify.brute_force_sup
+
+    def counting(functional, grid):
+        calls.append(grid)
+        return inner(functional, grid)
+
+    monkeypatch.setattr(verify, "brute_force_sup", counting)
+    return calls
+
+
+def test_shared_scans_give_the_reports_of_unshared_ones():
+    grid = GridSpec.uniform(12)
+    reports, _ = verify.run_suite("full", 1.0, grid)
+    entries, functionals = verify.build_suite("full", 1.0)
+    alone = [
+        verify.sweep([entry], [fn], grid)[0][0] for entry in entries for fn in functionals
+    ] + [
+        verify.sweep([("caratheodory", ClassParams(0.0, 0.0, 1.0), None)], [fn], grid)[0][0]
+        for fn in verify.lemma_functionals()
+    ]
+    assert len(reports) == len(alone) == 87
+    for shared, single in zip(reports, alone):
+        assert shared == single, shared.experiment_id
+
+
+def test_full_suite_makes_67_scans(monkeypatch):
+    calls = _counting_scans(monkeypatch)
+    reports, _ = verify.run_suite("full", 1.0, GridSpec.uniform(8))
+    # per preset, 14 class experiments: a3, fs(0), inverse-fs(2) and
+    # conv-fs(unit) are one scan, fs(2) and inverse-fs(0) another
+    assert len(reports) == 5 * 14 + 17
+    assert len(calls) == 5 * (14 - 4) + 17 == 67
+
+
+def test_no_scan_outlives_its_sweep(monkeypatch):
+    calls = _counting_scans(monkeypatch)
+    entries, functionals = verify.preset_entries(1.0)[:1], [Functional("a3")]
+    verify.sweep(entries, functionals, SMALL)
+    verify.sweep(entries, functionals, SMALL)
+    assert len(calls) == 2
+    # a direct call never shares
+    verify.run_experiment(Functional("fs", mu=0.0), entries[0][1], SMALL)
+    assert len(calls) == 3
