@@ -101,10 +101,11 @@ def _axes(grid: GridSpec):
     return rho, alpha, tau, beta
 
 
-def _leading(rho, alpha):
-    """c1 = 2 rho e^{i alpha} and the perturbation radius 2 - |c1|^2 / 2 of
-    every (rho, alpha) slice, each of shape (R, A)."""
-    c1 = 2.0 * rho[:, None] * np.exp(1j * alpha)
+def _leading(r, phase_a):
+    """c1 = 2 r e^{i alpha} and the perturbation radius 2 - |c1|^2 / 2 of N
+    (rho, alpha) slices, where one of ``r`` and ``phase_a = e^{i alpha}``
+    holds N values: a column of rho values or a row of alpha values."""
+    c1 = 2.0 * r * phase_a
     return c1, 2.0 - np.abs(c1) ** 2 / 2.0
 
 
@@ -117,27 +118,17 @@ def _evaluate(functional: Functional, c1_vec, radius, tau, phase_b) -> np.ndarra
     return vals if vals.shape == c2.shape else np.broadcast_to(vals, c2.shape)
 
 
-def _split(c1, radius, slice_points: int):
-    """Split one leading axis into the slices to collapse and the rest, as
-    (indices, mask), or ``(None, slice(None))`` when nothing is split off.
+def _collapsible(c1, radius) -> np.ndarray:
+    """Mask of the slices whose c2 is one bit pattern over every (tau, beta).
 
-    A slice collapses when its c2 is one bit pattern: its radius is exactly
-    0.0, so the perturbation ``0 * tau * e^{i beta}`` has parts +0.0 or
-    -0.0, and adding either leaves a part of ``c1^2 / 2`` unchanged unless
-    that part is -0.0 (``-0.0 + 0.0`` is +0.0).  Only slices of more than
-    half a block collapse.  Each of them then takes a call of its own, and
-    one call for all collapsed slices saves all but one of those calls;
-    smaller slices share blocks, where the check and the extra call cost
-    more than the points they save.
+    That holds when the radius is exactly 0.0: the perturbation
+    ``0 * tau * e^{i beta}`` then has parts +0.0 or -0.0, and adding either
+    leaves a part of ``c1^2 / 2`` unchanged unless that part is -0.0
+    (``-0.0 + 0.0`` is +0.0).
     """
-    if 2 * slice_points <= BLOCK_POINTS:
-        return None, slice(None)
     # the bits of the real and imaginary parts; -0.0 is the sign bit alone
-    half = (c1**2 / 2.0).view(np.int64).reshape(-1, 2)
-    zero = (radius == 0.0) & ~(half == np.iinfo(np.int64).min).any(axis=1)
-    if not zero.any():
-        return None, slice(None)
-    return np.flatnonzero(zero), ~zero
+    half = (c1**2 / 2.0).view(np.int64).reshape(*np.shape(c1), 2)
+    return (radius == 0.0) & ~(half == np.iinfo(np.int64).min).any(axis=-1)
 
 
 def _blocks(n_lead: int, slice_points: int):
@@ -149,47 +140,80 @@ def _blocks(n_lead: int, slice_points: int):
         yield slice(i, i + step)
 
 
-def _first_point(functional: Functional, c1_vec, radius, tau, phase_b) -> np.ndarray:
-    """The functional at the first point (tau[0], beta[0]) of each collapsed
-    slice, which is its value at every point of that slice."""
-    return _evaluate(functional, c1_vec, radius, tau[:1], phase_b[:1]).ravel()
-
-
-def _candidate_pairs(functional: Functional, grid: GridSpec, c1, radius, tau, phase_b):
+def _candidate_pairs(functional: Functional, grid: GridSpec, c1_col, radius_col, tau, phase_b):
     """Mask of shape (R, T) of the (rho, tau) pairs that can hold the maximum.
 
-    The functional is evaluated once on the alpha = 0 slice of every rho and
-    reduced over beta.  When the alpha grid maps the beta grid onto itself
-    under c2 -> e^{2it} c2 (``2 * beta_steps % alpha_steps == 0``), rotation
-    takes (rho, alpha_a, tau, beta_b) to (rho, 0, tau, beta_{b - 2aB/A}) up to
+    The functional is evaluated once on the alpha = 0 slice of every rho
+    (``c1_col`` and ``radius_col``) and reduced over beta.  When the alpha
+    grid maps the beta grid onto itself under c2 -> e^{2it} c2
+    (``2 * beta_steps % alpha_steps == 0``), rotation takes
+    (rho, alpha_a, tau, beta_b) to (rho, 0, tau, beta_{b - 2aB/A}) up to
     rounding, so that slice's maximum over beta is the maximum of the pair
     over (alpha, beta), and a pair whose reduced maximum lies more than
     ``2 * delta`` below the overall one cannot win.  Rounding moves values by
-    about 1e-15 relative; ``delta`` is 1e-9 relative.  The value at the
-    first point of a collapsed slice (``rho = 1``) is the maximum of each of
-    its pairs.
+    about 1e-15 relative; ``delta`` is 1e-9 relative.
     """
     if (2 * grid.beta_steps) % grid.alpha_steps != 0:
-        return np.ones((len(c1), len(tau)), dtype=bool)
-    slice_points = len(tau) * len(phase_b)
-    pair_max = np.empty((len(c1), len(tau)))
-    first, rest = _split(c1[:, 0], radius[:, 0], slice_points)
-    if first is not None:
-        pair_max[first] = _first_point(
-            functional, c1[first, 0], radius[first, 0], tau, phase_b
-        )[:, None]
-    c1_col, radius_col = c1[rest, 0], radius[rest, 0]
-    rest_max = np.empty((len(c1_col), len(tau)))
-    for lead in _blocks(len(c1_col), slice_points):
+        return np.ones((len(c1_col), len(tau)), dtype=bool)
+    pair_max = np.empty((len(c1_col), len(tau)))
+    for lead in _blocks(len(c1_col), len(tau) * len(phase_b)):
         vals = _evaluate(functional, c1_col[lead], radius_col[lead], tau, phase_b)
-        rest_max[lead] = vals.max(axis=2)
-    pair_max[rest] = rest_max
+        pair_max[lead] = vals.max(axis=2)
     top = float(pair_max.max())
     if not math.isfinite(top):
         return np.ones(pair_max.shape, dtype=bool)
     delta = 1e-9 * max(1.0, abs(top))
     # NaN pair maxima compare False and keep their pair, as the full scan would
     return ~(pair_max < top - 2.0 * delta)
+
+
+def _row_max(functional: Functional, floor, leads, c1_row, radius_row, alpha, tau, beta, phase_b):
+    """First maximum above ``floor`` over the blocks ``leads`` (alpha
+    slices) of one row, as (value, (alpha, tau, beta)).  ``(floor, None)``
+    when no point exceeds ``floor``, and ``(nan, None)`` when the functional
+    returns NaN at a point: the argmax of the whole row would be NaN.
+
+    The first maximum within each block plus strict improvement across
+    blocks, visited in scan order, give the first maximum of the blocks.
+    """
+    top, at = floor, None
+    for lead in leads:
+        vals = _evaluate(functional, c1_row[lead], radius_row[lead], tau, phase_b)
+        idx = int(vals.argmax())
+        m = float(vals.flat[idx])
+        if math.isnan(m):
+            return m, None
+        if m > top:
+            ia, it, ib = np.unravel_index(idx, vals.shape)
+            top = m
+            at = (float(alpha[lead.start + ia]), float(tau[it]), float(beta[ib]))
+    return top, at
+
+
+def _collapsed_row_max(
+    functional: Functional, floor, zero, c1_row, radius_row, alpha, tau, beta, phase_b
+):
+    """As :func:`_row_max`, for a row whose ``zero`` slices collapse.
+
+    Those slices are evaluated in one call, each at its first point
+    (tau[0], beta[0]).  The others take a call each, as slices of more than
+    half a block do in :func:`_blocks`.  Of equal maxima the one at the
+    smaller alpha comes first in scan order.
+    """
+    first = np.flatnonzero(zero)
+    vals = _evaluate(functional, c1_row[first], radius_row[first], tau[:1], phase_b[:1]).ravel()
+    j = int(vals.argmax())
+    m = float(vals[j])
+    if math.isnan(m):
+        return m, None
+    leads = (slice(k, k + 1) for k in np.flatnonzero(~zero))
+    top, at = _row_max(functional, floor, leads, c1_row, radius_row, alpha, tau, beta, phase_b)
+    if math.isnan(top) or not m > floor:
+        return top, at
+    a = float(alpha[first[j]])
+    if at is None or m > top or (m == top and a < at[0]):
+        return m, (a, float(tau[0]), float(beta[0]))
+    return top, at
 
 
 def brute_force_sup(
@@ -219,64 +243,44 @@ def brute_force_sup(
     Where the perturbation radius ``2 - |c1|^2 / 2`` rounds to exactly 0.0
     (only on the ``rho = 1`` row, for about 60% of the alpha values), every
     point of the (rho, alpha) slice has the same c1 and, bit for bit, the
-    same c2 (see :func:`_split`).  By the elementwise contract the slice
-    holds one value, and its first maximum in scan order is its first point
-    (tau[0], beta[0]); no rotation or tie argument is needed.  When slices
-    are large enough to take a call each (more than half a block), such a
-    slice is evaluated at that point only, all of a row's (or of the
-    reduced pass) in one call.
+    same c2 (see :func:`_collapsible`).  By the elementwise contract the
+    slice holds one value, and its first maximum in scan order is its first
+    point (tau[0], beta[0]); no rotation or tie argument is needed.  In a
+    row whose slices are large enough to take a call each (more than half a
+    block), such slices are evaluated at that point only, all in one call
+    (see :func:`_collapsed_row_max`).  Smaller slices share blocks, where
+    the extra call would cost more than the points it saves.
 
     Both passes call the functional on blocks of at most ``BLOCK_POINTS``
     points: whole (tau, beta) slices of several rho or alpha values, or one
     slice when a slice is larger.  The arithmetic is per point, so every
     value equals the whole slab's, and the reduced pass still takes each
-    pair's maximum over all of beta.  Within a row, the collapsed slices
-    come first, then the blocks of the others in scan order; the first
-    maximum within each call plus strict improvement across calls give the
-    row's first maximum, except that a block that ties a collapsed maximum
-    wins when its alpha comes first.  A row in which the functional returns
+    pair's maximum over all of beta.  A row in which the functional returns
     NaN at a scanned point is skipped, as the whole-row argmax would skip
     it, wherever the block boundaries fall and whether or not the slice
     holding the NaN collapsed.
     """
     rho, alpha, tau, beta = _axes(grid)
-    phase_b = np.exp(1j * beta)
-    c1, radius = _leading(rho, alpha)
-    keep = _candidate_pairs(functional, grid, c1, radius, tau, phase_b)
+    phase_a, phase_b = np.exp(1j * alpha), np.exp(1j * beta)
+    keep = _candidate_pairs(functional, grid, *_leading(rho, phase_a[0]), tau, phase_b)
     best = -np.inf
     best_params = (0.0, 0.0, 0.0, 0.0)
     for i in np.flatnonzero(keep.any(axis=1)):
-        r, tau_kept = float(rho[i]), tau[keep[i]]
+        tau_kept = tau[keep[i]]
         slice_points = len(tau_kept) * len(beta)
-        row_best, row_params = best, best_params
-        # alpha of the row's own best so far (none yet: -inf).  A block that
-        # ties it wins only at a smaller alpha, which only a collapsed best
-        # can leave behind: blocks come in alpha order.
-        row_alpha = -np.inf
-        first, rest = _split(c1[i], radius[i], slice_points)
-        if first is not None:
-            vals = _first_point(functional, c1[i, first], radius[i, first], tau_kept, phase_b)
-            j = int(vals.argmax())
-            m = float(vals[j])
-            if math.isnan(m):
-                continue  # argmax over the whole row would be NaN: skip the row
-            if m > row_best:
-                row_best, row_alpha = m, float(alpha[first[j]])
-                row_params = (r, row_alpha, float(tau_kept[0]), float(beta[0]))
-        c1_row, radius_row, alpha_row = c1[i, rest], radius[i, rest], alpha[rest]
-        for lead in _blocks(len(alpha_row), slice_points):
-            vals = _evaluate(functional, c1_row[lead], radius_row[lead], tau_kept, phase_b)
-            idx = int(vals.argmax())
-            m = float(vals.flat[idx])
-            if math.isnan(m):
-                break  # argmax over the whole row would be NaN: skip the row
-            if m >= row_best:
-                ia, it, ib = np.unravel_index(idx, vals.shape)
-                a = float(alpha_row[lead.start + ia])
-                if m > row_best or a < row_alpha:
-                    row_best, row_alpha = m, a
-                    row_params = (r, a, float(tau_kept[it]), float(beta[ib]))
+        c1_row, radius_row = _leading(rho[i], phase_a)
+        # only slices of more than half a block collapse: none at small grids
+        zero = _collapsible(c1_row, radius_row) if 2 * slice_points > BLOCK_POINTS else None
+        if zero is not None and zero.any():
+            m, at = _collapsed_row_max(
+                functional, best, zero, c1_row, radius_row, alpha, tau_kept, beta, phase_b
+            )
         else:
-            best, best_params = row_best, row_params
+            leads = _blocks(len(alpha), slice_points)
+            m, at = _row_max(
+                functional, best, leads, c1_row, radius_row, alpha, tau_kept, beta, phase_b
+            )
+        if at is not None:
+            best, best_params = m, (float(rho[i]), *at)
     p = sample_point(*best_params)
     return best, p

@@ -11,9 +11,9 @@ from gtnbounds.caratheodory import (
     GridSpec,
     ParameterOutOfRange,
     _axes,
+    _collapsible,
     _evaluate,
     _leading,
-    _split,
     brute_force_sup,
     lemma1_bound,
     lemma3_bound,
@@ -276,13 +276,12 @@ def test_scan_skips_rows_that_cannot_hold_the_maximum():
         assert _calls_per_scan(fekete(v), GridSpec.uniform(12)) == 1 + 12
     # without aligned alpha and beta grids there is no reduced pass
     assert _calls_per_scan(modulus_c1, GridSpec(6, 5, 6, 7)) == 6
-    # Slices of 3600 points take a call each.  The reduced pass: rho = 1 at
-    # one point, then 59 rows; the rho = 1 row: its 38 slices of radius 0.0
-    # in one call, then its 22 others.
-    assert _calls_per_scan(modulus_c1, GridSpec.uniform(60)) == 1 + 59 + 1 + 22
+    # Slices of 3600 points take a call each: 60 in the reduced pass.  The
+    # rho = 1 row: its 38 slices of radius 0.0 in one call, then its 22 others.
+    assert _calls_per_scan(modulus_c1, GridSpec.uniform(60)) == 60 + 1 + 22
     for v in DEGENERATE_V:
         # the 59 rows below rho = 1 keep tau = 1 only, one call each
-        assert _calls_per_scan(fekete(v), GridSpec.uniform(60)) == 1 + 59 + 59 + 1 + 22
+        assert _calls_per_scan(fekete(v), GridSpec.uniform(60)) == 60 + 59 + 1 + 22
 
 
 def _points_per_scan(functional, grid):
@@ -299,9 +298,9 @@ def test_scan_evaluates_only_candidate_rho_tau_pairs():
     assert _points_per_scan(modulus_c1, GridSpec.uniform(12)) == 2 * 12**3
     # without aligned alpha and beta grids every row is scanned in full
     assert _points_per_scan(modulus_c1, GridSpec(6, 5, 6, 7)) == 6 * 5 * 6 * 7
-    # slices of 5600 points: rho = 1 at one point in the reduced pass, then
-    # the rho = 1 row, all 4 of whose slices collapse
-    assert _points_per_scan(modulus_c1, WIDE_SLICE) == 1 + 2 * 70 * 80 + 4
+    # slices of 5600 points: the reduced pass, then the rho = 1 row, all 4 of
+    # whose slices collapse
+    assert _points_per_scan(modulus_c1, WIDE_SLICE) == 3 * 70 * 80 + 4
 
 
 def flat_top(distance, eps):
@@ -368,11 +367,11 @@ def test_no_functional_call_exceeds_a_block(functional, grid):
 
 
 def test_blocking_keeps_the_points_per_scan():
-    # At grid 60 every block holds one slice, so each slice with radius 0.0
-    # collapses to one point: the rho = 1 slice of the reduced pass, and 38
-    # of the 60 slices of the rho = 1 row.
+    # At grid 60 every block holds one slice, so each slice of the scan with
+    # radius 0.0 collapses to one point: 38 of the 60 slices of the rho = 1
+    # row.  The reduced pass evaluates every point of its slices.
     n, z = 60, 38
-    reduced = (n - 1) * n**2 + 1
+    reduced = n**3
     rho_one = (n - z) * n**2 + z
     for v in DEGENERATE_V:
         # tau = 1 on the 59 rows below rho = 1, every tau on rho = 1
@@ -390,10 +389,10 @@ def test_blocks_split_the_leading_axis_only():
     _, shapes = _recorded_scan(modulus_c1, MULTI_BLOCK)
     assert [shape[0] for shape in shapes] == [11, 11, 3, 11, 5]
     assert all(shape[1:] == (15, 24) for shape in shapes)
-    # one slice per block: the collapsed rho = 1 slice of the reduced pass,
-    # the other two rows, then the rho = 1 row, all 4 of its slices collapsed
+    # one slice per block in the reduced pass, then the rho = 1 row, all 4
+    # of its slices collapsed into one call
     _, shapes = _recorded_scan(modulus_c1, WIDE_SLICE)
-    assert shapes == [(1, 1, 1), (1, 70, 80), (1, 70, 80), (4, 1, 1)]
+    assert shapes == [(1, 70, 80)] * 3 + [(4, 1, 1)]
 
 
 def test_blocks_visit_the_points_in_scan_order():
@@ -468,24 +467,31 @@ def _on_circle(grid, a):
     return 2.0 * np.exp(2j * np.pi * a / grid.alpha_steps)
 
 
+def _below_rho_one(grid):
+    """The largest |c1| on the row below rho = 1, as the scan computes it."""
+    rho, alpha, _, _ = _axes(grid)
+    return float(np.abs(_leading(rho[-2], np.exp(1j * alpha))[0]).max())
+
+
 @pytest.mark.parametrize(
-    "grid, point",
+    "grid, point, row_value",
     [
-        (MULTI_BLOCK, 2.0),
-        (MULTI_BLOCK_UNALIGNED, _on_circle(MULTI_BLOCK_UNALIGNED, 24)),
+        (MULTI_BLOCK, 2.0, 2.0 * 23 / 24),
+        (MULTI_BLOCK_UNALIGNED, _on_circle(MULTI_BLOCK_UNALIGNED, 24), 2.0 * 23 / 24),
         # collapsed slices of the rho = 1 row
-        (WIDE_UNALIGNED, 2.0),
-        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 8)),
+        (WIDE_UNALIGNED, 2.0, _below_rho_one(WIDE_UNALIGNED)),
+        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 8), _below_rho_one(WIDE_UNALIGNED)),
         # slices of that row that do not collapse
-        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 1)),
-        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 2)),
-        # the collapsed rho = 1 slice of the reduced pass, and of its row
-        (WIDE_SLICE, 2.0),
+        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 1), _below_rho_one(WIDE_UNALIGNED)),
+        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 2), _below_rho_one(WIDE_UNALIGNED)),
+        # NaN at alpha = 0 in the reduced pass keeps the rho = 1 row, whose
+        # slices all collapse into the call that meets the NaN
+        (WIDE_SLICE, 2.0, _below_rho_one(WIDE_SLICE)),
     ],
     ids=["first-block", "last-block", "collapsed-first", "collapsed-last",
-         "open-first", "open-last", "reduced-pass"],
+         "open-first", "open-last", "all-collapsed"],
 )
-def test_a_nan_skips_its_whole_row_wherever_the_blocks_fall(grid, point):
+def test_a_nan_skips_its_whole_row_wherever_the_blocks_fall(grid, point, row_value):
     # NaN at one point of the rho = 1 row, whose other slices attain |c1| = 2
     def nan_at_point(c1, c2):
         return np.where(np.abs(c1 - point) < 1e-9, np.nan, np.abs(c1))
@@ -493,7 +499,7 @@ def test_a_nan_skips_its_whole_row_wherever_the_blocks_fall(grid, point):
     value, _ = got = brute_force_sup(nan_at_point, grid)
     assert got == reference_sup(nan_at_point, grid)
     # the row below rho = 1
-    assert value == pytest.approx(2.0 * (grid.rho_steps - 2) / (grid.rho_steps - 1))
+    assert value == row_value
 
 
 # ---------------------------------------------------------------------------
@@ -517,18 +523,18 @@ def test_collapsible_slices_hold_one_c2_bit_pattern():
     collapsible = {}
     for grid in PREMISE_GRIDS:
         rho, alpha, tau, beta = _axes(grid)
-        c1, radius = _leading(rho, alpha)
+        # every (rho, alpha) slice, one row per rho, as the scan builds them
+        c1, radius = _leading(rho[:, None], np.exp(1j * alpha))
         phase_b = np.exp(1j * beta)
-        for i in range(len(rho)):
-            # as for slices of a whole block: every slice the scan may collapse
-            first, _ = _split(c1[i], radius[i], BLOCK_POINTS)
-            if first is None:
-                continue
-            collapsible[grid] = collapsible.get(grid, 0) + len(first)
-            assert rho[i] == 1.0
-            # bytes tell -0.0 from +0.0, which == does not
-            for c2 in _c2_of(c1[i, first], radius[i, first], tau, phase_b):
-                assert c2.tobytes() == c2[0, 0].tobytes() * c2.size
+        # every slice the scan may collapse, if its slices are large enough
+        zero = _collapsible(c1, radius)
+        if not zero.any():
+            continue
+        collapsible[grid] = int(zero.sum())
+        assert (rho[zero.any(axis=1)] == 1.0).all()
+        # bytes tell -0.0 from +0.0, which == does not
+        for c2 in _c2_of(c1[zero], radius[zero], tau, phase_b):
+            assert c2.tobytes() == c2[0, 0].tobytes() * c2.size
     assert collapsible[GridSpec.uniform(60)] == 38
     assert collapsible[GridSpec.uniform(12)] == 12
     assert len(collapsible) > 100
@@ -543,17 +549,30 @@ def test_a_negative_zero_part_of_c1_squared_blocks_the_collapse():
     tau, beta = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     c2 = _c2_of(c1, radius, tau, np.exp(1j * beta))
     assert set(np.signbit(c2.imag).ravel()) == {False, True}
-    assert _split(c1, radius, BLOCK_POINTS) == (None, slice(None))
+    assert _collapsible(c1, radius).tolist() == [False]
     # with a +0.0 imaginary part it collapses
-    first, rest = _split(c1.conj(), radius, BLOCK_POINTS)
-    assert first.tolist() == [0] and not rest.any()
-
-
-def test_only_slices_over_half_a_block_collapse():
+    assert _collapsible(c1.conj(), radius).tolist() == [True]
+    # and only with radius 0.0
     c1, radius = np.full(3, 2.0 + 0.0j), np.array([0.0, 0.5, 0.0])
-    assert _split(c1, radius, BLOCK_POINTS // 2) == (None, slice(None))
-    first, rest = _split(c1, radius, BLOCK_POINTS // 2 + 1)
-    assert first.tolist() == [0, 2] and rest.tolist() == [False, True, False]
+    assert _collapsible(c1, radius).tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize(
+    "grid, collapses",
+    # 2048 points per slice: two share a block; 2050 points: one per call
+    [(GridSpec(3, 4, 32, 64), False), (GridSpec(3, 4, 25, 82), True)],
+    ids=["shared-blocks", "one-slice-per-call"],
+)
+def test_only_slices_over_half_a_block_collapse(grid, collapses):
+    got, shapes = _recorded_scan(modulus_c1, grid)
+    assert got == reference_sup(modulus_c1, grid)
+    slice_points = grid.tau_steps * grid.beta_steps
+    rho_one = [(4, 1, 1)] if collapses else [(2, grid.tau_steps, grid.beta_steps)] * 2
+    # the reduced pass, then the rho = 1 row
+    assert shapes[-len(rho_one):] == rho_one
+    assert _points_per_scan(modulus_c1, grid) == 3 * slice_points + (
+        4 if collapses else 4 * slice_points
+    )
 
 
 def sign_of_zero(c1, c2):
