@@ -3,7 +3,8 @@
 
 For each preset and weight, the table lists |a2|, the general |a3| statement,
 the subclass |a3| statement where one is printed, and the oracle |a3| value
-(sharp coefficient-body inequality on the numerically derived relation).
+(:func:`gtnbounds.verify.oracle`: the sharp coefficient-body inequality on the
+numerically derived relation).  Bounds are printed to 4 significant digits.
 Disagreement between the last three columns is the headline finding.
 
 Exits 1 with a one-line message for a bad value (a non-finite or negative
@@ -17,13 +18,8 @@ import sys
 
 from gtnbounds import bounds, verify
 from gtnbounds.bazilevic import derive_relation
-from gtnbounds.caratheodory import lemma3_bound
 
-
-def oracle_a3(params) -> float:
-    rel = derive_relation(params)
-    v = (1 - params.varkappa) / 4 + rel.quad_a2 / (2 * rel.linear_a2**2)
-    return lemma3_bound(v) / (2 * rel.linear_a3)
+COLUMNS = ("vk", "a2", "a3 stmt", "a3 subclass", "a3 oracle")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -38,16 +34,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    header = f"{'preset':<14}{'vk':>5}  {'a2':>8}  {'a3 stmt':>9}  {'a3 subclass':>10}  {'a3 oracle':>10}"
+    # "g" is at most 12 characters wide (1.23457e+308), so every row keeps
+    # its columns however large the bounds grow
+    header = f"{'preset':<14}" + "".join(f"{c:>13}" for c in COLUMNS)
     try:
         print(header)
         print("-" * len(header))
         for preset, vk, p in params:
             subclass = preset.subclass_a3(vk) if preset.subclass_a3 else float("nan")
-            print(
-                f"{preset.preset_id:<14}{vk:>5g}  {bounds.a2_bound(p):>8.4f}  "
-                f"{bounds.a3_bound(p):>9.4f}  {subclass:>10.4f}  {oracle_a3(p):>10.4f}"
-            )
+            cells = (bounds.a2_bound(p), bounds.a3_bound(p), subclass,
+                     verify.oracle(derive_relation(p), vk, 0.0))
+            print(f"{preset.preset_id:<14}{vk:>13g}" + "".join(f"{x:>13.4g}" for x in cells))
         sys.stdout.flush()
     except BrokenPipeError:
         # Send what is still buffered to /dev/null, so that the flush at exit

@@ -6,7 +6,9 @@ machine formats print floats with 12 significant digits, tables with 6.
 
 Flag values override an optional ``--config FILE`` (simple ``key=value``
 lines), which overrides built-in defaults.  Exit codes: 0 success, 1 usage
-error, 2 soundness violation in ``verify``.
+error, 2 soundness violation in ``verify``.  ``verify`` prints its summary on
+stdout and a digest on stderr: the first report of each discrepancy ID and
+the report with the tightest oracle gap.
 """
 
 from __future__ import annotations
@@ -129,13 +131,9 @@ def _resolve(args: argparse.Namespace, cfg: dict, key: str):
 
 
 def _grid(args, cfg) -> GridSpec:
-    """The uniform scan grid, refused before any scan when too large."""
-    return checked_grid(int(_resolve(args, cfg, "grid")))
-
-
-def checked_grid(n: int) -> GridSpec:
-    """``GridSpec.uniform(n)``, or a ``ValueError`` when one pass of its scan
-    would evaluate more than ``MAX_SCAN_VALUES`` points."""
+    """The uniform scan grid, or a ``ValueError`` before any scan when one
+    pass of its scan would evaluate more than ``MAX_SCAN_VALUES`` points."""
+    n = int(_resolve(args, cfg, "grid"))
     grid = GridSpec.uniform(n)
     values = max(grid.rho_steps, grid.alpha_steps) * grid.tau_steps * grid.beta_steps
     if values > MAX_SCAN_VALUES:
@@ -413,6 +411,18 @@ def cmd_verify(args, cfg) -> int:
     verify.write_reports(out, reports, summary)
     print(f"wrote {len(reports)} reports to {out}")
     print(json.dumps({"summary": summary}, indent=2, default=str, allow_nan=False))
+    # the digest goes to stderr: stdout stays the summary alone
+    first: dict[str, tuple] = {}
+    for r in reports:
+        for d in r.discrepancies:
+            first.setdefault(d["id"], (r.experiment_id, d))
+    for did, (experiment_id, d) in sorted(first.items()):
+        detail = ", ".join(f"{k}={v:.6g}" for k, v in d.items() if k != "id")
+        print(f"{did}: first in {experiment_id} ({detail})", file=sys.stderr)
+    if reports:
+        tightest = min(reports, key=lambda r: r.gap)
+        print(f"tightest oracle gap: {tightest.gap:.3e} at {tightest.experiment_id}",
+              file=sys.stderr)
     if not summary["soundness"]:
         print("SOUNDNESS VIOLATION: empirical supremum exceeded the oracle bound",
               file=sys.stderr)

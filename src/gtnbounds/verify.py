@@ -22,11 +22,15 @@ recorded as discrepancies, never as failures:
   unit weights;
 * D5 -- the empirical supremum exceeded the as-stated bound.
 
-The ``a3``, ``fs``, ``inverse-fs`` and ``conv-fs`` experiments all scan one
-functional, ``|a3 - mu_eff a2^2|`` (``mu_eff = 0`` for ``a3``,
-``2 - hbar`` for ``inverse-fs``).  Within one :func:`sweep` call the
-experiments with the same class parameters, ``mu_eff``, weights and grid
-share one scan; nothing is kept once the call returns.
+Every class functional is ``scale * |a3 - mu_eff a2^2|``, or ``|a2|``:
+``(scale, mu_eff)`` is ``(1, 0)`` for ``a3``, ``(1, mu)`` for ``fs`` and
+``conv-fs``, ``(1, 2 - hbar)`` for ``inverse-fs`` and ``(1/2, 1/2)`` for
+``log-g2``.  :func:`_describe` gives that form, the printed bound and the
+extra discrepancy of each kind; one closure scans the form and
+:func:`oracle` bounds it.  Within one :func:`sweep` call the experiments with
+the same class parameters, ``mu_eff``, weights and grid share one scan (so
+``log-g2`` takes half of the ``fs(1/2)`` scan); nothing is kept once the
+call returns.
 """
 
 from __future__ import annotations
@@ -147,17 +151,57 @@ def _relation(params: ClassParams) -> CoefficientRelation:
     return derive_relation(params)
 
 
-def _oracle_fs(rel: CoefficientRelation, params: ClassParams, mu_eff: complex,
-               wp2: float = 1.0, wp3: float = 1.0) -> float:
-    """Certified bound for |a3 - mu_eff a2^2| via the sharp inequality
-    |c2 - v c1^2| <= 2 max(1, |2v - 1|) applied to the oracle relation."""
-    a2l, a3l, aq = rel.linear_a2, rel.linear_a3, rel.quad_a2
+def oracle(rel: CoefficientRelation, varkappa: float, mu_eff: complex | None,
+           wp2: float = 1.0, wp3: float = 1.0) -> float:
+    """Certified bound for |a3 - mu_eff a2^2| (|a2| when ``mu_eff`` is None):
+    the sharp inequalities |c1| <= 2 and |c2 - v c1^2| <= 2 max(1, |2v - 1|)
+    applied to the oracle relation ``rel``."""
+    a2l, a3l = rel.linear_a2, rel.linear_a3
+    if mu_eff is None:
+        return 1.0 / (a2l * wp2)
     v = (
-        (1.0 - params.varkappa) / 4.0
-        + aq / (2.0 * a2l**2)
+        (1.0 - varkappa) / 4.0
+        + rel.quad_a2 / (2.0 * a2l**2)
         + mu_eff * a3l * wp3 / (2.0 * a2l**2 * wp2**2)
     )
     return lemma3_bound(v) / (2.0 * a3l * wp3)
+
+
+def _describe(fn: Functional, params: ClassParams,
+              subclass_a3: Callable[[float], float] | None) -> tuple:
+    """A class functional as ``(scale, mu_eff, printed bound, extra
+    discrepancies)``: it is ``scale * |a3 - mu_eff a2^2|``, or ``|a2|`` when
+    ``mu_eff`` is None."""
+    kind, mu = fn.kind, fn.mu
+    if kind == "a2":
+        return 1.0, None, bounds.a2_bound(params), []
+    if kind == "a3":
+        stated = bounds.a3_bound(params)
+        subclass = stated if subclass_a3 is None else subclass_a3(params.varkappa)
+        return 1.0, 0.0, stated, _differ("D1", subclass=subclass, general=stated)
+    if kind == "fs":
+        if complex(mu).imag == 0.0:
+            return 1.0, mu, bounds.fs_real(params, complex(mu).real).as_printed, []
+        return 1.0, mu, bounds.fs_complex(params, mu), []
+    if kind == "inverse-fs":  # |d3 - hbar d2^2| = |a3 - (2 - hbar) a2^2|
+        d2_stated, d2_oracle = bounds.inverse_d2_bound(params)
+        return (1.0, 2.0 - fn.hbar, bounds.inverse_fs(params, fn.hbar),
+                [{"id": "D2", "stated": d2_stated, "oracle": d2_oracle}])
+    if kind == "log-g2":  # 2 g2 = a3 - a2^2 / 2
+        stated = bounds.log_coeff_bounds(params)[1]
+        return 0.5, 0.5, stated, _differ(
+            "D3", stated=stated, half_fs=bounds.log_gamma2_oracle(params))
+    if kind == "conv-fs":
+        return 1.0, mu, bounds.conv_fs_complex(params, mu, fn.wp2, fn.wp3), _differ(
+            "D4", unit_weight_value=bounds.conv_fs_complex(params, mu, 1.0, 1.0),
+            base_value=bounds.fs_complex(params, mu))
+    raise ValueError(f"unknown functional kind {kind!r}")
+
+
+def _differ(did: str, **pair: float) -> list[dict]:
+    """The discrepancy ``did`` when the two values differ by more than 1e-9."""
+    a, b = pair.values()
+    return [{"id": did, **pair}] if abs(a - b) > 1e-9 else []
 
 
 def run_experiment(
@@ -171,100 +215,38 @@ def run_experiment(
 ) -> BoundReport:
     """Run one functional at one parameter point and assemble the report.
 
-    ``_scans`` is the per-sweep store of :func:`sweep`: a scan of
-    ``|a3 - mu_eff a2^2|`` found there under its key is reused instead of
-    repeated."""
+    ``_scans`` is the per-sweep store of :func:`sweep`: a scan found there
+    under its key is reused instead of repeated."""
     vk = params.varkappa
-    kind = functional.kind
-    wp2, wp3 = functional.wp2, functional.wp3
-    discrepancies: list[dict] = []
-    mu_eff = scan_key = None
-
-    if kind in ("lemma1", "lemma3"):
+    if functional.kind in ("lemma1", "lemma3"):
         v = functional.v
+        scale, key, discrepancies = 1.0, (v, grid), []
+        stated = lemma1_bound(v.real) if functional.kind == "lemma1" else lemma3_bound(v)
+        oracle_value = lemma3_bound(v)
 
         def func(c1, c2):
             return np.abs(c2 - v * c1**2)
-
-        stated = lemma1_bound(v.real) if kind == "lemma1" else lemma3_bound(v)
-        oracle = lemma3_bound(v)
     else:
         rel = _relation(params)
+        scale, mu_eff, stated, discrepancies = _describe(functional, params, subclass_a3)
+        wp2, wp3 = functional.wp2, functional.wp3
+        oracle_value = scale * oracle(rel, vk, mu_eff, wp2, wp3)
+        key = (params, mu_eff, wp2, wp3, grid)
         a2l, a3l, aq = rel.linear_a2, rel.linear_a3, rel.quad_a2
 
-        def amap(c1, c2):
+        def func(c1, c2):
             a2 = c1 / (2.0 * a2l * wp2)
+            if mu_eff is None:
+                return np.abs(a2)
             b2 = c2 / 2.0 + (vk - 1.0) * c1**2 / 8.0
             a3 = (b2 - aq * (wp2 * a2) ** 2) / (a3l * wp3)
-            return a2, a3
+            return np.abs(a3 - mu_eff * a2**2)
 
-        if kind == "a2":
-            def func(c1, c2):
-                a2, _ = amap(c1, c2)
-                return np.abs(a2)
-
-            stated = bounds.a2_bound(params)
-            oracle = 1.0 / (a2l * wp2)
-        elif kind == "a3":
-            mu_eff = 0.0
-            stated = bounds.a3_bound(params)
-            oracle = _oracle_fs(rel, params, 0.0, wp2, wp3)
-            if subclass_a3 is not None:
-                subclass_value = subclass_a3(vk)
-                if abs(subclass_value - stated) > 1e-9:
-                    discrepancies.append(
-                        {"id": "D1", "subclass": subclass_value, "general": stated}
-                    )
-        elif kind == "fs":
-            mu_eff = functional.mu
-            if complex(mu_eff).imag == 0.0:
-                stated = bounds.fs_real(params, complex(mu_eff).real).as_printed
-            else:
-                stated = bounds.fs_complex(params, mu_eff)
-            oracle = _oracle_fs(rel, params, mu_eff)
-        elif kind == "inverse-fs":
-            hbar = functional.hbar
-            mu_eff = 2.0 - hbar  # |d3 - hbar d2^2| = |a3 - (2 - hbar) a2^2|
-            stated = bounds.inverse_fs(params, hbar)
-            oracle = _oracle_fs(rel, params, mu_eff)
-            d2_stated, d2_oracle = bounds.inverse_d2_bound(params)
-            discrepancies.append({"id": "D2", "stated": d2_stated, "oracle": d2_oracle})
-        elif kind == "log-g2":
-            def func(c1, c2):
-                a2, a3 = amap(c1, c2)
-                return 0.5 * np.abs(a3 - a2**2 / 2.0)
-
-            stated = bounds.log_coeff_bounds(params)[1]
-            oracle = 0.5 * _oracle_fs(rel, params, 0.5)
-            half_fs = bounds.log_gamma2_oracle(params)
-            if abs(stated - half_fs) > 1e-9:
-                discrepancies.append({"id": "D3", "stated": stated, "half_fs": half_fs})
-        elif kind == "conv-fs":
-            mu_eff = functional.mu
-            stated = bounds.conv_fs_complex(params, mu_eff, wp2, wp3)
-            oracle = _oracle_fs(rel, params, mu_eff, wp2, wp3)
-            unit_conv = bounds.conv_fs_complex(params, mu_eff, 1.0, 1.0)
-            base = bounds.fs_complex(params, mu_eff)
-            if abs(unit_conv - base) > 1e-9:
-                discrepancies.append(
-                    {"id": "D4", "unit_weight_value": unit_conv, "base_value": base}
-                )
-        else:
-            raise ValueError(f"unknown functional kind {kind!r}")
-
-        if mu_eff is not None:  # a3, fs, inverse-fs and conv-fs
-            def func(c1, c2):
-                a2, a3 = amap(c1, c2)
-                return np.abs(a3 - mu_eff * a2**2)
-
-            scan_key = (params, mu_eff, wp2, wp3, grid)
-
-    if _scans is None or scan_key is None:
-        sup, witness = brute_force_sup(func, grid)
-    else:
-        if scan_key not in _scans:
-            _scans[scan_key] = brute_force_sup(func, grid)
-        sup, witness = _scans[scan_key]
+    scans = {} if _scans is None else _scans
+    if key not in scans:
+        scans[key] = brute_force_sup(func, grid)
+    sup, witness = scans[key]
+    sup = scale * sup
     if sup > stated + SOUNDNESS_TOL:
         discrepancies.append({"id": "D5", "stated": stated, "empirical": sup})
 
@@ -276,7 +258,7 @@ def run_experiment(
         varkappa=vk,
         functional=functional.label(),
         as_stated=float(stated),
-        oracle=float(oracle),
+        oracle=float(oracle_value),
         empirical_sup=float(sup),
         witness=witness,
         discrepancies=discrepancies,
@@ -291,7 +273,9 @@ def sweep(
     """One report per (parameter entry, functional), in deterministic order.
 
     Experiments that scan the same ``|a3 - mu_eff a2^2|`` (same parameters,
-    ``mu_eff``, weights and grid) share one scan, kept only for this call."""
+    ``mu_eff``, weights and grid) share one scan, kept only for this call;
+    their ``scale`` applies to the scan's result, so ``log-g2``
+    (``|a3 - a2^2/2| / 2``) shares the scan of ``fs(1/2)``."""
     if not param_entries or not functionals:
         raise EmptySweep("need at least one parameter set and one functional")
     scans: dict = {}

@@ -246,10 +246,11 @@ def test_pruned_scan_is_exact_for_every_verify_closure(monkeypatch):
     for grid in (GridSpec.uniform(12), WIDE_ALIGNED):
         checked.clear()
         reports, _ = verify.run_suite("full", 1.0, grid)
-        # 87 reports from 67 distinct scans: per preset, a3, fs(0), inverse-fs(2)
-        # and conv-fs(unit) share one scan, and fs(2) and inverse-fs(0) another
+        # 87 reports from 62 distinct scans: per preset, a3, fs(0), inverse-fs(2)
+        # and conv-fs(unit) share one scan, fs(2) and inverse-fs(0) another,
+        # and log-g2 and fs(1/2) a third
         assert len(reports) == 87
-        assert len(checked) == 87 - 5 * 4
+        assert len(checked) == 87 - 5 * 5
 
 
 def _recorded_scan(functional, grid):

@@ -276,6 +276,26 @@ def test_config_accepts_comments_blanks_and_every_known_key(capsys, tmp_path):
     assert json.loads(out)["kappa"] == 0.25
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--varkappa", "-1"], "must all be >= 0"),
+        (["--grid", "1"], "must be >= 2"),
+        # finite, but the reports overflow to inf, which JSON cannot hold
+        (["--suite", "full", "--grid", "4", "--varkappa", "1e308"], "not JSON compliant"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow at 1e308
+def test_verify_bad_value_exits_one(capsys, tmp_path, argv, message):
+    out_path = tmp_path / "r.jsonl"
+    code, out, err = run_cli(capsys, "verify", "--suite", "lemmas", "--out",
+                             str(out_path), *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and message in err
+    assert len(err.splitlines()) == 1
+    assert not out_path.exists()
+
+
 def test_oversized_grid_is_refused_before_allocation(capsys, tmp_path):
     # a million steps would need 1e18 complex values per scan array
     code, out, err = run_cli(capsys, "lemma", "--which", "3", "--v", "1",

@@ -1,8 +1,7 @@
-"""Smoke tests of the two scripts under scripts/, run as subprocesses, and
-of run_verification's input errors, run in process."""
+"""Smoke tests of scripts/bound_tables.py, run as a subprocess and in
+process."""
 
 import importlib.util
-import json
 import os
 import subprocess
 import sys
@@ -11,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from gtnbounds import verify
+from gtnbounds.caratheodory import GridSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,57 +26,36 @@ def run_script(name, *argv):
     )
 
 
-def test_run_verification_writes_one_line_per_report(tmp_path):
-    out = tmp_path / "lemmas.jsonl"
-    proc = run_script("run_verification.py", "--suite", "lemmas", "--grid", "8",
-                      "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "suite=lemmas grid=8 varkappa=1"
-    assert lines[1] == f"reports: 17  ->  {out}"
-    assert lines[2].startswith("soundness: True")
-    records = [json.loads(line) for line in out.read_text().splitlines()]
-    assert len(records) == 17 + 1
-    assert records[-1]["summary"]["reports"] == 17
-    assert all("summary" not in r for r in records[:-1])
-
-
-@pytest.mark.parametrize(
-    "argv,message",
-    [
-        (["--varkappa", "nan"], "must all be finite"),
-        (["--varkappa", "-1"], "must all be >= 0"),
-        (["--grid", "129"], "more than the cap of"),
-        (["--grid", "1"], "must be >= 2"),
-        (["--suite", "full", "--grid", "4", "--varkappa", "1e308"], "not JSON compliant"),
-    ],
-)
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow at 1e308
-def test_run_verification_bad_value_exits_one(capsys, tmp_path, argv, message):
-    spec = importlib.util.spec_from_file_location(
-        "run_verification", ROOT / "scripts" / "run_verification.py"
-    )
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    out = tmp_path / "r.jsonl"
-    code = script.main(["--suite", "lemmas", "--out", str(out), *argv])
-    captured = capsys.readouterr()
-    assert (code, captured.out) == (1, "")
-    assert captured.err.startswith("error:") and message in captured.err
-    assert len(captured.err.splitlines()) == 1
-    assert not out.exists()
-
-
 def test_bound_tables_prints_one_row_per_preset():
-    proc = run_script("bound_tables.py", "--varkappa", "1")
-    assert proc.returncode == 0, proc.stderr
+    # at 1e308 the bounds reach about 5e307, which must not widen the rows
+    proc = run_script("bound_tables.py", "--varkappa", "1", "1e308")
+    assert (proc.returncode, proc.stderr) == (0, "")
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["preset", "vk", "a2", "a3", "stmt", "a3", "subclass",
                                 "a3", "oracle"]
     assert set(lines[1]) == {"-"}
+    assert {len(line) for line in lines} == {len(lines[0])}
     rows = [line.split() for line in lines[2:]]
-    assert [row[0] for row in rows] == [p.preset_id for p in verify.PRESETS]
-    assert all(row[1] == "1" and len(row) == 6 for row in rows)
+    assert [row[0] for row in rows] == [p.preset_id for p in verify.PRESETS
+                                        for _ in range(2)]
+    assert [row[1] for row in rows] == ["1", "1e+308"] * len(verify.PRESETS)
+    assert all(len(row) == 6 for row in rows)
+    assert rows[1][3] == "5e+307"  # as `gtnbounds bound a3 --varkappa 1e308`
+
+
+def test_bound_tables_oracle_is_the_verify_oracle(capsys):
+    spec = importlib.util.spec_from_file_location(
+        "bound_tables", ROOT / "scripts" / "bound_tables.py"
+    )
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--varkappa", "1"]) == 0
+    table = {row[0]: row[5] for row in
+             (line.split() for line in capsys.readouterr().out.splitlines()[2:])}
+    reports, _ = verify.run_suite("remarks", 1.0, GridSpec.uniform(4))
+    a3 = {r.experiment_id.split("|")[0]: r.oracle for r in reports if r.functional == "a3"}
+    assert list(a3) == [p.preset_id for p in verify.PRESETS]
+    assert table == {pid: f"{oracle:.4g}" for pid, oracle in a3.items()}
 
 
 @pytest.mark.parametrize(

@@ -190,13 +190,14 @@ def test_shared_scans_give_the_reports_of_unshared_ones():
         assert shared == single, shared.experiment_id
 
 
-def test_full_suite_makes_67_scans(monkeypatch):
+def test_full_suite_makes_62_scans(monkeypatch):
     calls = _counting_scans(monkeypatch)
     reports, _ = verify.run_suite("full", 1.0, GridSpec.uniform(8))
     # per preset, 14 class experiments: a3, fs(0), inverse-fs(2) and
-    # conv-fs(unit) are one scan, fs(2) and inverse-fs(0) another
+    # conv-fs(unit) are one scan, fs(2) and inverse-fs(0) another, and
+    # log-g2 = |a3 - a2^2/2| / 2 rides on the scan of fs(1/2)
     assert len(reports) == 5 * 14 + 17
-    assert len(calls) == 5 * (14 - 4) + 17 == 67
+    assert len(calls) == 5 * (14 - 5) + 17 == 62
 
 
 def test_no_scan_outlives_its_sweep(monkeypatch):
