@@ -14,6 +14,7 @@ so grid search with endpoints included approaches them from below.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -55,6 +56,29 @@ class GridSpec:
     def uniform(cls, n: int) -> "GridSpec":
         return cls(n, n, n, n)
 
+    @functools.cached_property
+    def axes(self) -> Tuple[np.ndarray, ...]:
+        """The sampled (rho, alpha, tau, beta) values, built once per grid
+        and read-only, since every scan of the grid shares them."""
+        return _frozen(
+            np.linspace(0.0, 1.0, self.rho_steps),
+            np.linspace(0.0, 2.0 * np.pi, self.alpha_steps, endpoint=False),
+            np.linspace(0.0, 1.0, self.tau_steps),
+            np.linspace(0.0, 2.0 * np.pi, self.beta_steps, endpoint=False),
+        )
+
+    @functools.cached_property
+    def phases(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``e^{i alpha}`` and ``e^{i beta}`` on the grid, read-only."""
+        _, alpha, _, beta = self.axes
+        return _frozen(np.exp(1j * alpha), np.exp(1j * beta))
+
+
+def _frozen(*arrays: np.ndarray) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
 
 def sample_point(rho: float, alpha: float, tau: float, beta: float) -> CaratheodoryPoint:
     """Admissible point from sampler parameters; saturates the body boundary
@@ -93,14 +117,6 @@ Functional = Callable[[np.ndarray, np.ndarray], np.ndarray]
 BLOCK_POINTS = 4096
 
 
-def _axes(grid: GridSpec):
-    rho = np.linspace(0.0, 1.0, grid.rho_steps)
-    alpha = np.linspace(0.0, 2.0 * np.pi, grid.alpha_steps, endpoint=False)
-    tau = np.linspace(0.0, 1.0, grid.tau_steps)
-    beta = np.linspace(0.0, 2.0 * np.pi, grid.beta_steps, endpoint=False)
-    return rho, alpha, tau, beta
-
-
 def _leading(r, phase_a):
     """c1 = 2 r e^{i alpha} and the perturbation radius 2 - |c1|^2 / 2 of N
     (rho, alpha) slices, where one of ``r`` and ``phase_a = e^{i alpha}``
@@ -113,7 +129,11 @@ def _evaluate(functional: Functional, c1_vec, radius, tau, phase_b) -> np.ndarra
     """Functional values of shape (N, T, B) on N values of c1 with their
     perturbation radii, and every (tau, beta)."""
     c1 = c1_vec[:, None, None]
-    c2 = c1**2 / 2.0 + radius[:, None, None] * tau[None, :, None] * phase_b[None, None, :]
+    # numpy would cast the real (N, T, 1) factor to complex once per element
+    # of the (N, T, B) product; casting it first does that N * T times, and
+    # the complex multiply that follows is the same, so the bits are too
+    perturbation = (radius[:, None, None] * tau[None, :, None]).astype(complex)
+    c2 = c1**2 / 2.0 + perturbation * phase_b[None, None, :]
     vals = np.asarray(functional(c1, c2), dtype=float)
     return vals if vals.shape == c2.shape else np.broadcast_to(vals, c2.shape)
 
@@ -260,8 +280,8 @@ def brute_force_sup(
     it, wherever the block boundaries fall and whether or not the slice
     holding the NaN collapsed.
     """
-    rho, alpha, tau, beta = _axes(grid)
-    phase_a, phase_b = np.exp(1j * alpha), np.exp(1j * beta)
+    rho, alpha, tau, beta = grid.axes
+    phase_a, phase_b = grid.phases
     keep = _candidate_pairs(functional, grid, *_leading(rho, phase_a[0]), tau, phase_b)
     best = -np.inf
     best_params = (0.0, 0.0, 0.0, 0.0)

@@ -52,6 +52,11 @@ FORMATS = ("json", "csv", "table")
 # grid may have at most 128 steps.
 MAX_SCAN_VALUES = 2**21
 
+# Largest ``gtn --max-n``.  The sequence is exact rational arithmetic whose
+# values grow like sqrt(n!): at varkappa = 1 index 1000 has 1,297 digits, and
+# index 3000 passes Python's 4300-digit limit on printing an int.
+MAX_GTN_INDEX = 1000
+
 
 class CliParser(argparse.ArgumentParser):
     """argparse parser that exits 1 (not 2) on usage errors."""
@@ -176,20 +181,21 @@ def _cell(v, digits: int) -> str:
 
 
 def emit_rows(rows: list[dict], fmt: str, stream=None) -> None:
-    """Print a list of records as json, csv, or an aligned table."""
+    """Print a list of records as json, csv, or an aligned table.  Every
+    value is formatted before anything is written, so a value that does not
+    format writes nothing."""
     stream = stream or sys.stdout
     if fmt == "json":
         payload = _sanitize(rows if len(rows) != 1 else rows[0], 12)
         stream.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         return
     header = list(rows[0].keys())
+    cells = [[_cell(row[h], 12 if fmt == "csv" else 6) for h in header] for row in rows]
     if fmt == "csv":
         writer = csv.writer(stream)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(row[h], 12) for h in header])
+        writer.writerows(cells)
         return
-    cells = [[_cell(row[h], 6) for h in header] for row in rows]
     widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(header)]
     stream.write("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)) + "\n")
     for c in cells:
@@ -200,6 +206,8 @@ def emit_rows(rows: list[dict], fmt: str, stream=None) -> None:
 # Subcommand handlers (return process exit codes)
 
 def cmd_gtn(args, cfg) -> int:
+    if args.max_n > MAX_GTN_INDEX:
+        raise ValueError(f"--max-n {args.max_n} is more than the limit of {MAX_GTN_INDEX}")
     vk = args.varkappa if args.varkappa is not None else Fraction(
         str(cfg.get("varkappa", BUILTIN_DEFAULTS["varkappa"]))
     )
@@ -213,7 +221,13 @@ def cmd_gtn(args, cfg) -> int:
         {"n": n, "value": int(v) if v.denominator == 1 else str(v)}
         for n, v in enumerate(values)
     ]
-    emit_rows(rows, _resolve(args, cfg, "format"))
+    try:
+        emit_rows(rows, _resolve(args, cfg, "format"))
+    except ValueError as exc:  # the only one: an int too long to print
+        raise ValueError(
+            f"a value has more than {sys.get_int_max_str_digits()} digits; "
+            "lower --max-n or --varkappa"
+        ) from exc
     return 0
 
 

@@ -232,14 +232,20 @@ def run_experiment(
         wp2, wp3 = functional.wp2, functional.wp3
         oracle_value = scale * oracle(rel, vk, mu_eff, wp2, wp3)
         key = (params, mu_eff, wp2, wp3, grid)
-        a2l, a3l, aq = rel.linear_a2, rel.linear_a3, rel.quad_a2
+        a2l, aq = rel.linear_a2, rel.quad_a2
+        # numpy divides a complex x by a real d as (re + im*0) * (1/d) (Smith's
+        # algorithm with a zero imaginary part), so x * (1/d) has the same bits
+        # up to the sign of an exact zero; such a sign stays on a zero through
+        # the sums and products below and np.abs drops it.  A multiply costs
+        # about a quarter of a division.
+        inv3 = 1.0 / (rel.linear_a3 * wp3)
 
         def func(c1, c2):
             a2 = c1 / (2.0 * a2l * wp2)
             if mu_eff is None:
                 return np.abs(a2)
-            b2 = c2 / 2.0 + (vk - 1.0) * c1**2 / 8.0
-            a3 = (b2 - aq * (wp2 * a2) ** 2) / (a3l * wp3)
+            b2 = c2 * 0.5 + (vk - 1.0) * c1**2 / 8.0
+            a3 = (b2 - aq * (wp2 * a2) ** 2) * inv3
             return np.abs(a3 - mu_eff * a2**2)
 
     scans = {} if _scans is None else _scans

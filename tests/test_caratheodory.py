@@ -10,7 +10,6 @@ from gtnbounds.caratheodory import (
     BLOCK_POINTS,
     GridSpec,
     ParameterOutOfRange,
-    _axes,
     _collapsible,
     _evaluate,
     _leading,
@@ -470,7 +469,7 @@ def _on_circle(grid, a):
 
 def _below_rho_one(grid):
     """The largest |c1| on the row below rho = 1, as the scan computes it."""
-    rho, alpha, _, _ = _axes(grid)
+    rho, alpha, _, _ = grid.axes
     return float(np.abs(_leading(rho[-2], np.exp(1j * alpha))[0]).max())
 
 
@@ -523,7 +522,7 @@ def _c2_of(c1_vec, radius, tau, phase_b):
 def test_collapsible_slices_hold_one_c2_bit_pattern():
     collapsible = {}
     for grid in PREMISE_GRIDS:
-        rho, alpha, tau, beta = _axes(grid)
+        rho, alpha, tau, beta = grid.axes
         # every (rho, alpha) slice, one row per rho, as the scan builds them
         c1, radius = _leading(rho[:, None], np.exp(1j * alpha))
         phase_b = np.exp(1j * beta)
@@ -539,6 +538,38 @@ def test_collapsible_slices_hold_one_c2_bit_pattern():
     assert collapsible[GridSpec.uniform(60)] == 38
     assert collapsible[GridSpec.uniform(12)] == 12
     assert len(collapsible) > 100
+
+
+@pytest.mark.parametrize(
+    "grid, rows",
+    [(GridSpec.uniform(12), slice(None)), (GridSpec.uniform(24), slice(None)),
+     (GridSpec.uniform(60), slice(-3, None)), (WIDE_UNALIGNED, slice(None)),
+     (MULTI_BLOCK_UNALIGNED, slice(None))],
+)
+def test_c2_is_the_product_whether_or_not_its_real_factor_is_cast_first(grid, rows):
+    # the scan casts radius * tau to complex before multiplying by e^{i beta};
+    # left to numpy, the cast happens per element of the product instead
+    rho, _, tau, _ = grid.axes
+    phase_a, phase_b = grid.phases
+    c1, radius = (a.ravel() for a in _leading(rho[rows, None], phase_a))
+    uncast = (c1[:, None, None] ** 2 / 2.0
+              + radius[:, None, None] * tau[None, :, None] * phase_b[None, None, :])
+    assert _c2_of(c1, radius, tau, phase_b).tobytes() == uncast.tobytes()
+
+
+def test_grid_axes_and_phases_are_built_once_and_read_only():
+    grid = GridSpec(5, 6, 7, 8)
+    assert grid.axes is grid.axes and grid.phases is grid.phases
+    rho, alpha, tau, beta = grid.axes
+    assert [len(a) for a in grid.axes] == [5, 6, 7, 8]
+    assert (rho[-1], tau[-1]) == (1.0, 1.0)
+    assert alpha[-1] == pytest.approx(2 * np.pi * 5 / 6)
+    assert grid.phases[1].tobytes() == np.exp(1j * beta).tobytes()
+    for a in (*grid.axes, *grid.phases):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # equal grids still compare and hash equal once one has its axes built
+    assert grid == GridSpec(5, 6, 7, 8) and hash(grid) == hash(GridSpec(5, 6, 7, 8))
 
 
 def test_a_negative_zero_part_of_c1_squared_blocks_the_collapse():

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtnbounds.cli import main
+from gtnbounds import cli as cli_mod
+from gtnbounds.cli import FORMATS, MAX_GTN_INDEX, emit_rows, main
 
 SUBCOMMANDS = [
     "gtn", "xseries", "bound", "fs", "inverse-fs", "log-coeff",
@@ -53,6 +54,38 @@ def test_gtn_rational_weight_and_warning(capsys):
                              "--format", "json")
     assert code == 0
     assert "varkappa >= 1" in err
+
+
+def test_gtn_refuses_max_n_above_the_limit_before_computing(capsys, monkeypatch):
+    monkeypatch.setattr(cli_mod, "gtn_sequence", lambda *a: pytest.fail("computed"))
+    for n in (MAX_GTN_INDEX + 1, 3000, 10**8):
+        code, out, err = run_cli(capsys, "gtn", "--max-n", str(n), "--format", "csv")
+        assert (code, out) == (1, "")
+        assert err == f"error: --max-n {n} is more than the limit of {MAX_GTN_INDEX}\n"
+
+
+def test_gtn_prints_every_row_up_to_the_limit(capsys):
+    code, out, err = run_cli(capsys, "gtn", "--max-n", str(MAX_GTN_INDEX), "--format", "csv")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == MAX_GTN_INDEX + 2 and lines[-1].startswith(f"{MAX_GTN_INDEX},")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_gtn_prints_nothing_when_a_value_is_too_long_to_print(capsys, fmt):
+    # at varkappa = 10^30 the values pass Python's 4300-digit limit by n = 300
+    code, out, err = run_cli(capsys, "gtn", "--varkappa", str(10**30), "--max-n", "400",
+                             "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: a value has more than 4300 digits")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])
+def test_emit_rows_writes_nothing_when_a_later_cell_fails(fmt):
+    stream = io.StringIO()
+    with pytest.raises(ValueError):
+        emit_rows([{"n": 0, "value": 1}, {"n": 1, "value": 10**5000}], fmt, stream)
+    assert stream.getvalue() == ""
 
 
 def test_bound_a2_convex_preset(capsys):
@@ -151,8 +184,6 @@ def test_verify_subcommand_writes_reports(capsys, tmp_path):
 
 
 def test_verify_unsound_suite_exits_two(capsys, tmp_path, monkeypatch):
-    from gtnbounds import cli as cli_mod
-
     def fake_run_suite(name, varkappa=1.0, grid=None):
         return [], {"reports": 0, "discrepancy_counts": {}, "soundness": False,
                     "max_sup_minus_oracle": 1.0}

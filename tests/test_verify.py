@@ -6,7 +6,7 @@ import pytest
 
 from gtnbounds import bounds, verify
 from gtnbounds.bazilevic import ClassParams
-from gtnbounds.caratheodory import GridSpec
+from gtnbounds.caratheodory import CaratheodoryPoint, GridSpec, _evaluate, _leading
 from gtnbounds.verify import Functional
 
 SMALL = GridSpec.uniform(20)
@@ -209,3 +209,104 @@ def test_no_scan_outlives_its_sweep(monkeypatch):
     # a direct call never shares
     verify.run_experiment(Functional("fs", mu=0.0), entries[0][1], SMALL)
     assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# The class closure multiplies by reciprocals where the report arithmetic
+# divided by real constants; the values must not move by one bit.
+
+def _division_form(rel, vk, mu_eff, wp2, wp3):
+    """The class functional as it divided by ``2.0`` and ``a3l * wp3``."""
+    a2l, a3l, aq = rel.linear_a2, rel.linear_a3, rel.quad_a2
+
+    def func(c1, c2):
+        a2 = c1 / (2.0 * a2l * wp2)
+        if mu_eff is None:
+            return np.abs(a2)
+        b2 = c2 / 2.0 + (vk - 1.0) * c1**2 / 8.0
+        a3 = (b2 - aq * (wp2 * a2) ** 2) / (a3l * wp3)
+        return np.abs(a3 - mu_eff * a2**2)
+
+    return func
+
+
+def _scanned_closure(monkeypatch, fn, params):
+    """The functional that ``run_experiment`` hands to the scan."""
+    seen = []
+
+    def capture(functional, grid):
+        seen.append(functional)
+        return 0.0, CaratheodoryPoint(0j, 0j)
+
+    monkeypatch.setattr(verify, "brute_force_sup", capture)
+    verify.run_experiment(fn, params, GridSpec.uniform(2))
+    return seen[0]
+
+
+def _grid_slabs(grid):
+    """c1 (N, 1, 1) and c2 (N, T, B) over every point of ``grid``, built
+    as the scan builds them."""
+    rho, _, tau, _ = grid.axes
+    phase_a, phase_b = grid.phases
+    c1, radius = _leading(rho[:, None], phase_a)
+    seen = []
+    _evaluate(lambda a, b: seen.append((a, b)) or 0.0, c1.ravel(), radius.ravel(), tau, phase_b)
+    return seen[0]
+
+
+def _class_experiments():
+    """Every class kind of the suites at three varkappa values, then seeded
+    complex mu and hbar and non-unit weights on seeded class parameters."""
+    out = []
+    for vk in (1.0, 0.5, 2.5):
+        entries, functionals = verify.build_suite("full", vk)
+        out += [(params, fn) for _, params, _ in entries for fn in functionals]
+    rng = np.random.default_rng(20260801)
+    for _ in range(6):
+        params = ClassParams(*rng.uniform(0.0, 1.0, 2), rng.uniform(0.5, 4.0))
+        mu, hbar = (complex(*rng.uniform(-2.0, 2.0, 2)) for _ in range(2))
+        wp2, wp3 = rng.uniform(0.05, 3.0, 2)
+        out += [
+            (params, Functional("fs", mu=mu)),
+            (params, Functional("inverse-fs", hbar=hbar)),
+            (params, Functional("conv-fs", mu=mu, wp2=wp2, wp3=wp3, dist_label="seeded")),
+            (params, Functional("a2")),
+            (params, Functional("log-g2")),
+        ]
+    return out
+
+
+def test_class_closure_equals_the_division_form_bit_for_bit(monkeypatch):
+    c1, c2 = _grid_slabs(GridSpec.uniform(12))
+    experiments = _class_experiments()
+    assert {fn.kind for _, fn in experiments} == {
+        "a2", "a3", "fs", "inverse-fs", "log-g2", "conv-fs"}
+    for params, fn in experiments:
+        scale, mu_eff, _, _ = verify._describe(fn, params, None)
+        func = _scanned_closure(monkeypatch, fn, params)
+        ref = _division_form(verify._relation(params), params.varkappa, mu_eff, fn.wp2, fn.wp3)
+        got, want = np.asarray(func(c1, c2)), np.asarray(ref(c1, c2))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes(), (params, fn)
+
+
+def test_numpy_divides_complex_by_real_as_a_reciprocal_multiply():
+    # the closure's reciprocal multiplies rest on this: for a real d, numpy
+    # computes x / d as (re + im*0) * (1/d) and x * (1/d) as
+    # (re*(1/d) - im*0) + i(im*(1/d) + re*0), which differ at most in the sign
+    # of an exact zero; == tells every other pair of different bits apart
+    rng = np.random.default_rng(11)
+    n = 200_000
+    parts = np.sign(rng.uniform(-1, 1, (2, n))) * 10.0 ** rng.uniform(-300, 300, (2, n))
+    parts[:, : n // 10] = 0.0
+    parts[:, n // 10 : n // 5] = -0.0
+    x = parts[0] + 1j * rng.permutation(parts[1])
+    d = np.sign(rng.uniform(-1, 1, n)) * 10.0 ** rng.uniform(-300, 300, n)
+    with np.errstate(over="ignore"):  # both forms overflow to the same inf
+        q, p = x / d, x * (1.0 / d)
+        assert not np.isnan(q).any()
+        assert np.array_equal(q, p)
+        # a Python float divisor, as the closure has, takes the scalar loops
+        for scalar in (2.0, 0.3, -7.5, 1e-300, 3e299, *d[:20]):
+            q, p = x / float(scalar), x * (1.0 / float(scalar))
+            assert np.array_equal(q, p), scalar
