@@ -180,60 +180,31 @@ def _candidate_pairs(functional: Functional, grid: GridSpec, c1_col, radius_col,
         vals = _evaluate(functional, c1_col[lead], radius_col[lead], tau, phase_b)
         pair_max[lead] = vals.max(axis=2)
     top = float(pair_max.max())
-    if not math.isfinite(top):
-        return np.ones(pair_max.shape, dtype=bool)
     delta = 1e-9 * max(1.0, abs(top))
-    # NaN pair maxima compare False and keep their pair, as the full scan would
+    # x < NaN is False: a NaN or infinite top keeps every pair and a NaN pair
+    # maximum keeps its pair, so the row scan meets every NaN seen here
     return ~(pair_max < top - 2.0 * delta)
 
 
-def _row_max(functional: Functional, floor, leads, c1_row, radius_row, alpha, tau, beta, phase_b):
-    """First maximum above ``floor`` over the blocks ``leads`` (alpha
-    slices) of one row, as (value, (alpha, tau, beta)).  ``(floor, None)``
-    when no point exceeds ``floor``, and ``(nan, None)`` when the functional
-    returns NaN at a point: the argmax of the whole row would be NaN.
+def _pieces(c1_row, radius_row, slice_points: int):
+    """The calls that cover one row, as ``(lead, points)``: the alpha slices
+    ``lead`` over the kept (tau, beta) values ``points``, all of them
+    (``slice(None)``) or the first (``slice(1)``).
 
-    The first maximum within each block plus strict improvement across
-    blocks, visited in scan order, give the first maximum of the blocks.
+    Slices of at most half a block share the :func:`_blocks` of the row.
+    Larger ones take a call each, except the :func:`_collapsible` slices,
+    which take one call together at their first points; where slices share
+    blocks, that call would cost more than the points it saves.
     """
-    top, at = floor, None
-    for lead in leads:
-        vals = _evaluate(functional, c1_row[lead], radius_row[lead], tau, phase_b)
-        idx = int(vals.argmax())
-        m = float(vals.flat[idx])
-        if math.isnan(m):
-            return m, None
-        if m > top:
-            ia, it, ib = np.unravel_index(idx, vals.shape)
-            top = m
-            at = (float(alpha[lead.start + ia]), float(tau[it]), float(beta[ib]))
-    return top, at
-
-
-def _collapsed_row_max(
-    functional: Functional, floor, zero, c1_row, radius_row, alpha, tau, beta, phase_b
-):
-    """As :func:`_row_max`, for a row whose ``zero`` slices collapse.
-
-    Those slices are evaluated in one call, each at its first point
-    (tau[0], beta[0]).  The others take a call each, as slices of more than
-    half a block do in :func:`_blocks`.  Of equal maxima the one at the
-    smaller alpha comes first in scan order.
-    """
-    first = np.flatnonzero(zero)
-    vals = _evaluate(functional, c1_row[first], radius_row[first], tau[:1], phase_b[:1]).ravel()
-    j = int(vals.argmax())
-    m = float(vals[j])
-    if math.isnan(m):
-        return m, None
-    leads = (slice(k, k + 1) for k in np.flatnonzero(~zero))
-    top, at = _row_max(functional, floor, leads, c1_row, radius_row, alpha, tau, beta, phase_b)
-    if math.isnan(top) or not m > floor:
-        return top, at
-    a = float(alpha[first[j]])
-    if at is None or m > top or (m == top and a < at[0]):
-        return m, (a, float(tau[0]), float(beta[0]))
-    return top, at
+    if 2 * slice_points <= BLOCK_POINTS:
+        for lead in _blocks(len(c1_row), slice_points):
+            yield lead, slice(None)
+        return
+    zero = _collapsible(c1_row, radius_row)
+    if zero.any():
+        yield np.flatnonzero(zero), slice(1)
+    for k in np.flatnonzero(~zero):
+        yield slice(k, k + 1), slice(None)
 
 
 def brute_force_sup(
@@ -246,61 +217,55 @@ def brute_force_sup(
     and return real values elementwise: the value at a point depends only on
     that point's (c1, c2).  It must also be invariant under the rotation
     ``(c1, c2) -> (e^{it} c1, e^{2it} c2)``, as every functional of the form
-    ``F(|c1|, |c2 - v c1^2|)`` is.
+    ``F(|c1|, |c2 - v c1^2|)`` is.  The result, value and witness, is bit for
+    bit that of the full 4-D scan: the largest value, at the smallest
+    (rho, alpha, tau, beta) grid index that attains it.
 
-    The scan order is lexicographic in (rho, alpha, tau, beta) with strict
-    improvement, so ties break toward the smallest parameter tuple.  Before
-    the scan, one pass over the alpha = 0 slice of every rho row (see
-    :func:`_candidate_pairs`) marks the (rho, tau) pairs whose maximum over
-    beta is, by rotation invariance, within rounding of the overall maximum;
-    no point of an unmarked pair can attain it.  Each row with a marked pair
-    is then scanned over every (alpha, beta) but only its marked tau values,
-    in the same order and with the same arithmetic as the full row.  Every
-    point that attains the maximum is scanned, and the first of them in scan
-    order is the first of the full scan, so the value and the witness equal
-    those of the unpruned scan bit for bit.
+    The pair mask (:func:`_candidate_pairs`) comes first: one pass over the
+    alpha = 0 slice of every rho keeps the (rho, tau) pairs whose maximum
+    over beta is, by rotation invariance, within rounding of the overall
+    maximum; no point of another pair can attain it.  Each row with a kept
+    pair is then scanned over every (alpha, beta) and its kept tau values,
+    in the pieces of :func:`_pieces`.  Both passes call the functional on
+    blocks of at most ``BLOCK_POINTS`` points (whole (tau, beta) slices of
+    several rho or alpha values, or one slice when a slice is larger), with
+    the same per-point arithmetic as the full scan.
 
-    Where the perturbation radius ``2 - |c1|^2 / 2`` rounds to exactly 0.0
-    (only on the ``rho = 1`` row, for about 60% of the alpha values), every
-    point of the (rho, alpha) slice has the same c1 and, bit for bit, the
-    same c2 (see :func:`_collapsible`).  By the elementwise contract the
-    slice holds one value, and its first maximum in scan order is its first
-    point (tau[0], beta[0]); no rotation or tie argument is needed.  In a
-    row whose slices are large enough to take a call each (more than half a
-    block), such slices are evaluated at that point only, all in one call
-    (see :func:`_collapsed_row_max`).  Smaller slices share blocks, where
-    the extra call would cost more than the points it saves.
+    A slice whose perturbation radius ``2 - |c1|^2 / 2`` rounds to exactly
+    0.0 (only on the ``rho = 1`` row) has one c1 and, bit for bit, one c2
+    (see :func:`_collapsible`), so by the elementwise contract one value; in
+    rows whose slices take a call each it is evaluated at its first point.
 
-    Both passes call the functional on blocks of at most ``BLOCK_POINTS``
-    points: whole (tau, beta) slices of several rho or alpha values, or one
-    slice when a slice is larger.  The arithmetic is per point, so every
-    value equals the whole slab's, and the reduced pass still takes each
-    pair's maximum over all of beta.  A row in which the functional returns
-    NaN at a scanned point is skipped, as the whole-row argmax would skip
-    it, wherever the block boundaries fall and whether or not the slice
-    holding the NaN collapsed.
+    Each piece gives its first maximum; of equal maxima the loop keeps the
+    one at the smallest grid index, so the order of the pieces does not
+    matter.  A NaN at any point the scan evaluates raises ``ValueError``.
     """
     rho, alpha, tau, beta = grid.axes
     phase_a, phase_b = grid.phases
     keep = _candidate_pairs(functional, grid, *_leading(rho, phase_a[0]), tau, phase_b)
-    best = -np.inf
-    best_params = (0.0, 0.0, 0.0, 0.0)
+    alpha_at = np.arange(len(alpha))
+    best, best_at = -np.inf, (0, 0, 0, 0)
     for i in np.flatnonzero(keep.any(axis=1)):
-        tau_kept = tau[keep[i]]
-        slice_points = len(tau_kept) * len(beta)
+        tau_at = np.flatnonzero(keep[i])
+        tau_kept = tau[tau_at]
         c1_row, radius_row = _leading(rho[i], phase_a)
-        # only slices of more than half a block collapse: none at small grids
-        zero = _collapsible(c1_row, radius_row) if 2 * slice_points > BLOCK_POINTS else None
-        if zero is not None and zero.any():
-            m, at = _collapsed_row_max(
-                functional, best, zero, c1_row, radius_row, alpha, tau_kept, beta, phase_b
-            )
-        else:
-            leads = _blocks(len(alpha), slice_points)
-            m, at = _row_max(
-                functional, best, leads, c1_row, radius_row, alpha, tau_kept, beta, phase_b
-            )
-        if at is not None:
-            best, best_params = m, (float(rho[i]), *at)
-    p = sample_point(*best_params)
-    return best, p
+        for lead, points in _pieces(c1_row, radius_row, len(tau_kept) * len(beta)):
+            vals = _evaluate(functional, c1_row[lead], radius_row[lead],
+                             tau_kept[points], phase_b[points])
+            idx = int(vals.argmax())  # the first NaN if any, which m < best lets through
+            m = float(vals.flat[idx])
+            if m < best:
+                continue
+            ia, it, ib = np.unravel_index(idx, vals.shape)
+            at = (int(i), int(alpha_at[lead][ia]), int(tau_at[it]), int(ib))
+            if math.isnan(m):
+                where = ", ".join(f"{x:.6g}" for x in _params(grid, at))
+                raise ValueError(f"the functional is NaN at (rho, alpha, tau, beta) = ({where})")
+            if m > best or at < best_at:
+                best, best_at = m, at
+    return best, sample_point(*_params(grid, best_at))
+
+
+def _params(grid: GridSpec, at) -> Tuple[float, ...]:
+    """The (rho, alpha, tau, beta) values at the grid index ``at``."""
+    return tuple(float(axis[k]) for axis, k in zip(grid.axes, at))

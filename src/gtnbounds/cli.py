@@ -52,10 +52,12 @@ FORMATS = ("json", "csv", "table")
 # grid may have at most 128 steps.
 MAX_SCAN_VALUES = 2**21
 
-# Largest ``gtn --max-n``.  The sequence is exact rational arithmetic whose
-# values grow like sqrt(n!): at varkappa = 1 index 1000 has 1,297 digits, and
-# index 3000 passes Python's 4300-digit limit on printing an int.
-MAX_GTN_INDEX = 1000
+# Largest ``gtn --max-n``, ``xseries --order`` and ``dist --max-n``: each
+# prints one row per index, and nothing bounds the work otherwise.  The gtn
+# sequence is exact rational arithmetic whose values grow like sqrt(n!): at
+# varkappa = 1 index 1000 has 1,297 digits, and index 3000 passes Python's
+# 4300-digit limit on printing an int.
+MAX_INDEX = 1000
 
 
 class CliParser(argparse.ArgumentParser):
@@ -205,9 +207,13 @@ def emit_rows(rows: list[dict], fmt: str, stream=None) -> None:
 # ---------------------------------------------------------------------------
 # Subcommand handlers (return process exit codes)
 
+def _check_index(flag: str, n: int) -> None:
+    if n > MAX_INDEX:
+        raise ValueError(f"{flag} {n} is more than the limit of {MAX_INDEX}")
+
+
 def cmd_gtn(args, cfg) -> int:
-    if args.max_n > MAX_GTN_INDEX:
-        raise ValueError(f"--max-n {args.max_n} is more than the limit of {MAX_GTN_INDEX}")
+    _check_index("--max-n", args.max_n)
     vk = args.varkappa if args.varkappa is not None else Fraction(
         str(cfg.get("varkappa", BUILTIN_DEFAULTS["varkappa"]))
     )
@@ -232,6 +238,7 @@ def cmd_gtn(args, cfg) -> int:
 
 
 def cmd_xseries(args, cfg) -> int:
+    _check_index("--order", args.order)
     vk = float(_resolve(args, cfg, "varkappa"))
     xs = x_series(vk, args.order)
     rows = [{"n": n, "coefficient": float(c.real)} for n, c in enumerate(xs.coeffs)]
@@ -347,6 +354,7 @@ def cmd_conv_fs(args, cfg) -> int:
 
 
 def cmd_dist(args, cfg) -> int:
+    _check_index("--max-n", args.max_n)
     d = coefficients(args.kind, args.param, max_n=args.max_n, s=args.s)
     rows = [{"n": n, "coefficient": d.wp(n)} for n in range(2, args.max_n + 1)]
     emit_rows(rows, _resolve(args, cfg, "format"))

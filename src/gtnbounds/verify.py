@@ -348,15 +348,13 @@ def lemma_functionals(rng_seed: int = 20240817, n_complex: int = 8) -> list[Func
 
 
 def build_suite(name: str, varkappa: float = 1.0) -> tuple[list, list[Functional]]:
-    """Parameter entries and functionals for a named suite."""
-    sentinel = [("caratheodory", ClassParams(0.0, 0.0, varkappa), None)]
+    """Parameter entries and functionals for a named suite.  For ``full``
+    these are its class experiments; :func:`run_suite` adds the lemma suite."""
     if name == "remarks":
         return preset_entries(varkappa), remarks_functionals()
     if name == "lemmas":
-        return sentinel, lemma_functionals()
+        return [("caratheodory", ClassParams(0.0, 0.0, varkappa), None)], lemma_functionals()
     if name == "full":
-        # lemma experiments ride on the sentinel entry only; class experiments
-        # run on every preset.
         return preset_entries(varkappa), extended_functionals()
     raise ValueError(f"unknown suite {name!r}")
 
@@ -364,15 +362,9 @@ def build_suite(name: str, varkappa: float = 1.0) -> tuple[list, list[Functional
 def run_suite(
     name: str, varkappa: float = 1.0, grid: GridSpec = GridSpec()
 ) -> tuple[list[BoundReport], dict]:
-    entries, functionals = build_suite(name, varkappa)
-    reports, summary = sweep(entries, functionals, grid)
+    reports, summary = sweep(*build_suite(name, varkappa), grid)
     if name == "full":
-        lemma_reports, _ = sweep(
-            [("caratheodory", ClassParams(0.0, 0.0, varkappa), None)],
-            lemma_functionals(),
-            grid,
-        )
-        reports += lemma_reports
+        reports += sweep(*build_suite("lemmas", varkappa), grid)[0]
         summary = summarize(reports)
     return reports, summary
 

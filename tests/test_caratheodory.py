@@ -467,39 +467,70 @@ def _on_circle(grid, a):
     return 2.0 * np.exp(2j * np.pi * a / grid.alpha_steps)
 
 
-def _below_rho_one(grid):
-    """The largest |c1| on the row below rho = 1, as the scan computes it."""
-    rho, alpha, _, _ = grid.axes
-    return float(np.abs(_leading(rho[-2], np.exp(1j * alpha))[0]).max())
-
-
 @pytest.mark.parametrize(
-    "grid, point, row_value",
+    "grid, point",
     [
-        (MULTI_BLOCK, 2.0, 2.0 * 23 / 24),
-        (MULTI_BLOCK_UNALIGNED, _on_circle(MULTI_BLOCK_UNALIGNED, 24), 2.0 * 23 / 24),
+        (MULTI_BLOCK, 2.0),
+        (MULTI_BLOCK_UNALIGNED, _on_circle(MULTI_BLOCK_UNALIGNED, 24)),
         # collapsed slices of the rho = 1 row
-        (WIDE_UNALIGNED, 2.0, _below_rho_one(WIDE_UNALIGNED)),
-        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 8), _below_rho_one(WIDE_UNALIGNED)),
+        (WIDE_UNALIGNED, 2.0),
+        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 8)),
         # slices of that row that do not collapse
-        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 1), _below_rho_one(WIDE_UNALIGNED)),
-        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 2), _below_rho_one(WIDE_UNALIGNED)),
+        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 1)),
+        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 2)),
         # NaN at alpha = 0 in the reduced pass keeps the rho = 1 row, whose
         # slices all collapse into the call that meets the NaN
-        (WIDE_SLICE, 2.0, _below_rho_one(WIDE_SLICE)),
+        (WIDE_SLICE, 2.0),
     ],
     ids=["first-block", "last-block", "collapsed-first", "collapsed-last",
          "open-first", "open-last", "all-collapsed"],
 )
-def test_a_nan_skips_its_whole_row_wherever_the_blocks_fall(grid, point, row_value):
-    # NaN at one point of the rho = 1 row, whose other slices attain |c1| = 2
+def test_a_nan_skips_its_whole_row_wherever_the_blocks_fall(grid, point):
+    # A NaN at one point of the rho = 1 row, whose other slices attain
+    # |c1| = 2, raises wherever the blocks fall: no row is skipped.
     def nan_at_point(c1, c2):
         return np.where(np.abs(c1 - point) < 1e-9, np.nan, np.abs(c1))
 
-    value, _ = got = brute_force_sup(nan_at_point, grid)
-    assert got == reference_sup(nan_at_point, grid)
-    # the row below rho = 1
-    assert value == row_value
+    with pytest.raises(ValueError, match=r"NaN at \(rho, alpha, tau, beta\) = \(1, "):
+        brute_force_sup(nan_at_point, grid)
+
+
+def test_a_nan_at_an_interior_rho_raises():
+    # NaN on the whole ring |c1| = 2 rho_5 at grid 12.  Only rho = 1 can hold
+    # the maximum of |c1|, but the NaN in the reduced pass keeps row 5, and
+    # its first point in scan order is named.
+    grid = GridSpec.uniform(12)
+    ring = 2.0 * grid.axes[0][5]
+
+    def nan_on_ring(c1, c2):
+        return np.where(np.abs(np.abs(c1) - ring) < 1e-9, np.nan, np.abs(c1))
+
+    with pytest.raises(ValueError, match=r"= \(0\.454545, 0, 0, 0\)"):
+        brute_force_sup(nan_on_ring, grid)
+
+
+def inf_on_rim(c1, c2):
+    return np.where(np.abs(c1) > 2.0 - 1e-9, np.inf, np.abs(c2 - c1**2))
+
+
+def inf_in_band(c1, c2):
+    """+inf for rho in (0.4, 0.6): every point of those rows ties."""
+    return np.where(np.abs(np.abs(c1) - 1.0) < 0.2, np.inf, np.abs(c2))
+
+
+def minus_inf(c1, c2):
+    return np.abs(c1) * 0.0 - np.inf
+
+
+@pytest.mark.parametrize(
+    "grid", [GridSpec.uniform(12), GridSpec.uniform(60), MULTI_BLOCK, WIDE_UNALIGNED],
+    ids=_grid_id,
+)
+@pytest.mark.parametrize("functional", [inf_on_rim, inf_in_band, minus_inf],
+                         ids=["inf-on-rim", "inf-in-band", "minus-inf"])
+def test_an_infinite_maximum_is_exact(functional, grid):
+    # an infinite top keeps every (rho, tau) pair: x < NaN and x < -inf are False
+    assert brute_force_sup(functional, grid) == reference_sup(functional, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtnbounds import cli as cli_mod
-from gtnbounds.cli import FORMATS, MAX_GTN_INDEX, emit_rows, main
+from gtnbounds.cli import FORMATS, MAX_INDEX, emit_rows, main
 
 SUBCOMMANDS = [
     "gtn", "xseries", "bound", "fs", "inverse-fs", "log-coeff",
@@ -58,17 +58,43 @@ def test_gtn_rational_weight_and_warning(capsys):
 
 def test_gtn_refuses_max_n_above_the_limit_before_computing(capsys, monkeypatch):
     monkeypatch.setattr(cli_mod, "gtn_sequence", lambda *a: pytest.fail("computed"))
-    for n in (MAX_GTN_INDEX + 1, 3000, 10**8):
+    for n in (MAX_INDEX + 1, 3000, 10**8):
         code, out, err = run_cli(capsys, "gtn", "--max-n", str(n), "--format", "csv")
         assert (code, out) == (1, "")
-        assert err == f"error: --max-n {n} is more than the limit of {MAX_GTN_INDEX}\n"
+        assert err == f"error: --max-n {n} is more than the limit of {MAX_INDEX}\n"
 
 
 def test_gtn_prints_every_row_up_to_the_limit(capsys):
-    code, out, err = run_cli(capsys, "gtn", "--max-n", str(MAX_GTN_INDEX), "--format", "csv")
+    code, out, err = run_cli(capsys, "gtn", "--max-n", str(MAX_INDEX), "--format", "csv")
     assert (code, err) == (0, "")
     lines = out.splitlines()
-    assert len(lines) == MAX_GTN_INDEX + 2 and lines[-1].startswith(f"{MAX_GTN_INDEX},")
+    assert len(lines) == MAX_INDEX + 2 and lines[-1].startswith(f"{MAX_INDEX},")
+
+
+INDEX_REQUESTS = [
+    (["xseries", "--order"], "--order", "x_series"),
+    (["dist", "--kind", "poisson", "--param", "1", "--max-n"], "--max-n", "coefficients"),
+]
+
+
+@pytest.mark.parametrize("argv, flag, computes", INDEX_REQUESTS, ids=["xseries", "dist"])
+def test_index_above_the_limit_is_refused_before_computing(capsys, monkeypatch, argv,
+                                                           flag, computes):
+    monkeypatch.setattr(cli_mod, computes, lambda *a, **k: pytest.fail("computed"))
+    for n in (MAX_INDEX + 1, 10**8):
+        code, out, err = run_cli(capsys, *argv, str(n), "--format", "csv")
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag} {n} is more than the limit of {MAX_INDEX}\n"
+
+
+@pytest.mark.parametrize("argv", [r[0] for r in INDEX_REQUESTS], ids=["xseries", "dist"])
+def test_index_at_the_limit_prints_every_row(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, str(MAX_INDEX), "--format", "csv")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    # xseries starts at n = 0, dist at n = 2; one header line
+    first = 0 if argv[0] == "xseries" else 2
+    assert len(lines) == MAX_INDEX - first + 2 and lines[-1].startswith(f"{MAX_INDEX},")
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -312,8 +338,10 @@ def test_config_accepts_comments_blanks_and_every_known_key(capsys, tmp_path):
     [
         (["--varkappa", "-1"], "must all be >= 0"),
         (["--grid", "1"], "must be >= 2"),
-        # finite, but the reports overflow to inf, which JSON cannot hold
-        (["--suite", "full", "--grid", "4", "--varkappa", "1e308"], "not JSON compliant"),
+        # finite, but a3 overflows to inf, and inf * 0 in the class closure
+        # gives NaN, which the scan refuses before any report is written
+        (["--suite", "full", "--grid", "4", "--varkappa", "1e308"], "functional is NaN at"),
+        (["--suite", "remarks", "--grid", "8", "--varkappa", "1e308"], "functional is NaN at"),
     ],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow at 1e308
