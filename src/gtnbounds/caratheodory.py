@@ -26,6 +26,15 @@ class ParameterOutOfRange(ValueError):
     """Sampler parameters rho, tau must lie in [0, 1]."""
 
 
+class FunctionalIsNaN(ValueError):
+    """The functional is NaN at a point the scan evaluates; ``member`` is the
+    index of the member of a stack that is (0 for a single functional)."""
+
+    def __init__(self, message: str, member: int):
+        super().__init__(message)
+        self.member = member
+
+
 @dataclass(frozen=True)
 class CaratheodoryPoint:
     c1: complex
@@ -109,7 +118,8 @@ def lemma4_bound(hbar: complex) -> float:
     return max(2.0, 2.0 * abs(hbar - 1.0))
 
 
-Functional = Callable[[np.ndarray, np.ndarray], np.ndarray]
+# One array of values, or a stack: a tuple of arrays, one per member
+Functional = Callable[[np.ndarray, np.ndarray], "np.ndarray | tuple[np.ndarray, ...]"]
 
 # Points per call of the functional: 64 KiB per complex128 array, below
 # glibc's 128 KiB mmap threshold, so temporaries are reused from the heap
@@ -125,17 +135,23 @@ def _leading(r, phase_a):
     return c1, 2.0 - np.abs(c1) ** 2 / 2.0
 
 
-def _evaluate(functional: Functional, c1_vec, radius, tau, phase_b) -> np.ndarray:
-    """Functional values of shape (N, T, B) on N values of c1 with their
-    perturbation radii, and every (tau, beta)."""
+def _evaluate(functional: Functional, c1_vec, radius, tau, phase_b):
+    """``(stacked, values)``: the values of shape (N, T, B) of each member of
+    the functional on N values of c1 with their perturbation radii, and
+    every (tau, beta); ``stacked`` tells a tuple of members from one array."""
     c1 = c1_vec[:, None, None]
     # numpy would cast the real (N, T, 1) factor to complex once per element
     # of the (N, T, B) product; casting it first does that N * T times, and
     # the complex multiply that follows is the same, so the bits are too
     perturbation = (radius[:, None, None] * tau[None, :, None]).astype(complex)
     c2 = c1**2 / 2.0 + perturbation * phase_b[None, None, :]
-    vals = np.asarray(functional(c1, c2), dtype=float)
-    return vals if vals.shape == c2.shape else np.broadcast_to(vals, c2.shape)
+    out = functional(c1, c2)
+    stacked = isinstance(out, tuple)
+    values = []
+    for vals in out if stacked else (out,):
+        vals = np.asarray(vals, dtype=float)
+        values.append(vals if vals.shape == c2.shape else np.broadcast_to(vals, c2.shape))
+    return stacked, values
 
 
 def _collapsible(c1, radius) -> np.ndarray:
@@ -161,29 +177,38 @@ def _blocks(n_lead: int, slice_points: int):
 
 
 def _candidate_pairs(functional: Functional, grid: GridSpec, c1_col, radius_col, tau, phase_b):
-    """Mask of shape (R, T) of the (rho, tau) pairs that can hold the maximum.
+    """Mask of shape (R, T) of the (rho, tau) pairs that can hold the maximum
+    of some member of the functional.
 
     The functional is evaluated once on the alpha = 0 slice of every rho
-    (``c1_col`` and ``radius_col``) and reduced over beta.  When the alpha
-    grid maps the beta grid onto itself under c2 -> e^{2it} c2
-    (``2 * beta_steps % alpha_steps == 0``), rotation takes
+    (``c1_col`` and ``radius_col``) and each member is reduced over beta.
+    When the alpha grid maps the beta grid onto itself under
+    c2 -> e^{2it} c2 (``2 * beta_steps % alpha_steps == 0``), rotation takes
     (rho, alpha_a, tau, beta_b) to (rho, 0, tau, beta_{b - 2aB/A}) up to
     rounding, so that slice's maximum over beta is the maximum of the pair
     over (alpha, beta), and a pair whose reduced maximum lies more than
-    ``2 * delta`` below the overall one cannot win.  Rounding moves values by
-    about 1e-15 relative; ``delta`` is 1e-9 relative.
+    ``2 * delta`` below the member's overall one cannot win for that member.
+    Rounding moves values by about 1e-15 relative; ``delta`` is 1e-9
+    relative to each member's own maximum.  The mask is the union of the
+    members' masks.
     """
     if (2 * grid.beta_steps) % grid.alpha_steps != 0:
         return np.ones((len(c1_col), len(tau)), dtype=bool)
-    pair_max = np.empty((len(c1_col), len(tau)))
+    pair_max: list = []  # per member, each (R, T) array within the block rule
     for lead in _blocks(len(c1_col), len(tau) * len(phase_b)):
-        vals = _evaluate(functional, c1_col[lead], radius_col[lead], tau, phase_b)
-        pair_max[lead] = vals.max(axis=2)
-    top = float(pair_max.max())
-    delta = 1e-9 * max(1.0, abs(top))
-    # x < NaN is False: a NaN or infinite top keeps every pair and a NaN pair
-    # maximum keeps its pair, so the row scan meets every NaN seen here
-    return ~(pair_max < top - 2.0 * delta)
+        _, values = _evaluate(functional, c1_col[lead], radius_col[lead], tau, phase_b)
+        if not pair_max:
+            pair_max = [np.empty((len(c1_col), len(tau))) for _ in values]
+        for member_max, vals in zip(pair_max, values):
+            vals.max(axis=2, out=member_max[lead])
+    keep = np.zeros((len(c1_col), len(tau)), dtype=bool)
+    for member_max in pair_max:
+        top = float(member_max.max())
+        delta = 1e-9 * max(1.0, abs(top))
+        # x < NaN is False: a NaN or infinite top keeps every pair and a NaN
+        # pair maximum keeps its pair, so the row scan meets every NaN seen here
+        keep |= ~(member_max < top - 2.0 * delta)
+    return keep
 
 
 def _pieces(c1_row, radius_row, slice_points: int):
@@ -207,10 +232,10 @@ def _pieces(c1_row, radius_row, slice_points: int):
         yield slice(k, k + 1), slice(None)
 
 
-def brute_force_sup(
-    functional: Functional,
-    grid: GridSpec = GridSpec(),
-) -> Tuple[float, CaratheodoryPoint]:
+Sup = Tuple[float, CaratheodoryPoint]
+
+
+def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> Sup | list[Sup]:
     """Maximum of the functional over the sampled body with its argmax.
 
     ``functional`` must accept numpy arrays of c1 and c2 (broadcast together)
@@ -221,49 +246,63 @@ def brute_force_sup(
     bit that of the full 4-D scan: the largest value, at the smallest
     (rho, alpha, tau, beta) grid index that attains it.
 
+    A functional that returns a tuple of K value arrays is a *stack* of K
+    functionals scanned in one pass, and the result is a list of K
+    ``(value, witness)`` pairs, each bit for bit what a scan of that member
+    alone gives.  One array is the stack of one, and returns its pair.
+
     The pair mask (:func:`_candidate_pairs`) comes first: one pass over the
     alpha = 0 slice of every rho keeps the (rho, tau) pairs whose maximum
-    over beta is, by rotation invariance, within rounding of the overall
-    maximum; no point of another pair can attain it.  Each row with a kept
-    pair is then scanned over every (alpha, beta) and its kept tau values,
-    in the pieces of :func:`_pieces`.  Both passes call the functional on
-    blocks of at most ``BLOCK_POINTS`` points (whole (tau, beta) slices of
-    several rho or alpha values, or one slice when a slice is larger), with
-    the same per-point arithmetic as the full scan.
+    over beta is, by rotation invariance, within rounding of some member's
+    overall maximum; no point of another pair can attain it.  Each row with a
+    kept pair is then scanned over every (alpha, beta) and its kept tau
+    values, in the pieces of :func:`_pieces`.  Every member sees every point
+    the row scan evaluates; a point outside the member's own kept pairs lies
+    more than ``2 * delta`` below its maximum, so it cannot become its result.
+    Both passes call the functional on blocks of at most ``BLOCK_POINTS``
+    points (whole (tau, beta) slices of several rho or alpha values, or one
+    slice when a slice is larger), with the same per-point arithmetic as the
+    full scan.
 
     A slice whose perturbation radius ``2 - |c1|^2 / 2`` rounds to exactly
     0.0 (only on the ``rho = 1`` row) has one c1 and, bit for bit, one c2
     (see :func:`_collapsible`), so by the elementwise contract one value; in
     rows whose slices take a call each it is evaluated at its first point.
 
-    Each piece gives its first maximum; of equal maxima the loop keeps the
-    one at the smallest grid index, so the order of the pieces does not
-    matter.  A NaN at any point the scan evaluates raises ``ValueError``.
+    Each piece gives each member's first maximum; of equal maxima the loop
+    keeps the one at the smallest grid index, so the order of the pieces does
+    not matter.  A NaN in a member at any point the scan evaluates raises
+    :class:`FunctionalIsNaN`, which names the member.
     """
     rho, alpha, tau, beta = grid.axes
     phase_a, phase_b = grid.phases
     keep = _candidate_pairs(functional, grid, *_leading(rho, phase_a[0]), tau, phase_b)
     alpha_at = np.arange(len(alpha))
-    best, best_at = -np.inf, (0, 0, 0, 0)
+    stacked, best = False, []  # per member: [value, grid index]
     for i in np.flatnonzero(keep.any(axis=1)):
         tau_at = np.flatnonzero(keep[i])
         tau_kept = tau[tau_at]
         c1_row, radius_row = _leading(rho[i], phase_a)
         for lead, points in _pieces(c1_row, radius_row, len(tau_kept) * len(beta)):
-            vals = _evaluate(functional, c1_row[lead], radius_row[lead],
-                             tau_kept[points], phase_b[points])
-            idx = int(vals.argmax())  # the first NaN if any, which m < best lets through
-            m = float(vals.flat[idx])
-            if m < best:
-                continue
-            ia, it, ib = np.unravel_index(idx, vals.shape)
-            at = (int(i), int(alpha_at[lead][ia]), int(tau_at[it]), int(ib))
-            if math.isnan(m):
-                where = ", ".join(f"{x:.6g}" for x in _params(grid, at))
-                raise ValueError(f"the functional is NaN at (rho, alpha, tau, beta) = ({where})")
-            if m > best or at < best_at:
-                best, best_at = m, at
-    return best, sample_point(*_params(grid, best_at))
+            stacked, values = _evaluate(functional, c1_row[lead], radius_row[lead],
+                                        tau_kept[points], phase_b[points])
+            if not best:
+                best = [[-np.inf, (0, 0, 0, 0)] for _ in values]
+            for k, (vals, member) in enumerate(zip(values, best)):
+                idx = int(vals.argmax())  # the first NaN if any, which m < best lets through
+                m = float(vals.flat[idx])
+                if m < member[0]:
+                    continue
+                ia, it, ib = np.unravel_index(idx, vals.shape)
+                at = (int(i), int(alpha_at[lead][ia]), int(tau_at[it]), int(ib))
+                if math.isnan(m):
+                    where = ", ".join(f"{x:.6g}" for x in _params(grid, at))
+                    raise FunctionalIsNaN(
+                        f"the functional is NaN at (rho, alpha, tau, beta) = ({where})", k)
+                if m > member[0] or at < member[1]:
+                    member[:] = m, at
+    found = [(m, sample_point(*_params(grid, at))) for m, at in best]
+    return found if stacked else found[0]
 
 
 def _params(grid: GridSpec, at) -> Tuple[float, ...]:

@@ -410,13 +410,17 @@ def cmd_lemma(args, cfg) -> int:
     sup, witness = brute_force_sup(
         lambda c1, c2: np.abs(c2 - veff * c1**2), grid
     )
+    gap = stated - sup
+    if not all(map(math.isfinite, (stated, sup, gap))):
+        raise ValueError(f"the result is not finite: bound {stated:g}, "
+                         f"empirical_sup {sup:g}, gap {gap:g}")
     emit_rows(
         [{
             "which": args.which,
             "v": v,
             "bound": stated,
             "empirical_sup": sup,
-            "gap": stated - sup,
+            "gap": gap,
             "witness_c1": complex(witness.c1),
             "witness_c2": complex(witness.c2),
         }],
@@ -551,7 +555,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.handler(args, cfg)
+        # an overflow, invalid value or division by zero ends in a NaN the
+        # scan refuses or a non-finite result a command refuses, each with
+        # one error line, so numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.handler(args, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

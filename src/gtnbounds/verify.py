@@ -25,12 +25,19 @@ recorded as discrepancies, never as failures:
 Every class functional is ``scale * |a3 - mu_eff a2^2|``, or ``|a2|``:
 ``(scale, mu_eff)`` is ``(1, 0)`` for ``a3``, ``(1, mu)`` for ``fs`` and
 ``conv-fs``, ``(1, 2 - hbar)`` for ``inverse-fs`` and ``(1/2, 1/2)`` for
-``log-g2``.  :func:`_describe` gives that form, the printed bound and the
-extra discrepancy of each kind; one closure scans the form and
-:func:`oracle` bounds it.  Within one :func:`sweep` call the experiments with
-the same class parameters, ``mu_eff``, weights and grid share one scan (so
-``log-g2`` takes half of the ``fs(1/2)`` scan); nothing is kept once the
-call returns.
+``log-g2``.  :func:`_form` gives that form, :func:`_describe` the printed
+bound and the extra discrepancy of each kind, and :func:`oracle` bounds the
+form.  The lemma functionals are ``|c2 - v c1^2|``.
+
+Experiments that scan the same (c1, c2) body share one scan: within one
+:func:`sweep` call, the class experiments with the same parameters and grid
+are one *stack*, and so are the lemma experiments with the same grid.  One
+closure evaluates every distinct form of a stack on each block of points,
+sharing ``c1^2``, or ``b2`` and each ``(a2, a2^2, a3)``, and
+:func:`gtnbounds.caratheodory.brute_force_sup` returns each form's supremum
+and witness, bit for bit those of a scan of that form alone.  Experiments
+with the same form read the same result (so ``log-g2`` takes half of the
+``fs(1/2)`` result); nothing is kept once the call returns.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from gtnbounds import bounds
 from gtnbounds.bazilevic import ClassParams, CoefficientRelation, derive_relation
 from gtnbounds.caratheodory import (
     CaratheodoryPoint,
+    FunctionalIsNaN,
     GridSpec,
     brute_force_sup,
     lemma1_bound,
@@ -167,41 +175,151 @@ def oracle(rel: CoefficientRelation, varkappa: float, mu_eff: complex | None,
     return lemma3_bound(v) / (2.0 * a3l * wp3)
 
 
+def _form(fn: Functional) -> tuple[float, complex | None]:
+    """``(scale, mu_eff)`` of a class functional: it is
+    ``scale * |a3 - mu_eff a2^2|``, or ``|a2|`` when ``mu_eff`` is None."""
+    kind = fn.kind
+    if kind == "a2":
+        return 1.0, None
+    if kind == "a3":
+        return 1.0, 0.0
+    if kind in ("fs", "conv-fs"):
+        return 1.0, fn.mu
+    if kind == "inverse-fs":  # |d3 - hbar d2^2| = |a3 - (2 - hbar) a2^2|
+        return 1.0, 2.0 - fn.hbar
+    if kind == "log-g2":  # 2 g2 = a3 - a2^2 / 2
+        return 0.5, 0.5
+    raise ValueError(f"unknown functional kind {kind!r}")
+
+
 def _describe(fn: Functional, params: ClassParams,
-              subclass_a3: Callable[[float], float] | None) -> tuple:
-    """A class functional as ``(scale, mu_eff, printed bound, extra
-    discrepancies)``: it is ``scale * |a3 - mu_eff a2^2|``, or ``|a2|`` when
-    ``mu_eff`` is None."""
+              subclass_a3: Callable[[float], float] | None) -> tuple[float, list[dict]]:
+    """The printed bound of a class functional of a kind :func:`_form`
+    accepts, and its extra discrepancies."""
     kind, mu = fn.kind, fn.mu
     if kind == "a2":
-        return 1.0, None, bounds.a2_bound(params), []
+        return bounds.a2_bound(params), []
     if kind == "a3":
         stated = bounds.a3_bound(params)
         subclass = stated if subclass_a3 is None else subclass_a3(params.varkappa)
-        return 1.0, 0.0, stated, _differ("D1", subclass=subclass, general=stated)
+        return stated, _differ("D1", subclass=subclass, general=stated)
     if kind == "fs":
         if complex(mu).imag == 0.0:
-            return 1.0, mu, bounds.fs_real(params, complex(mu).real).as_printed, []
-        return 1.0, mu, bounds.fs_complex(params, mu), []
-    if kind == "inverse-fs":  # |d3 - hbar d2^2| = |a3 - (2 - hbar) a2^2|
+            return bounds.fs_real(params, complex(mu).real).as_printed, []
+        return bounds.fs_complex(params, mu), []
+    if kind == "inverse-fs":
         d2_stated, d2_oracle = bounds.inverse_d2_bound(params)
-        return (1.0, 2.0 - fn.hbar, bounds.inverse_fs(params, fn.hbar),
+        return (bounds.inverse_fs(params, fn.hbar),
                 [{"id": "D2", "stated": d2_stated, "oracle": d2_oracle}])
-    if kind == "log-g2":  # 2 g2 = a3 - a2^2 / 2
+    if kind == "log-g2":
         stated = bounds.log_coeff_bounds(params)[1]
-        return 0.5, 0.5, stated, _differ(
-            "D3", stated=stated, half_fs=bounds.log_gamma2_oracle(params))
-    if kind == "conv-fs":
-        return 1.0, mu, bounds.conv_fs_complex(params, mu, fn.wp2, fn.wp3), _differ(
-            "D4", unit_weight_value=bounds.conv_fs_complex(params, mu, 1.0, 1.0),
-            base_value=bounds.fs_complex(params, mu))
-    raise ValueError(f"unknown functional kind {kind!r}")
+        return stated, _differ("D3", stated=stated, half_fs=bounds.log_gamma2_oracle(params))
+    return bounds.conv_fs_complex(params, mu, fn.wp2, fn.wp3), _differ(
+        "D4", unit_weight_value=bounds.conv_fs_complex(params, mu, 1.0, 1.0),
+        base_value=bounds.fs_complex(params, mu))
 
 
 def _differ(did: str, **pair: float) -> list[dict]:
     """The discrepancy ``did`` when the two values differ by more than 1e-9."""
     a, b = pair.values()
     return [{"id": did, **pair}] if abs(a - b) > 1e-9 else []
+
+
+def _member(fn: Functional, params: ClassParams, grid: GridSpec) -> tuple:
+    """Where an experiment's supremum comes from, as ``(body, form, scale)``:
+    the body it scans, the form of its member in that body's stack and the
+    scale of the result.  Class experiments scan ``(params, grid)`` with
+    the form ``(mu_eff, wp2, wp3)``; lemma experiments scan ``(None, grid)``
+    with the form ``v``."""
+    if fn.kind in ("lemma1", "lemma3"):
+        return (None, grid), fn.v, 1.0
+    scale, mu_eff = _form(fn)
+    return (params, grid), (mu_eff, fn.wp2, fn.wp3), scale
+
+
+def _experiment_id(fn: Functional, params: ClassParams, preset_id: str) -> str:
+    slug = preset_id or f"vt{params.vartheta:g}-kp{params.kappa:g}"
+    return f"{slug}|vk{params.varkappa:g}|{fn.label()}"
+
+
+@dataclass
+class _Stack:
+    """The experiments that scan one body: each distinct form, in order of
+    first use, with the ids of the experiments that read it, and each form's
+    ``(sup, witness)`` once the body is scanned."""
+
+    ids: dict
+    results: dict | None = None
+
+
+def _value_rows(count: int) -> Callable:
+    """``rows(shape)``: ``count`` value arrays of ``shape``, as views of one
+    buffer that every call reuses (it grows to the largest shape asked for).
+
+    A stack's closure writes its values there, so a call allocates only the
+    temporaries a single form needs.  Fresh arrays for K forms per call grow
+    the heap by K blocks, which glibc's malloc then trims and faults in again
+    (about 2.5k minor page faults per grid-60 full pass, against about 2).
+    The scan reads the values of a call before it makes the next."""
+    buf = np.empty(0)
+
+    def rows(shape):
+        nonlocal buf
+        size = count * math.prod(shape)
+        if buf.size < size:
+            buf = np.empty(size)
+        return buf[:size].reshape(count, *shape)
+
+    return rows
+
+
+def _stack_functional(params: ClassParams | None, forms: Sequence) -> Callable:
+    """The closure that evaluates every form of a stack, in order, as a tuple.
+
+    Lemma forms ``v`` give ``|c2 - v c1^2|`` from one ``c1^2``.  Class forms
+    ``(mu_eff, wp2, wp3)`` of ``params`` share one ``b2``, and ``a2``,
+    ``a2^2`` and ``a3`` once per ``(wp2, wp3)``; each value then takes one
+    ``abs``.  Every array goes through the same operations as in a stack of
+    one, so the values are the same bits."""
+    if params is None:
+        lemma_rows = _value_rows(len(forms))
+
+        def lemmas(c1, c2):
+            c1_sq, out = c1**2, lemma_rows(c2.shape)
+            for v, row in zip(forms, out):
+                np.abs(c2 - v * c1_sq, out=row)
+            return tuple(out)
+
+        return lemmas
+    rel, vk = _relation(params), params.varkappa
+    a2l, aq = rel.linear_a2, rel.quad_a2
+    # numpy divides a complex x by a real d as (re + im*0) * (1/d) (Smith's
+    # algorithm with a zero imaginary part), so x * (1/d) has the same bits
+    # up to the sign of an exact zero; such a sign stays on a zero through
+    # the sums and products below and np.abs drops it.  A multiply costs
+    # about a quarter of a division.
+    weights: dict = {}  # (wp2, wp3) -> (1 / (A3 wp3), its forms as (index, mu_eff))
+    for k, (mu_eff, wp2, wp3) in enumerate(forms):
+        weights.setdefault((wp2, wp3), (1.0 / (rel.linear_a3 * wp3), []))[1].append((k, mu_eff))
+    needs_b2 = any(mu_eff is not None for mu_eff, _, _ in forms)
+    rows = _value_rows(len(forms))
+
+    def stack(c1, c2):
+        out = list(rows(c2.shape))
+        if needs_b2:
+            b2 = c2 * 0.5 + (vk - 1.0) * c1**2 / 8.0
+        for (wp2, _), (inv3, members) in weights.items():
+            a2 = c1 / (2.0 * a2l * wp2)
+            if any(mu_eff is not None for _, mu_eff in members):
+                a2_sq = a2**2
+                a3 = (b2 - aq * (wp2 * a2) ** 2) * inv3
+            for k, mu_eff in members:
+                # |a2| is one value per c1: it stays that size, and its row unused
+                out[k] = (np.abs(a2) if mu_eff is None
+                          else np.abs(a3 - mu_eff * a2_sq, out=out[k]))
+        return tuple(out)
+
+    return stack
 
 
 def run_experiment(
@@ -215,50 +333,39 @@ def run_experiment(
 ) -> BoundReport:
     """Run one functional at one parameter point and assemble the report.
 
-    ``_scans`` is the per-sweep store of :func:`sweep`: a scan found there
-    under its key is reused instead of repeated."""
+    ``_scans`` is the per-sweep store of :func:`sweep`: the :class:`_Stack`
+    of each body.  The first experiment of a stack scans all of its forms in
+    one call; the others read their results.  A direct call scans a stack of
+    one.  A NaN from the scan is re-raised as a ``ValueError`` that names the
+    experiments of the form that met it."""
     vk = params.varkappa
+    body, form, scale = _member(functional, params, grid)
+    experiment_id = _experiment_id(functional, params, preset_id)
     if functional.kind in ("lemma1", "lemma3"):
         v = functional.v
-        scale, key, discrepancies = 1.0, (v, grid), []
         stated = lemma1_bound(v.real) if functional.kind == "lemma1" else lemma3_bound(v)
-        oracle_value = lemma3_bound(v)
-
-        def func(c1, c2):
-            return np.abs(c2 - v * c1**2)
+        oracle_value, discrepancies = lemma3_bound(v), []
     else:
-        rel = _relation(params)
-        scale, mu_eff, stated, discrepancies = _describe(functional, params, subclass_a3)
-        wp2, wp3 = functional.wp2, functional.wp3
-        oracle_value = scale * oracle(rel, vk, mu_eff, wp2, wp3)
-        key = (params, mu_eff, wp2, wp3, grid)
-        a2l, aq = rel.linear_a2, rel.quad_a2
-        # numpy divides a complex x by a real d as (re + im*0) * (1/d) (Smith's
-        # algorithm with a zero imaginary part), so x * (1/d) has the same bits
-        # up to the sign of an exact zero; such a sign stays on a zero through
-        # the sums and products below and np.abs drops it.  A multiply costs
-        # about a quarter of a division.
-        inv3 = 1.0 / (rel.linear_a3 * wp3)
-
-        def func(c1, c2):
-            a2 = c1 / (2.0 * a2l * wp2)
-            if mu_eff is None:
-                return np.abs(a2)
-            b2 = c2 * 0.5 + (vk - 1.0) * c1**2 / 8.0
-            a3 = (b2 - aq * (wp2 * a2) ** 2) * inv3
-            return np.abs(a3 - mu_eff * a2**2)
+        stated, discrepancies = _describe(functional, params, subclass_a3)
+        oracle_value = scale * oracle(_relation(params), vk, form[0],
+                                      functional.wp2, functional.wp3)
 
     scans = {} if _scans is None else _scans
-    if key not in scans:
-        scans[key] = brute_force_sup(func, grid)
-    sup, witness = scans[key]
+    stack = scans.setdefault(body, _Stack({form: [experiment_id]}))
+    if stack.results is None:
+        forms = list(stack.ids)
+        try:
+            found = brute_force_sup(_stack_functional(body[0], forms), grid)
+        except FunctionalIsNaN as exc:
+            raise ValueError(f"{', '.join(stack.ids[forms[exc.member]])}: {exc}") from exc
+        stack.results = dict(zip(forms, found))
+    sup, witness = stack.results[form]
     sup = scale * sup
     if sup > stated + SOUNDNESS_TOL:
         discrepancies.append({"id": "D5", "stated": stated, "empirical": sup})
 
-    slug = preset_id or f"vt{params.vartheta:g}-kp{params.kappa:g}"
     return BoundReport(
-        experiment_id=f"{slug}|vk{vk:g}|{functional.label()}",
+        experiment_id=experiment_id,
         vartheta=params.vartheta,
         kappa=params.kappa,
         varkappa=vk,
@@ -278,13 +385,18 @@ def sweep(
 ) -> tuple[list[BoundReport], dict]:
     """One report per (parameter entry, functional), in deterministic order.
 
-    Experiments that scan the same ``|a3 - mu_eff a2^2|`` (same parameters,
-    ``mu_eff``, weights and grid) share one scan, kept only for this call;
-    their ``scale`` applies to the scan's result, so ``log-g2``
-    (``|a3 - a2^2/2| / 2``) shares the scan of ``fs(1/2)``."""
+    The experiments are first grouped into one :class:`_Stack` per body, so
+    each body is scanned once, for all of its forms; the stacks are kept only
+    for this call.  Each experiment's ``scale`` applies to its form's
+    result, so ``log-g2`` (``|a3 - a2^2/2| / 2``) reads that of ``fs(1/2)``."""
     if not param_entries or not functionals:
         raise EmptySweep("need at least one parameter set and one functional")
     scans: dict = {}
+    for pid, params, _ in param_entries:
+        for fn in functionals:
+            body, form, _ = _member(fn, params, grid)
+            ids = scans.setdefault(body, _Stack({})).ids
+            ids.setdefault(form, []).append(_experiment_id(fn, params, pid))
     reports = [
         run_experiment(fn, params, grid, preset_id=pid, subclass_a3=subclass, _scans=scans)
         for pid, params, subclass in param_entries

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtnbounds import verify
+from gtnbounds.bazilevic import ClassParams
 from gtnbounds.caratheodory import (
     BLOCK_POINTS,
+    FunctionalIsNaN,
     GridSpec,
     ParameterOutOfRange,
+    _candidate_pairs,
     _collapsible,
     _evaluate,
     _leading,
@@ -139,26 +142,34 @@ def test_sup_is_deterministic_and_lex_tie_broken():
 # The row-pruned scan must return exactly what the plain 4-D scan returns.
 
 def reference_sup(functional, grid):
-    """The unpruned scan: every rho row, lexicographic, strict improvement."""
+    """The unpruned scan: every rho row, lexicographic, strict improvement.
+    For a stack (a functional that returns a tuple), the list of each
+    member's result."""
     rho = np.linspace(0.0, 1.0, grid.rho_steps)
     alpha = np.linspace(0.0, 2.0 * np.pi, grid.alpha_steps, endpoint=False)
     tau = np.linspace(0.0, 1.0, grid.tau_steps)
     beta = np.linspace(0.0, 2.0 * np.pi, grid.beta_steps, endpoint=False)
     phase_b = np.exp(1j * beta)
-    best, best_params = -np.inf, (0.0, 0.0, 0.0, 0.0)
+    best = None
     for r in rho:
         c1_row = 2.0 * r * np.exp(1j * alpha)
         radius = 2.0 - np.abs(c1_row) ** 2 / 2.0
         c1 = c1_row[:, None, None]
         c2 = c1**2 / 2.0 + radius[:, None, None] * tau[None, :, None] * phase_b[None, None, :]
-        vals = np.broadcast_to(np.asarray(functional(c1, c2), dtype=float), c2.shape)
-        idx = int(np.argmax(vals))
-        m = float(vals.flat[idx])
-        if m > best:
-            ia, it, ib = np.unravel_index(idx, c2.shape)
-            best = m
-            best_params = (float(r), float(alpha[ia]), float(tau[it]), float(beta[ib]))
-    return best, sample_point(*best_params)
+        out = functional(c1, c2)
+        stacked = isinstance(out, tuple)
+        members = out if stacked else (out,)
+        if best is None:
+            best = [(-np.inf, (0.0, 0.0, 0.0, 0.0)) for _ in members]
+        for k, member in enumerate(members):
+            vals = np.broadcast_to(np.asarray(member, dtype=float), c2.shape)
+            idx = int(np.argmax(vals))
+            m = float(vals.flat[idx])
+            if m > best[k][0]:
+                ia, it, ib = np.unravel_index(idx, c2.shape)
+                best[k] = m, (float(r), float(alpha[ia]), float(tau[it]), float(beta[ib]))
+    found = [(m, sample_point(*params)) for m, params in best]
+    return found if stacked else found[0]
 
 
 def fekete(v):
@@ -231,12 +242,20 @@ def test_pruned_scan_is_exact_on_non_uniform_grids(grid, functional):
     assert brute_force_sup(functional, grid) == reference_sup(functional, grid)
 
 
+def member_of(stack, k):
+    """Member ``k`` of a stack as a functional of its own."""
+    return lambda c1, c2: stack(c1, c2)[k]
+
+
 def test_pruned_scan_is_exact_for_every_verify_closure(monkeypatch):
     checked = []
 
     def checking_sup(functional, grid):
         got = brute_force_sup(functional, grid)
         assert got == reference_sup(functional, grid)
+        # each member's result is that of a scan of the member alone
+        assert got == [brute_force_sup(member_of(functional, k), grid)
+                       for k in range(len(got))]
         checked.append(got)
         return got
 
@@ -245,11 +264,12 @@ def test_pruned_scan_is_exact_for_every_verify_closure(monkeypatch):
     for grid in (GridSpec.uniform(12), WIDE_ALIGNED):
         checked.clear()
         reports, _ = verify.run_suite("full", 1.0, grid)
-        # 87 reports from 62 distinct scans: per preset, a3, fs(0), inverse-fs(2)
-        # and conv-fs(unit) share one scan, fs(2) and inverse-fs(0) another,
-        # and log-g2 and fs(1/2) a third
+        # 87 reports from 6 stacked scans: per preset, one of its 9 distinct
+        # forms (a3, fs(0), inverse-fs(2) and conv-fs(unit) are one form,
+        # fs(2) and inverse-fs(0) another, log-g2 and fs(1/2) a third), and
+        # one of the 17 lemma functionals
         assert len(reports) == 87
-        assert len(checked) == 87 - 5 * 5
+        assert [len(got) for got in checked] == [9] * 5 + [17]
 
 
 def _recorded_scan(functional, grid):
@@ -682,3 +702,85 @@ def test_a_tie_goes_to_the_smaller_alpha_across_collapsed_and_other_slices():
 def test_functional_may_return_a_scalar():
     grid = GridSpec.uniform(5)
     assert brute_force_sup(lambda c1, c2: 1.0, grid) == reference_sup(constant, grid)
+
+
+# ---------------------------------------------------------------------------
+# A stack: one scan for K functionals, each with its own result.
+
+def stack_of(*functionals):
+    return lambda c1, c2: tuple(f(c1, c2) for f in functionals)
+
+
+def class_stack():
+    """Class forms (mu_eff, wp2, wp3) of verify's closure, |a2| among them."""
+    forms = [(None, 1.0, 1.0), (0.0, 1.0, 1.0), (-2.0, 1.0, 1.0), (0.5 + 1.5j, 1.0, 1.0),
+             (0.0, 0.37, 0.21), (1.0, 0.37, 0.21), (None, 2.5, 0.5)]
+    return verify._stack_functional(ClassParams(0.5, 0.25, 2.5), forms)
+
+
+STACK_GRIDS = [GridSpec.uniform(12), GridSpec.uniform(60), MULTI_BLOCK, WIDE_UNALIGNED]
+
+
+@pytest.mark.parametrize("grid", STACK_GRIDS, ids=_grid_id)
+@pytest.mark.parametrize(
+    "stack",
+    [stack_of(*(fekete(v) for v in SEEDED_V[:6])),
+     stack_of(modulus_c1, fekete(SEEDED_V[6]), constant, fekete(0.0), modulus_c1),
+     class_stack()],
+    ids=["fekete", "mixed", "class"],
+)
+def test_each_member_of_a_stack_gets_its_own_scan(stack, grid):
+    got = brute_force_sup(stack, grid)
+    assert isinstance(got, list)
+    assert got == [brute_force_sup(member_of(stack, k), grid) for k in range(len(got))]
+    assert got == reference_sup(stack, grid)
+
+
+def one_pair(rho, tau):
+    """Invariant, peaked at one (rho, tau) pair of a uniform grid."""
+    def f(c1, c2):
+        radius = 2.0 - np.abs(c1) ** 2 / 2.0
+        return -np.abs(np.abs(c1) - 2.0 * rho) - np.abs(np.abs(c2 - c1**2 / 2) - radius * tau)
+    return f
+
+
+def test_a_member_with_one_kept_pair_keeps_its_own_witness():
+    grid = GridSpec.uniform(12)
+    rho, _, tau, _ = grid.axes
+    peaked = one_pair(rho[5], tau[7])
+    c1_col, radius_col = _leading(rho, grid.phases[0][0])
+    # alone, it keeps one (rho, tau) pair; the constant keeps every pair
+    keep = _candidate_pairs(peaked, grid, c1_col, radius_col, tau, grid.phases[1])
+    assert np.flatnonzero(keep).tolist() == [5 * 12 + 7]
+    assert _candidate_pairs(stack_of(peaked, constant), grid, c1_col, radius_col, tau,
+                            grid.phases[1]).all()
+    alone = brute_force_sup(peaked, grid)
+    for stack in (stack_of(peaked, constant), stack_of(constant, peaked)):
+        got = brute_force_sup(stack, grid)
+        assert got == reference_sup(stack, grid)
+        assert alone in got and brute_force_sup(constant, grid) in got
+    _, w = alone
+    assert abs(w.c1) == pytest.approx(2.0 * rho[5])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_a_nan_in_a_member_names_it(k):
+    grid = WIDE_UNALIGNED
+
+    def nan_at_rim(c1, c2):
+        return np.where(np.abs(c1) > 2.0 - 1e-9, np.nan, np.abs(c1))
+
+    members = [modulus_c1, constant, fekete(0.3 - 1.1j)]
+    members[k] = nan_at_rim
+    with pytest.raises(FunctionalIsNaN, match=r"NaN at \(rho, alpha, tau, beta\) = \(1, ") as exc:
+        brute_force_sup(stack_of(*members), grid)
+    assert exc.value.member == k
+    # a single functional is member 0
+    with pytest.raises(FunctionalIsNaN) as exc:
+        brute_force_sup(nan_at_rim, grid)
+    assert exc.value.member == 0
+
+
+def test_a_stack_of_one_returns_a_list_of_one():
+    grid = GridSpec.uniform(8)
+    assert brute_force_sup(stack_of(fekete(0.5)), grid) == [brute_force_sup(fekete(0.5), grid)]

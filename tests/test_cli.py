@@ -3,7 +3,6 @@ import io
 import json
 import subprocess
 import sys
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -344,8 +343,9 @@ def test_config_accepts_comments_blanks_and_every_known_key(capsys, tmp_path):
         (["--suite", "remarks", "--grid", "8", "--varkappa", "1e308"], "functional is NaN at"),
     ],
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy overflow at 1e308
 def test_verify_bad_value_exits_one(capsys, tmp_path, argv, message):
+    # no warning filter: numpy's overflow at 1e308 must not warn (pytest
+    # turns a warning into an error)
     out_path = tmp_path / "r.jsonl"
     code, out, err = run_cli(capsys, "verify", "--suite", "lemmas", "--out",
                              str(out_path), *argv)
@@ -353,6 +353,34 @@ def test_verify_bad_value_exits_one(capsys, tmp_path, argv, message):
     assert err.startswith("error:") and message in err
     assert len(err.splitlines()) == 1
     assert not out_path.exists()
+    if "NaN" in message:
+        # the error names the experiments whose form met the NaN
+        assert err.startswith("error: starlike|vk1e+308|a3, starlike|vk1e+308|fs(mu=0)")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table", "json"])
+def test_lemma_non_finite_result_exits_one(capsys, fmt):
+    # the bound 2|v - 1| and the supremum overflow to inf; inf - inf is a NaN gap
+    code, out, err = run_cli(capsys, "lemma", "--which", "4", "--v", "1e308",
+                             "--grid", "8", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err == "error: the result is not finite: bound inf, empirical_sup inf, gap nan\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--suite", "remarks", "--grid", "8", "--varkappa", "1e308"],
+     ["lemma", "--which", "4", "--v", "1e308", "--grid", "8"]],
+    ids=["verify", "lemma"],
+)
+def test_overflow_prints_one_error_line_and_no_warning(tmp_path, argv):
+    # a fresh interpreter with Python's default warning filters, as a shell
+    # user runs it
+    proc = subprocess.run([sys.executable, "-m", "gtnbounds.cli", *argv,
+                           *(["--out", str(tmp_path / "r.jsonl")] if argv[0] == "verify" else [])],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
 def test_oversized_grid_is_refused_before_allocation(capsys, tmp_path):
@@ -480,8 +508,7 @@ def hostile_argv(draw):
 @settings(max_examples=200, deadline=None, derandomize=True)
 def test_hostile_argv_exits_cleanly(hostile_work, argv):
     argv = [a.replace("{work}", str(hostile_work)) for a in argv]
-    with contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    # no warning filter: a numpy warning would be an error here
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = exit_code(argv)
     assert code in (0, 1, 2)

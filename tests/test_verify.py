@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -6,11 +7,18 @@ import pytest
 
 from gtnbounds import bounds, verify
 from gtnbounds.bazilevic import ClassParams
-from gtnbounds.caratheodory import CaratheodoryPoint, GridSpec, _evaluate, _leading
+from gtnbounds.caratheodory import (
+    FunctionalIsNaN,
+    GridSpec,
+    _evaluate,
+    _leading,
+    brute_force_sup,
+)
 from gtnbounds.verify import Functional
 
 SMALL = GridSpec.uniform(20)
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_a2_experiment_at_origin():
@@ -190,14 +198,48 @@ def test_shared_scans_give_the_reports_of_unshared_ones():
         assert shared == single, shared.experiment_id
 
 
-def test_full_suite_makes_62_scans(monkeypatch):
+def test_full_suite_makes_6_scans(monkeypatch):
     calls = _counting_scans(monkeypatch)
     reports, _ = verify.run_suite("full", 1.0, GridSpec.uniform(8))
-    # per preset, 14 class experiments: a3, fs(0), inverse-fs(2) and
-    # conv-fs(unit) are one scan, fs(2) and inverse-fs(0) another, and
-    # log-g2 = |a3 - a2^2/2| / 2 rides on the scan of fs(1/2)
+    # one stacked scan per preset, of its 14 class experiments' 9 forms
+    # (a3, fs(0), inverse-fs(2) and conv-fs(unit) are one form, fs(2) and
+    # inverse-fs(0) another, and log-g2 = |a3 - a2^2/2| / 2 reads fs(1/2)),
+    # and one of the 17 lemma experiments
     assert len(reports) == 5 * 14 + 17
-    assert len(calls) == 5 * (14 - 5) + 17 == 62
+    assert len(calls) == 5 + 1
+
+
+def test_traced_suite_counts_stacked_scans_inside_run_experiment():
+    # the benchmark's tracer counts scans and times the functional as
+    # verify.functional only when the scan runs inside run_experiment
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer().install()
+    try:
+        reports, _ = verify.run_suite("full", 1.0, GridSpec.uniform(8))
+    finally:
+        tracer.uninstall()
+    assert len(reports) == 87
+    assert tracer.stats["caratheodory.brute_force_sup"].calls == 6
+    assert tracer.stats["verify.functional"].calls > 0
+    assert "cli.functional" not in tracer.stats
+    assert verify.brute_force_sup is brute_force_sup
+
+
+def test_a_nan_names_the_experiments_of_its_form():
+    # at varkappa 1e308 a3 overflows and inf * 0 gives NaN; a2 stays finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as exc:
+            verify.run_suite("remarks", 1e308, GridSpec.uniform(8))
+    assert str(exc.value).startswith(
+        "starlike|vk1e+308|a3, starlike|vk1e+308|fs(mu=0): the functional is NaN at ")
+    assert isinstance(exc.value.__cause__, FunctionalIsNaN)
+    # a direct experiment names itself
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match=r"^vt0-kp0\|vk1e\+308\|fs\(mu=2\): "):
+            verify.run_experiment(Functional("fs", mu=2.0), ClassParams(0, 0, 1e308),
+                                  GridSpec.uniform(8))
 
 
 def test_no_scan_outlives_its_sweep(monkeypatch):
@@ -230,17 +272,21 @@ def _division_form(rel, vk, mu_eff, wp2, wp3):
     return func
 
 
-def _scanned_closure(monkeypatch, fn, params):
-    """The functional that ``run_experiment`` hands to the scan."""
+def _scanned_stacks(monkeypatch, params, functionals):
+    """The stack closure that a sweep of ``functionals`` at ``params`` hands
+    to the scan, with the form of each of its members."""
     seen = []
+    inner = verify.brute_force_sup
 
     def capture(functional, grid):
         seen.append(functional)
-        return 0.0, CaratheodoryPoint(0j, 0j)
+        return inner(functional, grid)
 
+    grid = GridSpec.uniform(2)
     monkeypatch.setattr(verify, "brute_force_sup", capture)
-    verify.run_experiment(fn, params, GridSpec.uniform(2))
-    return seen[0]
+    verify.sweep([("", params, None)], functionals, grid)
+    assert len(seen) == 1
+    return seen[0], list(dict.fromkeys(verify._member(fn, params, grid)[1] for fn in functionals))
 
 
 def _grid_slabs(grid):
@@ -281,13 +327,22 @@ def test_class_closure_equals_the_division_form_bit_for_bit(monkeypatch):
     experiments = _class_experiments()
     assert {fn.kind for _, fn in experiments} == {
         "a2", "a3", "fs", "inverse-fs", "log-g2", "conv-fs"}
+    by_params: dict = {}
     for params, fn in experiments:
-        scale, mu_eff, _, _ = verify._describe(fn, params, None)
-        func = _scanned_closure(monkeypatch, fn, params)
-        ref = _division_form(verify._relation(params), params.varkappa, mu_eff, fn.wp2, fn.wp3)
-        got, want = np.asarray(func(c1, c2)), np.asarray(ref(c1, c2))
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes(), (params, fn)
+        by_params.setdefault(params, []).append(fn)
+    checked = 0
+    for params, functionals in by_params.items():
+        stack, forms = _scanned_stacks(monkeypatch, params, functionals)
+        rel = verify._relation(params)
+        got = stack(c1, c2)
+        assert len(got) == len(forms)
+        for values, (mu_eff, wp2, wp3) in zip(got, forms):
+            want = np.asarray(_division_form(rel, params.varkappa, mu_eff, wp2, wp3)(c1, c2))
+            assert values.shape == want.shape
+            assert values.tobytes() == want.tobytes(), (params, mu_eff, wp2, wp3)
+            checked += 1
+    # 3 x 5 presets of 9 forms, and 6 seeded parameter points of 5
+    assert checked == 15 * 9 + 6 * 5
 
 
 def test_numpy_divides_complex_by_real_as_a_reciprocal_multiply():
