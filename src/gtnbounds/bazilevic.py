@@ -18,7 +18,17 @@ Writing W(f) = 1 + b1 z + b2 z^2 + ..., the grading a_n -> t^{n-1} a_n forces
 for constants depending only on (vartheta, kappa).  ``derive_relation``
 recovers (A2, A3, Aq) numerically from small perturbations of f = z; those
 oracle constants are exact up to rounding because the dependence is exactly
-linear/quadratic.  ``printed_relation`` returns the two printed variants of the
+linear/quadratic.
+
+Coefficient n of W(f) depends only on a2..a_{n+1}, and a_{n+1} enters it
+linearly with multiplier (n + kappa)(1 + n*vartheta): it adds
+(n + kappa) a_{n+1} z^n to zf'/(f^{1-k} z^k) and (n + kappa)(n + 1) a_{n+1} z^n
+to the first bracket, and the powers combine these as
+t(n + kappa)(n + 1) + (1 - t)(n + kappa).  At n = 1 and 2 the multiplier is
+A2 = (1+t)(1+k) and A3 = (1+2t)(2+k).  ``solve_from_schwarz`` divides by it to
+build class members order by order.
+
+``printed_relation`` returns the two printed variants of the
 same constants, which do not always agree with the oracle (measuring that gap
 is the point of this package).
 """
@@ -45,10 +55,6 @@ class PowerBranchFailure(ValueError):
 
 class NotSchwarz(ValueError):
     """The driving series must vanish at 0 and stay inside the unit disk."""
-
-
-class SolveSingular(ValueError):
-    """The linear coefficient on the next unknown vanished."""
 
 
 class WitnessUndefined(ValueError):
@@ -155,8 +161,12 @@ def derive_relation(params: ClassParams, eps: tuple[float, float] = (1e-3, 2e-3)
     linear in a3 plus quadratic in a2, so single small-parameter probes are
     exact up to rounding; two step sizes plus Richardson extrapolation guard
     against an implementation that broke that exactness.
+
+    The probes read only b1 and b2, which depend on a2 and a3 alone, so the
+    functional is evaluated at order 2 (f at order 3): the lower coefficients
+    of W(f) do not depend on the truncation order.
     """
-    order = 6
+    order = 2
     ests = []
     for e in eps:
         w_a2 = _b_coeffs(params, np.array([e, 0.0]), order)
@@ -197,11 +207,16 @@ def printed_relation(params: ClassParams, variant: str = "expansion") -> Coeffic
 def solve_from_schwarz(w: TruncatedSeries, params: ClassParams, order: int) -> TruncatedSeries:
     """Build f with W(f) = X(w(z)) coefficientwise, order by order.
 
-    Each unknown a_{n+1} enters coefficient n of W(f) affinely, so two
-    evaluations per step identify and solve the linear equation.
+    Coefficient n of W(f) depends only on a2..a_{n+1}, and a_{n+1} enters it
+    linearly with multiplier (n + kappa)(1 + n*vartheta), which is at least 1
+    for vartheta, kappa >= 0.  So each step evaluates the functional once, on
+    f truncated at order max(n + 1, 3) with a_{n+1} = 0, and divides the
+    residual by that multiplier.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
+    if not np.all(np.isfinite(w.coeffs.view(float))):
+        raise NotSchwarz("w must have finite coefficients")
     if abs(w.coeffs[0]) > 1e-9:
         raise NotSchwarz("w(0) must be 0")
     wmax = ps.boundary_max(w)
@@ -209,17 +224,12 @@ def solve_from_schwarz(w: TruncatedSeries, params: ClassParams, order: int) -> T
         raise NotSchwarz(f"|w| reaches {wmax:.6f} >= 1 on the sampling circle")
     work = max(order, 3)
     target = ps.compose(x_series(params.varkappa, work - 1), ps.truncate(w, work - 1))
+    t, k = params.vartheta, params.kappa
     fc = np.zeros(work + 1, dtype=complex)
     fc[1] = 1.0
     for n in range(1, work):
-        fc[n + 1] = 0.0
-        w0 = w_functional(TruncatedSeries(fc), params).coeffs[n]
-        fc[n + 1] = 1.0
-        w1 = w_functional(TruncatedSeries(fc), params).coeffs[n]
-        slope = w1 - w0
-        if abs(slope) < 1e-10:
-            raise SolveSingular(f"no linear response of coefficient {n} to a_{n + 1}")
-        fc[n + 1] = (target.coeffs[n] - w0) / slope
+        w0 = w_functional(TruncatedSeries(fc[: max(n + 1, 3) + 1]), params).coeffs[n]
+        fc[n + 1] = (target.coeffs[n] - w0) / ((n + k) * (1.0 + n * t))
     return TruncatedSeries(fc[: order + 1])
 
 

@@ -186,41 +186,40 @@ def pow_real(a: TruncatedSeries, e: float) -> TruncatedSeries:
     return exp_series(scale(log_series(a), e))
 
 
-def _compose_raw(outer: np.ndarray, inner: np.ndarray, n: int) -> np.ndarray:
-    # Horner evaluation of outer at the inner series, truncated at order n.
-    # outer[k] for k > n cannot reach order <= n because inner vanishes at 0.
-    r = np.zeros(n + 1, dtype=complex)
-    top = min(n, outer.size - 1)
-    r[0] = outer[top]
-    for k in range(top - 1, -1, -1):
-        r = np.convolve(r, inner[: n + 1])[: n + 1]
-        r[0] += outer[k]
-    return r
-
-
 def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
-    """outer(inner(z)); the inner series must vanish at 0."""
+    """outer(inner(z)); the inner series must vanish at 0.
+
+    Horner evaluation truncated at the smaller order n: outer[k] for k > n
+    cannot reach order <= n because inner vanishes at 0.
+    """
     if abs(inner.coeffs[0]) > UNIT_TOL:
         raise InnerConstantNonzero("inner series must have zero constant term")
     n = min(outer.order, inner.order)
-    return TruncatedSeries(_compose_raw(outer.coeffs, inner.coeffs, n))
+    oc, ic = outer.coeffs, inner.coeffs[: n + 1]
+    r = np.zeros(n + 1, dtype=complex)
+    r[0] = oc[n]
+    for k in range(n - 1, -1, -1):
+        r = np.convolve(r, ic)[: n + 1]
+        r[0] += oc[k]
+    return TruncatedSeries(r)
 
 
 def revert(a: TruncatedSeries) -> TruncatedSeries:
     """Compositional inverse: compose(a, revert(a)) = z up to the order.
 
-    Solved order by order: the unknown b[m] enters coefficient m of a(b(z))
-    only through the linear term a[1]*b[m].
+    Lagrange inversion: b[m] = [z^(m-1)] (z/a)^m / m, with z/a formed by one
+    division and its powers by running truncated products.
     """
     if abs(a.coeffs[0]) > UNIT_TOL or abs(a.coeffs[1]) <= UNIT_TOL:
         raise NotInvertible("need c0 = 0 and c1 != 0 for a compositional inverse")
     n = a.order
-    ac = a.coeffs
+    h = div(one(n - 1), TruncatedSeries(a.coeffs[1:])).coeffs   # z/a
     b = np.zeros(n + 1, dtype=complex)
-    b[1] = 1.0 / ac[1]
+    b[1] = h[0]
+    p = h
     for m in range(2, n + 1):
-        comp = _compose_raw(ac, b, m)
-        b[m] = -comp[m] / ac[1]
+        p = np.convolve(p, h)[:n]   # (z/a)^m
+        b[m] = p[m - 1] / m
     return TruncatedSeries(b)
 
 

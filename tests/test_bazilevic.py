@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from gtnbounds.bazilevic import (
     CoefficientRelation,
     NotNormalized,
     NotSchwarz,
+    _b_coeffs,
     derive_relation,
     membership_witness,
     printed_relation,
@@ -16,6 +18,8 @@ from gtnbounds.bazilevic import (
     w_functional,
 )
 from gtnbounds.series import TruncatedSeries
+from gtnbounds.telephone import x_series
+from gtnbounds.verify import build_suite
 
 
 def koebe(order):
@@ -121,6 +125,26 @@ def test_relation_matches_closed_forms_on_grid():
             assert rel.quad_a2 == pytest.approx(true_quad_a2(t, k), abs=1e-6)
 
 
+def _probe_params():
+    """Every full-suite preset plus a seeded sample of (vartheta, kappa)."""
+    rng = np.random.default_rng(17)
+    out = [p for _, p, _ in build_suite("full")[0]]
+    out += [ClassParams(0.0, 0.0, 1.0), ClassParams(1.0, 1.0, 1.0)]
+    out += [ClassParams(*rng.uniform(0.0, 3.0, 2), 1.0) for _ in range(60)]
+    return out
+
+
+def test_order_two_probes_equal_order_six_probes_bit_for_bit():
+    # b1 and b2 depend on a2 and a3 only, so derive_relation's order-2 probes
+    # read the same bits as probes at a higher order
+    for p in _probe_params():
+        for e in (1e-3, 2e-3, 0.37):
+            for extra in ([e, 0.0], [0.0, e], [e, -e]):
+                low = _b_coeffs(p, np.array(extra), 2)[:3]
+                high = _b_coeffs(p, np.array(extra), 6)[:3]
+                assert np.array_equal(low.view(float), high.view(float)), (p, extra)
+
+
 def test_relation_discrepancies_against_paper_variants_are_recorded_not_asserted():
     # at the origin the printed quadratic coefficient is -2 while the oracle
     # gives -1; both printed linear variants also differ from each other
@@ -168,12 +192,96 @@ def test_solve_rejects_non_schwarz():
         solve_from_schwarz(TruncatedSeries([0, 2.0], order=6), ClassParams(0, 0, 1), 6)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), -math.inf])
+def test_solve_rejects_non_finite_schwarz_series(bad):
+    for pos in (0, 1, 3):
+        c = np.array([0, 0.3, 0.1, -0.1, 0.05], dtype=complex)
+        c[pos] = bad
+        with pytest.raises(NotSchwarz, match="finite"):
+            solve_from_schwarz(TruncatedSeries(c), ClassParams(0.3, 0.7, 1.5), 6)
+
+
+def _reference_solve(w, params, order):
+    """The solver as first written: each slope is measured with a second
+    full-order evaluation of the functional."""
+    work = max(order, 3)
+    target = ps.compose(x_series(params.varkappa, work - 1), ps.truncate(w, work - 1))
+    fc = np.zeros(work + 1, dtype=complex)
+    fc[1] = 1.0
+    for n in range(1, work):
+        fc[n + 1] = 0.0
+        w0 = w_functional(TruncatedSeries(fc), params).coeffs[n]
+        fc[n + 1] = 1.0
+        w1 = w_functional(TruncatedSeries(fc), params).coeffs[n]
+        fc[n + 1] = (target.coeffs[n] - w0) / (w1 - w0)
+    return TruncatedSeries(fc[: order + 1])
+
+
+def _schwarz(rng, kind, order):
+    """A seeded Schwarz function: r e^{is} z, r e^{is} z^2, or the Blaschke
+    product r z (z + a)/(1 + conj(a) z) with |a| <= 0.5, all with r <= 0.9."""
+    r = rng.uniform(0.3, 0.9)
+    rot = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    c = np.zeros(order + 1, dtype=complex)
+    if kind == "rotation":
+        c[1] = r * rot
+    elif kind == "rotation-z2":
+        c[2] = r * rot
+    else:
+        a = 0.5 * math.sqrt(rng.uniform()) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        c[1] = r * a
+        for n in range(2, order + 1):
+            c[n] = r * (-a.conjugate()) ** (n - 2) * (1.0 - abs(a) ** 2)
+    return TruncatedSeries(c)
+
+
+def _seeded_cases():
+    rng = np.random.default_rng(29)
+    for kind in ("rotation", "rotation-z2", "blaschke"):
+        for order in [*range(4, 13), 20]:
+            params = ClassParams(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0.5, 4))
+            yield _schwarz(rng, kind, order), params, order
+    yield _schwarz(rng, "blaschke", 9), ClassParams(0.0, 0.0, 1.0), 9
+    yield _schwarz(rng, "blaschke", 9), ClassParams(1.0, 1.0, 2.0), 9
+
+
+def test_solve_matches_two_evaluation_reference():
+    for w, p, order in _seeded_cases():
+        got = solve_from_schwarz(w, p, order).coeffs
+        want = _reference_solve(w, p, order).coeffs
+        assert got.size == want.size == order + 1
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (p, order)
+
+
+def test_slope_is_the_closed_form_multiplier():
+    # coefficient n of W(f) is affine in a_{n+1} with slope (n + k)(1 + n t),
+    # at f = z and at a solved member alike
+    rng = np.random.default_rng(31)
+    tk = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    tk += [tuple(rng.uniform(0.0, 2.0, 2)) for _ in range(4)]
+    for t, k in tk:
+        p = ClassParams(t, k, 1.0)
+        member = solve_from_schwarz(_schwarz(rng, "blaschke", 12), p, 12).coeffs
+        for base in (ps.identity(12).coeffs, member):
+            measured = {}
+            for n in range(1, 12):
+                fc = base.copy()
+                fc[n + 1] = 0.0
+                w0 = w_functional(TruncatedSeries(fc), p).coeffs[n]
+                fc[n + 1] = 1.0
+                w1 = w_functional(TruncatedSeries(fc), p).coeffs[n]
+                measured[n] = w1 - w0
+                slope = (n + k) * (1.0 + n * t)
+                assert abs(measured[n] - slope) <= 1e-12 * slope, (t, k, n)
+            assert abs(measured[1] - p.W) <= 1e-12 * p.W
+            a3_lin = printed_relation(p, "expansion").linear_a3
+            assert abs(measured[2] - a3_lin) <= 1e-12 * a3_lin
+
+
 def test_solve_matches_functional_target():
     w = TruncatedSeries([0, 0.4, 0.2, -0.1], order=9)
     p = ClassParams(0.3, 0.7, 1.5)
     f = solve_from_schwarz(w, p, 9)
-    from gtnbounds.telephone import x_series
-
     target = ps.compose(x_series(p.varkappa, 8), ps.truncate(w, 8))
     assert ps.max_coeff_diff(w_functional(f, p), target) <= 1e-9
 
