@@ -9,12 +9,18 @@ lines), which overrides built-in defaults.  Exit codes: 0 success, 1 usage
 error, 2 soundness violation in ``verify``.  ``verify`` prints its summary on
 stdout and a digest on stderr: the first report of each discrepancy ID and
 the report with the tightest oracle gap.
+
+``main`` may be called many times in one process.  The parser is built on
+the first call and reused by every later one, so each subparser's handler is
+bound once: to change what a command does, patch what its handler calls
+(``gtn_sequence``, ``verify.run_suite``, ...), not the handler itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -118,7 +124,9 @@ def load_config(path: str | None) -> dict:
             raise ValueError(f"{where}: unknown key {key!r}")
         try:
             if key in ("vartheta", "kappa", "varkappa"):
-                cfg[key] = float(Fraction(value))
+                # exact for gtn; float() refuses a value that overflows it
+                cfg[key] = Fraction(value)
+                float(cfg[key])
             elif key == "grid":
                 cfg[key] = int(value)
             elif value in FORMATS:
@@ -214,15 +222,13 @@ def _check_index(flag: str, n: int) -> None:
 
 def cmd_gtn(args, cfg) -> int:
     _check_index("--max-n", args.max_n)
-    vk = args.varkappa if args.varkappa is not None else Fraction(
-        str(cfg.get("varkappa", BUILTIN_DEFAULTS["varkappa"]))
-    )
+    vk = Fraction(_resolve(args, cfg, "varkappa"))
+    values = gtn_sequence(vk, args.max_n)  # refuses a negative weight first
     if vk < 1:
         print(
             "warning: the telephone-number interpretation assumes varkappa >= 1",
             file=sys.stderr,
         )
-    values = gtn_sequence(vk, args.max_n)
     rows = [
         {"n": n, "value": int(v) if v.denominator == 1 else str(v)}
         for n, v in enumerate(values)
@@ -458,7 +464,14 @@ def cmd_verify(args, cfg) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> CliParser:
+    """The argument parser, built on the first call and shared by every later
+    one.  Reuse is safe because parsing never changes the parser: every
+    default is immutable (``None``, str, int, float or complex) and no action
+    accumulates values across calls; help and usage look up ``sys.stdout``
+    and ``sys.stderr`` when they print.  ``build_parser.__wrapped__()``
+    builds a fresh one."""
     common = CliParser(add_help=False)
     common.add_argument("--vartheta", type=_parse_finite, default=None,
                         help="class exponent parameter (>= 0)")

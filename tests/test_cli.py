@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -68,6 +69,26 @@ def test_gtn_prints_every_row_up_to_the_limit(capsys):
     assert (code, err) == (0, "")
     lines = out.splitlines()
     assert len(lines) == MAX_INDEX + 2 and lines[-1].startswith(f"{MAX_INDEX},")
+
+
+def test_gtn_config_weight_stays_exact(capsys, tmp_path):
+    cfg = tmp_path / "vk.cfg"
+    cfg.write_text("varkappa = 7/3\n")
+    flag = run_cli(capsys, "gtn", "--varkappa", "7/3", "--max-n", "4")
+    config = run_cli(capsys, "--config", str(cfg), "gtn", "--max-n", "4")
+    assert config == flag
+    assert "10/3" in flag[1]  # 1 + 7/3
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_gtn_negative_weight_prints_one_error_line(capsys, tmp_path, where):
+    cfg = tmp_path / "vk.cfg"
+    cfg.write_text("varkappa = -1\n")
+    argv = (["gtn", "--varkappa", "-1"] if where == "flag"
+            else ["--config", str(cfg), "gtn"])
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: the weight parameter must be >= 0\n"
 
 
 INDEX_REQUESTS = [
@@ -512,3 +533,60 @@ def test_hostile_argv_exits_cleanly(hostile_work, argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = exit_code(argv)
     assert code in (0, 1, 2)
+
+
+# Parser reuse: ``main`` builds the parser once per process.
+
+def _parsers(parser):
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_parser_is_built_once():
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+
+
+def test_parser_defaults_are_immutable():
+    parsers = list(_parsers(cli_mod.build_parser()))
+    assert len(parsers) == 1 + len(SUBCOMMANDS)
+    for parser in parsers:
+        for action in parser._actions:
+            assert action.default is None or isinstance(
+                action.default, (str, int, float, complex, bool)
+            ), (parser.prog, action.dest, action.default)
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = exit_code(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_reused_parser_answers_as_a_fresh_one(tmp_path, monkeypatch):
+    (tmp_path / "identity.txt").write_text("0 1 0 0 0 0\n")
+    requests = [
+        ["bound", "a4"],
+        ["--help"],
+        ["gtn", "--varkappa", "7/2", "--max-n", "4"],
+        ["xseries", "--order", "4", "--format", "csv"],
+        ["bound", "a3", "--kappa", "1"],
+        ["fs", "--mu", "0.25", "--varkappa", "2"],
+        ["inverse-fs", "--hbar", "0"],
+        ["log-coeff", "--format", "json"],
+        ["conv-fs", "--dist", "poisson", "--dist-param", "1"],
+        ["dist", "--kind", "pascal", "--param", "0.5", "--s", "2", "--max-n", "5"],
+        ["member", "--f-coeffs", str(tmp_path / "identity.txt")],
+        ["lemma", "--which", "3", "--v", "1,1", "--grid", "4"],
+        ["verify", "--suite", "lemmas", "--grid", "4", "--out", str(tmp_path / "r.jsonl")],
+    ]
+    assert {argv[0] for argv in requests[2:]} == set(SUBCOMMANDS)
+    reused = [_outcome(argv) for _ in range(2) for argv in requests]
+    monkeypatch.setattr(cli_mod, "build_parser", cli_mod.build_parser.__wrapped__)
+    fresh = [_outcome(argv) for _ in range(2) for argv in requests]
+    assert [code for code, _, _ in fresh[:2]] == [1, 0]
+    assert all(code == 0 for code, _, _ in fresh[2:len(requests)])
+    assert reused == fresh
