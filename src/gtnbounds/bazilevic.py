@@ -128,7 +128,7 @@ def w_functional(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
     """Evaluate the class functional as a series of order f.order - 1."""
     if f.order < 3:
         raise NotNormalized("need at least order 3 to form the functional")
-    if abs(f.coeffs[0]) > 1e-9 or abs(f.coeffs[1] - 1.0) > 1e-9:
+    if not (abs(f.coeffs[0]) <= 1e-9 and abs(f.coeffs[1] - 1.0) <= 1e-9):  # NaN fails
         raise NotNormalized("f must have f(0) = 0 and f'(0) = 1")
     n = f.order - 1
     f_over_z = TruncatedSeries(f.coeffs[1:])              # f/z, constant 1

@@ -15,11 +15,13 @@ the derived argument (continuous across both printed knots, and identical to
 the printed expressions everywhere except a window above the upper knot), and
 ``as_printed`` is the verbatim branch expression together with a
 non-positivity flag.
+
+Each ``max(x, 1.0)`` puts the computed ``x`` first so that a NaN stays NaN:
+``max(1.0, nan)`` is 1.0, a wrong finite bound.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 
 from gtnbounds.bazilevic import ClassParams
@@ -28,22 +30,6 @@ from gtnbounds.caratheodory import lemma1_bound
 
 class ZeroConvolutionCoefficient(ValueError):
     """Convolution weights must be strictly positive."""
-
-
-@dataclass(frozen=True)
-class FeketeSzegoInputs:
-    params: ClassParams
-    mu: complex = 0.0
-    hbar: complex = 0.0
-    wp2: float = 1.0
-    wp3: float = 1.0
-
-    def __post_init__(self):
-        values = (self.mu, self.hbar, self.wp2, self.wp3)
-        if not all(cmath.isfinite(x) for x in values):
-            raise ValueError("mu, hbar, wp2 and wp3 must all be finite")
-        if self.wp2 <= 0 or self.wp3 <= 0:
-            raise ZeroConvolutionCoefficient("wp2 and wp3 must be > 0")
 
 
 BRANCH_BELOW = "below-sigma1"
@@ -70,7 +56,7 @@ def a2_bound(params: ClassParams) -> float:
 def a3_bound(params: ClassParams) -> float:
     """|a3| <= (1/L) max(1, |msq/W^2 + (1+vk)/2|)."""
     inner = params.msq / params.W**2 + (1.0 + params.varkappa) / 2.0
-    return (1.0 / params.L) * max(1.0, abs(inner))
+    return (1.0 / params.L) * max(abs(inner), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -80,26 +66,26 @@ def a3_bound(params: ClassParams) -> float:
 def a3_printed_subclass_kappa(kappa: float, varkappa: float) -> float:
     """vartheta = 0 family, parametrized by kappa."""
     inner = (kappa**2 + 8.0 * kappa + 3.0) / (2.0 * (1.0 + kappa) ** 2) + varkappa
-    return max(1.0, abs(inner)) / (2.0 * (1.0 + 2.0 * kappa))
+    return max(abs(inner), 1.0) / (2.0 * (1.0 + 2.0 * kappa))
 
 
 def a3_printed_subclass_starlike(varkappa: float) -> float:
-    return 0.5 * max(1.0, abs(1.5 + varkappa))
+    return 0.5 * max(abs(1.5 + varkappa), 1.0)
 
 
 def a3_printed_subclass_convex(varkappa: float) -> float:
-    return max(1.0, abs(0.5 + varkappa)) / 6.0
+    return max(abs(0.5 + varkappa), 1.0) / 6.0
 
 
 def a3_printed_subclass_theta(vartheta: float, varkappa: float) -> float:
     """kappa = 0 family, parametrized by vartheta."""
     inner = (vartheta**2 + vartheta - 2.0) / (1.0 + vartheta) ** 2 - 1.0 - varkappa
-    return max(1.0, 0.5 * abs(inner)) / (vartheta + 2.0)
+    return max(0.5 * abs(inner), 1.0) / (vartheta + 2.0)
 
 
 def a3_printed_subclass_mixed(varkappa: float) -> float:
     """The vartheta = 1, kappa = 0 preset."""
-    return max(1.0, 0.5 * abs(1.0 + varkappa)) / 3.0
+    return max(0.5 * abs(1.0 + varkappa), 1.0) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +133,7 @@ def fs_real(params: ClassParams, mu: float) -> PiecewiseVerdict:
 def fs_complex(params: ClassParams, mu: complex) -> float:
     """(1/L) max(1, |1 + vk + (2 msq - 2 mu L)/W^2| / 2) for complex mu."""
     inner = 1.0 + params.varkappa + (2.0 * params.msq - 2.0 * mu * params.L) / params.W**2
-    return (1.0 / params.L) * max(1.0, 0.5 * abs(inner))
+    return (1.0 / params.L) * max(0.5 * abs(inner), 1.0)
 
 
 def fs_complex_alternate(params: ClassParams) -> float:
@@ -172,7 +158,7 @@ def inverse_d3_bound(params: ClassParams) -> tuple[float, float]:
     inner = (
         -(1.0 + params.varkappa) * params.W**2 - 2.0 * params.msq + 4.0 * params.L
     ) / (2.0 * params.W**2)
-    printed = (1.0 / (2.0 * params.L)) * max(1.0, abs(inner))
+    printed = (1.0 / (2.0 * params.L)) * max(abs(inner), 1.0)
     return printed, fs_complex(params, 2.0)
 
 
@@ -183,7 +169,7 @@ def inverse_fs(params: ClassParams, hbar: complex) -> float:
         + 2.0 * params.msq
         + 2.0 * params.L * (hbar - 2.0)
     ) / (2.0 * params.W**2)
-    return (1.0 / params.L) * max(1.0, abs(inner))
+    return (1.0 / params.L) * max(abs(inner), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +181,7 @@ def log_coeff_bounds(params: ClassParams) -> tuple[float, float]:
     implies (discrepancy D3)."""
     g1 = 1.0 / (2.0 * params.W)
     inner = 1.0 + params.varkappa + (2.0 * params.msq - params.L) / params.W**2
-    g2 = (1.0 / params.L) * max(1.0, 0.5 * abs(inner))
+    g2 = (1.0 / params.L) * max(0.5 * abs(inner), 1.0)
     return g1, g2
 
 
@@ -223,7 +209,7 @@ def conv_fs_complex(params: ClassParams, mu: complex, wp2: float, wp3: float) ->
         + 2.0 * params.msq / w2sq
         + 2.0 * mu * (params.vartheta + 2.0) * (1.0 + 2.0 * params.kappa) * wp3 / w2sq
     )
-    return (2.0 / (params.L * wp3)) * max(1.0, 0.5 * abs(inner))
+    return (2.0 / (params.L * wp3)) * max(0.5 * abs(inner), 1.0)
 
 
 def conv_fs_real(params: ClassParams, mu: float, wp2: float, wp3: float) -> PiecewiseVerdict:

@@ -109,13 +109,14 @@ def lemma1_bound(v: float) -> float:
 
 
 def lemma3_bound(v: complex) -> float:
-    """Sharp bound for |c2 - v c1^2| with complex v: 2*max(1, |2v - 1|)."""
-    return 2.0 * max(1.0, abs(2.0 * v - 1.0))
+    """Sharp bound for |c2 - v c1^2| with complex v: 2*max(1, |2v - 1|).
+    Here and in lemma4_bound the computed value comes first, so NaN stays NaN."""
+    return 2.0 * max(abs(2.0 * v - 1.0), 1.0)
 
 
 def lemma4_bound(hbar: complex) -> float:
     """Sharp bound for |c2 - hbar*c1^2/2|: max(2, 2|hbar - 1|)."""
-    return max(2.0, 2.0 * abs(hbar - 1.0))
+    return max(2.0 * abs(hbar - 1.0), 2.0)
 
 
 # One array of values, or a stack: a tuple of arrays, one per member

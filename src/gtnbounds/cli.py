@@ -1,14 +1,18 @@
 """Command-line entry point.
 
 Subcommands: gtn, xseries, bound, fs, inverse-fs, log-coeff, conv-fs, dist,
-member, lemma, verify.  Every subcommand supports ``--format json|csv|table``;
-machine formats print floats with 12 significant digits, tables with 6.
+member, lemma, verify; each accepts only the flags its handler reads.  Every
+handler but ``cmd_verify`` returns its rows, which :func:`main` prints with
+:func:`emit_rows` in the ``--format`` json, csv or table (machine formats
+print floats with 12 significant digits, tables with 6).  ``cmd_verify``
+writes its reports, prints its summary on stdout and a digest on stderr (the
+first report of each discrepancy ID and the report with the tightest oracle
+gap) and returns the exit code.
 
 Flag values override an optional ``--config FILE`` (simple ``key=value``
-lines), which overrides built-in defaults.  Exit codes: 0 success, 1 usage
-error, 2 soundness violation in ``verify``.  ``verify`` prints its summary on
-stdout and a digest on stderr: the first report of each discrepancy ID and
-the report with the tightest oracle gap.
+lines), which overrides built-in defaults; a command ignores the keys it
+does not read.  Exit codes: 0 success, 1 usage error, 2 soundness violation
+in ``verify``.
 
 ``main`` may be called many times in one process.  The parser is built on
 the first call and reused by every later one, so each subparser's handler is
@@ -19,6 +23,7 @@ bound once: to change what a command does, patch what its handler calls
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import functools
 import json
@@ -31,13 +36,7 @@ import numpy as np
 
 from gtnbounds import bounds, verify
 from gtnbounds.bazilevic import ClassParams, membership_witness
-from gtnbounds.caratheodory import (
-    GridSpec,
-    brute_force_sup,
-    lemma1_bound,
-    lemma3_bound,
-    lemma4_bound,
-)
+from gtnbounds.caratheodory import GridSpec
 from gtnbounds.distributions import coefficients
 from gtnbounds.series import TruncatedSeries
 from gtnbounds.telephone import gtn_sequence, x_series
@@ -213,14 +212,14 @@ def emit_rows(rows: list[dict], fmt: str, stream=None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers (return process exit codes)
+# Subcommand handlers (each returns its rows; cmd_verify its exit code)
 
 def _check_index(flag: str, n: int) -> None:
     if n > MAX_INDEX:
         raise ValueError(f"{flag} {n} is more than the limit of {MAX_INDEX}")
 
 
-def cmd_gtn(args, cfg) -> int:
+def cmd_gtn(args, cfg) -> list[dict]:
     _check_index("--max-n", args.max_n)
     vk = Fraction(_resolve(args, cfg, "varkappa"))
     values = gtn_sequence(vk, args.max_n)  # refuses a negative weight first
@@ -229,116 +228,89 @@ def cmd_gtn(args, cfg) -> int:
             "warning: the telephone-number interpretation assumes varkappa >= 1",
             file=sys.stderr,
         )
-    rows = [
-        {"n": n, "value": int(v) if v.denominator == 1 else str(v)}
-        for n, v in enumerate(values)
-    ]
     try:
-        emit_rows(rows, _resolve(args, cfg, "format"))
+        # every format prints each value as str() does, and fails where it does
+        texts = [str(v) for v in values]
     except ValueError as exc:  # the only one: an int too long to print
         raise ValueError(
             f"a value has more than {sys.get_int_max_str_digits()} digits; "
             "lower --max-n or --varkappa"
         ) from exc
-    return 0
+    return [
+        {"n": n, "value": int(v) if v.denominator == 1 else text}
+        for n, (v, text) in enumerate(zip(values, texts))
+    ]
 
 
-def cmd_xseries(args, cfg) -> int:
+def cmd_xseries(args, cfg) -> list[dict]:
     _check_index("--order", args.order)
     vk = float(_resolve(args, cfg, "varkappa"))
     xs = x_series(vk, args.order)
-    rows = [{"n": n, "coefficient": float(c.real)} for n, c in enumerate(xs.coeffs)]
-    emit_rows(rows, _resolve(args, cfg, "format"))
-    return 0
+    return [{"n": n, "coefficient": float(c.real)} for n, c in enumerate(xs.coeffs)]
 
 
-def cmd_bound(args, cfg) -> int:
+def cmd_bound(args, cfg) -> list[dict]:
     p = _params(args, cfg)
     value = bounds.a2_bound(p) if args.which == "a2" else bounds.a3_bound(p)
-    emit_rows(
-        [{"bound": args.which, "vartheta": p.vartheta, "kappa": p.kappa,
-          "varkappa": p.varkappa, "value": value}],
-        _resolve(args, cfg, "format"),
-    )
-    return 0
+    return [{"bound": args.which, "vartheta": p.vartheta, "kappa": p.kappa,
+             "varkappa": p.varkappa, "value": value}]
 
 
-def cmd_fs(args, cfg) -> int:
+def cmd_fs(args, cfg) -> list[dict]:
     p = _params(args, cfg)
     mu = args.mu
-    fmt = _resolve(args, cfg, "format")
     if mu.imag == 0.0:
         verdict = bounds.fs_real(p, mu.real)
-        emit_rows(
-            [{
-                "mu": mu.real,
-                "value": verdict.value,
-                "branch": verdict.branch,
-                "sigma1": verdict.sigma1,
-                "sigma2": verdict.sigma2,
-                "aleph": verdict.aleph,
-                "as_printed": verdict.as_printed,
-                "printed_nonpositive": verdict.printed_nonpositive,
-            }],
-            fmt,
-        )
-    else:
-        emit_rows(
-            [{
-                "mu": mu,
-                "value": bounds.fs_complex(p, mu),
-                "alternate_prefactor_value":
-                    bounds.fs_complex(p, mu) * p.L * bounds.fs_complex_alternate(p),
-            }],
-            fmt,
-        )
-    return 0
+        return [{
+            "mu": mu.real,
+            "value": verdict.value,
+            "branch": verdict.branch,
+            "sigma1": verdict.sigma1,
+            "sigma2": verdict.sigma2,
+            "aleph": verdict.aleph,
+            "as_printed": verdict.as_printed,
+            "printed_nonpositive": verdict.printed_nonpositive,
+        }]
+    return [{
+        "mu": mu,
+        "value": bounds.fs_complex(p, mu),
+        "alternate_prefactor_value":
+            bounds.fs_complex(p, mu) * p.L * bounds.fs_complex_alternate(p),
+    }]
 
 
-def cmd_inverse_fs(args, cfg) -> int:
+def cmd_inverse_fs(args, cfg) -> list[dict]:
     p = _params(args, cfg)
     d2_stated, d2_oracle = bounds.inverse_d2_bound(p)
     d3_stated, d3_mu2 = bounds.inverse_d3_bound(p)
-    emit_rows(
-        [{
-            "hbar": args.hbar,
-            "value": bounds.inverse_fs(p, args.hbar),
-            "d2_as_stated": d2_stated,
-            "d2_oracle": d2_oracle,
-            "d3_as_stated": d3_stated,
-            "d3_mu2_value": d3_mu2,
-        }],
-        _resolve(args, cfg, "format"),
-    )
-    return 0
+    return [{
+        "hbar": args.hbar,
+        "value": bounds.inverse_fs(p, args.hbar),
+        "d2_as_stated": d2_stated,
+        "d2_oracle": d2_oracle,
+        "d3_as_stated": d3_stated,
+        "d3_mu2_value": d3_mu2,
+    }]
 
 
-def cmd_log_coeff(args, cfg) -> int:
+def cmd_log_coeff(args, cfg) -> list[dict]:
     p = _params(args, cfg)
     g1, g2 = bounds.log_coeff_bounds(p)
-    emit_rows(
-        [{"g1": g1, "g2_as_stated": g2, "g2_half_fs": bounds.log_gamma2_oracle(p)}],
-        _resolve(args, cfg, "format"),
-    )
-    return 0
+    return [{"g1": g1, "g2_as_stated": g2, "g2_half_fs": bounds.log_gamma2_oracle(p)}]
 
 
 def _conv_weights(args) -> tuple[float, float, str]:
     if args.dist == "custom":
         return args.wp2, args.wp3, "custom"
     if args.dist_param is None:
-        raise argparse.ArgumentTypeError(f"--dist {args.dist} needs --dist-param")
+        raise ValueError(f"--dist {args.dist} needs --dist-param")
     d = coefficients(args.dist, args.dist_param, max_n=3, s=args.s)
     return d.wp2, d.wp3, f"{args.dist}({args.dist_param:g})"
 
 
-def cmd_conv_fs(args, cfg) -> int:
+def cmd_conv_fs(args, cfg) -> list[dict]:
     p = _params(args, cfg)
-    try:
-        wp2, wp3, label = _conv_weights(args)
-    except argparse.ArgumentTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    wp2, wp3, label = _conv_weights(args)
     row = {
         "dist": label,
         "wp2": wp2,
@@ -355,16 +327,13 @@ def cmd_conv_fs(args, cfg) -> int:
             piecewise_value=verdict.value,
             as_printed=verdict.as_printed,
         )
-    emit_rows([row], _resolve(args, cfg, "format"))
-    return 0
+    return [row]
 
 
-def cmd_dist(args, cfg) -> int:
+def cmd_dist(args, cfg) -> list[dict]:
     _check_index("--max-n", args.max_n)
     d = coefficients(args.kind, args.param, max_n=args.max_n, s=args.s)
-    rows = [{"n": n, "coefficient": d.wp(n)} for n in range(2, args.max_n + 1)]
-    emit_rows(rows, _resolve(args, cfg, "format"))
-    return 0
+    return [{"n": n, "coefficient": d.wp(n)} for n in range(2, args.max_n + 1)]
 
 
 def _read_coeffs(path: str) -> TruncatedSeries:
@@ -381,58 +350,42 @@ def _read_coeffs(path: str) -> TruncatedSeries:
             ) from None
     else:
         coeffs = [complex(float(tok), 0.0) for tok in text.replace(",", " ").split()]
+    if not all(map(cmath.isfinite, coeffs)):
+        raise ValueError(f"{path}: every coefficient must be finite")
     return TruncatedSeries(coeffs)
 
 
-def cmd_member(args, cfg) -> int:
+def cmd_member(args, cfg) -> list[dict]:
     p = _params(args, cfg)
     f = _read_coeffs(args.f_coeffs)
     witness, sup_norm = membership_witness(f, p)
     threshold = 1.0 - 1e-6
-    emit_rows(
-        [{
-            "sup_norm": sup_norm,
-            "threshold": threshold,
-            "verdict": "member" if sup_norm < threshold else "not-member",
-            "witness_order": witness.order,
-        }],
-        _resolve(args, cfg, "format"),
-    )
-    return 0
+    return [{
+        "sup_norm": sup_norm,
+        "threshold": threshold,
+        "verdict": "member" if sup_norm < threshold else "not-member",
+        "witness_order": witness.order,
+    }]
 
 
-def cmd_lemma(args, cfg) -> int:
+def cmd_lemma(args, cfg) -> list[dict]:
     v = args.v
-    grid = _grid(args, cfg)
-    if args.which == "1":
-        stated = lemma1_bound(v.real)
-        veff = complex(v.real, 0.0)
-    elif args.which == "3":
-        stated = lemma3_bound(v)
-        veff = v
-    else:
-        stated = lemma4_bound(v)
-        veff = v / 2.0
-    sup, witness = brute_force_sup(
-        lambda c1, c2: np.abs(c2 - veff * c1**2), grid
-    )
+    fn = verify.Functional(f"lemma{args.which}", v=complex(v.real) if args.which == "1" else v)
+    r = verify.run_experiment(fn, ClassParams(0.0, 0.0, 1.0), _grid(args, cfg), "caratheodory")
+    stated, sup = r.as_stated, r.empirical_sup
     gap = stated - sup
     if not all(map(math.isfinite, (stated, sup, gap))):
         raise ValueError(f"the result is not finite: bound {stated:g}, "
                          f"empirical_sup {sup:g}, gap {gap:g}")
-    emit_rows(
-        [{
-            "which": args.which,
-            "v": v,
-            "bound": stated,
-            "empirical_sup": sup,
-            "gap": gap,
-            "witness_c1": complex(witness.c1),
-            "witness_c2": complex(witness.c2),
-        }],
-        _resolve(args, cfg, "format"),
-    )
-    return 0
+    return [{
+        "which": args.which,
+        "v": v,
+        "bound": stated,
+        "empirical_sup": sup,
+        "gap": gap,
+        "witness_c1": complex(r.witness.c1),
+        "witness_c2": complex(r.witness.c2),
+    }]
 
 
 def cmd_verify(args, cfg) -> int:
@@ -472,28 +425,29 @@ def build_parser() -> CliParser:
     accumulates values across calls; help and usage look up ``sys.stdout``
     and ``sys.stderr`` when they print.  ``build_parser.__wrapped__()``
     builds a fresh one."""
-    common = CliParser(add_help=False)
+    fmt = CliParser(add_help=False)
+    fmt.add_argument("--format", choices=FORMATS, default=None)
+    weight = CliParser(add_help=False)
+    weight.add_argument("--varkappa", type=_parse_finite, default=None,
+                        help="subordination weight (>= 0)")
+    common = CliParser(add_help=False, parents=[weight, fmt])
     common.add_argument("--vartheta", type=_parse_finite, default=None,
                         help="class exponent parameter (>= 0)")
     common.add_argument("--kappa", type=_parse_finite, default=None,
                         help="class weight parameter (>= 0)")
-    common.add_argument("--varkappa", type=_parse_finite, default=None,
-                        help="subordination weight (>= 0)")
-    common.add_argument("--format", choices=FORMATS, default=None)
 
     parser = CliParser(prog="gtnbounds",
                        description="coefficient-bound verification toolkit")
     parser.add_argument("--config", default=None, help="key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gtn", help="generalized telephone number sequence")
+    p = sub.add_parser("gtn", parents=[fmt], help="generalized telephone number sequence")
     p.add_argument("--varkappa", type=_parse_rational, default=None,
                    help="weight, rational syntax allowed (e.g. 7/2)")
     p.add_argument("--max-n", type=int, default=10)
-    p.add_argument("--format", choices=FORMATS, default=None)
     p.set_defaults(handler=cmd_gtn)
 
-    p = sub.add_parser("xseries", parents=[common],
+    p = sub.add_parser("xseries", parents=[weight, fmt],
                        help="Taylor coefficients of exp(z + varkappa z^2/2)")
     p.add_argument("--order", type=int, default=10)
     p.set_defaults(handler=cmd_xseries)
@@ -527,7 +481,7 @@ def build_parser() -> CliParser:
     p.add_argument("--mu", type=_parse_complex, default=complex(0.0))
     p.set_defaults(handler=cmd_conv_fs)
 
-    p = sub.add_parser("dist", parents=[common], help="distribution coefficients")
+    p = sub.add_parser("dist", parents=[fmt], help="distribution coefficients")
     p.add_argument("--kind", choices=("poisson", "borel", "pascal"), required=True)
     p.add_argument("--param", type=_parse_finite, required=True)
     p.add_argument("--s", type=int, default=1)
@@ -540,14 +494,14 @@ def build_parser() -> CliParser:
                    help="file with coefficients from z^0 (text or JSON list)")
     p.set_defaults(handler=cmd_member)
 
-    p = sub.add_parser("lemma", parents=[common],
+    p = sub.add_parser("lemma", parents=[fmt],
                        help="coefficient-body bound vs. brute-force supremum")
     p.add_argument("--which", choices=("1", "3", "4"), required=True)
     p.add_argument("--v", type=_parse_complex, required=True)
     p.add_argument("--grid", type=int, default=None)
     p.set_defaults(handler=cmd_lemma)
 
-    p = sub.add_parser("verify", parents=[common], help="run a verification suite")
+    p = sub.add_parser("verify", parents=[weight], help="run a verification suite")
     p.add_argument("--suite", choices=("remarks", "lemmas", "full"), default="remarks")
     p.add_argument("--grid", type=int, default=None)
     p.add_argument("--out", default=None, help="JSONL output path (appended)")
@@ -572,12 +526,18 @@ def main(argv: list[str] | None = None) -> int:
         # scan refuses or a non-finite result a command refuses, each with
         # one error line, so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return args.handler(args, cfg)
+            if args.command == "verify":  # it prints its own output
+                return args.handler(args, cfg)
+            emit_rows(args.handler(args, cfg), _resolve(args, cfg, "format"))
+            return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:
         print(f"error: the inputs overflow the computation: {exc}", file=sys.stderr)
+        return 1
+    except ZeroDivisionError as exc:  # a float product that underflows to 0
+        print(f"error: the inputs underflow the computation: {exc}", file=sys.stderr)
         return 1
 
 

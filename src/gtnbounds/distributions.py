@@ -121,7 +121,7 @@ def coefficients(kind: str, param: float, max_n: int, s: int = 1) -> Distributio
 
 def convolve(f: TruncatedSeries, d: DistributionCoeffs) -> TruncatedSeries:
     """Termwise product: coefficient n becomes wp(n) * a_n for n >= 2."""
-    if abs(f.coeffs[0]) > 1e-12 or abs(f.coeffs[1] - 1.0) > 1e-12:
+    if not (abs(f.coeffs[0]) <= 1e-12 and abs(f.coeffs[1] - 1.0) <= 1e-12):  # NaN fails
         raise ValueError("f must be normalized (f(0) = 0, f'(0) = 1)")
     if f.order > d.max_n:
         raise OrderMismatch(

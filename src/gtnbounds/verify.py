@@ -27,7 +27,8 @@ Every class functional is ``scale * |a3 - mu_eff a2^2|``, or ``|a2|``:
 ``conv-fs``, ``(1, 2 - hbar)`` for ``inverse-fs`` and ``(1/2, 1/2)`` for
 ``log-g2``.  :func:`_form` gives that form, :func:`_describe` the printed
 bound and the extra discrepancy of each kind, and :func:`oracle` bounds the
-form.  The lemma functionals are ``|c2 - v c1^2|``.
+form.  The lemma functionals are ``|c2 - v c1^2|``, and ``|c2 - v c1^2 / 2|``
+for ``lemma4``: :data:`LEMMA_BOUNDS` gives each one's printed bound.
 
 Experiments that scan the same (c1, c2) body share one scan: within one
 :func:`sweep` call, the class experiments with the same parameters and grid
@@ -61,12 +62,18 @@ from gtnbounds.caratheodory import (
     brute_force_sup,
     lemma1_bound,
     lemma3_bound,
+    lemma4_bound,
 )
 from gtnbounds.distributions import coefficients
 
 SOUNDNESS_TOL = 1e-9
 
-DISCREPANCY_IDS = ("D1", "D2", "D3", "D4", "D5")
+# The printed bound of each lemma kind, by its ``v``
+LEMMA_BOUNDS: dict[str, Callable[[complex], float]] = {
+    "lemma1": lambda v: lemma1_bound(v.real),
+    "lemma3": lemma3_bound,
+    "lemma4": lemma4_bound,
+}
 
 
 class EmptySweep(ValueError):
@@ -77,7 +84,7 @@ class EmptySweep(ValueError):
 class Functional:
     """Descriptor of one verified functional."""
 
-    kind: str  # a2 | a3 | fs | inverse-fs | log-g2 | conv-fs | lemma1 | lemma3
+    kind: str  # a2 | a3 | fs | inverse-fs | log-g2 | conv-fs | lemma1 | lemma3 | lemma4
     mu: complex = 0.0
     hbar: complex = 0.0
     wp2: float = 1.0
@@ -92,7 +99,7 @@ class Functional:
             return f"inverse-fs(hbar={_cnum(self.hbar)})"
         if self.kind == "conv-fs":
             return f"conv-fs(mu={_cnum(self.mu)},dist={self.dist_label})"
-        if self.kind in ("lemma1", "lemma3"):
+        if self.kind in LEMMA_BOUNDS:
             return f"{self.kind}(v={_cnum(self.v)})"
         return self.kind
 
@@ -230,9 +237,9 @@ def _member(fn: Functional, params: ClassParams, grid: GridSpec) -> tuple:
     the body it scans, the form of its member in that body's stack and the
     scale of the result.  Class experiments scan ``(params, grid)`` with
     the form ``(mu_eff, wp2, wp3)``; lemma experiments scan ``(None, grid)``
-    with the form ``v``."""
-    if fn.kind in ("lemma1", "lemma3"):
-        return (None, grid), fn.v, 1.0
+    with the form ``v``, or ``v / 2`` for ``lemma4``."""
+    if fn.kind in LEMMA_BOUNDS:
+        return (None, grid), fn.v / 2.0 if fn.kind == "lemma4" else fn.v, 1.0
     scale, mu_eff = _form(fn)
     return (params, grid), (mu_eff, fn.wp2, fn.wp3), scale
 
@@ -341,10 +348,9 @@ def run_experiment(
     vk = params.varkappa
     body, form, scale = _member(functional, params, grid)
     experiment_id = _experiment_id(functional, params, preset_id)
-    if functional.kind in ("lemma1", "lemma3"):
-        v = functional.v
-        stated = lemma1_bound(v.real) if functional.kind == "lemma1" else lemma3_bound(v)
-        oracle_value, discrepancies = lemma3_bound(v), []
+    if functional.kind in LEMMA_BOUNDS:
+        stated = LEMMA_BOUNDS[functional.kind](functional.v)
+        oracle_value, discrepancies = lemma3_bound(form), []
     else:
         stated, discrepancies = _describe(functional, params, subclass_a3)
         oracle_value = scale * oracle(_relation(params), vk, form[0],

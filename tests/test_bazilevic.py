@@ -98,6 +98,14 @@ def test_functional_requires_normalization():
         w_functional(TruncatedSeries([0, 1]), ClassParams(0, 0, 1))
 
 
+@pytest.mark.parametrize("coeffs", [[math.nan, 1, 0, 0], [0, math.nan, 0, 0],
+                                    [0, complex(1, math.nan), 0, 0]])
+def test_functional_rejects_nan_normalization_terms(coeffs):
+    # abs(nan) > 1e-9 is False: the check must fail a NaN, not pass it
+    with pytest.raises(NotNormalized):
+        w_functional(TruncatedSeries(coeffs), ClassParams(0, 0, 1))
+
+
 # --- relation oracle ---------------------------------------------------------
 
 @pytest.mark.parametrize(

@@ -243,19 +243,34 @@ def test_conv_rejects_zero_weights():
         bounds.conv_fs_complex(P000, 0.0, 0.0, 1.0)
     with pytest.raises(bounds.ZeroConvolutionCoefficient):
         bounds.conv_fs_real(P000, 0.0, 1.0, -1.0)
-    with pytest.raises(bounds.ZeroConvolutionCoefficient):
-        bounds.FeketeSzegoInputs(P000, wp2=0.0)
 
 
-@pytest.mark.parametrize(
-    "field,value",
-    [("mu", math.nan), ("mu", complex(0.5, math.inf)), ("hbar", complex(math.nan, 0.0)),
-     ("hbar", -math.inf), ("wp2", math.inf), ("wp2", math.nan), ("wp3", math.inf)],
-)
-def test_fs_inputs_reject_non_finite_values(field, value):
-    with pytest.raises(ValueError, match="finite"):
-        bounds.FeketeSzegoInputs(P000, **{field: value})
-    assert bounds.FeketeSzegoInputs(P000, mu=2 + 1j, hbar=-1.5, wp2=0.5, wp3=3.0)
+class NaNQuadratic(ClassParams):
+    """Class parameters whose quadratic combination msq is NaN."""
+
+    msq = math.nan
+
+
+NAN_BOUNDS = {
+    "a3_bound": lambda: bounds.a3_bound(NaNQuadratic(0.0, 0.0, 1.0)),
+    "subclass_kappa": lambda: bounds.a3_printed_subclass_kappa(0.5, math.nan),
+    "subclass_starlike": lambda: bounds.a3_printed_subclass_starlike(math.nan),
+    "subclass_convex": lambda: bounds.a3_printed_subclass_convex(math.nan),
+    "subclass_theta": lambda: bounds.a3_printed_subclass_theta(0.5, math.nan),
+    "subclass_mixed": lambda: bounds.a3_printed_subclass_mixed(math.nan),
+    # 2 mu L with mu = 1e308 i is (0 + inf i)(L + 0i), whose real part is inf * 0
+    "fs_complex": lambda: bounds.fs_complex(P000, complex(0.0, 1e308)),
+    "inverse_d3_bound": lambda: bounds.inverse_d3_bound(NaNQuadratic(0.0, 0.0, 1.0))[0],
+    "inverse_fs": lambda: bounds.inverse_fs(P000, complex(math.nan, 0.0)),
+    "log_coeff_bounds": lambda: bounds.log_coeff_bounds(NaNQuadratic(0.0, 0.0, 1.0))[1],
+    "conv_fs_complex": lambda: bounds.conv_fs_complex(P000, complex(0.0, 1e308), 1.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("formula", sorted(NAN_BOUNDS))
+def test_bound_formulas_propagate_nan(formula):
+    # max(1.0, nan) is 1.0: a NaN inside a formula must not print as a finite bound
+    assert math.isnan(NAN_BOUNDS[formula]())
 
 
 def test_conv_real_large_mu_is_positive():

@@ -94,6 +94,16 @@ def test_lemma4_is_lemma3_at_half_argument(hbar):
     assert lemma4_bound(hbar) == pytest.approx(lemma3_bound(hbar / 2), abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "bound,v",
+    [(lemma1_bound, math.nan), (lemma3_bound, math.nan), (lemma3_bound, complex(0.5, math.nan)),
+     (lemma4_bound, math.nan), (lemma4_bound, complex(math.nan, 0.0))],
+)
+def test_lemma_bounds_propagate_nan(bound, v):
+    # max(1.0, nan) is 1.0: a NaN argument must not become a finite bound
+    assert math.isnan(bound(v))
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(1, 10, 10, 10)

@@ -1,15 +1,20 @@
 import argparse
 import contextlib
+import csv
 import io
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtnbounds import cli as cli_mod
+from gtnbounds.caratheodory import GridSpec, brute_force_sup
 from gtnbounds.cli import FORMATS, MAX_INDEX, emit_rows, main
 
 SUBCOMMANDS = [
@@ -454,24 +459,124 @@ def test_overflowing_inputs_exit_one(capsys, argv):
     assert err.startswith("error: the inputs overflow the computation")
 
 
+@pytest.mark.parametrize("sub", ["fs", "conv-fs"])
+def test_nan_bound_prints_nan_and_json_exits_one(capsys, sub):
+    # 2 mu L at mu = 1e308 i has the real part inf * 0, a NaN that max(1.0, .)
+    # used to turn into the finite bound 1
+    code, out, err = run_cli(capsys, sub, "--mu", "0,1e308", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert next(csv.DictReader(io.StringIO(out)))["value"] == "nan"
+    code, out, err = run_cli(capsys, sub, "--mu", "0,1e308", "--format", "json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("mu", ["0", "0,1"])
+def test_conv_fs_underflowing_weights_exit_one(capsys, mu):
+    # (W wp2)^2 underflows to 0, and the formulas divide by it
+    code, out, err = run_cli(capsys, "conv-fs", "--wp2", "1e-200", "--wp3", "1e-200",
+                             "--mu", mu)
+    assert (code, out) == (1, "")
+    assert err == "error: the inputs underflow the computation: float division by zero\n"
+
+
+def test_conv_fs_distribution_without_parameter_exits_one(capsys):
+    code, out, err = run_cli(capsys, "conv-fs", "--dist", "poisson")
+    assert (code, out, err) == (1, "", "error: --dist poisson needs --dist-param\n")
+
+
+@pytest.mark.parametrize(
+    "text", ["nan 1 0 0\n", "0 1 inf 0\n", "[NaN, 1, 0]", "[[0, 0], [1, Infinity]]"])
+def test_member_non_finite_coefficient_exits_one(capsys, tmp_path, text):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "member", "--f-coeffs", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: every coefficient must be finite\n"
+
+
+# Each subcommand accepts only the flags its handler reads.
+REMOVED_FLAGS = [
+    *((["xseries"], flag) for flag in ("--vartheta", "--kappa")),
+    *((argv, flag) for argv in (["dist", "--kind", "poisson", "--param", "1"],
+                                ["lemma", "--which", "3", "--v", "1", "--grid", "4"])
+      for flag in ("--vartheta", "--kappa", "--varkappa")),
+    *((["verify", "--suite", "lemmas", "--grid", "4", "--out", "{work}/r.jsonl"], flag)
+      for flag in ("--vartheta", "--kappa", "--format")),
+]
+
+
+@pytest.mark.parametrize("argv, flag", REMOVED_FLAGS,
+                         ids=[f"{argv[0]} {flag}" for argv, flag in REMOVED_FLAGS])
+def test_subcommand_rejects_a_flag_it_does_not_read(capsys, tmp_path, argv, flag):
+    value = "json" if flag == "--format" else "0.5"
+    argv = [a.replace("{work}", str(tmp_path)) for a in argv]
+    assert exit_code([*argv, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: gtnbounds")
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+def _bits(z) -> tuple[str, str]:
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()
+
+
+@pytest.mark.parametrize("grid", [4, 8, 16])
+@pytest.mark.parametrize(
+    "which, v", [("1", "1.825"), ("1", "-0.649,-1.678"), ("3", "2.006"),
+                 ("3", "0.838,0.155"), ("4", "-0.197"), ("4", "-0.048,-1.137")])
+def test_lemma_matches_a_direct_scan_bit_for_bit(monkeypatch, which, v, grid):
+    rows = []
+    monkeypatch.setattr(cli_mod, "emit_rows", lambda r, fmt: rows.extend(r))
+    assert main(["lemma", "--which", which, f"--v={v}", "--grid", str(grid)]) == 0
+    z = cli_mod._parse_complex(v)
+    veff = {"1": complex(z.real, 0.0), "3": z, "4": z / 2.0}[which]
+    sup, witness = brute_force_sup(lambda c1, c2: np.abs(c2 - veff * c1**2),
+                                   GridSpec.uniform(grid))
+    (row,) = rows
+    assert row["empirical_sup"].hex() == sup.hex()
+    assert _bits(row["witness_c1"]) == _bits(witness.c1)
+    assert _bits(row["witness_c2"]) == _bits(witness.c2)
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each ``gtnbounds ...`` line of README's command-line block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("gtnbounds ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_line_examples_run(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.txt").write_text("0 1 0 0 0 0\n")  # the identity function
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+
+
 # ---------------------------------------------------------------------------
 # Hostile argv: any mix of real subcommands and flags with hostile values must
 # end in exit code 0, 1 or 2, never in an escaped exception.
 
 HOSTILE = ["nan", "inf", "-inf", "-0", "1e309", "", "abc", "1/0", "1,nan", "--"]
-NUMBERS = ["0", "1", "0.5", "2.5", "-1", "1e308", "1,1", "-0.5,2"]
+NUMBERS = ["0", "1", "0.5", "2.5", "-1", "1e308", "1,1", "-0.5,2", "1e-200", "0,1e308"]
 GRIDS = ["-3", "0", "1", "129", str(10**20), "2", "3", "8", "16", "2.5", "nan"]
 COUNTS = ["-3", "0", "1", "3", "6", "x"]
 FORMAT_VALUES = ["json", "csv", "table", "xml", ""]
 NUMBER = HOSTILE + NUMBERS
-CLASS_FLAGS = {"--vartheta": NUMBER, "--kappa": NUMBER, "--varkappa": NUMBER,
-               "--format": FORMAT_VALUES}
+FORMAT = {"--format": FORMAT_VALUES}
+WEIGHT = {"--varkappa": NUMBER}
+CLASS_FLAGS = {**WEIGHT, **FORMAT, "--vartheta": NUMBER, "--kappa": NUMBER}
 
 # subcommand -> (required argv choices, optional flags with their values)
 SPECS = {
     "gtn": ([[]], {"--varkappa": NUMBER + ["7/2", "-1/2"], "--max-n": COUNTS,
                    "--format": FORMAT_VALUES}),
-    "xseries": ([[]], {**CLASS_FLAGS, "--order": COUNTS}),
+    "xseries": ([[]], {**WEIGHT, **FORMAT, "--order": COUNTS}),
     "bound": ([["a2"], ["a3"], ["a4"], [""]], CLASS_FLAGS),
     "fs": ([[]], {**CLASS_FLAGS, "--mu": NUMBER}),
     "inverse-fs": ([[]], {**CLASS_FLAGS, "--hbar": NUMBER}),
@@ -482,17 +587,17 @@ SPECS = {
                        "--wp3": NUMBER, "--mu": NUMBER}),
     "dist": ([["--kind", k, "--param", p] for k in ("poisson", "borel", "pascal", "")
               for p in ("1", "0.5", "nan", "-0", "")],
-             {**CLASS_FLAGS, "--s": COUNTS, "--max-n": COUNTS}),
+             {**FORMAT, "--s": COUNTS, "--max-n": COUNTS}),
     "member": ([["--f-coeffs", "{work}/" + name] for name in
                 ("identity.txt", "koebe.txt", "empty.txt", "bad.json", "missing.txt")],
                CLASS_FLAGS),
     "lemma": ([["--which", w, "--v", v] for w in ("1", "3", "4", "2")
                for v in ("0.5", "1,1", "nan", "1e308", "")],
-              {**CLASS_FLAGS, "--grid": GRIDS}),
+              {**FORMAT, "--grid": GRIDS}),
     # verify always gets a grid, so a valid run stays at grid 16 or less
     "verify": ([["--suite", s, "--out", "{work}/r.jsonl", "--grid", g]
                 for s in ("remarks", "lemmas", "full", "none") for g in GRIDS],
-               CLASS_FLAGS),
+               WEIGHT),
 }
 CONFIGS = {
     "ok.cfg": "grid = 8\nformat = json\n",

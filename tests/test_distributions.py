@@ -136,3 +136,10 @@ def test_convolve_order_mismatch():
     d = coefficients("poisson", 1.0, 3)
     with pytest.raises(OrderMismatch):
         convolve(TruncatedSeries([0, 1, 1, 1, 1], order=4), d)
+
+
+@pytest.mark.parametrize("coeffs", [[math.nan, 1, 0, 0], [0, math.nan, 0, 0]])
+def test_convolve_rejects_nan_normalization_terms(coeffs):
+    d = coefficients("poisson", 1.0, 3)
+    with pytest.raises(ValueError, match="normalized"):
+        convolve(TruncatedSeries(coeffs), d)

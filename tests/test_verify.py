@@ -13,6 +13,8 @@ from gtnbounds.caratheodory import (
     _evaluate,
     _leading,
     brute_force_sup,
+    lemma3_bound,
+    lemma4_bound,
 )
 from gtnbounds.verify import Functional
 
@@ -129,6 +131,20 @@ def test_lemma_suite_reports():
     for r in reports:
         assert r.empirical_sup <= r.oracle + verify.SOUNDNESS_TOL
         assert r.as_stated == pytest.approx(r.oracle) or r.functional.startswith("lemma1")
+
+
+@pytest.mark.parametrize("hbar", [0.0, 3.0, complex(-0.048, -1.137)])
+def test_lemma4_experiment_scans_half_hbar(hbar):
+    # |c2 - hbar c1^2 / 2| is the lemma-3 functional at v = hbar / 2
+    r = verify.run_experiment(Functional("lemma4", v=hbar), ClassParams(0, 0, 1), SMALL,
+                              "caratheodory")
+    half = verify.run_experiment(Functional("lemma3", v=hbar / 2.0), ClassParams(0, 0, 1),
+                                 SMALL, "caratheodory")
+    assert r.experiment_id.endswith(f"|lemma4(v={verify._cnum(hbar)})")
+    assert r.as_stated == lemma4_bound(hbar)
+    assert r.oracle == half.oracle == lemma3_bound(hbar / 2.0)
+    assert (r.empirical_sup, r.witness) == (half.empirical_sup, half.witness)
+    assert r.sound and r.discrepancies == []
 
 
 def test_unknown_suite_rejected():
