@@ -28,6 +28,14 @@ t(n + kappa)(n + 1) + (1 - t)(n + kappa).  At n = 1 and 2 the multiplier is
 A2 = (1+t)(1+k) and A3 = (1+2t)(2+k).  ``solve_from_schwarz`` divides by it to
 build class members order by order.
 
+With B = zf'/(f^{1-k} z^k), log B = log f' + (k-1) log(f/z); as zf''/f' =
+z(log f')' and zf'/f - 1 = z(log(f/z))', the first bracket is B + z(log B)',
+so W(f) = exp(t log(B + z(log B)') + (1-t) log B).  Online log/exp
+recurrences give coefficient n of log(f/z), log f', B, the bracket's log and
+W from lower ones and a_{n+1}: ``solve_from_schwarz`` needs one pass and no
+``w_functional`` call.  ``w_functional`` stays: report bytes depend on the
+last bits ``derive_relation`` reads from it, and member checks compare both.
+
 ``printed_relation`` returns the two printed variants of the
 same constants, which do not always agree with the oracle (measuring that gap
 is the point of this package).
@@ -154,7 +162,11 @@ def _b_coeffs(params: ClassParams, extra: np.ndarray, order: int) -> np.ndarray:
     return w_functional(TruncatedSeries(c), params).coeffs
 
 
-def derive_relation(params: ClassParams, eps: tuple[float, float] = (1e-3, 2e-3)) -> CoefficientRelation:
+#: the two probe step sizes of ``derive_relation``
+PROBE_STEPS = (1e-3, 2e-3)
+
+
+def derive_relation(params: ClassParams) -> CoefficientRelation:
     """Recover the true (linear_a2, linear_a3, quad_a2) numerically.
 
     The grading argument makes b1 exactly linear in a2, and b2 exactly
@@ -168,7 +180,7 @@ def derive_relation(params: ClassParams, eps: tuple[float, float] = (1e-3, 2e-3)
     """
     order = 2
     ests = []
-    for e in eps:
+    for e in PROBE_STEPS:
         w_a2 = _b_coeffs(params, np.array([e, 0.0]), order)
         w_a3 = _b_coeffs(params, np.array([0.0, e]), order)
         ests.append(
@@ -204,14 +216,55 @@ def printed_relation(params: ClassParams, variant: str = "expansion") -> Coeffic
     return CoefficientRelation(params.W, lin3, params.msq)
 
 
+def _w_recurrence(params: ClassParams, order: int, next_coeff) -> tuple[list, list]:
+    """Coefficients 0..order of f and 0..order-1 of W(f), one index at a time.
+
+    Step n forms coefficient n of each series below with a_{n+1} = 0, from
+    lower coefficients only; a_{n+1} = next_coeff(n, W_n, slope), and each
+    coefficient n then gains its own slope times a_{n+1}.
+    """
+    t, k = params.vartheta, params.kappa
+    fz, fp, b, br, wv = ([1.0 + 0j] for _ in range(5))  # f/z, f', B, bracket, W
+    l1, l2, lb, l3, g = ([0j] for _ in range(5))  # log(f/z), log f', log B, log bracket, log W
+    for n in range(1, order):
+        # sum_{j<n} j x_j y_{n-j}: what coefficient n of y = exp(x), or of
+        # x = log y (negated), takes from the lower coefficients
+        q1 = q2 = qb = q3 = qw = 0j
+        for j in range(1, n):
+            m = n - j
+            q1 += j * l1[j] * fz[m]
+            q2 += j * l2[j] * fp[m]
+            qb += j * lb[j] * b[m]
+            q3 += j * l3[j] * br[m]
+            qw += j * g[j] * wv[m]
+        r1 = -q1 / n
+        r2 = -q2 / n
+        rlb = r2 + (k - 1.0) * r1
+        rb = rlb + qb / n
+        rbr = rb + n * rlb
+        r3 = rbr - q3 / n
+        rg = t * r3 + (1.0 - t) * rlb
+        rw = rg + qw / n
+        s1 = n + k
+        s2 = s1 * (n + 1)
+        slope = s1 * (1.0 + n * t)
+        x = next_coeff(n, rw, slope)
+        for series, rest, dx in ((fz, 0j, 1), (l1, r1, 1), (fp, 0j, n + 1), (l2, r2, n + 1),
+                                 (lb, rlb, s1), (b, rb, s1), (br, rbr, s2), (l3, r3, s2),
+                                 (g, rg, slope), (wv, rw, slope)):
+            series.append(rest + dx * x)
+    return [0j] + fz, wv
+
+
 def solve_from_schwarz(w: TruncatedSeries, params: ClassParams, order: int) -> TruncatedSeries:
     """Build f with W(f) = X(w(z)) coefficientwise, order by order.
 
     Coefficient n of W(f) depends only on a2..a_{n+1}, and a_{n+1} enters it
-    linearly with multiplier (n + kappa)(1 + n*vartheta), which is at least 1
-    for vartheta, kappa >= 0.  So each step evaluates the functional once, on
-    f truncated at order max(n + 1, 3) with a_{n+1} = 0, and divides the
-    residual by that multiplier.
+    linearly with slope (n + kappa)(1 + n*vartheta), which is at least 1 for
+    vartheta, kappa >= 0.  So a_{n+1} is the residual of X(w) against
+    coefficient n of W(f) at a_{n+1} = 0, divided by that slope.
+    ``_w_recurrence`` gives every coefficient in one pass, with no call to
+    ``w_functional`` (the module docstring says why that one is kept).
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -222,15 +275,10 @@ def solve_from_schwarz(w: TruncatedSeries, params: ClassParams, order: int) -> T
     wmax = ps.boundary_max(w)
     if wmax >= 1.0:
         raise NotSchwarz(f"|w| reaches {wmax:.6f} >= 1 on the sampling circle")
-    work = max(order, 3)
-    target = ps.compose(x_series(params.varkappa, work - 1), ps.truncate(w, work - 1))
-    t, k = params.vartheta, params.kappa
-    fc = np.zeros(work + 1, dtype=complex)
-    fc[1] = 1.0
-    for n in range(1, work):
-        w0 = w_functional(TruncatedSeries(fc[: max(n + 1, 3) + 1]), params).coeffs[n]
-        fc[n + 1] = (target.coeffs[n] - w0) / ((n + k) * (1.0 + n * t))
-    return TruncatedSeries(fc[: order + 1])
+    target = ps.compose(x_series(params.varkappa, order - 1), ps.truncate(w, order - 1))
+    xw = target.coeffs.tolist()
+    fc, _ = _w_recurrence(params, order, lambda n, rest, slope: (xw[n] - rest) / slope)
+    return TruncatedSeries(fc)
 
 
 def membership_witness(f: TruncatedSeries, params: ClassParams) -> tuple[TruncatedSeries, float]:

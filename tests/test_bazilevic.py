@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gtnbounds import bazilevic
 from gtnbounds import series as ps
 from gtnbounds.bazilevic import (
     ClassParams,
@@ -11,6 +12,7 @@ from gtnbounds.bazilevic import (
     NotNormalized,
     NotSchwarz,
     _b_coeffs,
+    _w_recurrence,
     derive_relation,
     membership_witness,
     printed_relation,
@@ -259,6 +261,66 @@ def test_solve_matches_two_evaluation_reference():
         want = _reference_solve(w, p, order).coeffs
         assert got.size == want.size == order + 1
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (p, order)
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_solve_matches_reference_at_lowest_orders(order):
+    # the solver pads nothing: order 2 yields a2 alone, order 3 a2 and a3
+    rng = np.random.default_rng(37)
+    for kind in ("rotation", "rotation-z2", "blaschke"):
+        for t, k in [(0.0, 0.0), (1.0, 1.0), (0.4, 2.5), (2.0, 0.3)]:
+            p = ClassParams(t, k, rng.uniform(0.5, 4.0))
+            w = _schwarz(rng, kind, order)
+            got = solve_from_schwarz(w, p, order).coeffs
+            want = _reference_solve(w, p, order).coeffs
+            assert got.size == want.size == order + 1
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (p, kind)
+
+
+def test_recurrence_equals_functional():
+    # f is scaled so that sum n|a_n| = 1/2: then f' and f/z have no zero in
+    # the closed disk.  Near such a zero log f' grows geometrically and both
+    # derivations of W lose digits alike (about 1e-10 of the largest
+    # coefficient at order 20, against 50-digit arithmetic).
+    rng = np.random.default_rng(43)
+    tk = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (2.5, 0.3), (0.4, 3.0), (1.7, 1.9)]
+    for order in range(3, 21):
+        for t, k in tk:
+            raw = rng.normal(size=order - 1) + 1j * rng.normal(size=order - 1)
+            raw *= 0.5 / np.sum(np.arange(2, order + 1) * np.abs(raw))
+            c = np.concatenate(([0.0, 1.0], raw))
+            p = ClassParams(t, k, 1.0)
+            fc, wc = _w_recurrence(p, order, lambda n, rest, slope: c[n + 1])
+            want = w_functional(TruncatedSeries(c), p).coeffs
+            assert np.array_equal(np.array(fc), c)
+            assert len(wc) == want.size == order
+            assert np.max(np.abs(np.array(wc) - want)) <= 1e-13 * np.max(np.abs(want)), (p, order)
+
+
+def test_solve_never_evaluates_the_functional(monkeypatch):
+    calls = []
+    original = bazilevic.w_functional
+
+    def counted(f, params):
+        calls.append(f.order)
+        return original(f, params)
+
+    monkeypatch.setattr(bazilevic, "w_functional", counted)
+    for w, p, order in _seeded_cases():
+        solve_from_schwarz(w, p, order)
+    assert calls == []
+    bazilevic.membership_witness(ps.identity(4), ClassParams(0, 0, 1))
+    assert calls == [4]  # the counter does see a call that is made
+
+
+def test_solve_at_order_sixty_hits_the_target():
+    rng = np.random.default_rng(47)
+    for t, k in [(0.0, 0.0), (1.0, 1.0), (0.6, 0.2), (1.5, 2.0)]:
+        w = _schwarz(rng, "blaschke", 60)
+        p = ClassParams(t, k, rng.uniform(0.5, 4.0))
+        f = solve_from_schwarz(w, p, 60)
+        target = ps.compose(x_series(p.varkappa, 59), ps.truncate(w, 59))
+        assert ps.max_coeff_diff(w_functional(f, p), target) <= 1e-9, p
 
 
 def test_slope_is_the_closed_form_multiplier():
