@@ -33,8 +33,13 @@ z(log f')' and zf'/f - 1 = z(log(f/z))', the first bracket is B + z(log B)',
 so W(f) = exp(t log(B + z(log B)') + (1-t) log B).  Online log/exp
 recurrences give coefficient n of log(f/z), log f', B, the bracket's log and
 W from lower ones and a_{n+1}: ``solve_from_schwarz`` needs one pass and no
-``w_functional`` call.  ``w_functional`` stays: report bytes depend on the
-last bits ``derive_relation`` reads from it, and member checks compare both.
+``w_functional`` call.  ``w_functional`` keeps its own arithmetic, the product
+bracket^t * base^{1-t} of two ``pow_real`` powers: report bytes depend on the
+last bits ``derive_relation`` reads from it (the scan's witness is the exact
+maximum, so rounding noise picks it among tied grid points), and member checks
+compare both derivations.  ``membership_witness`` needs log W, not W, so it
+reads log W = t log(bracket) + (1-t) log(base) from the same two bases
+(``_brackets``) without the exp and log of the powers and their product.
 
 ``printed_relation`` returns the two printed variants of the
 same constants, which do not always agree with the oracle (measuring that gap
@@ -132,8 +137,9 @@ class CoefficientRelation:
             raise ValueError("the linear multipliers must be positive")
 
 
-def w_functional(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
-    """Evaluate the class functional as a series of order f.order - 1."""
+def _brackets(f: TruncatedSeries, params: ClassParams) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """The two bracket bases of W(f), each of order f.order - 1: the first
+    bracket and zf'/(f^{1-k} z^k), both with constant term 1."""
     if f.order < 3:
         raise NotNormalized("need at least order 3 to form the functional")
     if not (abs(f.coeffs[0]) <= 1e-9 and abs(f.coeffs[1] - 1.0) <= 1e-9):  # NaN fails
@@ -148,6 +154,12 @@ def w_functional(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
     bracket = ps.add(ps.add(base, ratio), ps.scale(u - ps.one(n), params.kappa - 1.0))
     if abs(base.coeffs[0] - 1.0) > 1e-9 or abs(bracket.coeffs[0] - 1.0) > 1e-9:
         raise PowerBranchFailure("bracket base lost its unit constant term")
+    return bracket, base
+
+
+def w_functional(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
+    """Evaluate the class functional as a series of order f.order - 1."""
+    bracket, base = _brackets(f, params)
     return ps.mul(
         ps.pow_real(bracket, params.vartheta),
         ps.pow_real(base, 1.0 - params.vartheta),
@@ -284,8 +296,17 @@ def solve_from_schwarz(w: TruncatedSeries, params: ClassParams, order: int) -> T
 def membership_witness(f: TruncatedSeries, params: ClassParams) -> tuple[TruncatedSeries, float]:
     """Recover the driving series w with X(w) = W(f) and report its maximum
     modulus over 256 samples of |z| = 0.99; callers compare that sup-norm
-    against 1 to decide membership."""
-    g = ps.log_series(w_functional(f, params))
+    against 1 to decide membership.
+
+    log X(w) = w + varkappa w^2 / 2 is read from
+    log W(f) = vartheta log(bracket) + (1 - vartheta) log(base).  A log of
+    weight 0 is skipped, as ``ps.pow_real`` skips it in ``w_functional``:
+    0 * inf would otherwise turn a finite witness into ``WitnessUndefined``.
+    """
+    bracket, base = _brackets(f, params)
+    t = params.vartheta
+    logs = [ps.scale(ps.log_series(b), e) for b, e in ((bracket, t), (base, 1.0 - t)) if e != 0]
+    g = logs[0] if len(logs) == 1 else ps.add(*logs)
     n = g.order
     vk = params.varkappa
     wc = np.zeros(n + 1, dtype=complex)

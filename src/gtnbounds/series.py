@@ -2,13 +2,17 @@
 
 A series is a dense coefficient vector ``c[0..N]`` for an explicit truncation
 order ``N``.  Binary operations truncate to the smaller of the two orders
-(composition chains naturally shrink order), and every operation returns a new
-object, so instances behave as immutable values and are safe to share across
-threads.
+(composition chains naturally shrink order).  Instances are immutable: the
+coefficient array is read-only, so they are safe to share across threads.
+They may share memory: an operation adopts the array it computed without a
+copy, and ``truncate`` to a lower order returns a view of its argument.  Only
+the public constructor copies, so mutating the caller's input afterwards does
+not change the series.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 import numpy as np
@@ -98,12 +102,28 @@ class TruncatedSeries:
         return div(self, other)
 
 
+def _wrap(c: np.ndarray) -> TruncatedSeries:
+    """Adopt ``c`` as a series without copying it.
+
+    ``c`` must be a 1-D complex array that nothing else will write: one the
+    caller just computed, or a view of a read-only one.  It is made read-only.
+    """
+    c.setflags(write=False)
+    s = object.__new__(TruncatedSeries)
+    s._c = c
+    return s
+
+
 def zero(order: int) -> TruncatedSeries:
     return TruncatedSeries([0.0], order=order)
 
 
 def one(order: int) -> TruncatedSeries:
-    return TruncatedSeries([1.0], order=order)
+    if order < 0:
+        raise ValueError("truncation order must be non-negative")
+    c = np.zeros(order + 1, dtype=complex)
+    c[0] = 1.0
+    return _wrap(c)
 
 
 def identity(order: int) -> TruncatedSeries:
@@ -113,18 +133,18 @@ def identity(order: int) -> TruncatedSeries:
 
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = min(a.order, b.order)
-    return TruncatedSeries(a.coeffs[: n + 1] + b.coeffs[: n + 1])
+    return _wrap(a.coeffs[: n + 1] + b.coeffs[: n + 1])
 
 
 def scale(a: TruncatedSeries, s: complex) -> TruncatedSeries:
-    return TruncatedSeries(a.coeffs * s)
+    return _wrap(a.coeffs * s)
 
 
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the smaller order."""
     n = min(a.order, b.order)
     full = np.convolve(a.coeffs[: n + 1], b.coeffs[: n + 1])
-    return TruncatedSeries(full[: n + 1])
+    return _wrap(full[: n + 1])
 
 
 def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -141,7 +161,7 @@ def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         if k:
             acc = acc - np.dot(q[:k], bc[k:0:-1])
         q[k] = acc / b0
-    return TruncatedSeries(q)
+    return _wrap(q)
 
 
 def exp_series(a: TruncatedSeries) -> TruncatedSeries:
@@ -158,7 +178,7 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
     e[0] = 1.0
     for m in range(1, n + 1):
         e[m] = np.dot(ka[1 : m + 1], e[m - 1 :: -1]) / m
-    return TruncatedSeries(e)
+    return _wrap(e)
 
 
 def log_series(a: TruncatedSeries) -> TruncatedSeries:
@@ -167,14 +187,15 @@ def log_series(a: TruncatedSeries) -> TruncatedSeries:
         raise ConstantTermNotOne("log needs constant term 1")
     n = a.order
     ac = a.coeffs
+    k = np.arange(n + 1)
     l = np.zeros(n + 1, dtype=complex)
     for m in range(1, n + 1):
         acc = ac[m]
         if m > 1:
-            kl = l[1:m] * np.arange(1, m)
+            kl = l[1:m] * k[1:m]
             acc = acc - np.dot(kl, ac[m - 1 : 0 : -1]) / m
         l[m] = acc
-    return TruncatedSeries(l)
+    return _wrap(l)
 
 
 def pow_real(a: TruncatedSeries, e: float) -> TruncatedSeries:
@@ -201,7 +222,7 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     for k in range(n - 1, -1, -1):
         r = np.convolve(r, ic)[: n + 1]
         r[0] += oc[k]
-    return TruncatedSeries(r)
+    return _wrap(r)
 
 
 def revert(a: TruncatedSeries) -> TruncatedSeries:
@@ -213,31 +234,35 @@ def revert(a: TruncatedSeries) -> TruncatedSeries:
     if abs(a.coeffs[0]) > UNIT_TOL or abs(a.coeffs[1]) <= UNIT_TOL:
         raise NotInvertible("need c0 = 0 and c1 != 0 for a compositional inverse")
     n = a.order
-    h = div(one(n - 1), TruncatedSeries(a.coeffs[1:])).coeffs   # z/a
+    h = div(one(n - 1), _wrap(a.coeffs[1:])).coeffs   # z/a
     b = np.zeros(n + 1, dtype=complex)
     b[1] = h[0]
     p = h
     for m in range(2, n + 1):
         p = np.convolve(p, h)[:n]   # (z/a)^m
         b[m] = p[m - 1] / m
-    return TruncatedSeries(b)
+    return _wrap(b)
 
 
 def derive(a: TruncatedSeries) -> TruncatedSeries:
     """Termwise d/dz; drops the top coefficient (order N -> N-1)."""
     if a.order == 0:
         return zero(0)
-    return TruncatedSeries(a.coeffs[1:] * np.arange(1, a.order + 1))
+    return _wrap(a.coeffs[1:] * np.arange(1, a.order + 1))
 
 
 def integrate(a: TruncatedSeries) -> TruncatedSeries:
     """Termwise antiderivative with constant term 0 (order N -> N+1)."""
     out = np.zeros(a.order + 2, dtype=complex)
     out[1:] = a.coeffs / np.arange(1, a.order + 2)
-    return TruncatedSeries(out)
+    return _wrap(out)
 
 
 def truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
+    """``a`` at order ``order``: a read-only view when that is lower, zero-padded
+    when higher."""
+    if 0 <= order <= a.order:
+        return _wrap(a.coeffs[: order + 1])
     return TruncatedSeries(a.coeffs, order=order)
 
 
@@ -246,10 +271,18 @@ def evaluate(a: TruncatedSeries, z) -> complex | np.ndarray:
     return np.polyval(a.coeffs[::-1], z)
 
 
+@functools.lru_cache(maxsize=8)
+def _circle(radius: float, samples: int) -> np.ndarray:
+    """``samples`` equispaced points of |z| = radius, read-only (it is shared)."""
+    angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    z = radius * np.exp(1j * angles)
+    z.setflags(write=False)
+    return z
+
+
 def boundary_max(a: TruncatedSeries, radius: float = 0.99, samples: int = 256) -> float:
     """Max modulus over equispaced samples of the circle |z| = radius."""
-    angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    return float(np.max(np.abs(evaluate(a, radius * np.exp(1j * angles)))))
+    return float(np.max(np.abs(evaluate(a, _circle(radius, samples)))))
 
 
 def max_coeff_diff(a: TruncatedSeries, b: TruncatedSeries) -> float:

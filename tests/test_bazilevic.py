@@ -21,7 +21,7 @@ from gtnbounds.bazilevic import (
 )
 from gtnbounds.series import TruncatedSeries
 from gtnbounds.telephone import x_series
-from gtnbounds.verify import build_suite
+from gtnbounds.verify import PRESETS, build_suite
 
 
 def koebe(order):
@@ -153,6 +153,29 @@ def test_order_two_probes_equal_order_six_probes_bit_for_bit():
                 low = _b_coeffs(p, np.array(extra), 2)[:3]
                 high = _b_coeffs(p, np.array(extra), 6)[:3]
                 assert np.array_equal(low.view(float), high.view(float)), (p, extra)
+
+
+#: float.hex of (linear_a2, linear_a3, quad_a2) at each verify preset and at
+#: the lemma point.  Reports print 12 digits, but the scan's witness is the
+#: exact maximum at the smallest grid index, so a last bit moved here can move
+#: a witness among tied grid points in a golden report.
+RELATION_BITS = {
+    "starlike": ("0x1.0000000000000p+0", "0x1.0000000000000p+1", "-0x1.0000000000001p+0"),
+    "kappa-family": ("0x1.8000000000000p+0", "0x1.4000000000000p+1", "-0x1.4000000000002p-1"),
+    "convex": ("0x1.0000000000000p+1", "0x1.8000000000000p+1", "0x0.0p+0"),
+    "theta-family": ("0x1.8000000000000p+0", "0x1.0000000000000p+2", "-0x1.5000000000001p+1"),
+    "r-family": ("0x1.0000000000000p+1", "0x1.8000000000000p+2", "-0x1.0000000000001p+2"),
+    "lemma": ("0x1.0000000000000p+0", "0x1.0000000000000p+1", "-0x1.0000000000001p+0"),
+}
+
+
+def test_relation_bits_that_reports_read():
+    points = [(p.preset_id, p.vartheta, p.kappa) for p in PRESETS] + [("lemma", 0, 0)]
+    got = {}
+    for name, t, k in points:
+        rel = derive_relation(ClassParams(t, k, 1))
+        got[name] = tuple(float.hex(float(x)) for x in (rel.linear_a2, rel.linear_a3, rel.quad_a2))
+    assert got == RELATION_BITS
 
 
 def test_relation_discrepancies_against_paper_variants_are_recorded_not_asserted():
@@ -309,8 +332,8 @@ def test_solve_never_evaluates_the_functional(monkeypatch):
     for w, p, order in _seeded_cases():
         solve_from_schwarz(w, p, order)
     assert calls == []
-    bazilevic.membership_witness(ps.identity(4), ClassParams(0, 0, 1))
-    assert calls == [4]  # the counter does see a call that is made
+    bazilevic.derive_relation(ClassParams(0, 0, 1))
+    assert calls == [3, 3, 3, 3]  # the counter does see the calls that are made
 
 
 def test_solve_at_order_sixty_hits_the_target():
@@ -366,6 +389,60 @@ def test_membership_witness_round_trip():
         f = solve_from_schwarz(w, p, 9)
         back, _ = membership_witness(f, p)
         assert ps.max_coeff_diff(back, w) <= 1e-7
+
+
+def _reference_witness(f, params):
+    """The witness from log W(f) itself: log_series of the functional, then
+    the same recursion for w in w + varkappa w^2 / 2 = log W."""
+    g = ps.log_series(w_functional(f, params)).coeffs
+    wc = np.zeros(g.size, dtype=complex)
+    for m in range(1, g.size):
+        wc[m] = g[m] - (params.varkappa / 2.0) * np.dot(wc[1:m], wc[m - 1 : 0 : -1])
+    return wc
+
+
+def _noise_gain(w, varkappa):
+    """Bound on how much the witness recursion grows a unit error in
+    coefficient m of log W by the time it reaches w_m, to first order:
+    gain_m = 1 + varkappa * sum_{j<m} |w_j| gain_{m-j}.  Where varkappa |w_1|
+    exceeds 1 it grows geometrically, and both routes to the witness drift
+    from the true one alike."""
+    a = np.abs(w)
+    gain = np.zeros(a.size)
+    for m in range(1, a.size):
+        gain[m] = 1.0 + varkappa * np.dot(a[1:m], gain[m - 1 : 0 : -1])
+    return gain
+
+
+def test_witness_equals_log_of_the_functional(monkeypatch):
+    logs = []
+    original = ps.log_series
+
+    def counted(a):
+        logs.append(a.order)
+        return original(a)
+
+    monkeypatch.setattr(ps, "log_series", counted)
+    rng = np.random.default_rng(53)
+    for t in (0.0, 0.5, 1.0, 2.0):
+        for k in (0.0, 1.0, 3.0):
+            for order in range(3, 14):
+                p = ClassParams(t, k, rng.uniform(0.5, 4.0))
+                kind = ("rotation", "rotation-z2", "blaschke")[order % 3]
+                f = solve_from_schwarz(_schwarz(rng, kind, order), p, order)
+                want = _reference_witness(f, p)
+                logs.clear()
+                bazilevic._brackets(f, p)
+                in_brackets = len(logs)
+                logs.clear()
+                got, sup = membership_witness(f, p)
+                assert got.order == want.size - 1 == order - 1
+                tol = 1e-13 * np.max(np.abs(want)) * _noise_gain(want, p.varkappa)
+                assert np.all(np.abs(got.coeffs - want) <= tol), (p, order)
+                assert sup == ps.boundary_max(got)
+                # a log of weight 0 is skipped: one log of a bracket base at
+                # vartheta 0 and 1, two otherwise
+                assert len(logs) - in_brackets == (1 if t in (0.0, 1.0) else 2), (t, logs)
 
 
 def test_membership_of_identity():

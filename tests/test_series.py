@@ -193,6 +193,71 @@ def test_derive_of_integrate_round_trip():
     assert ps.max_coeff_diff(ps.derive(ps.integrate(a)), a) <= 1e-15
 
 
+# --- immutability ----------------------------------------------------------
+
+def _results():
+    a = S([1, 0.5, -0.25j, 0.125, 2])
+    z = S([0, 1, 0.5j, -0.25, 0.1])
+    yield "constructor", a
+    yield "zero", ps.zero(3)
+    yield "one", ps.one(3)
+    yield "identity", ps.identity(3)
+    yield "add", ps.add(a, z)
+    yield "sub", a - z
+    yield "neg", -a
+    yield "scale", ps.scale(a, 2.5j)
+    yield "rmul", 0.5 * a
+    yield "mul", ps.mul(a, z)
+    yield "div", ps.div(z, a)
+    yield "exp_series", ps.exp_series(z)
+    yield "log_series", ps.log_series(a)
+    yield "pow_real", ps.pow_real(a, 0.3)
+    yield "pow_real 0", ps.pow_real(a, 0.0)
+    yield "compose", ps.compose(a, z)
+    yield "revert", ps.revert(z)
+    yield "derive", ps.derive(a)
+    yield "derive order 0", ps.derive(S([3]))
+    yield "integrate", ps.integrate(a)
+    yield "truncate down", ps.truncate(a, 2)
+    yield "truncate same", ps.truncate(a, a.order)
+    yield "truncate up", ps.truncate(a, 7)
+
+
+RESULTS = dict(_results())
+
+
+@pytest.mark.parametrize("name", list(RESULTS))
+def test_every_result_is_read_only(name):
+    coeffs = RESULTS[name].coeffs
+    assert coeffs.flags.writeable is False
+    with pytest.raises(ValueError):
+        coeffs[0] = 7.0
+
+
+def test_constructor_copies_its_input():
+    arr = np.array([1.0, 2.0, 3.0], dtype=complex)
+    a = TruncatedSeries(arr)
+    arr[1] = -5.0
+    assert_coeffs(a, [1, 2, 3], tol=0)
+    assert arr.flags.writeable
+
+
+def test_truncate_down_is_a_read_only_view():
+    a = S([1, 2, 3, 4, 5])
+    t = ps.truncate(a, 2)
+    assert_coeffs(t, [1, 2, 3], tol=0)
+    assert np.shares_memory(t.coeffs, a.coeffs)
+    assert t.coeffs.flags.writeable is False
+
+
+def test_boundary_circle_is_cached_and_read_only():
+    z = ps._circle(0.99, 256)
+    assert z is ps._circle(0.99, 256)
+    assert z.flags.writeable is False
+    angles = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
+    assert np.array_equal(z, 0.99 * np.exp(1j * angles))
+
+
 # --- property tests --------------------------------------------------------
 
 small_complex = st.complex_numbers(
