@@ -28,18 +28,19 @@ t(n + kappa)(n + 1) + (1 - t)(n + kappa).  At n = 1 and 2 the multiplier is
 A2 = (1+t)(1+k) and A3 = (1+2t)(2+k).  ``solve_from_schwarz`` divides by it to
 build class members order by order.
 
-With B = zf'/(f^{1-k} z^k), log B = log f' + (k-1) log(f/z); as zf''/f' =
+Two derivations of W(f) are kept.  The series route, ``w_functional``, takes
+the product bracket^t * base^{1-t} of two ``pow_real`` powers; it is the
+reference that ``derive_relation`` and the tests read.  Report bytes depend on
+the last bits ``derive_relation`` reads from it (the scan's witness is the
+exact maximum, so rounding noise picks it among tied grid points).  The
+online route, ``_w_recurrence``, serves the solver and the witness.  With
+B = zf'/(f^{1-k} z^k), log B = log f' + (k-1) log(f/z); as zf''/f' =
 z(log f')' and zf'/f - 1 = z(log(f/z))', the first bracket is B + z(log B)',
 so W(f) = exp(t log(B + z(log B)') + (1-t) log B).  Online log/exp
-recurrences give coefficient n of log(f/z), log f', B, the bracket's log and
-W from lower ones and a_{n+1}: ``solve_from_schwarz`` needs one pass and no
-``w_functional`` call.  ``w_functional`` keeps its own arithmetic, the product
-bracket^t * base^{1-t} of two ``pow_real`` powers: report bytes depend on the
-last bits ``derive_relation`` reads from it (the scan's witness is the exact
-maximum, so rounding noise picks it among tied grid points), and member checks
-compare both derivations.  ``membership_witness`` needs log W, not W, so it
-reads log W = t log(bracket) + (1-t) log(base) from the same two bases
-(``_brackets``) without the exp and log of the powers and their product.
+recurrences in plain complex arithmetic give coefficient n of log(f/z),
+log f', B, the bracket's log, log W and W from lower ones and a_{n+1}.
+``solve_from_schwarz`` chooses each a_{n+1} to hit its target;
+``membership_witness`` feeds in f's own coefficients and reads log W.
 
 ``printed_relation`` returns the two printed variants of the
 same constants, which do not always agree with the oracle (measuring that gap
@@ -137,13 +138,17 @@ class CoefficientRelation:
             raise ValueError("the linear multipliers must be positive")
 
 
-def _brackets(f: TruncatedSeries, params: ClassParams) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """The two bracket bases of W(f), each of order f.order - 1: the first
-    bracket and zf'/(f^{1-k} z^k), both with constant term 1."""
+def _check_normalized(f: TruncatedSeries) -> None:
+    """Order at least 3, f(0) = 0 and f'(0) = 1, each to within 1e-9."""
     if f.order < 3:
         raise NotNormalized("need at least order 3 to form the functional")
     if not (abs(f.coeffs[0]) <= 1e-9 and abs(f.coeffs[1] - 1.0) <= 1e-9):  # NaN fails
         raise NotNormalized("f must have f(0) = 0 and f'(0) = 1")
+
+
+def w_functional(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
+    """Evaluate the class functional as a series of order f.order - 1."""
+    _check_normalized(f)
     n = f.order - 1
     f_over_z = TruncatedSeries(f.coeffs[1:])              # f/z, constant 1
     fp = ps.derive(f)                                     # f'
@@ -154,12 +159,6 @@ def _brackets(f: TruncatedSeries, params: ClassParams) -> tuple[TruncatedSeries,
     bracket = ps.add(ps.add(base, ratio), ps.scale(u - ps.one(n), params.kappa - 1.0))
     if abs(base.coeffs[0] - 1.0) > 1e-9 or abs(bracket.coeffs[0] - 1.0) > 1e-9:
         raise PowerBranchFailure("bracket base lost its unit constant term")
-    return bracket, base
-
-
-def w_functional(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
-    """Evaluate the class functional as a series of order f.order - 1."""
-    bracket, base = _brackets(f, params)
     return ps.mul(
         ps.pow_real(bracket, params.vartheta),
         ps.pow_real(base, 1.0 - params.vartheta),
@@ -228,8 +227,9 @@ def printed_relation(params: ClassParams, variant: str = "expansion") -> Coeffic
     return CoefficientRelation(params.W, lin3, params.msq)
 
 
-def _w_recurrence(params: ClassParams, order: int, next_coeff) -> tuple[list, list]:
-    """Coefficients 0..order of f and 0..order-1 of W(f), one index at a time.
+def _w_recurrence(params: ClassParams, order: int, next_coeff) -> tuple[list, list, list]:
+    """Coefficients 0..order of f and 0..order-1 of W(f) and of log W(f), one
+    index at a time.
 
     Step n forms coefficient n of each series below with a_{n+1} = 0, from
     lower coefficients only; a_{n+1} = next_coeff(n, W_n, slope), and each
@@ -265,7 +265,7 @@ def _w_recurrence(params: ClassParams, order: int, next_coeff) -> tuple[list, li
                                  (lb, rlb, s1), (b, rb, s1), (br, rbr, s2), (l3, r3, s2),
                                  (g, rg, slope), (wv, rw, slope)):
             series.append(rest + dx * x)
-    return [0j] + fz, wv
+    return [0j] + fz, wv, g
 
 
 def solve_from_schwarz(w: TruncatedSeries, params: ClassParams, order: int) -> TruncatedSeries:
@@ -289,7 +289,7 @@ def solve_from_schwarz(w: TruncatedSeries, params: ClassParams, order: int) -> T
         raise NotSchwarz(f"|w| reaches {wmax:.6f} >= 1 on the sampling circle")
     target = ps.compose(x_series(params.varkappa, order - 1), ps.truncate(w, order - 1))
     xw = target.coeffs.tolist()
-    fc, _ = _w_recurrence(params, order, lambda n, rest, slope: (xw[n] - rest) / slope)
+    fc, _, _ = _w_recurrence(params, order, lambda n, rest, slope: (xw[n] - rest) / slope)
     return TruncatedSeries(fc)
 
 
@@ -298,20 +298,19 @@ def membership_witness(f: TruncatedSeries, params: ClassParams) -> tuple[Truncat
     modulus over 256 samples of |z| = 0.99; callers compare that sup-norm
     against 1 to decide membership.
 
-    log X(w) = w + varkappa w^2 / 2 is read from
-    log W(f) = vartheta log(bracket) + (1 - vartheta) log(base).  A log of
-    weight 0 is skipped, as ``ps.pow_real`` skips it in ``w_functional``:
-    0 * inf would otherwise turn a finite witness into ``WitnessUndefined``.
+    log X(w) = w + varkappa w^2 / 2 is read from the log W(f) that
+    ``_w_recurrence`` forms when fed f's own coefficients, with f(0) = 0 and
+    f'(0) = 1 taken as exact.  Like the solver, it forms the logs of both
+    bracket bases at every vartheta, so one that overflows makes the witness
+    undefined even where its weight is 0.
     """
-    bracket, base = _brackets(f, params)
-    t = params.vartheta
-    logs = [ps.scale(ps.log_series(b), e) for b, e in ((bracket, t), (base, 1.0 - t)) if e != 0]
-    g = logs[0] if len(logs) == 1 else ps.add(*logs)
-    n = g.order
+    _check_normalized(f)
+    a = f.coeffs.tolist()
+    _, _, g = _w_recurrence(params, f.order, lambda n, rest, slope: a[n + 1])
     vk = params.varkappa
-    wc = np.zeros(n + 1, dtype=complex)
-    for m in range(1, n + 1):
-        acc = g.coeffs[m]
+    wc = np.zeros(len(g), dtype=complex)
+    for m in range(1, len(g)):
+        acc = g[m]
         if m >= 2:
             acc -= (vk / 2.0) * np.dot(wc[1:m], wc[m - 1 : 0 : -1])
         wc[m] = acc

@@ -94,18 +94,21 @@ def test_functional_mixed_params_hand_expansion():
 
 
 def test_functional_requires_normalization():
-    with pytest.raises(NotNormalized):
-        w_functional(TruncatedSeries([0, 2, 0, 0]), ClassParams(0, 0, 1))
-    with pytest.raises(NotNormalized):
-        w_functional(TruncatedSeries([0, 1]), ClassParams(0, 0, 1))
+    # the functional and the witness share one guard
+    for fn in (w_functional, membership_witness):
+        with pytest.raises(NotNormalized):
+            fn(TruncatedSeries([0, 2, 0, 0]), ClassParams(0, 0, 1))
+        with pytest.raises(NotNormalized):
+            fn(TruncatedSeries([0, 1]), ClassParams(0, 0, 1))
 
 
 @pytest.mark.parametrize("coeffs", [[math.nan, 1, 0, 0], [0, math.nan, 0, 0],
                                     [0, complex(1, math.nan), 0, 0]])
 def test_functional_rejects_nan_normalization_terms(coeffs):
     # abs(nan) > 1e-9 is False: the check must fail a NaN, not pass it
-    with pytest.raises(NotNormalized):
-        w_functional(TruncatedSeries(coeffs), ClassParams(0, 0, 1))
+    for fn in (w_functional, membership_witness):
+        with pytest.raises(NotNormalized):
+            fn(TruncatedSeries(coeffs), ClassParams(0, 0, 1))
 
 
 # --- relation oracle ---------------------------------------------------------
@@ -197,6 +200,21 @@ def test_printed_relation_values():
     assert printed_relation(ClassParams(1, 1, 1), "expansion").linear_a2 == 4.0
     with pytest.raises(ValueError):
         printed_relation(ClassParams(0, 0, 1), "nope")
+
+
+def test_printed_quad_a2_is_twice_the_derived_one():
+    # the printed quadratic coefficient M k^2 + S k + Q is exactly twice the
+    # true one for every (vartheta, kappa), not only at the origin; the
+    # tolerance is relative to max(1, |printed|), as M k^2 + S k + Q cancels
+    # to 0 on a curve through the square
+    rng = np.random.default_rng(59)
+    tk = [(p.vartheta, p.kappa) for p in PRESETS] + [(0.0, 0.0), (1.0, 1.0)]
+    tk += [tuple(x) for x in rng.uniform(0.0, 3.0, (200, 2))]
+    for t, k in tk:
+        p = ClassParams(t, k, 1.0)
+        printed = printed_relation(p).quad_a2
+        derived = derive_relation(p).quad_a2
+        assert abs(printed - 2.0 * derived) <= 1e-12 * max(1.0, abs(printed)), (t, k)
 
 
 # --- Schwarz solve and membership -------------------------------------------
@@ -313,11 +331,12 @@ def test_recurrence_equals_functional():
             raw *= 0.5 / np.sum(np.arange(2, order + 1) * np.abs(raw))
             c = np.concatenate(([0.0, 1.0], raw))
             p = ClassParams(t, k, 1.0)
-            fc, wc = _w_recurrence(p, order, lambda n, rest, slope: c[n + 1])
-            want = w_functional(TruncatedSeries(c), p).coeffs
+            fc, wc, gc = _w_recurrence(p, order, lambda n, rest, slope: c[n + 1])
+            want = w_functional(TruncatedSeries(c), p)
             assert np.array_equal(np.array(fc), c)
-            assert len(wc) == want.size == order
-            assert np.max(np.abs(np.array(wc) - want)) <= 1e-13 * np.max(np.abs(want)), (p, order)
+            for got, ref in ((wc, want.coeffs), (gc, ps.log_series(want).coeffs)):
+                assert len(got) == ref.size == order
+                assert np.max(np.abs(np.array(got) - ref)) <= 1e-13 * np.max(np.abs(ref)), (p, order)
 
 
 def test_solve_never_evaluates_the_functional(monkeypatch):
@@ -415,34 +434,40 @@ def _noise_gain(w, varkappa):
 
 
 def test_witness_equals_log_of_the_functional(monkeypatch):
-    logs = []
-    original = ps.log_series
-
-    def counted(a):
-        logs.append(a.order)
-        return original(a)
-
-    monkeypatch.setattr(ps, "log_series", counted)
     rng = np.random.default_rng(53)
+    cases = []
     for t in (0.0, 0.5, 1.0, 2.0):
         for k in (0.0, 1.0, 3.0):
             for order in range(3, 14):
                 p = ClassParams(t, k, rng.uniform(0.5, 4.0))
                 kind = ("rotation", "rotation-z2", "blaschke")[order % 3]
                 f = solve_from_schwarz(_schwarz(rng, kind, order), p, order)
-                want = _reference_witness(f, p)
-                logs.clear()
-                bazilevic._brackets(f, p)
-                in_brackets = len(logs)
-                logs.clear()
-                got, sup = membership_witness(f, p)
-                assert got.order == want.size - 1 == order - 1
-                tol = 1e-13 * np.max(np.abs(want)) * _noise_gain(want, p.varkappa)
-                assert np.all(np.abs(got.coeffs - want) <= tol), (p, order)
-                assert sup == ps.boundary_max(got)
-                # a log of weight 0 is skipped: one log of a bracket base at
-                # vartheta 0 and 1, two otherwise
-                assert len(logs) - in_brackets == (1 if t in (0.0, 1.0) else 2), (t, logs)
+                cases.append((f, p, _reference_witness(f, p)))
+
+    def banned(*args):
+        raise AssertionError("the witness must not take the series route")
+
+    # the witness reads log W from the online recurrence, not from the series
+    # route it is checked against here
+    monkeypatch.setattr(bazilevic, "w_functional", banned)
+    monkeypatch.setattr(ps, "log_series", banned)
+    for f, p, want in cases:
+        got, sup = membership_witness(f, p)
+        assert got.order == want.size - 1 == f.order - 1
+        tol = 1e-13 * np.max(np.abs(want)) * _noise_gain(want, p.varkappa)
+        assert np.all(np.abs(got.coeffs - want) <= tol), (p, f.order)
+        assert sup == ps.boundary_max(got)
+
+
+def test_witness_accuracy_on_a_strong_member():
+    # f is built from w = 0.9z at varkappa = 4, where varkappa |w1| = 3.6 > 1
+    # makes the witness recursion grow the rounding of f geometrically; the
+    # same recursion in 60-digit arithmetic is off by 2.0e-11 and 5.5e-7
+    p = ClassParams(0.0, 0.0, 4.0)
+    for order, bound in ((12, 5e-11), (20, 1.5e-6)):
+        w = TruncatedSeries([0.0, 0.9], order=order)
+        got, _ = membership_witness(solve_from_schwarz(w, p, order), p)
+        assert ps.max_coeff_diff(got, ps.truncate(w, order - 1)) <= bound, order
 
 
 def test_membership_of_identity():

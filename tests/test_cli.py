@@ -495,6 +495,15 @@ def test_member_non_finite_coefficient_exits_one(capsys, tmp_path, text):
     assert err == f"error: {path}: every coefficient must be finite\n"
 
 
+def test_member_unnormalized_function_exits_one(capsys, tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("0 2 0 0\n")
+    code, out, err = run_cli(capsys, "member", "--f-coeffs", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 # Each subcommand accepts only the flags its handler reads.
 REMOVED_FLAGS = [
     *((["xseries"], flag) for flag in ("--vartheta", "--kappa")),
