@@ -36,11 +36,12 @@ exact maximum, so rounding noise picks it among tied grid points).  The
 online route, ``_w_recurrence``, serves the solver and the witness.  With
 B = zf'/(f^{1-k} z^k), log B = log f' + (k-1) log(f/z); as zf''/f' =
 z(log f')' and zf'/f - 1 = z(log(f/z))', the first bracket is B + z(log B)',
-so W(f) = exp(t log(B + z(log B)') + (1-t) log B).  Online log/exp
+so log W(f) = t log(B + z(log B)') + (1-t) log B.  Online log/exp
 recurrences in plain complex arithmetic give coefficient n of log(f/z),
-log f', B, the bracket's log, log W and W from lower ones and a_{n+1}.
-``solve_from_schwarz`` chooses each a_{n+1} to hit its target;
-``membership_witness`` feeds in f's own coefficients and reads log W.
+log f', B, the bracket's log and log W from lower ones and a_{n+1}.
+Neither W nor X is formed: ``solve_from_schwarz`` chooses each a_{n+1} so
+that log W(f) = log X(w) = w + varkappa w^2/2, and ``membership_witness``
+feeds in f's own coefficients and solves that quadratic for w.
 
 ``printed_relation`` returns the two printed variants of the
 same constants, which do not always agree with the oracle (measuring that gap
@@ -56,7 +57,6 @@ import numpy as np
 
 from gtnbounds import series as ps
 from gtnbounds.series import TruncatedSeries
-from gtnbounds.telephone import x_series
 
 
 class NotNormalized(ValueError):
@@ -227,28 +227,28 @@ def printed_relation(params: ClassParams, variant: str = "expansion") -> Coeffic
     return CoefficientRelation(params.W, lin3, params.msq)
 
 
-def _w_recurrence(params: ClassParams, order: int, next_coeff) -> tuple[list, list, list]:
-    """Coefficients 0..order of f and 0..order-1 of W(f) and of log W(f), one
-    index at a time.
+def _w_recurrence(params: ClassParams, order: int, next_coeff) -> tuple[list, list]:
+    """Coefficients 0..order of f and 0..order-1 of log W(f), one at a time.
 
     Step n forms coefficient n of each series below with a_{n+1} = 0, from
-    lower coefficients only; a_{n+1} = next_coeff(n, W_n, slope), and each
-    coefficient n then gains its own slope times a_{n+1}.
+    lower coefficients only; a_{n+1} = next_coeff(n, rest, slope), where rest
+    is coefficient n of log W at a_{n+1} = 0, and each coefficient n then
+    gains its own slope times a_{n+1}.  log W = log(1 + (W - 1)) takes
+    a_{n+1} through W's coefficient n alone, so the slope is W's.
     """
     t, k = params.vartheta, params.kappa
-    fz, fp, b, br, wv = ([1.0 + 0j] for _ in range(5))  # f/z, f', B, bracket, W
+    fz, fp, b, br = ([1.0 + 0j] for _ in range(4))  # f/z, f', B, bracket
     l1, l2, lb, l3, g = ([0j] for _ in range(5))  # log(f/z), log f', log B, log bracket, log W
     for n in range(1, order):
         # sum_{j<n} j x_j y_{n-j}: what coefficient n of y = exp(x), or of
         # x = log y (negated), takes from the lower coefficients
-        q1 = q2 = qb = q3 = qw = 0j
+        q1 = q2 = qb = q3 = 0j
         for j in range(1, n):
             m = n - j
             q1 += j * l1[j] * fz[m]
             q2 += j * l2[j] * fp[m]
             qb += j * lb[j] * b[m]
             q3 += j * l3[j] * br[m]
-            qw += j * g[j] * wv[m]
         r1 = -q1 / n
         r2 = -q2 / n
         rlb = r2 + (k - 1.0) * r1
@@ -256,27 +256,26 @@ def _w_recurrence(params: ClassParams, order: int, next_coeff) -> tuple[list, li
         rbr = rb + n * rlb
         r3 = rbr - q3 / n
         rg = t * r3 + (1.0 - t) * rlb
-        rw = rg + qw / n
         s1 = n + k
         s2 = s1 * (n + 1)
         slope = s1 * (1.0 + n * t)
-        x = next_coeff(n, rw, slope)
+        x = next_coeff(n, rg, slope)
         for series, rest, dx in ((fz, 0j, 1), (l1, r1, 1), (fp, 0j, n + 1), (l2, r2, n + 1),
                                  (lb, rlb, s1), (b, rb, s1), (br, rbr, s2), (l3, r3, s2),
-                                 (g, rg, slope), (wv, rw, slope)):
+                                 (g, rg, slope)):
             series.append(rest + dx * x)
-    return [0j] + fz, wv, g
+    return [0j] + fz, g
 
 
 def solve_from_schwarz(w: TruncatedSeries, params: ClassParams, order: int) -> TruncatedSeries:
     """Build f with W(f) = X(w(z)) coefficientwise, order by order.
 
-    Coefficient n of W(f) depends only on a2..a_{n+1}, and a_{n+1} enters it
-    linearly with slope (n + kappa)(1 + n*vartheta), which is at least 1 for
-    vartheta, kappa >= 0.  So a_{n+1} is the residual of X(w) against
-    coefficient n of W(f) at a_{n+1} = 0, divided by that slope.
-    ``_w_recurrence`` gives every coefficient in one pass, with no call to
-    ``w_functional`` (the module docstring says why that one is kept).
+    It matches log W(f) to log X(w) = w + varkappa w^2/2, which is the same
+    condition: exp and log are triangular bijections between series with
+    constant terms 1 and 0.  a_{n+1} enters coefficient n of log W(f) with
+    slope (n + kappa)(1 + n*vartheta) >= 1, so it is the target's coefficient
+    n less that of log W(f) at a_{n+1} = 0, over the slope.  ``_w_recurrence``
+    gives every coefficient in one pass; ``w_functional`` is not called.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -287,9 +286,9 @@ def solve_from_schwarz(w: TruncatedSeries, params: ClassParams, order: int) -> T
     wmax = ps.boundary_max(w)
     if wmax >= 1.0:
         raise NotSchwarz(f"|w| reaches {wmax:.6f} >= 1 on the sampling circle")
-    target = ps.compose(x_series(params.varkappa, order - 1), ps.truncate(w, order - 1))
-    xw = target.coeffs.tolist()
-    fc, _, _ = _w_recurrence(params, order, lambda n, rest, slope: (xw[n] - rest) / slope)
+    wt = ps.truncate(w, order - 1)
+    target = ps.add(wt, ps.scale(ps.mul(wt, wt), params.varkappa / 2.0)).coeffs.tolist()
+    fc, _ = _w_recurrence(params, order, lambda n, rest, slope: (target[n] - rest) / slope)
     return TruncatedSeries(fc)
 
 
@@ -306,7 +305,7 @@ def membership_witness(f: TruncatedSeries, params: ClassParams) -> tuple[Truncat
     """
     _check_normalized(f)
     a = f.coeffs.tolist()
-    _, _, g = _w_recurrence(params, f.order, lambda n, rest, slope: a[n + 1])
+    _, g = _w_recurrence(params, f.order, lambda n, rest, slope: a[n + 1])
     vk = params.varkappa
     wc = np.zeros(len(g), dtype=complex)
     for m in range(1, len(g)):

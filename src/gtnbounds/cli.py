@@ -349,7 +349,12 @@ def _read_coeffs(path: str) -> TruncatedSeries:
                 f"{path}: expected a list of numbers or [re, im] pairs"
             ) from None
     else:
-        coeffs = [complex(float(tok), 0.0) for tok in text.replace(",", " ").split()]
+        coeffs = []
+        for tok in text.replace(",", " ").split():
+            try:
+                coeffs.append(complex(float(tok), 0.0))
+            except ValueError:
+                raise ValueError(f"{path}: not a number: {tok!r}") from None
     if not all(map(cmath.isfinite, coeffs)):
         raise ValueError(f"{path}: every coefficient must be finite")
     return TruncatedSeries(coeffs)

@@ -251,13 +251,6 @@ def derive(a: TruncatedSeries) -> TruncatedSeries:
     return _wrap(a.coeffs[1:] * np.arange(1, a.order + 1))
 
 
-def integrate(a: TruncatedSeries) -> TruncatedSeries:
-    """Termwise antiderivative with constant term 0 (order N -> N+1)."""
-    out = np.zeros(a.order + 2, dtype=complex)
-    out[1:] = a.coeffs / np.arange(1, a.order + 2)
-    return _wrap(out)
-
-
 def truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
     """``a`` at order ``order``: a read-only view when that is lower, zero-padded
     when higher."""

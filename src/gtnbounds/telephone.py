@@ -57,6 +57,8 @@ def x_series(varkappa: float, order: int) -> TruncatedSeries:
     """Taylor series of exp(z + varkappa*z^2/2) to the given order."""
     if order < 0:
         raise ValueError("order must be >= 0")
+    if varkappa < 0:
+        raise ValueError("the weight parameter must be >= 0")
     arg = TruncatedSeries([0.0, 1.0, varkappa / 2.0], order=order)
     return exp_series(arg)
 

@@ -85,12 +85,12 @@ def test_gtn_config_weight_stays_exact(capsys, tmp_path):
     assert "10/3" in flag[1]  # 1 + 7/3
 
 
-@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("where", ["flag", "config", "xseries"])
 def test_gtn_negative_weight_prints_one_error_line(capsys, tmp_path, where):
     cfg = tmp_path / "vk.cfg"
     cfg.write_text("varkappa = -1\n")
-    argv = (["gtn", "--varkappa", "-1"] if where == "flag"
-            else ["--config", str(cfg), "gtn"])
+    argv = {"flag": ["gtn", "--varkappa", "-1"], "config": ["--config", str(cfg), "gtn"],
+            "xseries": ["xseries", "--varkappa", "-1", "--order", "3"]}[where]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err == "error: the weight parameter must be >= 0\n"
@@ -493,6 +493,13 @@ def test_member_non_finite_coefficient_exits_one(capsys, tmp_path, text):
     code, out, err = run_cli(capsys, "member", "--f-coeffs", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: {path}: every coefficient must be finite\n"
+
+
+def test_member_non_number_token_names_the_file(capsys, tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("0 1 abc 0\n")
+    code, out, err = run_cli(capsys, "member", "--f-coeffs", str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: not a number: 'abc'\n")
 
 
 def test_member_unnormalized_function_exits_one(capsys, tmp_path):

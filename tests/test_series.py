@@ -166,31 +166,10 @@ def test_revert_rejects_zero_linear_term():
         ps.revert(S([0, 0, 1]))
 
 
-# --- derive / integrate ----------------------------------------------------
+# --- derive -----------------------------------------------------------------
 
 def test_derive_cubic():
     assert_coeffs(ps.derive(S([0, 0, 0, 1])), [0, 0, 3])
-
-
-def test_integrate_characteristic_series():
-    from gtnbounds.telephone import x_series
-
-    vk = 1.0
-    out = ps.integrate(x_series(vk, 4))
-    assert_coeffs(
-        out,
-        [0, 1, 0.5, (1 + vk) / 6, (1 + 3 * vk) / 24, (3 * vk**2 + 6 * vk + 1) / 120],
-        tol=1e-14,
-    )
-
-
-def test_integrate_zero():
-    assert_coeffs(ps.integrate(ps.zero(3)), [0, 0, 0, 0, 0])
-
-
-def test_derive_of_integrate_round_trip():
-    a = S([1.5, -0.25, 3, 0.5], order=3)
-    assert ps.max_coeff_diff(ps.derive(ps.integrate(a)), a) <= 1e-15
 
 
 # --- immutability ----------------------------------------------------------
@@ -217,7 +196,6 @@ def _results():
     yield "revert", ps.revert(z)
     yield "derive", ps.derive(a)
     yield "derive order 0", ps.derive(S([3]))
-    yield "integrate", ps.integrate(a)
     yield "truncate down", ps.truncate(a, 2)
     yield "truncate same", ps.truncate(a, a.order)
     yield "truncate up", ps.truncate(a, 7)
