@@ -153,10 +153,10 @@ def w_functional(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
     f_over_z = TruncatedSeries(f.coeffs[1:])              # f/z, constant 1
     fp = ps.derive(f)                                     # f'
     base = ps.mul(fp, ps.pow_real(f_over_z, params.kappa - 1.0))  # zf'/(f^{1-k} z^k)
-    u = ps.div(fp, f_over_z)                              # zf'/f
+    u1 = ps.add(ps.div(fp, f_over_z), ps.scale(ps.one(n), -1.0))  # zf'/f - 1
     zfpp = TruncatedSeries(np.concatenate(([0.0], ps.derive(fp).coeffs)))  # z f''
     ratio = ps.div(ps.truncate(zfpp, n), fp)              # zf''/f'
-    bracket = ps.add(ps.add(base, ratio), ps.scale(u - ps.one(n), params.kappa - 1.0))
+    bracket = ps.add(ps.add(base, ratio), ps.scale(u1, params.kappa - 1.0))
     if abs(base.coeffs[0] - 1.0) > 1e-9 or abs(bracket.coeffs[0] - 1.0) > 1e-9:
         raise PowerBranchFailure("bracket base lost its unit constant term")
     return ps.mul(

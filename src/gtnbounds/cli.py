@@ -10,9 +10,10 @@ first report of each discrepancy ID and the report with the tightest oracle
 gap) and returns the exit code.
 
 Flag values override an optional ``--config FILE`` (simple ``key=value``
-lines), which overrides built-in defaults; a command ignores the keys it
-does not read.  Exit codes: 0 success, 1 usage error, 2 soundness violation
-in ``verify``.
+lines), which overrides built-in defaults.  :func:`main` fills the unset keys
+the subcommand defines from the config or the defaults, so handlers read
+``args`` alone and a command ignores the keys it does not read.  Exit codes:
+0 success, 1 usage error, 2 soundness violation in ``verify``.
 
 ``main`` may be called many times in one process.  The parser is built on
 the first call and reused by every later one, so each subparser's handler is
@@ -137,17 +138,10 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, cfg: dict, key: str):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    return cfg.get(key, BUILTIN_DEFAULTS[key])
-
-
-def _grid(args, cfg) -> GridSpec:
+def _grid(args) -> GridSpec:
     """The uniform scan grid, or a ``ValueError`` before any scan when one
     pass of its scan would evaluate more than ``MAX_SCAN_VALUES`` points."""
-    n = int(_resolve(args, cfg, "grid"))
+    n = int(args.grid)
     grid = GridSpec.uniform(n)
     values = max(grid.rho_steps, grid.alpha_steps) * grid.tau_steps * grid.beta_steps
     if values > MAX_SCAN_VALUES:
@@ -158,12 +152,8 @@ def _grid(args, cfg) -> GridSpec:
     return grid
 
 
-def _params(args, cfg) -> ClassParams:
-    return ClassParams(
-        float(_resolve(args, cfg, "vartheta")),
-        float(_resolve(args, cfg, "kappa")),
-        float(_resolve(args, cfg, "varkappa")),
-    )
+def _params(args) -> ClassParams:
+    return ClassParams(float(args.vartheta), float(args.kappa), float(args.varkappa))
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +209,9 @@ def _check_index(flag: str, n: int) -> None:
         raise ValueError(f"{flag} {n} is more than the limit of {MAX_INDEX}")
 
 
-def cmd_gtn(args, cfg) -> list[dict]:
+def cmd_gtn(args) -> list[dict]:
     _check_index("--max-n", args.max_n)
-    vk = Fraction(_resolve(args, cfg, "varkappa"))
+    vk = Fraction(args.varkappa)
     values = gtn_sequence(vk, args.max_n)  # refuses a negative weight first
     if vk < 1:
         print(
@@ -242,22 +232,24 @@ def cmd_gtn(args, cfg) -> list[dict]:
     ]
 
 
-def cmd_xseries(args, cfg) -> list[dict]:
+def cmd_xseries(args) -> list[dict]:
     _check_index("--order", args.order)
-    vk = float(_resolve(args, cfg, "varkappa"))
-    xs = x_series(vk, args.order)
-    return [{"n": n, "coefficient": float(c.real)} for n, c in enumerate(xs.coeffs)]
+    coeffs = x_series(float(args.varkappa), args.order).coeffs.real
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
+        raise OverflowError(f"the coefficient of z^{bad[0]} is not finite")
+    return [{"n": n, "coefficient": float(c)} for n, c in enumerate(coeffs)]
 
 
-def cmd_bound(args, cfg) -> list[dict]:
-    p = _params(args, cfg)
+def cmd_bound(args) -> list[dict]:
+    p = _params(args)
     value = bounds.a2_bound(p) if args.which == "a2" else bounds.a3_bound(p)
     return [{"bound": args.which, "vartheta": p.vartheta, "kappa": p.kappa,
              "varkappa": p.varkappa, "value": value}]
 
 
-def cmd_fs(args, cfg) -> list[dict]:
-    p = _params(args, cfg)
+def cmd_fs(args) -> list[dict]:
+    p = _params(args)
     mu = args.mu
     if mu.imag == 0.0:
         verdict = bounds.fs_real(p, mu.real)
@@ -279,8 +271,8 @@ def cmd_fs(args, cfg) -> list[dict]:
     }]
 
 
-def cmd_inverse_fs(args, cfg) -> list[dict]:
-    p = _params(args, cfg)
+def cmd_inverse_fs(args) -> list[dict]:
+    p = _params(args)
     d2_stated, d2_oracle = bounds.inverse_d2_bound(p)
     d3_stated, d3_mu2 = bounds.inverse_d3_bound(p)
     return [{
@@ -293,8 +285,8 @@ def cmd_inverse_fs(args, cfg) -> list[dict]:
     }]
 
 
-def cmd_log_coeff(args, cfg) -> list[dict]:
-    p = _params(args, cfg)
+def cmd_log_coeff(args) -> list[dict]:
+    p = _params(args)
     g1, g2 = bounds.log_coeff_bounds(p)
     return [{"g1": g1, "g2_as_stated": g2, "g2_half_fs": bounds.log_gamma2_oracle(p)}]
 
@@ -308,8 +300,8 @@ def _conv_weights(args) -> tuple[float, float, str]:
     return d.wp2, d.wp3, f"{args.dist}({args.dist_param:g})"
 
 
-def cmd_conv_fs(args, cfg) -> list[dict]:
-    p = _params(args, cfg)
+def cmd_conv_fs(args) -> list[dict]:
+    p = _params(args)
     wp2, wp3, label = _conv_weights(args)
     row = {
         "dist": label,
@@ -330,7 +322,7 @@ def cmd_conv_fs(args, cfg) -> list[dict]:
     return [row]
 
 
-def cmd_dist(args, cfg) -> list[dict]:
+def cmd_dist(args) -> list[dict]:
     _check_index("--max-n", args.max_n)
     d = coefficients(args.kind, args.param, max_n=args.max_n, s=args.s)
     return [{"n": n, "coefficient": d.wp(n)} for n in range(2, args.max_n + 1)]
@@ -355,13 +347,15 @@ def _read_coeffs(path: str) -> TruncatedSeries:
                 coeffs.append(complex(float(tok), 0.0))
             except ValueError:
                 raise ValueError(f"{path}: not a number: {tok!r}") from None
+    if not coeffs:
+        raise ValueError(f"{path}: no coefficients")
     if not all(map(cmath.isfinite, coeffs)):
         raise ValueError(f"{path}: every coefficient must be finite")
     return TruncatedSeries(coeffs)
 
 
-def cmd_member(args, cfg) -> list[dict]:
-    p = _params(args, cfg)
+def cmd_member(args) -> list[dict]:
+    p = _params(args)
     f = _read_coeffs(args.f_coeffs)
     witness, sup_norm = membership_witness(f, p)
     threshold = 1.0 - 1e-6
@@ -373,10 +367,10 @@ def cmd_member(args, cfg) -> list[dict]:
     }]
 
 
-def cmd_lemma(args, cfg) -> list[dict]:
+def cmd_lemma(args) -> list[dict]:
     v = args.v
     fn = verify.Functional(f"lemma{args.which}", v=complex(v.real) if args.which == "1" else v)
-    r = verify.run_experiment(fn, ClassParams(0.0, 0.0, 1.0), _grid(args, cfg), "caratheodory")
+    r = verify.run_experiment(fn, ClassParams(0.0, 0.0, 1.0), _grid(args), "caratheodory")
     stated, sup = r.as_stated, r.empirical_sup
     gap = stated - sup
     if not all(map(math.isfinite, (stated, sup, gap))):
@@ -393,14 +387,13 @@ def cmd_lemma(args, cfg) -> list[dict]:
     }]
 
 
-def cmd_verify(args, cfg) -> int:
-    grid = _grid(args, cfg)
-    vk = float(_resolve(args, cfg, "varkappa"))
-    reports, summary = verify.run_suite(args.suite, varkappa=vk, grid=grid)
+def cmd_verify(args) -> int:
+    grid = _grid(args)
+    reports, summary = verify.run_suite(args.suite, varkappa=float(args.varkappa), grid=grid)
     out = Path(args.out) if args.out else verify.default_report_path()
     verify.write_reports(out, reports, summary)
     print(f"wrote {len(reports)} reports to {out}")
-    print(json.dumps({"summary": summary}, indent=2, default=str, allow_nan=False))
+    print(json.dumps({"summary": summary}, indent=2, allow_nan=False))
     # the digest goes to stderr: stdout stays the summary alone
     first: dict[str, tuple] = {}
     for r in reports:
@@ -526,14 +519,17 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for key, default in BUILTIN_DEFAULTS.items():  # flag, then config, then default
+        if key in vars(args) and getattr(args, key) is None:
+            setattr(args, key, cfg.get(key, default))
     try:
         # an overflow, invalid value or division by zero ends in a NaN the
         # scan refuses or a non-finite result a command refuses, each with
         # one error line, so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if args.command == "verify":  # it prints its own output
-                return args.handler(args, cfg)
-            emit_rows(args.handler(args, cfg), _resolve(args, cfg, "format"))
+                return args.handler(args)
+            emit_rows(args.handler(args), args.format)
             return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,8 +35,6 @@ class OrderMismatch(ValueError):
 class DistributionCoeffs:
     """Positive weights wp(n) for n = 2..max_n."""
 
-    kind: str
-    params: tuple[float, ...]
     values: tuple[float, ...]
 
     @property
@@ -107,16 +105,13 @@ def coefficients(kind: str, param: float, max_n: int, s: int = 1) -> Distributio
         raise BadParameter("need coefficients at least through n = 3")
     if kind == "poisson":
         vals = tuple(poisson_coeff(param, n) for n in range(2, max_n + 1))
-        packed: tuple[float, ...] = (float(param),)
     elif kind == "borel":
         vals = tuple(borel_coeff(param, n) for n in range(2, max_n + 1))
-        packed = (float(param),)
     elif kind == "pascal":
         vals = tuple(pascal_coeff(param, s, n) for n in range(2, max_n + 1))
-        packed = (float(param), float(s))
     else:
         raise BadParameter(f"unknown distribution kind {kind!r}")
-    return DistributionCoeffs(kind=kind, params=packed, values=vals)
+    return DistributionCoeffs(vals)
 
 
 def convolve(f: TruncatedSeries, d: DistributionCoeffs) -> TruncatedSeries:

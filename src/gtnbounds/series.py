@@ -1,9 +1,11 @@
 """Truncated formal power series over complex double-precision coefficients.
 
 A series is a dense coefficient vector ``c[0..N]`` for an explicit truncation
-order ``N``.  Binary operations truncate to the smaller of the two orders
-(composition chains naturally shrink order).  Instances are immutable: the
-coefficient array is read-only, so they are safe to share across threads.
+order ``N``, read through ``coeffs`` and ``order``.  Arithmetic is done by
+the module's functions (``add``, ``scale``, ``mul``, ``div``, ...); the class
+defines no operators.  Binary operations truncate to the smaller of the two
+orders (composition chains naturally shrink order).  Instances are immutable:
+the coefficient array is read-only, so they are safe to share across threads.
 They may share memory: an operation adopts the array it computed without a
 copy, and ``truncate`` to a lower order returns a view of its argument.  Only
 the public constructor copies, so mutating the caller's input afterwards does
@@ -12,7 +14,6 @@ not change the series.
 
 from __future__ import annotations
 
-import functools
 from typing import Iterable
 
 import numpy as np
@@ -73,33 +74,8 @@ class TruncatedSeries:
     def order(self) -> int:
         return self._c.size - 1
 
-    def __getitem__(self, k: int) -> complex:
-        return complex(self._c[k])
-
-    def __len__(self) -> int:
-        return self._c.size
-
     def __repr__(self) -> str:
         return f"TruncatedSeries({np.array2string(self._c, precision=6)})"
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return add(self, other)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return add(self, scale(other, -1.0))
-
-    def __neg__(self) -> "TruncatedSeries":
-        return scale(self, -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            return mul(self, other)
-        return scale(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return div(self, other)
 
 
 def _wrap(c: np.ndarray) -> TruncatedSeries:
@@ -264,18 +240,14 @@ def evaluate(a: TruncatedSeries, z) -> complex | np.ndarray:
     return np.polyval(a.coeffs[::-1], z)
 
 
-@functools.lru_cache(maxsize=8)
-def _circle(radius: float, samples: int) -> np.ndarray:
-    """``samples`` equispaced points of |z| = radius, read-only (it is shared)."""
-    angles = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
-    z = radius * np.exp(1j * angles)
-    z.setflags(write=False)
-    return z
+#: the 256 equispaced points of |z| = 0.99 that ``boundary_max`` samples
+_CIRCLE = 0.99 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False))
+_CIRCLE.setflags(write=False)
 
 
-def boundary_max(a: TruncatedSeries, radius: float = 0.99, samples: int = 256) -> float:
-    """Max modulus over equispaced samples of the circle |z| = radius."""
-    return float(np.max(np.abs(evaluate(a, _circle(radius, samples)))))
+def boundary_max(a: TruncatedSeries) -> float:
+    """Max modulus over the 256 equispaced samples of the circle |z| = 0.99."""
+    return float(np.max(np.abs(evaluate(a, _CIRCLE))))
 
 
 def max_coeff_diff(a: TruncatedSeries, b: TruncatedSeries) -> float:

@@ -26,25 +26,11 @@ class NegativeIndex(ValueError):
     """Sequence indices start at 0."""
 
 
-Rational = Fraction | int
-
-
-def _as_fraction(x: Rational | float | str) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
-def gtn(varkappa: Rational | float | str, n: int) -> Fraction:
-    """Exact value of the generalized telephone number for index n."""
-    return gtn_sequence(varkappa, n)[n]
-
-
-def gtn_sequence(varkappa: Rational | float | str, max_n: int) -> list[Fraction]:
+def gtn_sequence(varkappa: Fraction | int | float | str, max_n: int) -> list[Fraction]:
     """Values for indices 0..max_n, computed by the recurrence."""
     if max_n < 0:
         raise NegativeIndex("sequence index must be >= 0")
-    k = _as_fraction(varkappa)
+    k = Fraction(varkappa)
     if k < 0:
         raise ValueError("the weight parameter must be >= 0")
     values = [Fraction(1), Fraction(1)]

@@ -456,10 +456,12 @@ def extended_functionals() -> list[Functional]:
     return out
 
 
-def lemma_functionals(rng_seed: int = 20240817, n_complex: int = 8) -> list[Functional]:
+def lemma_functionals() -> list[Functional]:
+    """Lemma 1 at each of ``LEMMA1_V_VALUES``, then Lemma 3 at 8 complex v
+    drawn uniformly from [-2, 2] x [-2, 2] by numpy's generator, seed 20240817."""
     out = [Functional("lemma1", v=v) for v in LEMMA1_V_VALUES]
-    rng = np.random.default_rng(rng_seed)
-    for _ in range(n_complex):
+    rng = np.random.default_rng(20240817)
+    for _ in range(8):
         v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         out.append(Functional("lemma3", v=v))
     return out
@@ -544,6 +546,7 @@ def write_reports(path: str | Path, reports: Sequence[BoundReport], summary: dic
     return p
 
 
-def default_report_path(base_dir: str | Path = "reports") -> Path:
+def default_report_path() -> Path:
+    """``reports/verify-<UTC time>.jsonl`` under the working directory."""
     stamp = datetime.now(tz=timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-    return Path(base_dir) / f"verify-{stamp}.jsonl"
+    return Path("reports") / f"verify-{stamp}.jsonl"

@@ -260,6 +260,59 @@ def test_config_file_precedence(capsys, tmp_path):
     assert rows[2]["coefficient"] == pytest.approx(1.0)
 
 
+def _shown(key, out, grids):
+    """The value of ``key`` that a run used, read from its output."""
+    if key == "grid":
+        return grids[-1]
+    if key == "format":
+        return "json" if out.startswith("[") else "csv" if out.startswith("n,") else "table"
+    if key == "varkappa":
+        return json.loads(out)[2]["value"]  # 1 + varkappa, exact
+    return json.loads(out)[key]
+
+
+# key, a subcommand that reads it, a config value and a flag value, and the
+# value the run uses with the config, with the config and the flag, and with
+# neither
+PRECEDENCE = [
+    ("vartheta", ["bound", "a2", "--format", "json"], "1/2", "2", (0.5, 2.0, 0.0)),
+    ("kappa", ["bound", "a2", "--format", "json"], "3/4", "2", (0.75, 2.0, 0.0)),
+    ("varkappa", ["gtn", "--max-n", "2", "--format", "json"], "7/3", "5/2",
+     ("10/3", "7/2", 2)),
+    ("grid", ["lemma", "--which", "3", "--v", "1", "--format", "json"], "6", "4",
+     (6, 4, 60)),
+    ("format", ["dist", "--kind", "poisson", "--param", "1", "--max-n", "3"], "json",
+     "csv", ("json", "csv", "table")),
+]
+
+
+@pytest.mark.parametrize("key, argv, config, flag, shown", PRECEDENCE,
+                         ids=[case[0] for case in PRECEDENCE])
+def test_flag_beats_config_beats_default(capsys, tmp_path, monkeypatch,
+                                         key, argv, config, flag, shown):
+    grids = []
+    uniform = GridSpec.uniform
+    monkeypatch.setattr(GridSpec, "uniform", lambda n: grids.append(n) or uniform(n))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {config}\n")
+    got = []
+    for before, after in ((["--config", str(cfg)], []),
+                          (["--config", str(cfg)], [f"--{key}", flag]),
+                          ([], [])):
+        code, out, err = run_cli(capsys, *before, *argv, *after)
+        assert code == 0, err
+        got.append(_shown(key, out, grids))
+    assert got == list(shown)
+
+
+def test_config_key_a_subcommand_does_not_read_is_ignored(capsys, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("grid = 8\n")
+    with_config = run_cli(capsys, "--config", str(cfg), "bound", "a2")
+    assert with_config == run_cli(capsys, "bound", "a2")
+    assert with_config[0] == 0
+
+
 def test_console_script_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "gtnbounds.cli", "gtn", "--varkappa", "1",
@@ -450,7 +503,8 @@ def test_member_malformed_coefficient_list_exits_one(capsys, tmp_path, text):
 @pytest.mark.parametrize(
     "argv",
     [["log-coeff", "--kappa", "1e308"], ["fs", "--kappa", "1e308"],
-     ["conv-fs", "--kappa", "1e308"], ["bound", "a3", "--kappa", "1e308"]],
+     ["conv-fs", "--kappa", "1e308"], ["bound", "a3", "--kappa", "1e308"],
+     ["xseries", "--varkappa", "1e300", "--order", "5", "--format", "csv"]],
     ids=lambda a: a[0],
 )
 def test_overflowing_inputs_exit_one(capsys, argv):
@@ -493,6 +547,14 @@ def test_member_non_finite_coefficient_exits_one(capsys, tmp_path, text):
     code, out, err = run_cli(capsys, "member", "--f-coeffs", str(path))
     assert (code, out) == (1, "")
     assert err == f"error: {path}: every coefficient must be finite\n"
+
+
+@pytest.mark.parametrize("text", ["", " \n\n", "[]"], ids=["empty", "blank", "empty-list"])
+def test_member_file_without_coefficients_names_the_file(capsys, tmp_path, text):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "member", "--f-coeffs", str(path))
+    assert (code, out, err) == (1, "", f"error: {path}: no coefficients\n")
 
 
 def test_member_non_number_token_names_the_file(capsys, tmp_path):

@@ -107,7 +107,7 @@ def test_convolve_identity_series():
 
 
 def test_convolve_unit_weights_is_noop():
-    ones = DistributionCoeffs("unit", (), tuple(1.0 for _ in range(2, 9)))
+    ones = DistributionCoeffs(tuple(1.0 for _ in range(2, 9)))
     f = TruncatedSeries([0, 1, 0.5, -0.25, 0.125], order=4)
     assert np.allclose(convolve(f, ones).coeffs, f.coeffs)
 

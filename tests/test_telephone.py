@@ -6,12 +6,12 @@ import pytest
 
 from gtnbounds import series as ps
 from gtnbounds.series import TruncatedSeries
-from gtnbounds.telephone import NegativeIndex, gtn, gtn_sequence, gtn_via_egf, x_series
+from gtnbounds.telephone import NegativeIndex, gtn_sequence, gtn_via_egf, x_series
 
 
 @pytest.mark.parametrize("vk", [1, 2, 3])
 def test_index_4_closed_form(vk):
-    assert gtn(vk, 4) == 1 + 6 * vk + 3 * vk**2
+    assert gtn_sequence(vk, 4)[4] == 1 + 6 * vk + 3 * vk**2
 
 
 def test_classical_sequence():
@@ -20,17 +20,17 @@ def test_classical_sequence():
 
 @pytest.mark.parametrize("vk", [1, 2, Fraction(7, 2)])
 def test_index_6_closed_form(vk):
-    assert gtn(vk, 6) == 1 + 15 * vk + 45 * vk**2 + 15 * vk**3
+    assert gtn_sequence(vk, 6)[6] == 1 + 15 * vk + 45 * vk**2 + 15 * vk**3
 
 
 def test_negative_index_rejected():
     with pytest.raises(NegativeIndex):
-        gtn(1, -1)
+        gtn_sequence(1, -1)
 
 
 def test_negative_weight_rejected():
     with pytest.raises(ValueError):
-        gtn(-1, 3)
+        gtn_sequence(-1, 3)
 
 
 @pytest.mark.parametrize("vk", [1.0, 2.0])
