@@ -59,26 +59,6 @@ from gtnbounds import series as ps
 from gtnbounds.series import TruncatedSeries
 
 
-class NotNormalized(ValueError):
-    """f must satisfy f(0) = 0 and f'(0) = 1."""
-
-
-class PowerBranchFailure(ValueError):
-    """A bracket base drifted away from constant term 1."""
-
-
-class NotSchwarz(ValueError):
-    """The driving series must vanish at 0 and stay inside the unit disk."""
-
-
-class WitnessUndefined(ValueError):
-    """The witness recursion produced non-finite values."""
-
-
-class FitUnstable(ValueError):
-    """Relation estimates at the two step sizes disagree."""
-
-
 @dataclass(frozen=True)
 class ClassParams:
     """Class parameters (vartheta, kappa) plus the subordination weight
@@ -141,9 +121,9 @@ class CoefficientRelation:
 def _check_normalized(f: TruncatedSeries) -> None:
     """Order at least 3, f(0) = 0 and f'(0) = 1, each to within 1e-9."""
     if f.order < 3:
-        raise NotNormalized("need at least order 3 to form the functional")
+        raise ValueError("need at least order 3 to form the functional")
     if not (abs(f.coeffs[0]) <= 1e-9 and abs(f.coeffs[1] - 1.0) <= 1e-9):  # NaN fails
-        raise NotNormalized("f must have f(0) = 0 and f'(0) = 1")
+        raise ValueError("f must have f(0) = 0 and f'(0) = 1")
 
 
 def w_functional(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
@@ -158,7 +138,7 @@ def w_functional(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
     ratio = ps.div(ps.truncate(zfpp, n), fp)              # zf''/f'
     bracket = ps.add(ps.add(base, ratio), ps.scale(u1, params.kappa - 1.0))
     if abs(base.coeffs[0] - 1.0) > 1e-9 or abs(bracket.coeffs[0] - 1.0) > 1e-9:
-        raise PowerBranchFailure("bracket base lost its unit constant term")
+        raise ValueError("bracket base lost its unit constant term")
     return ps.mul(
         ps.pow_real(bracket, params.vartheta),
         ps.pow_real(base, 1.0 - params.vartheta),
@@ -205,7 +185,7 @@ def derive_relation(params: ClassParams) -> CoefficientRelation:
     for i in range(3):
         e1, e2 = ests[0][i], ests[1][i]
         if abs(e1 - e2) > 1e-6:
-            raise FitUnstable(f"relation estimates disagree: {e1} vs {e2}")
+            raise ValueError(f"relation estimates disagree: {e1} vs {e2}")
         out.append(2.0 * e1 - e2)
     return CoefficientRelation(out[0], out[1], out[2])
 
@@ -280,12 +260,12 @@ def solve_from_schwarz(w: TruncatedSeries, params: ClassParams, order: int) -> T
     if order < 2:
         raise ValueError("order must be >= 2")
     if not np.all(np.isfinite(w.coeffs.view(float))):
-        raise NotSchwarz("w must have finite coefficients")
+        raise ValueError("w must have finite coefficients")
     if abs(w.coeffs[0]) > 1e-9:
-        raise NotSchwarz("w(0) must be 0")
+        raise ValueError("w(0) must be 0")
     wmax = ps.boundary_max(w)
     if wmax >= 1.0:
-        raise NotSchwarz(f"|w| reaches {wmax:.6f} >= 1 on the sampling circle")
+        raise ValueError(f"|w| reaches {wmax:.6f} >= 1 on the sampling circle")
     wt = ps.truncate(w, order - 1)
     target = ps.add(wt, ps.scale(ps.mul(wt, wt), params.varkappa / 2.0)).coeffs.tolist()
     fc, _ = _w_recurrence(params, order, lambda n, rest, slope: (target[n] - rest) / slope)
@@ -314,6 +294,6 @@ def membership_witness(f: TruncatedSeries, params: ClassParams) -> tuple[Truncat
             acc -= (vk / 2.0) * np.dot(wc[1:m], wc[m - 1 : 0 : -1])
         wc[m] = acc
     if not np.all(np.isfinite(wc.view(float))):
-        raise WitnessUndefined("witness recursion produced non-finite coefficients")
+        raise ValueError("witness recursion produced non-finite coefficients")
     witness = TruncatedSeries(wc)
     return witness, ps.boundary_max(witness)

@@ -28,10 +28,6 @@ from gtnbounds.bazilevic import ClassParams
 from gtnbounds.caratheodory import lemma1_bound
 
 
-class ZeroConvolutionCoefficient(ValueError):
-    """Convolution weights must be strictly positive."""
-
-
 BRANCH_BELOW = "below-sigma1"
 BRANCH_BETWEEN = "between"
 BRANCH_ABOVE = "above-sigma2"
@@ -201,7 +197,7 @@ def conv_fs_complex(params: ClassParams, mu: complex, wp2: float, wp3: float) ->
     and the mu multiplier mixes in (vartheta + 2).  That gap is discrepancy D4.
     """
     if wp2 <= 0 or wp3 <= 0:
-        raise ZeroConvolutionCoefficient("wp2 and wp3 must be > 0")
+        raise ValueError("wp2 and wp3 must be > 0")
     w2sq = (params.W * wp2) ** 2
     inner = (
         -1.0
@@ -216,5 +212,5 @@ def conv_fs_real(params: ClassParams, mu: float, wp2: float, wp3: float) -> Piec
     """Three-branch convolution-class bound; wp2 = wp3 = 1 coincides with
     fs_real branch for branch."""
     if wp2 <= 0 or wp3 <= 0:
-        raise ZeroConvolutionCoefficient("wp2 and wp3 must be > 0")
+        raise ValueError("wp2 and wp3 must be > 0")
     return _piecewise(params, float(mu), wp2, wp3)

@@ -22,10 +22,6 @@ from typing import Callable, Tuple
 import numpy as np
 
 
-class ParameterOutOfRange(ValueError):
-    """Sampler parameters rho, tau must lie in [0, 1]."""
-
-
 class FunctionalIsNaN(ValueError):
     """The functional is NaN at a point the scan evaluates; ``member`` is the
     index of the member of a stack that is (0 for a single functional)."""
@@ -93,7 +89,7 @@ def sample_point(rho: float, alpha: float, tau: float, beta: float) -> Caratheod
     """Admissible point from sampler parameters; saturates the body boundary
     at rho = 1 or tau = 1."""
     if not (0.0 <= rho <= 1.0 and 0.0 <= tau <= 1.0):
-        raise ParameterOutOfRange("rho and tau must lie in [0, 1]")
+        raise ValueError("rho and tau must lie in [0, 1]")
     c1 = 2.0 * rho * np.exp(1j * alpha)
     c2 = c1**2 / 2.0 + (2.0 - abs(c1) ** 2 / 2.0) * tau * np.exp(1j * beta)
     return CaratheodoryPoint(complex(c1), complex(c2))

@@ -13,7 +13,9 @@ Flag values override an optional ``--config FILE`` (simple ``key=value``
 lines), which overrides built-in defaults.  :func:`main` fills the unset keys
 the subcommand defines from the config or the defaults, so handlers read
 ``args`` alone and a command ignores the keys it does not read.  Exit codes:
-0 success, 1 usage error, 2 soundness violation in ``verify``.
+0 success, 1 usage error, 2 soundness violation in ``verify``.  Every layer
+refuses bad input with a plain ``ValueError`` whose message names the check;
+:func:`main` prints it after ``error:`` and exits 1.
 
 ``main`` may be called many times in one process.  The parser is built on
 the first call and reused by every later one, so each subparser's handler is
@@ -159,18 +161,6 @@ def _params(args) -> ClassParams:
 # ---------------------------------------------------------------------------
 # Output formatting
 
-def _sanitize(obj, digits: int):
-    if isinstance(obj, float):
-        return float(f"{obj:.{digits}g}")
-    if isinstance(obj, complex):
-        return [float(f"{obj.real:.{digits}g}"), float(f"{obj.imag:.{digits}g}")]
-    if isinstance(obj, dict):
-        return {k: _sanitize(v, digits) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v, digits) for v in obj]
-    return obj
-
-
 def _cell(v, digits: int) -> str:
     if isinstance(v, float):
         return f"{v:.{digits}g}"
@@ -185,7 +175,7 @@ def emit_rows(rows: list[dict], fmt: str, stream=None) -> None:
     format writes nothing."""
     stream = stream or sys.stdout
     if fmt == "json":
-        payload = _sanitize(rows if len(rows) != 1 else rows[0], 12)
+        payload = verify.round12(rows if len(rows) != 1 else rows[0])
         stream.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         return
     header = list(rows[0].keys())
@@ -328,36 +318,38 @@ def cmd_dist(args) -> list[dict]:
     return [{"n": n, "coefficient": d.wp(n)} for n in range(2, args.max_n + 1)]
 
 
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _read_coeffs(path: str) -> TruncatedSeries:
     text = Path(path).read_text().strip()
     if text.startswith("["):
         data = json.loads(text)
-        try:
-            # a pair must be exactly [re, im]: complex() of any other list fails
-            coeffs = [complex(*c) if isinstance(c, list) and len(c) == 2 else complex(c)
-                      for c in data]
-        except TypeError:
-            raise ValueError(
-                f"{path}: expected a list of numbers or [re, im] pairs"
-            ) from None
+        if not all(_number(c) or isinstance(c, list) and len(c) == 2 and all(map(_number, c))
+                   for c in data):
+            raise ValueError("expected a list of numbers or [re, im] pairs")
+        coeffs = [complex(*c) if isinstance(c, list) else complex(c) for c in data]
     else:
         coeffs = []
         for tok in text.replace(",", " ").split():
             try:
                 coeffs.append(complex(float(tok), 0.0))
             except ValueError:
-                raise ValueError(f"{path}: not a number: {tok!r}") from None
+                raise ValueError(f"not a number: {tok!r}") from None
     if not coeffs:
-        raise ValueError(f"{path}: no coefficients")
+        raise ValueError("no coefficients")
     if not all(map(cmath.isfinite, coeffs)):
-        raise ValueError(f"{path}: every coefficient must be finite")
+        raise ValueError("every coefficient must be finite")
     return TruncatedSeries(coeffs)
 
 
 def cmd_member(args) -> list[dict]:
     p = _params(args)
-    f = _read_coeffs(args.f_coeffs)
-    witness, sup_norm = membership_witness(f, p)
+    try:  # every refusal of the file, or of the function it holds, names it
+        witness, sup_norm = membership_witness(_read_coeffs(args.f_coeffs), p)
+    except ValueError as exc:
+        raise ValueError(f"{args.f_coeffs}: {exc}") from exc
     threshold = 1.0 - 1e-6
     return [{
         "sup_norm": sup_norm,

@@ -23,14 +23,6 @@ from gtnbounds.series import TruncatedSeries
 _LOG_SPACE_CUTOFF = 100
 
 
-class BadParameter(ValueError):
-    """Distribution parameter outside the admissible range."""
-
-
-class OrderMismatch(ValueError):
-    """Coefficient table is shorter than the series it multiplies."""
-
-
 @dataclass(frozen=True)
 class DistributionCoeffs:
     """Positive weights wp(n) for n = 2..max_n."""
@@ -55,9 +47,9 @@ class DistributionCoeffs:
 
 def poisson_coeff(m: float, n: int) -> float:
     if not (math.isfinite(m) and m > 0):
-        raise BadParameter("Poisson parameter must be finite and > 0")
+        raise ValueError("Poisson parameter must be finite and > 0")
     if n < 2:
-        raise BadParameter("coefficients are defined for n >= 2")
+        raise ValueError("coefficients are defined for n >= 2")
     if n + 1 > _LOG_SPACE_CUTOFF:
         return math.exp((n - 1) * math.log(m) - m - math.lgamma(n))
     value = math.exp(-m)
@@ -68,9 +60,9 @@ def poisson_coeff(m: float, n: int) -> float:
 
 def borel_coeff(sigma: float, n: int) -> float:
     if not 0.0 < sigma <= 1.0:
-        raise BadParameter("Borel parameter must lie in (0, 1]")
+        raise ValueError("Borel parameter must lie in (0, 1]")
     if n < 2:
-        raise BadParameter("coefficients are defined for n >= 2")
+        raise ValueError("coefficients are defined for n >= 2")
     if n + 1 > _LOG_SPACE_CUTOFF:
         return math.exp(
             (n - 2) * math.log(sigma * (n - 1)) - sigma * (n - 1) - math.lgamma(n)
@@ -86,11 +78,11 @@ def borel_coeff(sigma: float, n: int) -> float:
 
 def pascal_coeff(q: float, s: int, n: int) -> float:
     if not 0.0 <= q < 1.0:
-        raise BadParameter("Pascal q must lie in [0, 1)")
+        raise ValueError("Pascal q must lie in [0, 1)")
     if not (isinstance(s, (int, np.integer)) and s >= 1):
-        raise BadParameter("Pascal s must be an integer >= 1")
+        raise ValueError("Pascal s must be an integer >= 1")
     if n < 2:
-        raise BadParameter("coefficients are defined for n >= 2")
+        raise ValueError("coefficients are defined for n >= 2")
     if q == 0.0:
         return 0.0
     if n + s > _LOG_SPACE_CUTOFF:
@@ -102,7 +94,7 @@ def pascal_coeff(q: float, s: int, n: int) -> float:
 def coefficients(kind: str, param: float, max_n: int, s: int = 1) -> DistributionCoeffs:
     """Build the weight table for n = 2..max_n."""
     if max_n < 3:
-        raise BadParameter("need coefficients at least through n = 3")
+        raise ValueError("need coefficients at least through n = 3")
     if kind == "poisson":
         vals = tuple(poisson_coeff(param, n) for n in range(2, max_n + 1))
     elif kind == "borel":
@@ -110,7 +102,7 @@ def coefficients(kind: str, param: float, max_n: int, s: int = 1) -> Distributio
     elif kind == "pascal":
         vals = tuple(pascal_coeff(param, s, n) for n in range(2, max_n + 1))
     else:
-        raise BadParameter(f"unknown distribution kind {kind!r}")
+        raise ValueError(f"unknown distribution kind {kind!r}")
     return DistributionCoeffs(vals)
 
 
@@ -119,7 +111,7 @@ def convolve(f: TruncatedSeries, d: DistributionCoeffs) -> TruncatedSeries:
     if not (abs(f.coeffs[0]) <= 1e-12 and abs(f.coeffs[1] - 1.0) <= 1e-12):  # NaN fails
         raise ValueError("f must be normalized (f(0) = 0, f'(0) = 1)")
     if f.order > d.max_n:
-        raise OrderMismatch(
+        raise ValueError(
             f"series order {f.order} exceeds coefficient table (max n {d.max_n})"
         )
     out = np.array(f.coeffs, dtype=complex)

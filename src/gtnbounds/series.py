@@ -23,30 +23,6 @@ import numpy as np
 UNIT_TOL = 1e-12
 
 
-class SeriesError(ValueError):
-    """Base class for series precondition failures."""
-
-
-class DivisionByNonUnit(SeriesError):
-    """Denominator has (numerically) vanishing constant term."""
-
-
-class NonzeroConstantTerm(SeriesError):
-    """exp() requires a series with zero constant term."""
-
-
-class ConstantTermNotOne(SeriesError):
-    """log() / fractional powers require a unit constant term."""
-
-
-class InnerConstantNonzero(SeriesError):
-    """Composition requires the inner series to vanish at 0."""
-
-
-class NotInvertible(SeriesError):
-    """Compositional inverse needs c0 = 0 and c1 != 0."""
-
-
 class TruncatedSeries:
     """Coefficients ``coeffs[k]`` of ``z**k`` for ``k = 0..order``."""
 
@@ -126,7 +102,7 @@ def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
 def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Long division; requires |b[0]| above the unit tolerance."""
     if abs(b.coeffs[0]) <= UNIT_TOL:
-        raise DivisionByNonUnit("denominator constant term is (numerically) zero")
+        raise ValueError("denominator constant term is (numerically) zero")
     n = min(a.order, b.order)
     ac = a.coeffs
     bc = b.coeffs
@@ -147,7 +123,7 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
     and costs O(N^2).
     """
     if abs(a.coeffs[0]) > UNIT_TOL:
-        raise NonzeroConstantTerm("exp needs a zero constant term")
+        raise ValueError("exp needs a zero constant term")
     n = a.order
     ka = a.coeffs * np.arange(n + 1)
     e = np.zeros(n + 1, dtype=complex)
@@ -160,7 +136,7 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
 def log_series(a: TruncatedSeries) -> TruncatedSeries:
     """log of a series with unit constant term (principal branch)."""
     if abs(a.coeffs[0] - 1.0) > UNIT_TOL:
-        raise ConstantTermNotOne("log needs constant term 1")
+        raise ValueError("log needs constant term 1")
     n = a.order
     ac = a.coeffs
     k = np.arange(n + 1)
@@ -177,7 +153,7 @@ def log_series(a: TruncatedSeries) -> TruncatedSeries:
 def pow_real(a: TruncatedSeries, e: float) -> TruncatedSeries:
     """a**e for real e via exp(e * log a); needs a unit constant term."""
     if abs(a.coeffs[0] - 1.0) > UNIT_TOL:
-        raise ConstantTermNotOne("fractional power needs constant term 1")
+        raise ValueError("fractional power needs constant term 1")
     if e == 0:
         return one(a.order)
     return exp_series(scale(log_series(a), e))
@@ -190,7 +166,7 @@ def compose(outer: TruncatedSeries, inner: TruncatedSeries) -> TruncatedSeries:
     cannot reach order <= n because inner vanishes at 0.
     """
     if abs(inner.coeffs[0]) > UNIT_TOL:
-        raise InnerConstantNonzero("inner series must have zero constant term")
+        raise ValueError("inner series must have zero constant term")
     n = min(outer.order, inner.order)
     oc, ic = outer.coeffs, inner.coeffs[: n + 1]
     r = np.zeros(n + 1, dtype=complex)
@@ -208,7 +184,7 @@ def revert(a: TruncatedSeries) -> TruncatedSeries:
     division and its powers by running truncated products.
     """
     if abs(a.coeffs[0]) > UNIT_TOL or abs(a.coeffs[1]) <= UNIT_TOL:
-        raise NotInvertible("need c0 = 0 and c1 != 0 for a compositional inverse")
+        raise ValueError("need c0 = 0 and c1 != 0 for a compositional inverse")
     n = a.order
     h = div(one(n - 1), _wrap(a.coeffs[1:])).coeffs   # z/a
     b = np.zeros(n + 1, dtype=complex)

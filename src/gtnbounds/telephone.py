@@ -22,14 +22,10 @@ from fractions import Fraction
 from gtnbounds.series import TruncatedSeries, exp_series
 
 
-class NegativeIndex(ValueError):
-    """Sequence indices start at 0."""
-
-
 def gtn_sequence(varkappa: Fraction | int | float | str, max_n: int) -> list[Fraction]:
     """Values for indices 0..max_n, computed by the recurrence."""
     if max_n < 0:
-        raise NegativeIndex("sequence index must be >= 0")
+        raise ValueError("sequence index must be >= 0")
     k = Fraction(varkappa)
     if k < 0:
         raise ValueError("the weight parameter must be >= 0")
@@ -52,5 +48,5 @@ def x_series(varkappa: float, order: int) -> TruncatedSeries:
 def gtn_via_egf(varkappa: float, n: int) -> float:
     """n! times the n-th Taylor coefficient of the generating function."""
     if n < 0:
-        raise NegativeIndex("sequence index must be >= 0")
+        raise ValueError("sequence index must be >= 0")
     return float(math.factorial(n) * x_series(float(varkappa), n).coeffs[n].real)

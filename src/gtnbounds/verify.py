@@ -76,10 +76,6 @@ LEMMA_BOUNDS: dict[str, Callable[[complex], float]] = {
 }
 
 
-class EmptySweep(ValueError):
-    """A sweep needs at least one parameter set and one functional."""
-
-
 @dataclass(frozen=True)
 class Functional:
     """Descriptor of one verified functional."""
@@ -396,7 +392,7 @@ def sweep(
     for this call.  Each experiment's ``scale`` applies to its form's
     result, so ``log-g2`` (``|a3 - a2^2/2| / 2``) reads that of ``fs(1/2)``."""
     if not param_entries or not functionals:
-        raise EmptySweep("need at least one parameter set and one functional")
+        raise ValueError("need at least one parameter set and one functional")
     scans: dict = {}
     for pid, params, _ in param_entries:
         for fn in functionals:
@@ -492,46 +488,45 @@ def run_suite(
 # ---------------------------------------------------------------------------
 # Deterministic JSON-lines serialization (12 significant digits everywhere)
 
-def _f12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
-def _c12(z: complex) -> list[float]:
-    return [_f12(z.real), _f12(z.imag)]
+def round12(obj):
+    """``obj`` as it is printed: each float rounded to 12 significant digits
+    and each complex as ``[re, im]``, through dicts, lists and tuples."""
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, complex):
+        return [round12(obj.real), round12(obj.imag)]
+    if isinstance(obj, dict):
+        return {k: round12(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [round12(v) for v in obj]
+    return obj
 
 
 def report_to_dict(r: BoundReport) -> dict:
-    return {
+    return round12({
         "experiment_id": r.experiment_id,
-        "vartheta": _f12(r.vartheta),
-        "kappa": _f12(r.kappa),
-        "varkappa": _f12(r.varkappa),
+        "vartheta": float(r.vartheta),
+        "kappa": float(r.kappa),
+        "varkappa": float(r.varkappa),
         "functional": r.functional,
-        "as_stated": _f12(r.as_stated),
-        "oracle": _f12(r.oracle),
-        "empirical_sup": _f12(r.empirical_sup),
-        "witness": {"c1": _c12(r.witness.c1), "c2": _c12(r.witness.c2)},
+        "as_stated": float(r.as_stated),
+        "oracle": float(r.oracle),
+        "empirical_sup": float(r.empirical_sup),
+        "witness": {"c1": complex(r.witness.c1), "c2": complex(r.witness.c2)},
         "discrepancy_ids": r.discrepancy_ids,
         "discrepancies": [
-            {k: (v if isinstance(v, str) else _f12(v)) for k, v in d.items()}
+            {k: (v if isinstance(v, str) else float(v)) for k, v in d.items()}
             for d in r.discrepancies
         ],
-        "gap": _f12(r.gap),
-    }
+        "gap": float(r.gap),
+    })
 
 
 def reports_to_lines(reports: Sequence[BoundReport], summary: dict) -> list[str]:
-    lines = [
-        json.dumps(report_to_dict(r), separators=(",", ":"), allow_nan=False)
-        for r in reports
+    return [
+        json.dumps(obj, separators=(",", ":"), allow_nan=False)
+        for obj in [*map(report_to_dict, reports), {"summary": round12(summary)}]
     ]
-    clean = dict(summary)
-    if isinstance(clean.get("max_sup_minus_oracle"), float) and math.isfinite(
-        clean["max_sup_minus_oracle"]
-    ):
-        clean["max_sup_minus_oracle"] = _f12(clean["max_sup_minus_oracle"])
-    lines.append(json.dumps({"summary": clean}, separators=(",", ":"), allow_nan=False))
-    return lines
 
 
 def write_reports(path: str | Path, reports: Sequence[BoundReport], summary: dict) -> Path:

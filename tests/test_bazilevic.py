@@ -9,8 +9,6 @@ from gtnbounds import series as ps
 from gtnbounds.bazilevic import (
     ClassParams,
     CoefficientRelation,
-    NotNormalized,
-    NotSchwarz,
     _b_coeffs,
     _w_recurrence,
     derive_relation,
@@ -96,9 +94,9 @@ def test_functional_mixed_params_hand_expansion():
 def test_functional_requires_normalization():
     # the functional and the witness share one guard
     for fn in (w_functional, membership_witness):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(ValueError, match=r"f must have f\(0\) = 0"):
             fn(TruncatedSeries([0, 2, 0, 0]), ClassParams(0, 0, 1))
-        with pytest.raises(NotNormalized):
+        with pytest.raises(ValueError, match="need at least order 3"):
             fn(TruncatedSeries([0, 1]), ClassParams(0, 0, 1))
 
 
@@ -107,7 +105,7 @@ def test_functional_requires_normalization():
 def test_functional_rejects_nan_normalization_terms(coeffs):
     # abs(nan) > 1e-9 is False: the check must fail a NaN, not pass it
     for fn in (w_functional, membership_witness):
-        with pytest.raises(NotNormalized):
+        with pytest.raises(ValueError, match=r"f must have f\(0\) = 0"):
             fn(TruncatedSeries(coeffs), ClassParams(0, 0, 1))
 
 
@@ -181,6 +179,15 @@ def test_relation_bits_that_reports_read():
     assert got == RELATION_BITS
 
 
+def test_derive_relation_refuses_disagreeing_steps(monkeypatch):
+    # a functional that is not linear in the probe step fails the two-step check
+    real = bazilevic._b_coeffs
+    monkeypatch.setattr(bazilevic, "_b_coeffs",
+                        lambda p, extra, order: real(p, extra, order) + extra.sum() ** 2)
+    with pytest.raises(ValueError, match="relation estimates disagree"):
+        derive_relation(ClassParams(0.5, 0.5, 1.0))
+
+
 def test_relation_discrepancies_against_paper_variants_are_recorded_not_asserted():
     # at the origin the printed quadratic coefficient is -2 while the oracle
     # gives -1; both printed linear variants also differ from each other
@@ -237,9 +244,9 @@ def test_solve_square_schwarz():
 
 
 def test_solve_rejects_non_schwarz():
-    with pytest.raises(NotSchwarz):
+    with pytest.raises(ValueError, match=r"w\(0\) must be 0"):
         solve_from_schwarz(TruncatedSeries([0.5, 0.5], order=6), ClassParams(0, 0, 1), 6)
-    with pytest.raises(NotSchwarz):
+    with pytest.raises(ValueError, match="on the sampling circle"):
         solve_from_schwarz(TruncatedSeries([0, 2.0], order=6), ClassParams(0, 0, 1), 6)
 
 
@@ -248,7 +255,7 @@ def test_solve_rejects_non_finite_schwarz_series(bad):
     for pos in (0, 1, 3):
         c = np.array([0, 0.3, 0.1, -0.1, 0.05], dtype=complex)
         c[pos] = bad
-        with pytest.raises(NotSchwarz, match="finite"):
+        with pytest.raises(ValueError, match="w must have finite coefficients"):
             solve_from_schwarz(TruncatedSeries(c), ClassParams(0.3, 0.7, 1.5), 6)
 
 
@@ -487,6 +494,15 @@ def test_membership_of_identity():
 def test_koebe_is_not_a_member():
     _, sup = membership_witness(koebe(8), ClassParams(0, 0, 1))
     assert sup > 1.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_witness_refuses_an_overflowing_recursion():
+    # the witness's quadratic recursion overflows in numpy's dot product
+    f = TruncatedSeries([0, 1, 1e200, 0, 0])
+    with pytest.raises(ValueError, match="witness recursion produced non-finite"):
+        membership_witness(f, ClassParams(0, 0, 1))
 
 
 def test_a2_equals_c1_over_2w():

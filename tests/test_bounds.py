@@ -239,9 +239,9 @@ def test_conv_scaling_with_aleph_held_fixed():
 
 
 def test_conv_rejects_zero_weights():
-    with pytest.raises(bounds.ZeroConvolutionCoefficient):
+    with pytest.raises(ValueError, match="wp2 and wp3 must be > 0"):
         bounds.conv_fs_complex(P000, 0.0, 0.0, 1.0)
-    with pytest.raises(bounds.ZeroConvolutionCoefficient):
+    with pytest.raises(ValueError, match="wp2 and wp3 must be > 0"):
         bounds.conv_fs_real(P000, 0.0, 1.0, -1.0)
 
 

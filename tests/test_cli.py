@@ -490,14 +490,16 @@ def test_config_bad_format_exits_one(capsys, tmp_path, value):
     "text",
     ["[1, [2]]", "[0, {}]", "[[1, null]]", "[0, 1, null]",
      # a pair with extra entries is not read as its first two
-     "[[0, 0, 5], [1, 0]]", "[[0, 0], [1, 0, 0], [0.1, 0]]", "[[], [1, 0]]"],
+     "[[0, 0, 5], [1, 0]]", "[[0, 0], [1, 0, 0], [0.1, 0]]", "[[], [1, 0]]",
+     # JSON booleans and numeric strings are not numbers
+     "[false, true, 0, 0]", '["0", "1", "0", "0"]'],
 )
 def test_member_malformed_coefficient_list_exits_one(capsys, tmp_path, text):
     path = tmp_path / "f.json"
     path.write_text(text)
     code, out, err = run_cli(capsys, "member", "--f-coeffs", str(path))
-    assert (code, out) == (1, "")
-    assert "expected a list of numbers" in err
+    assert (code, out, err) == (
+        1, "", f"error: {path}: expected a list of numbers or [re, im] pairs\n")
 
 
 @pytest.mark.parametrize(
@@ -564,13 +566,23 @@ def test_member_non_number_token_names_the_file(capsys, tmp_path):
     assert (code, out, err) == (1, "", f"error: {path}: not a number: 'abc'\n")
 
 
-def test_member_unnormalized_function_exits_one(capsys, tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [("0 2 0 0\n", "f must have f(0) = 0 and f'(0) = 1"),
+     ("0 1\n", "need at least order 3"),
+     ("0 1 1e200 0 0\n", "witness recursion produced non-finite coefficients"),
+     ('["a", 1]', "expected a list of numbers or [re, im] pairs"),
+     ("[1, 2", "Expecting ',' delimiter")],
+    ids=["unnormalized", "too-short", "overflow", "string-entry", "bad-json"],
+)
+def test_member_unnormalized_function_exits_one(capsys, tmp_path, text, message):
+    # a refusal of the file or of the function it holds names the file
     path = tmp_path / "f.txt"
-    path.write_text("0 2 0 0\n")
+    path.write_text(text)
     code, out, err = run_cli(capsys, "member", "--f-coeffs", str(path))
     assert (code, out) == (1, "")
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "Traceback" not in err
+    assert err.startswith(f"error: {path}: ") and len(err.splitlines()) == 1
+    assert message in err
 
 
 # Each subcommand accepts only the flags its handler reads.

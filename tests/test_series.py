@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtnbounds import series as ps
-from gtnbounds.series import (
-    ConstantTermNotOne,
-    DivisionByNonUnit,
-    InnerConstantNonzero,
-    NonzeroConstantTerm,
-    NotInvertible,
-    TruncatedSeries,
-)
+from gtnbounds.series import TruncatedSeries
 
 
 def S(coeffs, order=None):
@@ -68,7 +61,7 @@ def test_div_exact_factor():
 
 
 def test_div_by_non_unit():
-    with pytest.raises(DivisionByNonUnit):
+    with pytest.raises(ValueError, match="denominator constant term"):
         ps.div(ps.one(3), S([0, 1], order=3))
 
 
@@ -89,7 +82,7 @@ def test_exp_of_zero():
 
 
 def test_exp_rejects_constant():
-    with pytest.raises(NonzeroConstantTerm):
+    with pytest.raises(ValueError, match="exp needs a zero constant term"):
         ps.exp_series(S([0.5, 1]))
 
 
@@ -104,7 +97,7 @@ def test_log_exp_round_trip():
 
 
 def test_log_rejects_non_unit_constant():
-    with pytest.raises(ConstantTermNotOne):
+    with pytest.raises(ValueError, match="log needs constant term 1"):
         ps.log_series(S([2, 1]))
 
 
@@ -145,7 +138,7 @@ def test_compose_exp_after_log():
 
 
 def test_compose_rejects_nonzero_inner_constant():
-    with pytest.raises(InnerConstantNonzero):
+    with pytest.raises(ValueError, match="inner series must have zero constant term"):
         ps.compose(S([1, 1]), S([1, 1]))
 
 
@@ -162,7 +155,7 @@ def test_revert_catalan_signs():
 
 
 def test_revert_rejects_zero_linear_term():
-    with pytest.raises(NotInvertible):
+    with pytest.raises(ValueError, match="compositional inverse"):
         ps.revert(S([0, 0, 1]))
 
 

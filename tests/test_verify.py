@@ -67,9 +67,9 @@ def test_subclass_presets_a3_flag_d1_at_starlike():
 
 
 def test_empty_sweep_rejected():
-    with pytest.raises(verify.EmptySweep):
+    with pytest.raises(ValueError, match="at least one parameter set and one functional"):
         verify.sweep([], [Functional("a2")])
-    with pytest.raises(verify.EmptySweep):
+    with pytest.raises(ValueError, match="at least one parameter set and one functional"):
         verify.sweep(verify.preset_entries(1.0), [])
 
 
