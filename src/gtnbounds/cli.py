@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: gtn, xseries, bound, fs, inverse-fs, log-coeff, conv-fs, dist,
-member, lemma, verify; each accepts only the flags its handler reads.  Every
-handler but ``cmd_verify`` returns its rows, which :func:`main` prints with
-:func:`emit_rows` in the ``--format`` json, csv or table (machine formats
-print floats with 12 significant digits, tables with 6).  ``cmd_verify``
+member, lemma, presets, verify; each accepts only the flags its handler
+reads.  Every handler but ``cmd_verify`` returns its rows, which :func:`main`
+prints with :func:`emit_rows` in the ``--format`` json, csv or table (machine
+formats print floats with 12 significant digits, tables with 6).  ``cmd_verify``
 writes its reports, prints its summary on stdout and a digest on stderr (the
 first report of each discrepancy ID and the report with the tightest oracle
 gap) and returns the exit code.
@@ -15,7 +15,8 @@ the subcommand defines from the config or the defaults, so handlers read
 ``args`` alone and a command ignores the keys it does not read.  Exit codes:
 0 success, 1 usage error, 2 soundness violation in ``verify``.  Every layer
 refuses bad input with a plain ``ValueError`` whose message names the check;
-:func:`main` prints it after ``error:`` and exits 1.
+:func:`main` prints it after ``error:`` and exits 1.  A command whose stdout
+is closed before it is done (``| head``) exits 1 and prints nothing more.
 
 ``main`` may be called many times in one process.  The parser is built on
 the first call and reused by every later one, so each subparser's handler is
@@ -31,6 +32,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -38,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from gtnbounds import bounds, verify
-from gtnbounds.bazilevic import ClassParams, membership_witness
+from gtnbounds.bazilevic import ClassParams, derive_relation, membership_witness
 from gtnbounds.caratheodory import GridSpec
 from gtnbounds.distributions import coefficients
 from gtnbounds.series import TruncatedSeries
@@ -348,7 +350,7 @@ def cmd_member(args) -> list[dict]:
     p = _params(args)
     try:  # every refusal of the file, or of the function it holds, names it
         witness, sup_norm = membership_witness(_read_coeffs(args.f_coeffs), p)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # or a JSON int past float range
         raise ValueError(f"{args.f_coeffs}: {exc}") from exc
     threshold = 1.0 - 1e-6
     return [{
@@ -361,6 +363,8 @@ def cmd_member(args) -> list[dict]:
 
 def cmd_lemma(args) -> list[dict]:
     v = args.v
+    if args.which == "1" and v.imag:
+        print(f"warning: lemma 1 takes a real v; scanning v = {v.real!r}", file=sys.stderr)
     fn = verify.Functional(f"lemma{args.which}", v=complex(v.real) if args.which == "1" else v)
     r = verify.run_experiment(fn, ClassParams(0.0, 0.0, 1.0), _grid(args), "caratheodory")
     stated, sup = r.as_stated, r.empirical_sup
@@ -377,6 +381,19 @@ def cmd_lemma(args) -> list[dict]:
         "witness_c1": complex(r.witness.c1),
         "witness_c2": complex(r.witness.c2),
     }]
+
+
+def cmd_presets(args) -> list[dict]:
+    """Per preset: the printed |a2|, |a3| bounds, the subclass and oracle |a3|."""
+    vk = float(args.varkappa)
+    rows = []
+    for preset in verify.PRESETS:
+        p = preset.params(vk)
+        rows.append({"preset": preset.preset_id, "vartheta": p.vartheta, "kappa": p.kappa,
+                     "varkappa": vk, "a2": bounds.a2_bound(p), "a3_stated": bounds.a3_bound(p),
+                     "a3_subclass": preset.subclass_a3(vk),
+                     "a3_oracle": verify.oracle(derive_relation(p), vk, 0.0)})
+    return rows
 
 
 def cmd_verify(args) -> int:
@@ -491,6 +508,10 @@ def build_parser() -> CliParser:
     p.add_argument("--grid", type=int, default=None)
     p.set_defaults(handler=cmd_lemma)
 
+    p = sub.add_parser("presets", parents=[weight, fmt],
+                       help="printed vs. oracle |a2|, |a3| bounds at each preset")
+    p.set_defaults(handler=cmd_presets)
+
     p = sub.add_parser("verify", parents=[weight], help="run a verification suite")
     p.add_argument("--suite", choices=("remarks", "lemmas", "full"), default="remarks")
     p.add_argument("--grid", type=int, default=None)
@@ -520,9 +541,17 @@ def main(argv: list[str] | None = None) -> int:
         # one error line, so numpy's warnings would only repeat it
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             if args.command == "verify":  # it prints its own output
-                return args.handler(args)
-            emit_rows(args.handler(args), args.format)
-            return 0
+                code = args.handler(args)
+            else:
+                emit_rows(args.handler(args), args.format)
+                code = 0
+            sys.stdout.flush()
+            return code
+    except BrokenPipeError:
+        # the reader has gone (``| head``): point stdout at /dev/null, so that
+        # the flush of what is still buffered at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -14,12 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtnbounds import cli as cli_mod
+from gtnbounds import verify
 from gtnbounds.caratheodory import GridSpec, brute_force_sup
 from gtnbounds.cli import FORMATS, MAX_INDEX, emit_rows, main
 
 SUBCOMMANDS = [
     "gtn", "xseries", "bound", "fs", "inverse-fs", "log-coeff",
-    "conv-fs", "dist", "member", "lemma", "verify",
+    "conv-fs", "dist", "member", "lemma", "presets", "verify",
 ]
 
 
@@ -177,6 +179,17 @@ def test_dist_table(capsys):
     assert len(lines) == 4
 
 
+def test_lemma_one_warns_that_it_scans_the_real_part(capsys):
+    argv = ["lemma", "--which", "1", "--grid", "8", "--format", "csv"]
+    code, out, err = run_cli(capsys, *argv, "--v=-0.649,-1.678")
+    assert (code, err) == (0, "warning: lemma 1 takes a real v; scanning v = -0.649\n")
+    # stdout is the real part's row, with v printed as given
+    real = run_cli(capsys, *argv, "--v=-0.649")
+    assert real[::2] == (0, "")
+    assert next(csv.DictReader(io.StringIO(out)))["v"] == "-0.649-1.678i"
+    assert out.replace("-0.649-1.678i", "-0.649+0i") == real[1]
+
+
 def test_lemma_subcommand(capsys):
     code, out, _ = run_cli(capsys, "lemma", "--which", "1", "--v", "0.5",
                            "--grid", "16", "--format", "json")
@@ -222,6 +235,60 @@ def test_conv_fs_with_distribution(capsys):
     assert code == 0
     row = json.loads(out)
     assert row["wp2"] == pytest.approx(0.367879441171, rel=1e-9)
+
+
+def test_presets_prints_one_row_per_preset(capsys):
+    code, out, err = run_cli(capsys, "presets", "--varkappa", "1e308", "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert list(rows[0]) == ["preset", "vartheta", "kappa", "varkappa", "a2", "a3_stated",
+                             "a3_subclass", "a3_oracle"]
+    assert [row["preset"] for row in rows] == [p.preset_id for p in verify.PRESETS]
+    assert {row["varkappa"] for row in rows} == {"1e+308"}
+    assert rows[0]["a3_stated"] == "5e+307"  # as `bound a3 --varkappa 1e308`
+
+
+def test_presets_oracle_is_the_verify_oracle(capsys):
+    code, out, _ = run_cli(capsys, "presets", "--varkappa", "1", "--format", "csv")
+    assert code == 0
+    table = {row["preset"]: row["a3_oracle"] for row in csv.DictReader(io.StringIO(out))}
+    reports, _ = verify.run_suite("remarks", 1.0, GridSpec.uniform(4))
+    a3 = {r.experiment_id.split("|")[0]: r.oracle for r in reports if r.functional == "a3"}
+    assert list(a3) == [p.preset_id for p in verify.PRESETS]
+    assert table == {pid: f"{oracle:.12g}" for pid, oracle in a3.items()}
+
+
+@pytest.mark.parametrize(
+    "value, message", [("nan", "not a finite number"), ("-1", "must all be >= 0")])
+def test_presets_bad_varkappa_exits_one(capsys, value, message):
+    assert exit_code(["presets", "--varkappa", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [["gtn", "--max-n", "1000"], ["presets"],
+             ["verify", "--suite", "lemmas", "--grid", "4", "--out", "{work}/r.jsonl"]],
+    ids=["gtn", "presets", "verify"])
+def test_closed_stdout_ends_quietly(tmp_path, argv):
+    # as ``gtnbounds ... | head -1`` when head exits before the command
+    # writes: the read end of the pipe is already closed.  stdout is
+    # block-buffered, as a shell user has it, so a short output meets the
+    # closed pipe only when it is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gtnbounds.cli",
+             *(a.replace("{work}", str(tmp_path)) for a in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "error:" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_verify_subcommand_writes_reports(capsys, tmp_path):
@@ -572,8 +639,9 @@ def test_member_non_number_token_names_the_file(capsys, tmp_path):
      ("0 1\n", "need at least order 3"),
      ("0 1 1e200 0 0\n", "witness recursion produced non-finite coefficients"),
      ('["a", 1]', "expected a list of numbers or [re, im] pairs"),
-     ("[1, 2", "Expecting ',' delimiter")],
-    ids=["unnormalized", "too-short", "overflow", "string-entry", "bad-json"],
+     ("[1, 2", "Expecting ',' delimiter"),
+     (f"[0, 1, 1{'0' * 400}]", "int too large to convert to float")],
+    ids=["unnormalized", "too-short", "overflow", "string-entry", "bad-json", "huge-int"],
 )
 def test_member_unnormalized_function_exits_one(capsys, tmp_path, text, message):
     # a refusal of the file or of the function it holds names the file
@@ -685,6 +753,7 @@ SPECS = {
                for v in ("0.5", "1,1", "nan", "1e308", "")],
               {**FORMAT, "--grid": GRIDS}),
     # verify always gets a grid, so a valid run stays at grid 16 or less
+    "presets": ([[]], {**WEIGHT, **FORMAT}),
     "verify": ([["--suite", s, "--out", "{work}/r.jsonl", "--grid", g]
                 for s in ("remarks", "lemmas", "full", "none") for g in GRIDS],
                WEIGHT),
@@ -776,6 +845,7 @@ def test_reused_parser_answers_as_a_fresh_one(tmp_path, monkeypatch):
         ["dist", "--kind", "pascal", "--param", "0.5", "--s", "2", "--max-n", "5"],
         ["member", "--f-coeffs", str(tmp_path / "identity.txt")],
         ["lemma", "--which", "3", "--v", "1,1", "--grid", "4"],
+        ["presets", "--varkappa", "2"],
         ["verify", "--suite", "lemmas", "--grid", "4", "--out", str(tmp_path / "r.jsonl")],
     ]
     assert {argv[0] for argv in requests[2:]} == set(SUBCOMMANDS)
