@@ -76,25 +76,12 @@ class ClassParams:
             raise ValueError("vartheta, kappa and varkappa must all be >= 0")
 
     @property
-    def M(self) -> float:
-        t = self.vartheta
-        return t * t - t + 1.0
-
-    @property
-    def S(self) -> float:
-        t = self.vartheta
-        return 2.0 * t * t - 4.0 * t + 1.0
-
-    @property
-    def Q(self) -> float:
-        t = self.vartheta
-        return t * t - 7.0 * t - 2.0
-
-    @property
     def msq(self) -> float:
-        """The quadratic combination M*kappa^2 + S*kappa + Q."""
-        k = self.kappa
-        return self.M * k * k + self.S * k + self.Q
+        """The quadratic combination M*kappa^2 + S*kappa + Q, with
+        M = t^2 - t + 1, S = 2t^2 - 4t + 1 and Q = t^2 - 7t - 2 at t = vartheta."""
+        t, k = self.vartheta, self.kappa
+        return ((t * t - t + 1.0) * k * k + (2.0 * t * t - 4.0 * t + 1.0) * k
+                + (t * t - 7.0 * t - 2.0))
 
     @property
     def W(self) -> float:

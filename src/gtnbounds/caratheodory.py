@@ -43,9 +43,18 @@ class CaratheodoryPoint:
         )
 
 
+# Points in the largest pass of one scan: the reduced pass over
+# (rho, tau, beta) or one row over (alpha, tau, beta).  The scan works on
+# small blocks, so this bounds its work rather than its memory: a uniform
+# grid may have at most 128 steps.
+MAX_SCAN_VALUES = 2**21
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Steps per sampler parameter (rho, alpha, tau, beta)."""
+    """Steps per sampler parameter (rho, alpha, tau, beta); a grid whose
+    largest scan pass would evaluate more than ``MAX_SCAN_VALUES`` points
+    is refused."""
 
     rho_steps: int = 60
     alpha_steps: int = 60
@@ -56,6 +65,11 @@ class GridSpec:
         for name in ("rho_steps", "alpha_steps", "tau_steps", "beta_steps"):
             if getattr(self, name) < 2:
                 raise ValueError(f"{name} must be >= 2")
+        values = max(self.rho_steps, self.alpha_steps) * self.tau_steps * self.beta_steps
+        if values > MAX_SCAN_VALUES:
+            steps = (self.rho_steps, self.alpha_steps, self.tau_steps, self.beta_steps)
+            raise ValueError(f"grid {steps} needs {values} points per scan pass, "
+                             f"more than the cap of {MAX_SCAN_VALUES}")
 
     @classmethod
     def uniform(cls, n: int) -> "GridSpec":

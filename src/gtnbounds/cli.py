@@ -56,12 +56,6 @@ BUILTIN_DEFAULTS = {
 
 FORMATS = ("json", "csv", "table")
 
-# Points in the largest pass of one scan: the reduced pass over
-# (rho, tau, beta) or one row over (alpha, tau, beta).  The scan works on
-# small blocks, so this bounds its work rather than its memory: a uniform
-# grid may have at most 128 steps.
-MAX_SCAN_VALUES = 2**21
-
 # Largest ``gtn --max-n``, ``xseries --order`` and ``dist --max-n``: each
 # prints one row per index, and nothing bounds the work otherwise.  The gtn
 # sequence is exact rational arithmetic whose values grow like sqrt(n!): at
@@ -110,12 +104,17 @@ def load_config(path: str | None) -> dict:
     """Read ``key = value`` lines; ``#`` comments and blank lines are skipped.
 
     Any other line must set one of the keys of ``BUILTIN_DEFAULTS`` to a valid
-    value, or a ``ValueError`` names the file, the line and the key.
+    value, or a ``ValueError`` names the file, the line and the key; a file
+    that cannot be read is a ``ValueError`` too.
     """
     if not path:
         return {}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read config: {exc}") from exc
     cfg: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -142,20 +141,6 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def _grid(args) -> GridSpec:
-    """The uniform scan grid, or a ``ValueError`` before any scan when one
-    pass of its scan would evaluate more than ``MAX_SCAN_VALUES`` points."""
-    n = int(args.grid)
-    grid = GridSpec.uniform(n)
-    values = max(grid.rho_steps, grid.alpha_steps) * grid.tau_steps * grid.beta_steps
-    if values > MAX_SCAN_VALUES:
-        raise ValueError(
-            f"grid {n} needs {values} points per scan pass, "
-            f"more than the cap of {MAX_SCAN_VALUES}"
-        )
-    return grid
-
-
 def _params(args) -> ClassParams:
     return ClassParams(float(args.vartheta), float(args.kappa), float(args.varkappa))
 
@@ -171,26 +156,23 @@ def _cell(v, digits: int) -> str:
     return str(v)
 
 
-def emit_rows(rows: list[dict], fmt: str, stream=None) -> None:
+def emit_rows(rows: list[dict], fmt: str) -> None:
     """Print a list of records as json, csv, or an aligned table.  Every
     value is formatted before anything is written, so a value that does not
     format writes nothing."""
-    stream = stream or sys.stdout
     if fmt == "json":
         payload = verify.round12(rows if len(rows) != 1 else rows[0])
-        stream.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
         return
     header = list(rows[0].keys())
     cells = [[_cell(row[h], 12 if fmt == "csv" else 6) for h in header] for row in rows]
     if fmt == "csv":
-        writer = csv.writer(stream)
-        writer.writerow(header)
-        writer.writerows(cells)
+        csv.writer(sys.stdout).writerows([header, *cells])
         return
     widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(header)]
-    stream.write("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)) + "\n")
+    sys.stdout.write("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)) + "\n")
     for c in cells:
-        stream.write("  ".join(c[i].ljust(widths[i]) for i in range(len(header))) + "\n")
+        sys.stdout.write("  ".join(c[i].ljust(widths[i]) for i in range(len(header))) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +237,11 @@ def cmd_fs(args) -> list[dict]:
             "as_printed": verdict.as_printed,
             "printed_nonpositive": verdict.printed_nonpositive,
         }]
+    value = bounds.fs_complex(p, mu)
     return [{
         "mu": mu,
-        "value": bounds.fs_complex(p, mu),
-        "alternate_prefactor_value":
-            bounds.fs_complex(p, mu) * p.L * bounds.fs_complex_alternate(p),
+        "value": value,
+        "alternate_prefactor_value": value * p.L * bounds.fs_complex_alternate(p),
     }]
 
 
@@ -366,7 +348,8 @@ def cmd_lemma(args) -> list[dict]:
     if args.which == "1" and v.imag:
         print(f"warning: lemma 1 takes a real v; scanning v = {v.real!r}", file=sys.stderr)
     fn = verify.Functional(f"lemma{args.which}", v=complex(v.real) if args.which == "1" else v)
-    r = verify.run_experiment(fn, ClassParams(0.0, 0.0, 1.0), _grid(args), "caratheodory")
+    r = verify.run_experiment(fn, ClassParams(0.0, 0.0, 1.0), GridSpec.uniform(int(args.grid)),
+                              "caratheodory")
     stated, sup = r.as_stated, r.empirical_sup
     gap = stated - sup
     if not all(map(math.isfinite, (stated, sup, gap))):
@@ -397,8 +380,8 @@ def cmd_presets(args) -> list[dict]:
 
 
 def cmd_verify(args) -> int:
-    grid = _grid(args)
-    reports, summary = verify.run_suite(args.suite, varkappa=float(args.varkappa), grid=grid)
+    reports, summary = verify.run_suite(args.suite, varkappa=float(args.varkappa),
+                                        grid=GridSpec.uniform(int(args.grid)))
     out = Path(args.out) if args.out else verify.default_report_path()
     verify.write_reports(out, reports, summary)
     print(f"wrote {len(reports)} reports to {out}")
@@ -526,16 +509,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for key, default in BUILTIN_DEFAULTS.items():  # flag, then config, then default
-        if key in vars(args) and getattr(args, key) is None:
-            setattr(args, key, cfg.get(key, default))
-    try:
+        for key, default in BUILTIN_DEFAULTS.items():  # flag, then config, then default
+            if key in vars(args) and getattr(args, key) is None:
+                setattr(args, key, cfg.get(key, default))
         # an overflow, invalid value or division by zero ends in a NaN the
         # scan refuses or a non-finite result a command refuses, each with
         # one error line, so numpy's warnings would only repeat it

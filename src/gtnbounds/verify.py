@@ -304,18 +304,15 @@ def _stack_functional(params: ClassParams | None, forms: Sequence) -> Callable:
     weights: dict = {}  # (wp2, wp3) -> (1 / (A3 wp3), its forms as (index, mu_eff))
     for k, (mu_eff, wp2, wp3) in enumerate(forms):
         weights.setdefault((wp2, wp3), (1.0 / (rel.linear_a3 * wp3), []))[1].append((k, mu_eff))
-    needs_b2 = any(mu_eff is not None for mu_eff, _, _ in forms)
     rows = _value_rows(len(forms))
 
     def stack(c1, c2):
         out = list(rows(c2.shape))
-        if needs_b2:
-            b2 = c2 * 0.5 + (vk - 1.0) * c1**2 / 8.0
+        b2 = c2 * 0.5 + (vk - 1.0) * c1**2 / 8.0
         for (wp2, _), (inv3, members) in weights.items():
             a2 = c1 / (2.0 * a2l * wp2)
-            if any(mu_eff is not None for _, mu_eff in members):
-                a2_sq = a2**2
-                a3 = (b2 - aq * (wp2 * a2) ** 2) * inv3
+            a2_sq = a2**2
+            a3 = (b2 - aq * (wp2 * a2) ** 2) * inv3
             for k, mu_eff in members:
                 # |a2| is one value per c1: it stays that size, and its row unused
                 out[k] = (np.abs(a2) if mu_eff is None

@@ -40,8 +40,13 @@ def true_quad_a2(t, k):
 
 def test_derived_constants():
     p = ClassParams(1.0, 0.0, 1.0)
-    assert (p.M, p.S, p.Q) == (1.0, -1.0, -8.0)
+    assert p.msq == -8.0  # Q = t^2 - 7t - 2 at kappa = 0
     assert p.W == 2.0 and p.L == 3.0
+    # M k^2 + S k + Q, with M = t^2 - t + 1, S = 2t^2 - 4t + 1 and Q = t^2 - 7t - 2;
+    # every value is exact in binary
+    expected = {"starlike": -2.0, "kappa-family": -1.25, "convex": 0.0,
+                "theta-family": -5.25, "r-family": -8.0}
+    assert {pr.preset_id: pr.params(1.0).msq for pr in PRESETS} == expected
     q = ClassParams(0.0, 1.0, 1.0)
     assert q.msq == pytest.approx(0.0)  # M + S + Q at vartheta = 0
 

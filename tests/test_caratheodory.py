@@ -9,6 +9,7 @@ from gtnbounds import verify
 from gtnbounds.bazilevic import ClassParams
 from gtnbounds.caratheodory import (
     BLOCK_POINTS,
+    MAX_SCAN_VALUES,
     FunctionalIsNaN,
     GridSpec,
     _candidate_pairs,
@@ -107,6 +108,17 @@ def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(1, 10, 10, 10)
     assert GridSpec.uniform(5).beta_steps == 5
+
+
+def test_grid_spec_refuses_a_pass_above_the_cap():
+    # the largest pass is max(rho, alpha) x tau x beta points: 128^3 is 2^21
+    assert GridSpec.uniform(128).rho_steps == 128
+    with pytest.raises(ValueError, match="cap"):
+        GridSpec.uniform(129)
+    assert GridSpec(256, 2, 128, 64).alpha_steps == 2
+    for steps in ((257, 2, 128, 64), (2, 257, 128, 64), (2, 2, 1025, 1025)):
+        with pytest.raises(ValueError, match=f"cap of {MAX_SCAN_VALUES}"):
+            GridSpec(*steps)
 
 
 def test_sup_of_c1_modulus_hits_two():

@@ -136,8 +136,8 @@ def test_gtn_prints_nothing_when_a_value_is_too_long_to_print(capsys, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "table"])
 def test_emit_rows_writes_nothing_when_a_later_cell_fails(fmt):
     stream = io.StringIO()
-    with pytest.raises(ValueError):
-        emit_rows([{"n": 0, "value": 1}, {"n": 1, "value": 10**5000}], fmt, stream)
+    with contextlib.redirect_stdout(stream), pytest.raises(ValueError):
+        emit_rows([{"n": 0, "value": 1}, {"n": 1, "value": 10**5000}], fmt)
     assert stream.getvalue() == ""
 
 
@@ -529,19 +529,29 @@ def test_overflow_prints_one_error_line_and_no_warning(tmp_path, argv):
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
-def test_oversized_grid_is_refused_before_allocation(capsys, tmp_path):
-    # a million steps would need 1e18 complex values per scan array
-    code, out, err = run_cli(capsys, "lemma", "--which", "3", "--v", "1",
-                             "--grid", "1000000")
-    assert (code, out) == (1, "")
-    assert "cap" in err
-    # 128 steps is the largest uniform grid under the cap
+def test_oversized_grid_is_refused_before_allocation(capsys, tmp_path, monkeypatch):
+    # GridSpec refuses the grid, so no command reaches the scan
+    monkeypatch.setattr(verify, "brute_force_sup", lambda *a: pytest.fail("scanned"))
+    # a million steps would need 1e18 complex values per scan array; 128
+    # steps is the largest uniform grid under the cap
+    for grid in ("1000000", "129"):
+        code, out, err = run_cli(capsys, "lemma", "--which", "3", "--v", "1", "--grid", grid)
+        assert (code, out) == (1, "")
+        assert "cap" in err
     out_path = tmp_path / "r.jsonl"
     code, out, err = run_cli(capsys, "verify", "--suite", "lemmas", "--grid", "129",
                              "--out", str(out_path))
     assert (code, out) == (1, "")
     assert "cap" in err
     assert not out_path.exists()
+
+
+def test_missing_config_prints_one_error_line(capsys, tmp_path):
+    missing = tmp_path / "missing.cfg"
+    code, out, err = run_cli(capsys, "--config", str(missing), "bound", "a2")
+    assert (code, out) == (1, "")
+    assert err == (f"error: cannot read config: [Errno 2] No such file or directory: "
+                   f"{str(missing)!r}\n")
 
 
 @pytest.mark.parametrize("value", ["xml", "JSON", "", "tables"])

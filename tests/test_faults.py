@@ -1,0 +1,102 @@
+"""Fault-injection matrix: each row plants one defect with ``monkeypatch``,
+runs the full suite at grid 12 and checks that the gate named for it trips.
+
+A row whose gate does not trip is a finding, not a row to delete.  The three
+relation rows do not trip the soundness gate yet, because the scan and the
+oracle read the same ``derive_relation`` constants; they are strict xfails
+until the scan reads real class members (ROADMAP item 2).
+"""
+
+import dataclasses
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gtnbounds import bounds, verify
+from gtnbounds.caratheodory import GridSpec
+
+GRID = GridSpec.uniform(12)
+GOLDEN = (Path(__file__).parent / "data" / "verify-full-g12.jsonl").read_bytes()
+
+
+def run_full() -> tuple[bytes, dict]:
+    """The full suite at grid 12: its report bytes and its summary."""
+    reports, summary = verify.run_suite("full", 1.0, GRID)
+    return ("\n".join(verify.reports_to_lines(reports, summary)) + "\n").encode(), summary
+
+
+def scaled(fn, factor):
+    return lambda *args: fn(*args) * factor
+
+
+@pytest.fixture
+def fresh_relation():
+    """Empty the relation cache before the row and after it, so the row
+    reads its planted relation and later tests the real one."""
+    verify._relation.cache_clear()
+    yield
+    verify._relation.cache_clear()
+
+
+def test_printed_a3_bound_too_low_moves_the_golden_and_the_counts(monkeypatch):
+    monkeypatch.setattr(bounds, "a3_bound", scaled(bounds.a3_bound, 0.99))
+    data, summary = run_full()
+    assert data != GOLDEN
+    assert summary["discrepancy_counts"]["D1"] == 5  # 4 on the real code
+    assert summary["discrepancy_counts"]["D5"] == 14  # 11 on the real code
+
+
+def test_oracle_too_low_trips_soundness(monkeypatch):
+    monkeypatch.setattr(verify, "lemma3_bound", scaled(verify.lemma3_bound, 0.99))
+    _, summary = run_full()
+    assert not summary["soundness"]
+    assert summary["max_sup_minus_oracle"] == pytest.approx(0.104, abs=1e-3)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the scan reads the oracle's relation (ROADMAP item 2)")
+@pytest.mark.parametrize("field, factor",
+                         [("linear_a2", 1.01), ("linear_a3", 1.01), ("quad_a2", 1.05)])
+def test_relation_defect_trips_soundness(monkeypatch, fresh_relation, field, factor):
+    real = verify.derive_relation
+
+    def planted(params):
+        rel = real(params)
+        return dataclasses.replace(rel, **{field: getattr(rel, field) * factor})
+
+    monkeypatch.setattr(verify, "derive_relation", planted)
+    _, summary = run_full()
+    assert not summary["soundness"]
+
+
+def test_nan_in_the_class_closure_names_the_experiments(monkeypatch):
+    real = verify._stack_functional
+
+    def planted(params, forms):
+        closure = real(params, forms)
+        if params is None:
+            return closure
+        # NaN at the one body point c1 = c2 = 0, wherever the grid meets it
+        return lambda c1, c2: closure(c1, np.where((c1 == 0) & (c2 == 0), np.nan, c2))
+
+    monkeypatch.setattr(verify, "_stack_functional", planted)
+    with pytest.raises(ValueError, match=r"^starlike\|vk1\|a3, .*: the functional is NaN at"):
+        run_full()
+
+
+def test_rounding_to_eleven_digits_moves_the_golden(monkeypatch):
+    def round11(obj):
+        if isinstance(obj, float):
+            return float(f"{obj:.11g}")
+        if isinstance(obj, complex):
+            return [round11(obj.real), round11(obj.imag)]
+        if isinstance(obj, dict):
+            return {k: round11(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [round11(v) for v in obj]
+        return obj
+
+    monkeypatch.setattr(verify, "round12", round11)
+    data, _ = run_full()
+    assert data != GOLDEN
