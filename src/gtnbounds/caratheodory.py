@@ -43,9 +43,9 @@ class CaratheodoryPoint:
         )
 
 
-# Points in the largest pass of one scan: the reduced pass over
-# (rho, tau, beta) or one row over (alpha, tau, beta).  The scan works on
-# small blocks, so this bounds its work rather than its memory: a uniform
+# Points in the largest pass of one scan: a row over (alpha, tau, beta), or
+# the pair mask over (rho, tau, beta) where every pair ties.  The scan works
+# on small blocks, so this bounds its work rather than its memory: a uniform
 # grid may have at most 128 steps.
 MAX_SCAN_VALUES = 2**21
 
@@ -154,8 +154,8 @@ def _evaluate(functional: Functional, c1_vec, radius, tau, phase_b):
     # numpy would cast the real (N, T, 1) factor to complex once per element
     # of the (N, T, B) product; casting it first does that N * T times, and
     # the complex multiply that follows is the same, so the bits are too
-    perturbation = (radius[:, None, None] * tau[None, :, None]).astype(complex)
-    c2 = c1**2 / 2.0 + perturbation * phase_b[None, None, :]
+    perturbation = (radius[:, None, None] * tau[:, None]).astype(complex)
+    c2 = c1**2 / 2.0 + perturbation * phase_b
     out = functional(c1, c2)
     stacked = isinstance(out, tuple)
     values = []
@@ -191,35 +191,52 @@ def _candidate_pairs(functional: Functional, grid: GridSpec, c1_col, radius_col,
     """Mask of shape (R, T) of the (rho, tau) pairs that can hold the maximum
     of some member of the functional.
 
-    The functional is evaluated once on the alpha = 0 slice of every rho
-    (``c1_col`` and ``radius_col``) and each member is reduced over beta.
     When the alpha grid maps the beta grid onto itself under
     c2 -> e^{2it} c2 (``2 * beta_steps % alpha_steps == 0``), rotation takes
     (rho, alpha_a, tau, beta_b) to (rho, 0, tau, beta_{b - 2aB/A}) up to
-    rounding, so that slice's maximum over beta is the maximum of the pair
-    over (alpha, beta), and a pair whose reduced maximum lies more than
-    ``2 * delta`` below the member's overall one cannot win for that member.
-    Rounding moves values by about 1e-15 relative; ``delta`` is 1e-9
-    relative to each member's own maximum.  The mask is the union of the
-    members' masks.
+    rounding, so a pair's maximum over beta on the alpha = 0 slice of its rho
+    (``c1_col`` and ``radius_col``) is its maximum over (alpha, beta).  A pair
+    more than ``2 * delta`` below a member's overall maximum cannot win for
+    it; ``delta`` is 1e-9 relative to that maximum, and rounding moves values
+    by about 1e-15 relative.  The mask is the union of the members' masks.
+
+    The slices are evaluated at tau = 0 and 1 first.  c2 is affine in tau,
+    so by convexity in c2 an interior pair is at most ``(1 - tau) m0 + tau
+    m1`` from its row's end maxima, both weights at least ``1 / (T - 1)``:
+    more than ``3 * delta`` below ``top``, the largest end maximum, unless
+    both ends lie within ``3 * (T - 1) * delta`` of it.  Only rows where they
+    do for some member have their interior evaluated, so the mask is that of
+    every pair.  The rho = 1 slice (c1 = 2, radius 0.0) has one value.
     """
+    n_rho, n_tau = len(c1_col), len(tau)
     if (2 * grid.beta_steps) % grid.alpha_steps != 0:
-        return np.ones((len(c1_col), len(tau)), dtype=bool)
-    pair_max: list = []  # per member, each (R, T) array within the block rule
-    for lead in _blocks(len(c1_col), len(tau) * len(phase_b)):
-        _, values = _evaluate(functional, c1_col[lead], radius_col[lead], tau, phase_b)
-        if not pair_max:
-            pair_max = [np.empty((len(c1_col), len(tau))) for _ in values]
+        return np.ones((n_rho, n_tau), dtype=bool)
+    ends = slice(None, None, n_tau - 1)  # tau = 0 and tau = 1
+    pair_max = None  # (K, R, T): each member's maximum over beta, -inf if not evaluated
+    for lead in _blocks(n_rho, 2 * len(phase_b)):
+        _, values = _evaluate(functional, c1_col[lead], radius_col[lead], tau[ends], phase_b)
+        if pair_max is None:
+            pair_max = np.full((len(values), n_rho, n_tau), -np.inf)
         for member_max, vals in zip(pair_max, values):
-            vals.max(axis=2, out=member_max[lead])
-    keep = np.zeros((len(c1_col), len(tau)), dtype=bool)
-    for member_max in pair_max:
-        top = float(member_max.max())
-        delta = 1e-9 * max(1.0, abs(top))
-        # x < NaN is False: a NaN or infinite top keeps every pair and a NaN
-        # pair maximum keeps its pair, so the row scan meets every NaN seen here
-        keep |= ~(member_max < top - 2.0 * delta)
-    return keep
+            vals.max(axis=2, out=member_max[lead, ends])
+    pair_max[:, -1] = pair_max[:, -1, :1]
+    tops = pair_max.max(axis=(1, 2)).tolist()
+    # x < NaN is False: a NaN or infinite top evaluates and keeps every pair,
+    # and a NaN keeps its pair, so the row scan meets every NaN seen here
+    far = (pair_max[:, :-1, ends] < _below(tops, 3.0 * (n_tau - 1))).any(axis=2).all(axis=0)
+    near = (~far).nonzero()[0] if n_tau > 2 else ()
+    for i in near:
+        _, values = _evaluate(functional, c1_col[i:i + 1], radius_col[i:i + 1], tau[1:-1], phase_b)
+        for member_max, vals in zip(pair_max, values):
+            vals[0].max(axis=1, out=member_max[i, 1:-1])
+    if len(near):  # only evaluated pairs can raise a top
+        tops = pair_max.max(axis=(1, 2)).tolist()
+    return ~(pair_max < _below(tops, 2.0)).all(axis=0)
+
+
+def _below(tops, k: float) -> np.ndarray:
+    """Each member's ``top - k * delta``, shaped (K, 1, 1)."""
+    return np.array([t - k * (1e-9 * max(1.0, abs(t))) for t in tops])[:, None, None]
 
 
 def _pieces(c1_row, radius_row, slice_points: int):
@@ -252,24 +269,25 @@ def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> Sup 
     ``functional`` must accept numpy arrays of c1 and c2 (broadcast together)
     and return real values elementwise: the value at a point depends only on
     that point's (c1, c2).  It must also be invariant under the rotation
-    ``(c1, c2) -> (e^{it} c1, e^{2it} c2)``, as every functional of the form
-    ``F(|c1|, |c2 - v c1^2|)`` is.  The result, value and witness, is bit for
-    bit that of the full 4-D scan: the largest value, at the smallest
-    (rho, alpha, tau, beta) grid index that attains it.
+    ``(c1, c2) -> (e^{it} c1, e^{2it} c2)`` and convex in c2 for fixed c1,
+    as ``|c1|`` and every ``|c2 - v c1^2|`` are.  The result, value and
+    witness, is bit for bit that of the full 4-D scan: the largest value, at
+    the smallest (rho, alpha, tau, beta) grid index that attains it.
 
     A functional that returns a tuple of K value arrays is a *stack* of K
     functionals scanned in one pass, and the result is a list of K
     ``(value, witness)`` pairs, each bit for bit what a scan of that member
     alone gives.  One array is the stack of one, and returns its pair.
 
-    The pair mask (:func:`_candidate_pairs`) comes first: one pass over the
-    alpha = 0 slice of every rho keeps the (rho, tau) pairs whose maximum
-    over beta is, by rotation invariance, within rounding of some member's
-    overall maximum; no point of another pair can attain it.  Each row with a
-    kept pair is then scanned over every (alpha, beta) and its kept tau
-    values, in the pieces of :func:`_pieces`.  Every member sees every point
-    the row scan evaluates; a point outside the member's own kept pairs lies
-    more than ``2 * delta`` below its maximum, so it cannot become its result.
+    The pair mask (:func:`_candidate_pairs`) comes first: from the alpha = 0
+    slice of every rho, evaluated where convexity does not rule pairs out,
+    it keeps the (rho, tau) pairs whose maximum over beta is, by rotation
+    invariance, within rounding of some member's overall maximum; no point
+    of another pair can attain it.  Each row with a kept pair is then
+    scanned over every (alpha, beta) and its kept tau values, in the pieces
+    of :func:`_pieces`.  Every member sees every point the row scan
+    evaluates; a point outside the member's own kept pairs lies more than
+    ``2 * delta`` below its maximum, so it cannot become its result.
     Both passes call the functional on blocks of at most ``BLOCK_POINTS``
     points (whole (tau, beta) slices of several rho or alpha values, or one
     slice when a slice is larger), with the same per-point arithmetic as the
@@ -290,8 +308,8 @@ def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> Sup 
     keep = _candidate_pairs(functional, grid, *_leading(rho, phase_a[0]), tau, phase_b)
     alpha_at = np.arange(len(alpha))
     stacked, best = False, []  # per member: [value, grid index]
-    for i in np.flatnonzero(keep.any(axis=1)):
-        tau_at = np.flatnonzero(keep[i])
+    for i in keep.any(axis=1).nonzero()[0].tolist():
+        tau_at = keep[i].nonzero()[0]
         tau_kept = tau[tau_at]
         c1_row, radius_row = _leading(rho[i], phase_a)
         for lead, points in _pieces(c1_row, radius_row, len(tau_kept) * len(beta)):
@@ -304,8 +322,9 @@ def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> Sup 
                 m = float(vals.flat[idx])
                 if m < member[0]:
                     continue
-                ia, it, ib = np.unravel_index(idx, vals.shape)
-                at = (int(i), int(alpha_at[lead][ia]), int(tau_at[it]), int(ib))
+                ia, rest = divmod(idx, vals.shape[1] * vals.shape[2])
+                it, ib = divmod(rest, vals.shape[2])
+                at = (i, int(alpha_at[lead][ia]), int(tau_at[it]), ib)
                 if math.isnan(m):
                     where = ", ".join(f"{x:.6g}" for x in _params(grid, at))
                     raise FunctionalIsNaN(
@@ -318,4 +337,4 @@ def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> Sup 
 
 def _params(grid: GridSpec, at) -> Tuple[float, ...]:
     """The (rho, alpha, tau, beta) values at the grid index ``at``."""
-    return tuple(float(axis[k]) for axis, k in zip(grid.axes, at))
+    return tuple([float(axis[k]) for axis, k in zip(grid.axes, at)])

@@ -317,65 +317,104 @@ def test_scan_skips_rows_that_cannot_hold_the_maximum():
         assert _calls_per_scan(fekete(v), GridSpec.uniform(12)) == 1 + 12
     # without aligned alpha and beta grids there is no reduced pass
     assert _calls_per_scan(modulus_c1, GridSpec(6, 5, 6, 7)) == 6
-    # Slices of 3600 points take a call each: 60 in the reduced pass.  The
-    # rho = 1 row: its 38 slices of radius 0.0 in one call, then its 22 others.
-    assert _calls_per_scan(modulus_c1, GridSpec.uniform(60)) == 60 + 1 + 22
+    # The pair mask evaluates tau = 0 and 1 only, 120 points per rho: 34 rho
+    # values per block, so 2 calls.  Slices of 3600 points take a call each:
+    # the rho = 1 row's 38 slices of radius 0.0 in one call, then its 22 others.
+    assert _calls_per_scan(modulus_c1, GridSpec.uniform(60)) == 2 + 1 + 22
     for v in DEGENERATE_V:
         # the 59 rows below rho = 1 keep tau = 1 only, one call each
-        assert _calls_per_scan(fekete(v), GridSpec.uniform(60)) == 60 + 59 + 1 + 22
+        assert _calls_per_scan(fekete(v), GridSpec.uniform(60)) == 2 + 59 + 1 + 22
 
 
 def _points_per_scan(functional, grid):
     return sum(math.prod(shape) for shape in _recorded_scan(functional, grid)[1])
 
 
+def _mask(functional, grid):
+    """The scan's pair mask of ``functional`` on ``grid``."""
+    rho, _, tau, _ = grid.axes
+    phase_a, phase_b = grid.phases
+    return _candidate_pairs(functional, grid, *_leading(rho, phase_a[0]), tau, phase_b)
+
+
+def full_pass_mask(functional, grid):
+    """The pair mask from every point of the alpha = 0 slices, as the scan
+    built it before it bounded interior tau by convexity: each member's
+    pair maxima over beta, kept within ``2 * delta`` of its top."""
+    rho, _, tau, _ = grid.axes
+    phase_a, phase_b = grid.phases
+    c1_col, radius_col = _leading(rho, phase_a[0])
+    pair_max = None
+    for r in range(len(rho)):
+        _, values = _evaluate(functional, c1_col[r:r + 1], radius_col[r:r + 1], tau, phase_b)
+        if pair_max is None:
+            pair_max = np.empty((len(values), len(rho), len(tau)))
+        for member_max, vals in zip(pair_max, values):
+            member_max[r] = vals[0].max(axis=1)
+    keep = np.zeros((len(rho), len(tau)), dtype=bool)
+    for member_max in pair_max:
+        top = float(member_max.max())
+        delta = 1e-9 * max(1.0, abs(top))
+        keep |= ~(member_max < top - 2.0 * delta)
+    return keep
+
+
 def test_scan_evaluates_only_candidate_rho_tau_pairs():
-    # the reduced pass costs 12^3 points; the rows then keep tau = 1 only,
+    # the pair mask costs 12 x 2 x 12 points (tau = 0 and 1; no interior pair
+    # comes within reach of the maximum); the rows then keep tau = 1 only,
     # except rho = 1, where the radius vanishes and every tau ties (its
     # slices of 144 points do not collapse)
     for v in DEGENERATE_V:
-        assert _points_per_scan(fekete(v), GridSpec.uniform(12)) == 12**3 + 23 * 12**2
+        assert _points_per_scan(fekete(v), GridSpec.uniform(12)) == 12 * 2 * 12 + 23 * 12**2
     # |c1| ignores tau: the whole rho = 1 row is kept
-    assert _points_per_scan(modulus_c1, GridSpec.uniform(12)) == 2 * 12**3
+    assert _points_per_scan(modulus_c1, GridSpec.uniform(12)) == 12 * 2 * 12 + 12**3
     # without aligned alpha and beta grids every row is scanned in full
     assert _points_per_scan(modulus_c1, GridSpec(6, 5, 6, 7)) == 6 * 5 * 6 * 7
-    # slices of 5600 points: the reduced pass, then the rho = 1 row, all 4 of
+    # slices of 5600 points: the pair mask, then the rho = 1 row, all 4 of
     # whose slices collapse
-    assert _points_per_scan(modulus_c1, WIDE_SLICE) == 3 * 70 * 80 + 4
+    assert _points_per_scan(modulus_c1, WIDE_SLICE) == 3 * 2 * 80 + 4
+    # a constant ties at every pair: the mask evaluates every interior pair
+    # below rho = 1, one row per call, and every row is scanned
+    assert _points_per_scan(constant, GridSpec.uniform(12)) == 12 * 2 * 12 + 11 * 10 * 12 + 12**4
 
 
-def flat_top(distance, eps):
-    """Invariant, flat at -eps where ``distance`` <= eps and peaked at
-    |c1| = 1: the best rows keep only interior tau values, most rows none."""
-    return lambda c1, c2: -np.maximum(distance(c1, c2), eps) - np.abs(np.abs(c1) - 1.0)
+def tilted(distance):
+    """Invariant and convex in c2, peaked at |c1| = 1 and rising along tau
+    by a few ``delta`` there: the pair mask evaluates the interior of the
+    best rows, which keep the tau values near 1."""
+    return lambda c1, c2: 3e-9 * distance(c1, c2) - np.abs(np.abs(c1) - 1.0)
+
+
+BANDS = [tilted(lambda c1, c2: np.abs(c2 - c1**2 / 2)),
+         tilted(lambda c1, c2: np.abs(c2 - (-0.4 + 0.9j) * c1**2))]
 
 
 @pytest.mark.parametrize("n", [9, 12, 16, 24])
-@pytest.mark.parametrize(
-    "functional",
-    [
-        flat_top(lambda c1, c2: np.abs(np.abs(c2 - c1**2 / 2) - 0.9), 0.1),
-        flat_top(lambda c1, c2: np.abs(c2 - (-0.4 + 0.9j) * c1**2), 0.15),
-    ],
-    ids=["modulus-band", "phase-band"],
-)
+@pytest.mark.parametrize("functional", BANDS, ids=["modulus-band", "phase-band"])
 def test_pruned_scan_is_exact_when_rows_keep_part_of_tau(functional, n):
     grid = GridSpec.uniform(n)
     got, shapes = _recorded_scan(functional, grid)
     assert got == reference_sup(functional, grid)
-    # after the reduced pass, some row is scanned on a strict subset of tau
-    assert any(0 < shape[1] < n for shape in shapes[1:])
+    keep = _mask(functional, grid)
+    assert np.array_equal(keep, full_pass_mask(functional, grid))
+    # some row keeps part of tau, interior values among them
+    assert any(keep[i, 1:-1].any() and not keep[i].all() for i in range(n))
+    # the mask evaluates the interior of the rows near the top, one row per
+    # call (at these grids no other call holds one rho or alpha value)
+    assert 0 < sum(shape == (1, n - 2, n) for shape in shapes) < n
+    # by convexity the maximum lies on tau = 1
     _, w = got
-    tau_w = abs(w.c2 - w.c1**2 / 2) / (2 - abs(w.c1) ** 2 / 2)
-    assert 0.0 < tau_w < 1.0
+    assert abs(w.c2 - w.c1**2 / 2) == pytest.approx(2 - abs(w.c1) ** 2 / 2)
 
 
 # ---------------------------------------------------------------------------
 # The scan calls the functional on blocks of at most BLOCK_POINTS points.
 
-# 360 points per (tau, beta) slice, 11 slices per block: rho splits 11 + 11 + 3
-# and alpha 11 + 5
+# 360 points per (tau, beta) slice, 11 slices per block: alpha splits 11 + 5
 MULTI_BLOCK = GridSpec(25, 16, 15, 24)
+# 256 points per rho at tau = 0 and 1, 16 per block: the pair mask splits
+# rho 16 + 9
+MULTI_BLOCK_WIDE_BETA = GridSpec(25, 16, 8, 128)
 # 240 points per slice, 17 per block; alpha and beta grids not aligned, so
 # every row keeps every tau
 MULTI_BLOCK_UNALIGNED = GridSpec(25, 25, 15, 16)
@@ -410,9 +449,9 @@ def test_no_functional_call_exceeds_a_block(functional, grid):
 def test_blocking_keeps_the_points_per_scan():
     # At grid 60 every block holds one slice, so each slice of the scan with
     # radius 0.0 collapses to one point: 38 of the 60 slices of the rho = 1
-    # row.  The reduced pass evaluates every point of its slices.
+    # row.  The pair mask evaluates every point of its slices at tau = 0 and 1.
     n, z = 60, 38
-    reduced = n**3
+    reduced = n * 2 * n
     rho_one = (n - z) * n**2 + z
     for v in DEGENERATE_V:
         # tau = 1 on the 59 rows below rho = 1, every tau on rho = 1
@@ -422,18 +461,23 @@ def test_blocking_keeps_the_points_per_scan():
     assert _points_per_scan(modulus_c1, GridSpec.uniform(n)) == reduced + rho_one
     # slices of 360 points share blocks and do not collapse
     r, a, t, b = 25, 16, 15, 24
-    assert _points_per_scan(modulus_c1, MULTI_BLOCK) == r * t * b + a * t * b
+    assert _points_per_scan(modulus_c1, MULTI_BLOCK) == r * 2 * b + a * t * b
 
 
 def test_blocks_split_the_leading_axis_only():
-    # the reduced pass over rho, then the rho = 1 row over alpha
+    # the pair mask over rho at tau = 0 and 1 (256 points per rho, 16 per
+    # block), then the rho = 1 row over alpha (1024 points per slice, 4 per block)
+    _, shapes = _recorded_scan(modulus_c1, MULTI_BLOCK_WIDE_BETA)
+    assert shapes == [(16, 2, 128), (9, 2, 128)] + [(4, 8, 128)] * 4
+    # 360 points per slice, 11 per block: the mask in one call, then alpha
+    # splits 11 + 5
     _, shapes = _recorded_scan(modulus_c1, MULTI_BLOCK)
-    assert [shape[0] for shape in shapes] == [11, 11, 3, 11, 5]
-    assert all(shape[1:] == (15, 24) for shape in shapes)
-    # one slice per block in the reduced pass, then the rho = 1 row, all 4
-    # of its slices collapsed into one call
+    assert [shape[0] for shape in shapes] == [25, 11, 5]
+    assert shapes[0][1:] == (2, 24) and all(shape[1:] == (15, 24) for shape in shapes[1:])
+    # the pair mask, then the rho = 1 row, all 4 of its slices collapsed into
+    # one call
     _, shapes = _recorded_scan(modulus_c1, WIDE_SLICE)
-    assert shapes == [(1, 70, 80)] * 3 + [(4, 1, 1)]
+    assert shapes == [(3, 2, 80), (4, 1, 1)]
 
 
 def test_blocks_visit_the_points_in_scan_order():
@@ -480,12 +524,7 @@ def _check_scan_order(grid):
 @pytest.mark.parametrize(
     "functional",
     [fekete(v) for v in DEGENERATE_V]
-    + [
-        modulus_c1,
-        constant,
-        flat_top(lambda c1, c2: np.abs(np.abs(c2 - c1**2 / 2) - 0.9), 0.1),
-        flat_top(lambda c1, c2: np.abs(c2 - (-0.4 + 0.9j) * c1**2), 0.15),
-    ],
+    + [modulus_c1, constant, *BANDS],
     ids=[f"fekete-{v}" for v in DEGENERATE_V]
     + ["c1", "constant", "modulus-band", "phase-band"],
 )
@@ -598,6 +637,8 @@ def test_collapsible_slices_hold_one_c2_bit_pattern():
         # every (rho, alpha) slice, one row per rho, as the scan builds them
         c1, radius = _leading(rho[:, None], np.exp(1j * alpha))
         phase_b = np.exp(1j * beta)
+        # the pair mask takes the rho = 1 slice at alpha = 0 to have one value
+        assert _collapsible(*_leading(rho[-1:], grid.phases[0][0])).tolist() == [True]
         # every slice the scan may collapse, if its slices are large enough
         zero = _collapsible(c1, radius)
         if not zero.any():
@@ -672,9 +713,9 @@ def test_only_slices_over_half_a_block_collapse(grid, collapses):
     assert got == reference_sup(modulus_c1, grid)
     slice_points = grid.tau_steps * grid.beta_steps
     rho_one = [(4, 1, 1)] if collapses else [(2, grid.tau_steps, grid.beta_steps)] * 2
-    # the reduced pass, then the rho = 1 row
+    # the pair mask, then the rho = 1 row
     assert shapes[-len(rho_one):] == rho_one
-    assert _points_per_scan(modulus_c1, grid) == 3 * slice_points + (
+    assert _points_per_scan(modulus_c1, grid) == 3 * 2 * grid.beta_steps + (
         4 if collapses else 4 * slice_points
     )
 
@@ -757,24 +798,19 @@ def test_each_member_of_a_stack_gets_its_own_scan(stack, grid):
     assert got == reference_sup(stack, grid)
 
 
-def one_pair(rho, tau):
-    """Invariant, peaked at one (rho, tau) pair of a uniform grid."""
-    def f(c1, c2):
-        radius = 2.0 - np.abs(c1) ** 2 / 2.0
-        return -np.abs(np.abs(c1) - 2.0 * rho) - np.abs(np.abs(c2 - c1**2 / 2) - radius * tau)
-    return f
+def one_pair(rho):
+    """Invariant and convex in c2, peaked at one (rho, tau = 1) pair of a
+    uniform grid."""
+    return lambda c1, c2: np.abs(c2 - c1**2 / 2) - 2.0 * np.abs(np.abs(c1) - 2.0 * rho)
 
 
 def test_a_member_with_one_kept_pair_keeps_its_own_witness():
     grid = GridSpec.uniform(12)
-    rho, _, tau, _ = grid.axes
-    peaked = one_pair(rho[5], tau[7])
-    c1_col, radius_col = _leading(rho, grid.phases[0][0])
+    rho = grid.axes[0]
+    peaked = one_pair(rho[5])
     # alone, it keeps one (rho, tau) pair; the constant keeps every pair
-    keep = _candidate_pairs(peaked, grid, c1_col, radius_col, tau, grid.phases[1])
-    assert np.flatnonzero(keep).tolist() == [5 * 12 + 7]
-    assert _candidate_pairs(stack_of(peaked, constant), grid, c1_col, radius_col, tau,
-                            grid.phases[1]).all()
+    assert np.flatnonzero(_mask(peaked, grid)).tolist() == [5 * 12 + 11]
+    assert _mask(stack_of(peaked, constant), grid).all()
     alone = brute_force_sup(peaked, grid)
     for stack in (stack_of(peaked, constant), stack_of(constant, peaked)):
         got = brute_force_sup(stack, grid)
@@ -805,3 +841,124 @@ def test_a_nan_in_a_member_names_it(k):
 def test_a_stack_of_one_returns_a_list_of_one():
     grid = GridSpec.uniform(8)
     assert brute_force_sup(stack_of(fekete(0.5)), grid) == [brute_force_sup(fekete(0.5), grid)]
+
+
+# ---------------------------------------------------------------------------
+# The pair mask evaluates tau = 0 and 1, and an interior tau only where
+# convexity in c2 leaves the pair within reach of the maximum.
+
+def assert_convex_along_tau(stack, seed, n=2000):
+    """Each member of ``stack`` is convex along tau on ``n`` seeded segments
+    (rho, alpha, beta, tau_a, tau_b) of the body, at a seeded fraction."""
+    rng = np.random.default_rng(seed)
+    rho, tau_a, tau_b, lam = rng.uniform(0.0, 1.0, (4, n))
+    alpha, beta = rng.uniform(0.0, 2.0 * np.pi, (2, n))
+    c1 = 2.0 * rho * np.exp(1j * alpha)
+    step = (2.0 - 2.0 * rho**2) * np.exp(1j * beta)
+
+    def values(tau):
+        # a copy: the verify closures reuse one buffer from call to call
+        return np.array(stack(c1, c1**2 / 2.0 + tau * step), ndmin=2)
+
+    chord = (1.0 - lam) * values(tau_a) + lam * values(tau_b)
+    inside = values((1.0 - lam) * tau_a + lam * tau_b)
+    assert np.all(inside <= chord + 1e-12 * (1.0 + np.abs(chord)))
+
+
+def verify_stacks(monkeypatch, entries, functionals):
+    """The closures that ``verify.sweep`` hands the scan, one per stack."""
+    seen = []
+    real = verify.brute_force_sup
+
+    def recording(functional, grid):
+        seen.append(functional)
+        return real(functional, grid)
+
+    with monkeypatch.context() as m:
+        m.setattr(verify, "brute_force_sup", recording)
+        verify.sweep(entries, functionals, GridSpec.uniform(2))
+    return seen
+
+
+def suite_stacks(monkeypatch, varkappa):
+    """The 6 stacks of a full suite: 5 presets of 9 forms, 17 lemma functionals."""
+    return (verify_stacks(monkeypatch, verify.preset_entries(varkappa),
+                          verify.extended_functionals())
+            + verify_stacks(monkeypatch, *verify.build_suite("lemmas", varkappa)))
+
+
+SEEDED_PARAMS = [ClassParams(*p) for p in np.random.default_rng(2718).uniform(
+    (0.0, 0.0, 0.1), (2.0, 2.0, 5.0), size=(20, 3))]
+
+
+def test_every_verify_closure_is_convex_along_tau(monkeypatch):
+    # the premise of the pair mask: each form is |affine in c2| or |a2|
+    stacks = [stack for vk in (0.5, 1.0, 2.0, 4.0) for stack in suite_stacks(monkeypatch, vk)]
+    stacks += verify_stacks(monkeypatch, [("", p, None) for p in SEEDED_PARAMS],
+                            verify.extended_functionals())
+    # 4 x (5 presets + the 17-member lemma stack), then the seeded parameters
+    assert len(stacks) == 4 * 6 + 20
+    assert [len(stacks[k](np.zeros(1), np.zeros(1))) for k in (4, 5)] == [9, 17]
+    for seed, stack in enumerate(stacks):
+        assert_convex_along_tau(stack, seed)
+
+
+def test_the_test_functionals_that_prune_are_convex_along_tau():
+    for seed, functional in enumerate([*BANDS, one_pair(0.4), class_stack(),
+                                       stack_of(*(fekete(v) for v in SEEDED_V))]):
+        assert_convex_along_tau(functional, seed)
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 24, 60])
+def test_the_mask_is_that_of_every_pair_on_every_verify_stack(monkeypatch, n):
+    grid = GridSpec.uniform(n)
+    for stack in suite_stacks(monkeypatch, 1.0):
+        assert np.array_equal(_mask(stack, grid), full_pass_mask(stack, grid))
+
+
+@pytest.mark.parametrize("grid", [*(GridSpec.uniform(n) for n in (8, 12, 16, 24, 60)),
+                                  MULTI_BLOCK, WIDE_ALIGNED], ids=_grid_id)
+@pytest.mark.parametrize(
+    "stack", [stack_of(*(fekete(v) for v in SEEDED_V)), class_stack(), stack_of(*BANDS)],
+    ids=["fekete", "class", "bands"],
+)
+def test_the_mask_is_that_of_every_pair_on_seeded_stacks(stack, grid):
+    assert np.array_equal(_mask(stack, grid), full_pass_mask(stack, grid))
+
+
+def test_a_grid_60_full_pass_evaluates_each_mask_at_tau_0_and_1_only(monkeypatch):
+    counts = {"calls": 0, "points": 0}
+    real = verify.brute_force_sup
+
+    def counting(functional, grid):
+        def counted(c1, c2):
+            counts["calls"] += 1
+            counts["points"] += c2.size
+            return functional(c1, c2)
+        return real(counted, grid)
+
+    monkeypatch.setattr(verify, "brute_force_sup", counting)
+    verify.run_suite("full", 1.0, GridSpec.uniform(60))
+    # 6 stacks.  Each mask takes 60 x 2 x 60 points in 2 calls and evaluates
+    # no interior pair; the rows take 376 calls and 1,332,228 points.  Every
+    # point of the alpha = 0 slices, 6 x 60 calls and 6 x 60^3 points, made
+    # 736 calls and 2,628,228 points.
+    assert counts == {"calls": 6 * 2 + 376, "points": 6 * 60 * 2 * 60 + 1_332_228}
+
+
+def test_an_evaluated_interior_pair_can_raise_the_top():
+    # Flat in tau but for a rise of 10 delta at tau index 5 below rho = 1: not
+    # convex, but every row's ends tie at the top, so the mask evaluates every
+    # interior and keeps only the risen pairs, as evaluating every pair does.
+    grid = GridSpec.uniform(12)
+    tau_5 = grid.axes[2][5]
+
+    def risen(c1, c2):
+        radius = 2.0 - np.abs(c1) ** 2 / 2.0
+        at = (np.abs(np.abs(c2 - c1**2 / 2) - radius * tau_5) < 1e-12) & (radius > 0.0)
+        return 1.0 + 1e-8 * at
+
+    keep = _mask(risen, grid)
+    assert np.array_equal(keep, full_pass_mask(risen, grid))
+    assert np.flatnonzero(keep.any(axis=0)).tolist() == [5]
+    assert brute_force_sup(risen, grid) == reference_sup(risen, grid)

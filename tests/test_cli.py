@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from gtnbounds import cli as cli_mod
 from gtnbounds import verify
+from gtnbounds.bazilevic import ClassParams, solve_from_schwarz
 from gtnbounds.caratheodory import GridSpec, brute_force_sup
 from gtnbounds.cli import FORMATS, MAX_INDEX, emit_rows, main
+from gtnbounds.series import TruncatedSeries
 
 SUBCOMMANDS = [
     "gtn", "xseries", "bound", "fs", "inverse-fs", "log-coeff",
@@ -209,6 +211,21 @@ def test_member_identity_function(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "member"
 
 
+def test_member_near_the_boundary_is_a_member(capsys, tmp_path):
+    # built from w = 0.9 z: the witness must recover it, whose largest
+    # modulus on the sampling circle |z| = 0.99 is 0.891
+    params = ClassParams(0.5, 0.5, 2.0)
+    f = solve_from_schwarz(TruncatedSeries([0.0, 0.9], order=8), params, 8)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps([[c.real, c.imag] for c in f.coeffs.tolist()]))
+    code, out, _ = run_cli(capsys, "member", "--f-coeffs", str(path), "--vartheta", "0.5",
+                           "--kappa", "0.5", "--varkappa", "2", "--format", "json")
+    assert code == 0
+    row = json.loads(out)
+    assert row["verdict"] == "member"
+    assert row["sup_norm"] == pytest.approx(0.9 * 0.99, abs=1e-9)
+
+
 def test_member_koebe_rejected(capsys, tmp_path):
     path = tmp_path / "koebe.txt"
     path.write_text("0 1 2 3 4 5 6 7 8\n")
@@ -299,6 +316,16 @@ def test_verify_subcommand_writes_reports(capsys, tmp_path):
     lines = out_path.read_text().splitlines()
     assert all(json.loads(line) for line in lines)
     assert "summary" in json.loads(lines[-1])
+
+
+@pytest.mark.parametrize("varkappa", ["1e8", "1e16"])
+def test_verify_at_large_varkappa_is_sound_and_exits_zero(capsys, tmp_path, varkappa):
+    out_path = tmp_path / "r.jsonl"
+    code, _, err = run_cli(capsys, "verify", "--suite", "remarks", "--grid", "8",
+                           "--varkappa", varkappa, "--out", str(out_path))
+    assert code == 0
+    assert "SOUNDNESS" not in err and "D5" not in err
+    assert json.loads(out_path.read_text().splitlines()[-1])["summary"]["soundness"] is True
 
 
 def test_verify_unsound_suite_exits_two(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
-"""Fault-injection matrix: each row plants one defect with ``monkeypatch``,
-runs the full suite at grid 12 and checks that the gate named for it trips.
+"""Fault-injection matrix: each row plants one defect with ``monkeypatch``
+and checks that the gate named for it trips: the full suite at grid 12 for
+the report gates, and the tests that guard them for the solver and the
+``member`` verdict.
 
 A row whose gate does not trip is a finding, not a row to delete.  The three
 relation rows do not trip the soundness gate yet, because the scan and the
@@ -13,7 +15,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gtnbounds import bounds, verify
+import test_bazilevic as solver_gate
+import test_cli as member_gate
+from gtnbounds import bazilevic, bounds, verify
 from gtnbounds.caratheodory import GridSpec
 
 GRID = GridSpec.uniform(12)
@@ -100,3 +104,51 @@ def test_rounding_to_eleven_digits_moves_the_golden(monkeypatch):
     monkeypatch.setattr(verify, "round12", round11)
     data, _ = run_full()
     assert data != GOLDEN
+
+
+def test_a_relative_oracle_defect_trips_soundness_at_large_varkappa(monkeypatch):
+    # at varkappa 1e8 the values reach about 5e7: an oracle 1e-6 too low
+    # (about 50 absolute) must trip the relative slack, which rounding does not
+    monkeypatch.setattr(verify, "lemma3_bound", scaled(verify.lemma3_bound, 1.0 - 1e-6))
+    _, summary = verify.run_suite("remarks", 1e8, GridSpec.uniform(8))
+    assert not summary["soundness"]
+
+
+def test_solver_slope_off_by_one_breaks_the_solver_round_trip(monkeypatch):
+    real = bazilevic._w_recurrence
+
+    def planted(params, order, next_coeff):
+        # the solver divides by (n + 1 + kappa)(1 + (n + 1) vartheta), the
+        # slope of the next coefficient, instead of (n + kappa)(1 + n vartheta)
+        t, k = params.vartheta, params.kappa
+        return real(params, order, lambda n, rest, slope:
+                    next_coeff(n, rest, (n + 1 + k) * (1.0 + (n + 1) * t)))
+
+    monkeypatch.setattr(bazilevic, "_w_recurrence", planted)
+    for gate in (solver_gate.test_solve_matches_functional_target,
+                 solver_gate.test_solve_at_order_sixty_hits_the_target):
+        with pytest.raises(AssertionError):
+            gate()
+
+
+class _DoubledDot:
+    """numpy, but with ``dot`` doubled.  In ``bazilevic`` only the witness
+    recursion ``w_m = g_m - (varkappa / 2) sum w_j w_{m-j}`` calls it, so
+    its coefficient ``varkappa / 2`` becomes ``varkappa``."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def dot(a, b):
+        return 2.0 * np.dot(a, b)
+
+
+def test_a_changed_witness_recursion_coefficient_flips_a_member_verdict(
+        monkeypatch, capsys, tmp_path):
+    # the verdicts on f = z (witness 0) and on the Koebe function (sup-norm
+    # 436, then 19,634) do not move; that of a genuine member near the
+    # boundary does.  The solver that builds it does not call dot.
+    monkeypatch.setattr(bazilevic, "np", _DoubledDot())
+    with pytest.raises(AssertionError):
+        member_gate.test_member_near_the_boundary_is_a_member(capsys, tmp_path)

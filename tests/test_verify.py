@@ -8,6 +8,7 @@ import pytest
 from gtnbounds import bounds, verify
 from gtnbounds.bazilevic import ClassParams
 from gtnbounds.caratheodory import (
+    CaratheodoryPoint,
     FunctionalIsNaN,
     GridSpec,
     _evaluate,
@@ -64,6 +65,27 @@ def test_subclass_presets_a3_flag_d1_at_starlike():
     d1 = next(d for d in starlike.discrepancies if d["id"] == "D1")
     assert d1["subclass"] == pytest.approx(1.25)
     assert d1["general"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("varkappa", [1e8, 1e16])
+def test_rounding_at_large_varkappa_is_sound(varkappa):
+    # the values reach about varkappa / 2; their rounding passes an absolute
+    # 1e-9, but stays far inside 1e-9 relative to the bound it is checked against
+    reports, summary = verify.run_suite("remarks", varkappa, GridSpec.uniform(8))
+    assert summary["soundness"]
+    assert "D5" not in summary["discrepancy_counts"]
+    assert max((r.empirical_sup - r.oracle) / r.oracle for r in reports) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "oracle, excess, sound",
+    [(2.0, 1.9e-9, True), (2.0, 2.1e-9, False), (0.5, 0.9e-9, True), (0.5, 1.1e-9, False),
+     (1e8, 0.9e-1, True), (1e8, 1.1e-1, False), (-1e8, 0.9e-1, True), (-1e8, 1.1e-1, False)],
+)
+def test_soundness_allows_1e_9_relative_to_at_least_one(oracle, excess, sound):
+    point = CaratheodoryPoint(0j, 0j)
+    report = verify.BoundReport("x", 0.0, 0.0, 1.0, "a2", 0.0, oracle, oracle + excess, point)
+    assert report.sound is sound
 
 
 def test_empty_sweep_rejected():
