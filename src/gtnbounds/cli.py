@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from gtnbounds import bounds, verify
-from gtnbounds.bazilevic import ClassParams, derive_relation, membership_witness
+from gtnbounds.bazilevic import ClassParams, membership_witness
 from gtnbounds.caratheodory import GridSpec
 from gtnbounds.distributions import coefficients
 from gtnbounds.series import TruncatedSeries
@@ -375,7 +375,8 @@ def cmd_presets(args) -> list[dict]:
         rows.append({"preset": preset.preset_id, "vartheta": p.vartheta, "kappa": p.kappa,
                      "varkappa": vk, "a2": bounds.a2_bound(p), "a3_stated": bounds.a3_bound(p),
                      "a3_subclass": preset.subclass_a3(vk),
-                     "a3_oracle": verify.oracle(derive_relation(p), vk, 0.0)})
+                     "a3_oracle": verify.oracle(verify._relation(p.vartheta, p.kappa),
+                                                vk, 0.0)})
     return rows
 
 

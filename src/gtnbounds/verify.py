@@ -167,8 +167,11 @@ PRESETS: tuple[Preset, ...] = (
 
 
 @functools.lru_cache(maxsize=64)
-def _relation(params: ClassParams) -> CoefficientRelation:
-    return derive_relation(params)
+def _relation(vartheta: float, kappa: float) -> CoefficientRelation:
+    """``derive_relation`` at (vartheta, kappa), cached: the relation does
+    not depend on varkappa, so the class forms at every varkappa and
+    ``gtnbounds presets`` share one entry."""
+    return derive_relation(ClassParams(vartheta, kappa, 0.0))
 
 
 def oracle(rel: CoefficientRelation, varkappa: float, mu_eff: complex | None,
@@ -303,7 +306,7 @@ def _stack_functional(params: ClassParams | None, forms: Sequence) -> Callable:
             return tuple(out)
 
         return lemmas
-    rel, vk = _relation(params), params.varkappa
+    rel, vk = _relation(params.vartheta, params.kappa), params.varkappa
     a2l, aq = rel.linear_a2, rel.quad_a2
     # numpy divides a complex x by a real d as (re + im*0) * (1/d) (Smith's
     # algorithm with a zero imaginary part), so x * (1/d) has the same bits
@@ -355,7 +358,7 @@ def run_experiment(
         oracle_value, discrepancies = lemma3_bound(form), []
     else:
         stated, discrepancies = _describe(functional, params, subclass_a3)
-        oracle_value = scale * oracle(_relation(params), vk, form[0],
+        oracle_value = scale * oracle(_relation(params.vartheta, params.kappa), vk, form[0],
                                       functional.wp2, functional.wp3)
 
     scans = {} if _scans is None else _scans

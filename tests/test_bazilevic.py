@@ -7,9 +7,9 @@ import pytest
 from gtnbounds import bazilevic
 from gtnbounds import series as ps
 from gtnbounds.bazilevic import (
+    PROBE_STEPS,
     ClassParams,
     CoefficientRelation,
-    _b_coeffs,
     _w_recurrence,
     derive_relation,
     membership_witness,
@@ -141,6 +141,29 @@ def test_relation_matches_closed_forms_on_grid():
             assert rel.quad_a2 == pytest.approx(true_quad_a2(t, k), abs=1e-6)
 
 
+def _b_coeffs(params: ClassParams, extra, order: int) -> np.ndarray:
+    """Coefficients of W(f) for f = z + sum(extra[j] z^(j+2)), one series."""
+    c = np.zeros(order + 2, dtype=complex)
+    c[1] = 1.0
+    c[2 : 2 + len(extra)] = extra
+    return w_functional(TruncatedSeries(c), params).coeffs
+
+
+def _per_probe_relation(params: ClassParams) -> tuple[float, float, float]:
+    """derive_relation as first written: each of the four probes through
+    w_functional as one series, then the same extrapolation."""
+    ests = []
+    for e in PROBE_STEPS:
+        w_a2 = _b_coeffs(params, [e, 0.0], 2)
+        w_a3 = _b_coeffs(params, [0.0, e], 2)
+        ests.append((w_a2[1].real / e, w_a3[2].real / e, w_a2[2].real / (e * e)))
+    return tuple(2.0 * e1 - e2 for e1, e2 in zip(*ests))
+
+
+def _hex(values) -> tuple[str, ...]:
+    return tuple(float.hex(float(x)) for x in values)
+
+
 def _probe_params():
     """Every full-suite preset plus a seeded sample of (vartheta, kappa)."""
     rng = np.random.default_rng(17)
@@ -152,13 +175,36 @@ def _probe_params():
 
 def test_order_two_probes_equal_order_six_probes_bit_for_bit():
     # b1 and b2 depend on a2 and a3 only, so derive_relation's order-2 probes
-    # read the same bits as probes at a higher order
+    # read the same bits as probes at a higher order, one at a time or as the
+    # rows of one stack
+    extras = [extra for e in (1e-3, 2e-3, 0.37) for extra in ([e, 0.0], [0.0, e], [e, -e])]
+    stack = np.zeros((len(extras), 4), dtype=complex)
+    stack[:, 1] = 1.0
+    stack[:, 2:] = extras
     for p in _probe_params():
-        for e in (1e-3, 2e-3, 0.37):
-            for extra in ([e, 0.0], [0.0, e], [e, -e]):
-                low = _b_coeffs(p, np.array(extra), 2)[:3]
-                high = _b_coeffs(p, np.array(extra), 6)[:3]
-                assert np.array_equal(low.view(float), high.view(float)), (p, extra)
+        stacked = w_functional(TruncatedSeries(stack), p).coeffs
+        for extra, row in zip(extras, stacked):
+            low = _b_coeffs(p, extra, 2)[:3]
+            high = _b_coeffs(p, extra, 6)[:3]
+            assert np.array_equal(low.view(float), high.view(float)), (p, extra)
+            assert np.array_equal(row.view(float), high.view(float)), (p, extra)
+
+
+def test_stacked_relation_equals_the_per_probe_route_bit_for_bit():
+    # derive_relation evaluates its four probes as one stack; each constant
+    # keeps the bits of the four one-series evaluations.  A stack with the
+    # two steps' rows in the other order fails here: each estimate would be
+    # off by a factor of 2 or 4, and derive_relation refuses disagreeing
+    # steps.
+    rng = np.random.default_rng(61)
+    tk = [(p.vartheta, p.kappa) for p in PRESETS] + [(0.0, 0.0)]
+    tk += [tuple(x) for x in rng.uniform(0.0, 3.0, (240, 2))]
+    tk += [(0.0, 1e4), (0.3, 1e4), (2.0, 1e4), (1e3, 0.5), (7.0, 50.0)]
+    for t, k in tk:
+        p = ClassParams(t, k, 1.0)
+        rel = derive_relation(p)
+        want = _per_probe_relation(p)
+        assert _hex((rel.linear_a2, rel.linear_a3, rel.quad_a2)) == _hex(want), (t, k)
 
 
 #: float.hex of (linear_a2, linear_a3, quad_a2) at each verify preset and at
@@ -185,10 +231,15 @@ def test_relation_bits_that_reports_read():
 
 
 def test_derive_relation_refuses_disagreeing_steps(monkeypatch):
-    # a functional that is not linear in the probe step fails the two-step check
-    real = bazilevic._b_coeffs
-    monkeypatch.setattr(bazilevic, "_b_coeffs",
-                        lambda p, extra, order: real(p, extra, order) + extra.sum() ** 2)
+    # a functional that is not linear in the probe step fails the two-step
+    # check: each probe's coefficients gain the square of its step a2 + a3
+    real = bazilevic.w_functional
+
+    def planted(f, params):
+        step = f.coeffs[..., 2:].sum(axis=-1, keepdims=True)
+        return TruncatedSeries(real(f, params).coeffs + step**2)
+
+    monkeypatch.setattr(bazilevic, "w_functional", planted)
     with pytest.raises(ValueError, match="relation estimates disagree"):
         derive_relation(ClassParams(0.5, 0.5, 1.0))
 
@@ -370,9 +421,10 @@ def test_solve_never_evaluates_the_functional(monkeypatch):
     for w, p, order in _seeded_cases():
         solve_from_schwarz(w, p, order)
     assert calls == []
-    # the counters do see the calls that are made
+    # the counters do see the calls that are made: the relation's four
+    # probes are one stacked evaluation
     bazilevic.derive_relation(ClassParams(0, 0, 1))
-    assert calls.count("w_functional") == 4 and "exp_series" in calls
+    assert calls.count("w_functional") == 1 and "exp_series" in calls
 
 
 def test_solve_at_order_sixty_hits_the_target():

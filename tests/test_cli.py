@@ -275,6 +275,30 @@ def test_presets_oracle_is_the_verify_oracle(capsys):
     assert table == {pid: f"{oracle:.12g}" for pid, oracle in a3.items()}
 
 
+#: stdout of ``presets --varkappa VK --format csv``, as printed before the
+#: relation probes were stacked; the oracle column reads ``derive_relation``
+PRESETS_CSV = {
+    "1": "preset,vartheta,kappa,varkappa,a2,a3_stated,a3_subclass,a3_oracle\r\n"
+         "starlike,0,0,1,1,1,1.25,1\r\n"
+         "kappa-family,0,0.5,1,0.666666666667,0.5,0.652777777778,0.511111111111\r\n"
+         "convex,0,1,1,0.5,0.333333333333,0.25,0.333333333333\r\n"
+         "theta-family,0.5,0,1,0.666666666667,0.666666666667,0.511111111111,0.541666666667\r\n"
+         "r-family,1,0,1,0.5,0.333333333333,0.333333333333,0.333333333333\r\n",
+    "2": "preset,vartheta,kappa,varkappa,a2,a3_stated,a3_subclass,a3_oracle\r\n"
+         "starlike,0,0,2,1,1,1.75,1.25\r\n"
+         "kappa-family,0,0.5,2,0.666666666667,0.5,0.902777777778,0.711111111111\r\n"
+         "convex,0,1,2,0.5,0.5,0.416666666667,0.5\r\n"
+         "theta-family,0.5,0,2,0.666666666667,0.5,0.711111111111,0.666666666667\r\n"
+         "r-family,1,0,2,0.5,0.333333333333,0.5,0.416666666667\r\n",
+}
+
+
+@pytest.mark.parametrize("varkappa", list(PRESETS_CSV))
+def test_presets_csv_is_pinned(capsys, varkappa):
+    code, out, err = run_cli(capsys, "presets", "--varkappa", varkappa, "--format", "csv")
+    assert (code, out, err) == (0, PRESETS_CSV[varkappa], "")
+
+
 @pytest.mark.parametrize(
     "value, message", [("nan", "not a finite number"), ("-1", "must all be >= 0")])
 def test_presets_bad_varkappa_exits_one(capsys, value, message):

@@ -371,7 +371,7 @@ def test_class_closure_equals_the_division_form_bit_for_bit(monkeypatch):
     checked = 0
     for params, functionals in by_params.items():
         stack, forms = _scanned_stacks(monkeypatch, params, functionals)
-        rel = verify._relation(params)
+        rel = verify._relation(params.vartheta, params.kappa)
         got = stack(c1, c2)
         assert len(got) == len(forms)
         for values, (mu_eff, wp2, wp3) in zip(got, forms):
