@@ -18,15 +18,7 @@ Writing W(f) = 1 + b1 z + b2 z^2 + ..., the grading a_n -> t^{n-1} a_n forces
 for constants depending only on (vartheta, kappa).  ``derive_relation``
 recovers (A2, A3, Aq) numerically from small perturbations of f = z; those
 oracle constants are exact up to rounding because the dependence is exactly
-linear/quadratic.  Its four order-2 probes go through ``w_functional`` in one
-pass, as the rows of one stack (``gtnbounds.series``).  Each row keeps the
-bits of its probe evaluated alone, because every reduction of the stack hands
-numpy's dot kernel the contiguous operands that ``np.dot`` and
-``np.convolve`` hand it for one series; the tests check that premise on
-complex stacks of orders 0 to 12.  Handed reversed strided views, numpy's
-matmul runs its own loop instead; stacked probes whose dots take such views
-matched the one-series route for real operands at order 2 only, and at
-order 6 most of them differ in their last bits.
+linear/quadratic.
 
 Coefficient n of W(f) depends only on a2..a_{n+1}, and a_{n+1} enters it
 linearly with multiplier (n + kappa)(1 + n*vartheta): it adds
@@ -114,31 +106,25 @@ class CoefficientRelation:
 
 
 def _check_normalized(f: TruncatedSeries) -> None:
-    """Order at least 3, f(0) = 0 and f'(0) = 1, each to within 1e-9 (in
-    every row of a stack)."""
+    """Order at least 3, f(0) = 0 and f'(0) = 1, each to within 1e-9."""
     if f.order < 3:
         raise ValueError("need at least order 3 to form the functional")
-    c0, c1 = f.coeffs.T[:2].reshape(2, -1).tolist()
-    if not all(abs(x) <= 1e-9 and abs(y - 1.0) <= 1e-9 for x, y in zip(c0, c1)):  # NaN fails
+    if not (abs(f.coeffs[0]) <= 1e-9 and abs(f.coeffs[1] - 1.0) <= 1e-9):  # NaN fails
         raise ValueError("f must have f(0) = 0 and f'(0) = 1")
 
 
 def w_functional(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
-    """Evaluate the class functional as a series of order f.order - 1.
-
-    ``f`` may be a stack of series (see ``gtnbounds.series``); each row of
-    the result then has the bits of that row's functional taken alone."""
+    """Evaluate the class functional as a series of order f.order - 1."""
     _check_normalized(f)
     n = f.order - 1
-    f_over_z = TruncatedSeries(f.coeffs[..., 1:])         # f/z, constant 1
+    f_over_z = TruncatedSeries(f.coeffs[1:])              # f/z, constant 1
     fp = ps.derive(f)                                     # f'
     base = ps.mul(fp, ps.pow_real(f_over_z, params.kappa - 1.0))  # zf'/(f^{1-k} z^k)
     u1 = ps.add(ps.div(fp, f_over_z), ps.scale(ps.one(n), -1.0))  # zf'/f - 1
-    zfpp = np.zeros(fp.coeffs.shape, dtype=complex)       # z f'', order n
-    zfpp[..., 1:] = ps.derive(fp).coeffs
-    ratio = ps.div(TruncatedSeries(zfpp), fp)             # zf''/f'
+    zfpp = TruncatedSeries(np.concatenate(([0.0], ps.derive(fp).coeffs)))  # z f''
+    ratio = ps.div(ps.truncate(zfpp, n), fp)              # zf''/f'
     bracket = ps.add(ps.add(base, ratio), ps.scale(u1, params.kappa - 1.0))
-    if any(abs(c - 1.0) > 1e-9 for c in ps.constant_terms(base) + ps.constant_terms(bracket)):
+    if abs(base.coeffs[0] - 1.0) > 1e-9 or abs(bracket.coeffs[0] - 1.0) > 1e-9:
         raise ValueError("bracket base lost its unit constant term")
     return ps.mul(
         ps.pow_real(bracket, params.vartheta),
@@ -146,55 +132,28 @@ def w_functional(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
     )
 
 
-#: the two probe step sizes of ``derive_relation``
-PROBE_STEPS = (1e-3, 2e-3)
-
-#: the probes of ``derive_relation`` as one stack, a row per f = z + a2 z^2
-#: + a3 z^3: (a2, a3) = (e, 0), then (0, e), for each step e in turn
-_PROBES = TruncatedSeries([row for e in PROBE_STEPS
-                           for row in ([0.0, 1.0, e, 0.0], [0.0, 1.0, 0.0, e])])
-
-
 def derive_relation(params: ClassParams) -> CoefficientRelation:
     """Recover the true (linear_a2, linear_a3, quad_a2) numerically.
 
     The grading argument makes b1 exactly linear in a2, and b2 exactly
-    linear in a3 plus quadratic in a2, so single small-parameter probes are
-    exact up to rounding; two step sizes plus Richardson extrapolation guard
-    against an implementation that broke that exactness.
+    linear in a3 plus quadratic in a2, so one small-parameter probe of each
+    is exact up to rounding: f = z + e z^2 gives A2 and Aq, and f = z + e z^3
+    gives A3, at e = 1e-3.
 
     The probes read only b1 and b2, which depend on a2 and a3 alone, so the
     functional is evaluated at order 2 (f at order 3): the lower coefficients
-    of W(f) do not depend on the truncation order.  The four probes are one
-    stack and one ``w_functional`` call; each row has the bits of that probe
-    evaluated alone, since the stack's reductions run numpy's dot kernel on
-    the operands the one-series route gives it (see the module docstring).
+    of W(f) do not depend on the truncation order.
 
-    By the grading, every coefficient that a probe forms on the way to W(f)
-    is a fixed power of its step times a number that does not depend on the
-    step.  Doubling the step scales each one by an exact power of two, so the
-    2e-3 rows are the 1e-3 rows so scaled, the two estimates agree bit for
-    bit, and the step check can see a functional that breaks the grading but
-    never rounding.
+    A second step would add nothing: by the grading, every coefficient that
+    a probe forms on the way to W(f) is a fixed power of its step times a
+    number that does not depend on the step, so doubling the step scales
+    each one by an exact power of two and gives the same estimates bit for
+    bit.
     """
-    w = w_functional(_PROBES, params).coeffs
-    ests = []
-    for i, e in enumerate(PROBE_STEPS):
-        w_a2, w_a3 = w[2 * i], w[2 * i + 1]
-        ests.append(
-            (
-                w_a2[1].real / e,
-                w_a3[2].real / e,
-                w_a2[2].real / (e * e),
-            )
-        )
-    out = []
-    for i in range(3):
-        e1, e2 = ests[0][i], ests[1][i]
-        if abs(e1 - e2) > 1e-6:
-            raise ValueError(f"relation estimates disagree: {e1} vs {e2}")
-        out.append(2.0 * e1 - e2)
-    return CoefficientRelation(out[0], out[1], out[2])
+    e = 1e-3
+    w_a2 = w_functional(TruncatedSeries([0.0, 1.0, e, 0.0]), params).coeffs
+    w_a3 = w_functional(TruncatedSeries([0.0, 1.0, 0.0, e]), params).coeffs
+    return CoefficientRelation(w_a2[1].real / e, w_a3[2].real / e, w_a2[2].real / (e * e))
 
 
 def printed_relation(params: ClassParams, variant: str = "expansion") -> CoefficientRelation:

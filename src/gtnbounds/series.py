@@ -10,15 +10,6 @@ They may share memory: an operation adopts the array it computed without a
 copy, and ``truncate`` to a lower order returns a view of its argument.  Only
 the public constructor copies, so mutating the caller's input afterwards does
 not change the series.
-
-A two-dimensional coefficient array ``c[s, 0..N]`` is a stack of S series of
-one order.  ``add``, ``scale``, ``mul``, ``div``, ``derive``, ``truncate``,
-``log_series``, ``exp_series`` and ``pow_real`` take a stack in one pass, and
-a single series meeting a stack broadcasts against its rows; the other
-functions take one series.  Each row of a stack gets the bits it gets as one
-series: elementwise steps run the same ufunc loops, and each reduction hands
-numpy's dot kernel the contiguous operands that ``np.dot`` and
-``np.convolve`` hand it for one series (see ``_stack_dot``).
 """
 
 from __future__ import annotations
@@ -38,17 +29,15 @@ class TruncatedSeries:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[complex], order: int | None = None):
-        c = np.array(coeffs, dtype=complex)
-        if c.ndim != 2:
-            c = c.reshape(-1)
-        if c.shape[-1] == 0:
+        c = np.array(coeffs, dtype=complex).reshape(-1)
+        if c.size == 0:
             raise ValueError("a series needs at least the constant coefficient")
         if order is not None:
             if order < 0:
                 raise ValueError("truncation order must be non-negative")
-            padded = np.zeros(c.shape[:-1] + (order + 1,), dtype=complex)
-            keep = min(order + 1, c.shape[-1])
-            padded[..., :keep] = c[..., :keep]
+            padded = np.zeros(order + 1, dtype=complex)
+            keep = min(order + 1, c.size)
+            padded[:keep] = c[:keep]
             c = padded
         c.setflags(write=False)
         self._c = c
@@ -59,7 +48,7 @@ class TruncatedSeries:
 
     @property
     def order(self) -> int:
-        return self._c.shape[-1] - 1
+        return self._c.size - 1
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({np.array2string(self._c, precision=6)})"
@@ -68,7 +57,7 @@ class TruncatedSeries:
 def _wrap(c: np.ndarray) -> TruncatedSeries:
     """Adopt ``c`` as a series without copying it.
 
-    ``c`` must be a 1-D or 2-D complex array that nothing else will write: one the
+    ``c`` must be a 1-D complex array that nothing else will write: one the
     caller just computed, or a view of a read-only one.  It is made read-only.
     """
     c.setflags(write=False)
@@ -94,29 +83,9 @@ def identity(order: int) -> TruncatedSeries:
     return TruncatedSeries([0.0, 1.0], order=order)
 
 
-def constant_terms(a: TruncatedSeries) -> list:
-    """The constant term of a series, or of each row of a stack, in a list."""
-    c = a.coeffs.T[0]
-    return c.tolist() if c.ndim else [c]
-
-
-def _stack_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.dot`` of each row of ``x`` with the same row of ``y``.
-
-    ``np.dot`` copies an operand of negative stride and hands numpy's dot
-    kernel contiguous vectors.  ``np.matmul`` of (1, m) rows by (m, 1)
-    columns calls that kernel once per row with the operands' own strides,
-    so ``y`` (a reversed view in every caller) is copied first: on a strided
-    operand the kernel runs a plain loop, whose bits differ from the BLAS
-    dot's (on 276 of 300 random complex cases).  ``x`` is a slice of rows of
-    unit stride in every caller.
-    """
-    return np.matmul(x[..., None, :], np.ascontiguousarray(y)[..., :, None])[..., 0, 0]
-
-
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     n = min(a.order, b.order)
-    return _wrap(a.coeffs[..., : n + 1] + b.coeffs[..., : n + 1])
+    return _wrap(a.coeffs[: n + 1] + b.coeffs[: n + 1])
 
 
 def scale(a: TruncatedSeries, s: complex) -> TruncatedSeries:
@@ -126,35 +95,24 @@ def scale(a: TruncatedSeries, s: complex) -> TruncatedSeries:
 def mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Cauchy product truncated at the smaller order."""
     n = min(a.order, b.order)
-    ac, bc = a.coeffs[..., : n + 1], b.coeffs[..., : n + 1]
-    if ac.ndim == bc.ndim == 1:
-        return _wrap(np.convolve(ac, bc)[: n + 1])
-    # np.convolve(ac, bc)[k] is np.dot(ac[:k + 1], bc[k::-1]) on contiguous
-    # copies of its operands
-    out = np.empty((*(ac.shape[:-1] or bc.shape[:-1]), n + 1), dtype=complex)
-    for k in range(n + 1):
-        out[..., k] = _stack_dot(ac[..., : k + 1], bc[..., k::-1])
-    return _wrap(out)
+    full = np.convolve(a.coeffs[: n + 1], b.coeffs[: n + 1])
+    return _wrap(full[: n + 1])
 
 
 def div(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     """Long division; requires |b[0]| above the unit tolerance."""
-    if any(abs(c) <= UNIT_TOL for c in constant_terms(b)):
+    if abs(b.coeffs[0]) <= UNIT_TOL:
         raise ValueError("denominator constant term is (numerically) zero")
     n = min(a.order, b.order)
     ac = a.coeffs
     bc = b.coeffs
-    q = np.zeros((*(ac.shape[:-1] or bc.shape[:-1]), n + 1), dtype=complex)
-    # .T puts the coefficient index first: qT[k] is coefficient k of every
-    # row, and a scalar for one series
-    qT, acT = q.T, ac.T
-    b0 = bc.T[0]
-    dot = np.dot if q.ndim == 1 else _stack_dot
+    q = np.zeros(n + 1, dtype=complex)
+    b0 = bc[0]
     for k in range(n + 1):
-        acc = acT[k]
+        acc = ac[k]
         if k:
-            acc = acc - dot(q[..., :k], bc[..., k:0:-1])
-        qT[k] = acc / b0
+            acc = acc - np.dot(q[:k], bc[k:0:-1])
+        q[k] = acc / b0
     return _wrap(q)
 
 
@@ -164,46 +122,40 @@ def exp_series(a: TruncatedSeries) -> TruncatedSeries:
     Uses the first-order recurrence E' = a' E, which is numerically stable
     and costs O(N^2).
     """
-    if any(abs(c) > UNIT_TOL for c in constant_terms(a)):
+    if abs(a.coeffs[0]) > UNIT_TOL:
         raise ValueError("exp needs a zero constant term")
     n = a.order
     ka = a.coeffs * np.arange(n + 1)
-    e = np.zeros(ka.shape, dtype=complex)
-    eT = e.T  # eT[m] is coefficient m of every row, as in ``div``
-    eT[0] = 1.0
-    dot = np.dot if e.ndim == 1 else _stack_dot
+    e = np.zeros(n + 1, dtype=complex)
+    e[0] = 1.0
     for m in range(1, n + 1):
-        eT[m] = dot(ka[..., 1 : m + 1], e[..., m - 1 :: -1]) / m
+        e[m] = np.dot(ka[1 : m + 1], e[m - 1 :: -1]) / m
     return _wrap(e)
 
 
 def log_series(a: TruncatedSeries) -> TruncatedSeries:
     """log of a series with unit constant term (principal branch)."""
-    if any(abs(c - 1.0) > UNIT_TOL for c in constant_terms(a)):
+    if abs(a.coeffs[0] - 1.0) > UNIT_TOL:
         raise ValueError("log needs constant term 1")
     n = a.order
     ac = a.coeffs
     k = np.arange(n + 1)
-    l = np.zeros(ac.shape, dtype=complex)
-    lT, acT = l.T, ac.T  # coefficient index first, as in ``div``
-    dot = np.dot if l.ndim == 1 else _stack_dot
+    l = np.zeros(n + 1, dtype=complex)
     for m in range(1, n + 1):
-        acc = acT[m]
+        acc = ac[m]
         if m > 1:
-            kl = l[..., 1:m] * k[1:m]
-            acc = acc - dot(kl, ac[..., m - 1 : 0 : -1]) / m
-        lT[m] = acc
+            kl = l[1:m] * k[1:m]
+            acc = acc - np.dot(kl, ac[m - 1 : 0 : -1]) / m
+        l[m] = acc
     return _wrap(l)
 
 
 def pow_real(a: TruncatedSeries, e: float) -> TruncatedSeries:
     """a**e for real e via exp(e * log a); needs a unit constant term."""
-    if any(abs(c - 1.0) > UNIT_TOL for c in constant_terms(a)):
+    if abs(a.coeffs[0] - 1.0) > UNIT_TOL:
         raise ValueError("fractional power needs constant term 1")
     if e == 0:
-        c = np.zeros(a.coeffs.shape, dtype=complex)
-        c[..., 0] = 1.0
-        return _wrap(c)
+        return one(a.order)
     return exp_series(scale(log_series(a), e))
 
 
@@ -247,15 +199,15 @@ def revert(a: TruncatedSeries) -> TruncatedSeries:
 def derive(a: TruncatedSeries) -> TruncatedSeries:
     """Termwise d/dz; drops the top coefficient (order N -> N-1)."""
     if a.order == 0:
-        return _wrap(np.zeros(a.coeffs.shape, dtype=complex))
-    return _wrap(a.coeffs[..., 1:] * np.arange(1, a.order + 1))
+        return zero(0)
+    return _wrap(a.coeffs[1:] * np.arange(1, a.order + 1))
 
 
 def truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
     """``a`` at order ``order``: a read-only view when that is lower, zero-padded
     when higher."""
     if 0 <= order <= a.order:
-        return _wrap(a.coeffs[..., : order + 1])
+        return _wrap(a.coeffs[: order + 1])
     return TruncatedSeries(a.coeffs, order=order)
 
 

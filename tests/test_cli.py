@@ -275,8 +275,9 @@ def test_presets_oracle_is_the_verify_oracle(capsys):
     assert table == {pid: f"{oracle:.12g}" for pid, oracle in a3.items()}
 
 
-#: stdout of ``presets --varkappa VK --format csv``, as printed before the
-#: relation probes were stacked; the oracle column reads ``derive_relation``
+#: stdout of ``presets --varkappa VK --format csv``, as printed when
+#: ``derive_relation`` probed at two steps and extrapolated; the oracle
+#: column reads its two one-series probes at one step
 PRESETS_CSV = {
     "1": "preset,vartheta,kappa,varkappa,a2,a3_stated,a3_subclass,a3_oracle\r\n"
          "starlike,0,0,1,1,1,1.25,1\r\n"

@@ -19,6 +19,7 @@ import test_bazilevic as solver_gate
 import test_cli as member_gate
 from gtnbounds import bazilevic, bounds, verify
 from gtnbounds.caratheodory import GridSpec
+from gtnbounds.series import TruncatedSeries
 
 GRID = GridSpec.uniform(12)
 GOLDEN = (Path(__file__).parent / "data" / "verify-full-g12.jsonl").read_bytes()
@@ -72,6 +73,23 @@ def test_relation_defect_trips_soundness(monkeypatch, fresh_relation, field, fac
     monkeypatch.setattr(verify, "derive_relation", planted)
     _, summary = run_full()
     assert not summary["soundness"]
+
+
+def test_a_functional_nonlinear_in_the_probe_step_moves_the_golden(monkeypatch, fresh_relation):
+    # every coefficient of W(f) gains the square of the probe's step a2 + a3,
+    # which breaks the grading that derive_relation's one-step probes rely on
+    real = bazilevic.w_functional
+
+    def planted(f, params):
+        return TruncatedSeries(real(f, params).coeffs + f.coeffs[2:].sum() ** 2)
+
+    monkeypatch.setattr(bazilevic, "w_functional", planted)
+    data, summary = run_full()
+    lines, golden = data.splitlines(), GOLDEN.splitlines()
+    assert len(lines) == len(golden)
+    assert sum(a != b for a, b in zip(lines, golden)) == 71
+    assert summary["discrepancy_counts"]["D5"] == 9  # 11 on the real code
+    assert summary["soundness"]
 
 
 def test_nan_in_the_class_closure_names_the_experiments(monkeypatch):

@@ -225,54 +225,6 @@ def test_boundary_circle_is_cached_and_read_only():
     assert z.tobytes() == (0.99 * np.exp(1j * angles)).tobytes()
 
 
-# --- stacks ----------------------------------------------------------------
-
-#: one series of order 12, met by stacks of every order below
-SINGLE = S(0.3 * np.cos(np.arange(13)) + 0.2j * np.sin(np.arange(13)) + np.eye(13)[0])
-
-STACK_OPS = {
-    "add": lambda a, z: ps.add(a, z),
-    "add one series": lambda a, z: ps.add(z, SINGLE),
-    "scale": lambda a, z: ps.scale(a, 0.7 - 0.2j),
-    "mul": lambda a, z: ps.mul(a, z),
-    "mul by one series": lambda a, z: ps.mul(SINGLE, z),
-    "div": lambda a, z: ps.div(z, a),
-    "div of one series": lambda a, z: ps.div(SINGLE, a),
-    "exp_series": lambda a, z: ps.exp_series(z),
-    "log_series": lambda a, z: ps.log_series(a),
-    "pow_real": lambda a, z: ps.pow_real(a, 0.3),
-    "pow_real 0": lambda a, z: ps.pow_real(a, 0.0),
-    "derive": lambda a, z: ps.derive(a),
-    "truncate": lambda a, z: ps.truncate(a, 2),
-}
-
-
-@pytest.mark.parametrize("name", list(STACK_OPS))
-def test_each_row_of_a_stack_has_its_bits_as_one_series(name):
-    # complex rows at orders 0-12: the stack's reductions hand numpy's dot
-    # kernel the contiguous operands that np.dot and np.convolve hand it
-    rng = np.random.default_rng(67)
-    op = STACK_OPS[name]
-    for order in range(13):
-        c = 0.3 * (rng.normal(size=(2, 5, order + 1)) + 1j * rng.normal(size=(2, 5, order + 1)))
-        c[0, :, 0], c[1, :, 0] = 1.0, 0.0
-        a, z = S(c[0]), S(c[1])  # unit and zero constant terms
-        got = op(a, z).coeffs
-        assert got.shape[0] == 5 and got.flags.writeable is False
-        for i in range(5):
-            want = op(S(c[0, i]), S(c[1, i])).coeffs
-            assert np.array_equal(got[i].view(float), want.view(float)), (name, order, i)
-
-
-def test_a_stack_refuses_a_bad_constant_term_in_any_row():
-    c = np.array([[1, 0.5, 0.25], [1, -0.5, 0.25], [2, 0.5, 0.25]], dtype=complex)
-    with pytest.raises(ValueError, match="log needs constant term 1"):
-        ps.log_series(S(c))
-    c[2, 0] = 0.0
-    with pytest.raises(ValueError, match="denominator constant term"):
-        ps.div(S(c), S(c))
-
-
 # --- property tests --------------------------------------------------------
 
 small_complex = st.complex_numbers(
