@@ -44,9 +44,10 @@ class CaratheodoryPoint:
 
 
 # Points in the largest pass of one scan: a row over (alpha, tau, beta), or
-# the pair mask over (rho, tau, beta) where every pair ties.  The scan works
-# on small blocks, so this bounds its work rather than its memory: a uniform
-# grid may have at most 128 steps.
+# the mask over (rho, tau, beta) where every pair ties.  The scan works on
+# small blocks (the orbit calls too, and a row whose orbits hold more than a
+# block is scanned whole), so this bounds its work rather than its memory: a
+# uniform grid may have at most 128 steps.
 MAX_SCAN_VALUES = 2**21
 
 
@@ -139,22 +140,24 @@ BLOCK_POINTS = 4096
 
 
 def _leading(r, phase_a):
-    """c1 = 2 r e^{i alpha} and the perturbation radius 2 - |c1|^2 / 2 of N
-    (rho, alpha) slices, where one of ``r`` and ``phase_a = e^{i alpha}``
-    holds N values: a column of rho values or a row of alpha values."""
+    """c1 = 2 r e^{i alpha} and the perturbation radius 2 - |c1|^2 / 2 of the
+    (rho, alpha) slices that ``r`` and ``phase_a = e^{i alpha}`` give when
+    broadcast together."""
     c1 = 2.0 * r * phase_a
     return c1, 2.0 - np.abs(c1) ** 2 / 2.0
 
 
-def _evaluate(functional: Functional, c1_vec, radius, tau, phase_b):
-    """``(stacked, values)``: the values of shape (N, T, B) of each member of
-    the functional on N values of c1 with their perturbation radii, and
-    every (tau, beta); ``stacked`` tells a tuple of members from one array."""
-    c1 = c1_vec[:, None, None]
-    # numpy would cast the real (N, T, 1) factor to complex once per element
-    # of the (N, T, B) product; casting it first does that N * T times, and
-    # the complex multiply that follows is the same, so the bits are too
-    perturbation = (radius[:, None, None] * tau[:, None]).astype(complex)
+def _evaluate(functional: Functional, c1, radius, tau, phase_b):
+    """``(stacked, values)``: the values of each member of the functional at
+    the points that c1, its perturbation radius, tau and ``e^{i beta}`` give
+    when broadcast together, each of that shape: (N, 1, 1), (N, 1, 1),
+    (T, 1) and (B,) for every (tau, beta) of N slices, or P values each for
+    P points.  ``stacked`` tells a tuple of members from one array."""
+    # numpy would cast the real factor radius * tau to complex once per
+    # element of its product with e^{i beta}; casting it first does that once
+    # per value, and the complex multiply that follows is the same, so the
+    # bits are too
+    perturbation = (radius * tau).astype(complex)
     c2 = c1**2 / 2.0 + perturbation * phase_b
     out = functional(c1, c2)
     stacked = isinstance(out, tuple)
@@ -187,56 +190,119 @@ def _blocks(n_lead: int, slice_points: int):
         yield slice(i, i + step)
 
 
-def _candidate_pairs(functional: Functional, grid: GridSpec, c1_col, radius_col, tau, phase_b):
-    """Mask of shape (R, T) of the (rho, tau) pairs that can hold the maximum
-    of some member of the functional.
+def _near_points(functional: Functional, grid: GridSpec, c1_col, radius_col):
+    """``(near, rows)``: which points of the alpha = 0 slices at tau = 0 and
+    1 are near, a mask of shape (R, 2, B), and the rows with a kept
+    (rho, tau) pair, one that holds a near point.
 
-    When the alpha grid maps the beta grid onto itself under
-    c2 -> e^{2it} c2 (``2 * beta_steps % alpha_steps == 0``), rotation takes
-    (rho, alpha_a, tau, beta_b) to (rho, 0, tau, beta_{b - 2aB/A}) up to
-    rounding, so a pair's maximum over beta on the alpha = 0 slice of its rho
-    (``c1_col`` and ``radius_col``) is its maximum over (alpha, beta).  A pair
-    more than ``2 * delta`` below a member's overall maximum cannot win for
-    it; ``delta`` is 1e-9 relative to that maximum, and rounding moves values
-    by about 1e-15 relative.  The mask is the union of the members' masks.
+    A point is near when its rotation orbit can hold the maximum of some
+    member of the functional.  When the alpha grid maps the beta grid onto
+    itself under c2 -> e^{2it} c2 (``2 * beta_steps % alpha_steps == 0``),
+    rotation takes (rho, alpha_a, tau, beta_b) to (rho, 0, tau,
+    beta_{b - 2aB/A}) up to rounding, so the orbit of a point of the
+    alpha = 0 slice of its rho (``c1_col`` and ``radius_col``) has its value
+    at every alpha.  A point more than ``2 * delta`` below a member's
+    overall maximum cannot hold it; ``delta`` is 1e-9 relative to that
+    maximum, and rounding moves values by about 1e-15 relative.  The mask is
+    the union of the members' masks.  On other grids every point is near:
+    ``near`` is None, and every row keeps every tau and is scanned whole.
 
     The slices are evaluated at tau = 0 and 1 first.  c2 is affine in tau,
-    so by convexity in c2 an interior pair is at most ``(1 - tau) m0 + tau
+    so by convexity in c2 an interior point is at most ``(1 - tau) m0 + tau
     m1`` from its row's end maxima, both weights at least ``1 / (T - 1)``:
     more than ``3 * delta`` below ``top``, the largest end maximum, unless
     both ends lie within ``3 * (T - 1) * delta`` of it.  Only rows where they
-    do for some member have their interior evaluated, so the mask is that of
-    every pair.  The rho = 1 slice (c1 = 2, radius 0.0) has one value.
+    do for some member have their interior evaluated, so the kept pairs are
+    those of every point.  The rho = 1 slice (c1 = 2, radius 0.0) has one
+    value.
+
+    Each row is listed as ``(row, tau, orbit)``: the indices of its kept tau
+    values, and the number of its near points if the row may be scanned
+    along their orbits, else 0.  It may when its kept pairs are at the tau
+    ends and one of them is near at some beta but not at every beta.
     """
-    n_rho, n_tau = len(c1_col), len(tau)
-    if (2 * grid.beta_steps) % grid.alpha_steps != 0:
-        return np.ones((n_rho, n_tau), dtype=bool)
+    n_rho, n_tau, n_beta = grid.rho_steps, grid.tau_steps, grid.beta_steps
+    if (2 * n_beta) % grid.alpha_steps != 0:
+        return None, [(i, list(range(n_tau)), 0) for i in range(n_rho)]
+    tau, phase_b = grid.axes[2], grid.phases[1]
+    c1_col, radius_col = c1_col[:, None, None], radius_col[:, None, None]
     ends = slice(None, None, n_tau - 1)  # tau = 0 and tau = 1
-    pair_max = None  # (K, R, T): each member's maximum over beta, -inf if not evaluated
-    for lead in _blocks(n_rho, 2 * len(phase_b)):
-        _, values = _evaluate(functional, c1_col[lead], radius_col[lead], tau[ends], phase_b)
-        if pair_max is None:
-            pair_max = np.full((len(values), n_rho, n_tau), -np.inf)
-        for member_max, vals in zip(pair_max, values):
-            vals.max(axis=2, out=member_max[lead, ends])
-    pair_max[:, -1] = pair_max[:, -1, :1]
-    tops = pair_max.max(axis=(1, 2)).tolist()
-    # x < NaN is False: a NaN or infinite top evaluates and keeps every pair,
-    # and a NaN keeps its pair, so the row scan meets every NaN seen here
-    far = (pair_max[:, :-1, ends] < _below(tops, 3.0 * (n_tau - 1))).any(axis=2).all(axis=0)
-    near = (~far).nonzero()[0] if n_tau > 2 else ()
-    for i in near:
-        _, values = _evaluate(functional, c1_col[i:i + 1], radius_col[i:i + 1], tau[1:-1], phase_b)
-        for member_max, vals in zip(pair_max, values):
-            vals[0].max(axis=1, out=member_max[i, 1:-1])
-    if len(near):  # only evaluated pairs can raise a top
-        tops = pair_max.max(axis=(1, 2)).tolist()
-    return ~(pair_max < _below(tops, 2.0)).all(axis=0)
+    values = None  # (K, R, 2, B): each member at the ends
+    for lead in _blocks(n_rho, 2 * n_beta):
+        _, block = _evaluate(functional, c1_col[lead], radius_col[lead], tau[ends, None], phase_b)
+        if values is None:
+            values = np.empty((len(block), n_rho, 2, n_beta))
+        values[:, lead] = block
+    end_max = values.max(axis=3)
+    tops = end_max.max(axis=(1, 2))
+    # x < NaN is False: a NaN or infinite top evaluates every interior and
+    # makes every point near, and a NaN is near, so the row pass meets every
+    # NaN seen here
+    far = (end_max[:, :-1] < _below(tops, 3.0 * (n_tau - 1))).any(axis=2).all(axis=0)
+    inner = {}  # row -> each member's maximum over beta at each interior tau
+    for i in (~far).nonzero()[0].tolist() if n_tau > 2 else ():
+        _, block = _evaluate(functional, c1_col[i:i + 1], radius_col[i:i + 1], tau[1:-1, None],
+                             phase_b)
+        inner[i] = np.array([vals[0].max(axis=1) for vals in block])
+        tops = np.maximum(tops, inner[i].max(axis=1))  # only these can raise a top
+    below = _below(tops, 2.0)
+    near = ~(values < below[..., None]).all(axis=0)
+    rows = []
+    for i, (c0, c1) in enumerate(near.sum(axis=2).tolist()):  # near points at the ends
+        if not (c0 or c1 or i in inner):
+            continue
+        interior, orbit = [], 0
+        if i in inner:
+            interior = (1 + np.flatnonzero(~(inner[i] < below[:, :, 0]).all(axis=0))).tolist()
+        elif i == n_rho - 1:  # one value, so every tau is kept
+            interior = list(range(1, n_tau - 1))
+        elif 0 < c0 < n_beta or 0 < c1 < n_beta:
+            orbit = c0 + c1
+        tau_at = [0] * bool(c0) + interior + [n_tau - 1] * bool(c1)
+        if tau_at:
+            rows.append((i, tau_at, orbit))
+    return near, rows
 
 
 def _below(tops, k: float) -> np.ndarray:
     """Each member's ``top - k * delta``, shaped (K, 1, 1)."""
-    return np.array([t - k * (1e-9 * max(1.0, abs(t))) for t in tops])[:, None, None]
+    return np.array([t - k * (1e-9 * max(1.0, abs(t))) for t in tops.tolist()])[:, None, None]
+
+
+def _row_kinds(rows, n_alpha: int):
+    """The rows of :func:`_near_points` as ``(whole, runs)``: the rows
+    scanned whole, as ``(row, tau)``, and runs ``(start, stop)`` of
+    consecutive rows scanned along their orbits, with at most
+    ``BLOCK_POINTS`` orbit points each.  A row whose orbits alone hold more
+    is scanned whole, and a whole row ends a run."""
+    whole, runs, size = [], [], BLOCK_POINTS
+    for i, tau_at, orbit in rows:
+        points = orbit * n_alpha
+        if not points or points > BLOCK_POINTS:
+            whole.append((i, tau_at))
+            size = BLOCK_POINTS
+        elif size + points > BLOCK_POINTS:
+            runs.append([i, i + 1])
+            size = points
+        else:
+            runs[-1][1] = i + 1
+            size += points
+    return whole, runs
+
+
+def _orbits(near: np.ndarray, start: int, shape: Tuple[int, ...], shift: int):
+    """The grid indices (rho, alpha, tau, beta), in scan order, of the
+    orbits of ``near``, the near points at tau = 0 and 1 of the alpha = 0
+    slices of rows ``start``, ``start + 1``, ... (shape (n, 2, B)) on a grid
+    of ``shape`` (R, A, T, B): the orbit of (rho, 0, tau, beta_b) is
+    (rho, alpha_a, tau, beta_{(b + a * shift) % B}) for every alpha index a."""
+    _, n_alpha, n_tau, n_beta = shape
+    rho_end, beta = np.divmod(np.flatnonzero(near), n_beta)
+    rho, end = np.divmod(rho_end, 2)
+    alpha = np.arange(n_alpha)
+    at = (((start + rho[:, None]) * n_alpha + alpha) * n_tau + end[:, None] * (n_tau - 1)) * n_beta
+    return np.unravel_index(np.sort(at + (beta[:, None] + shift * alpha) % n_beta, axis=None),
+                            shape)
 
 
 def _pieces(c1_row, radius_row, slice_points: int):
@@ -279,58 +345,76 @@ def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> Sup 
     ``(value, witness)`` pairs, each bit for bit what a scan of that member
     alone gives.  One array is the stack of one, and returns its pair.
 
-    The pair mask (:func:`_candidate_pairs`) comes first: from the alpha = 0
-    slice of every rho, evaluated where convexity does not rule pairs out,
-    it keeps the (rho, tau) pairs whose maximum over beta is, by rotation
-    invariance, within rounding of some member's overall maximum; no point
-    of another pair can attain it.  Each row with a kept pair is then
-    scanned over every (alpha, beta) and its kept tau values, in the pieces
-    of :func:`_pieces`.  Every member sees every point the row scan
-    evaluates; a point outside the member's own kept pairs lies more than
-    ``2 * delta`` below its maximum, so it cannot become its result.
-    Both passes call the functional on blocks of at most ``BLOCK_POINTS``
-    points (whole (tau, beta) slices of several rho or alpha values, or one
-    slice when a slice is larger), with the same per-point arithmetic as the
-    full scan.
+    The mask (:func:`_near_points`) comes first: from the alpha = 0 slice of
+    every rho, evaluated where convexity does not rule points out, it finds
+    the near points, those within rounding of some member's overall
+    maximum; by rotation invariance no point off their orbits can attain
+    it.  The row pass then visits each row with a near point (see
+    :func:`_row_kinds`).  A row near at every (tau, beta) of its kept tau
+    values is scanned over every (alpha, beta) and those tau values, in the
+    pieces of :func:`_pieces`.  The other rows are scanned along their near
+    orbits only (:func:`_orbits`), several rows to a call.  Every member
+    sees every point the row pass evaluates; a point off the member's own
+    near orbits lies more than ``2 * delta`` below its maximum, so it cannot
+    become its result.  Every call holds at most ``BLOCK_POINTS`` points
+    (whole (tau, beta) slices of several rho or alpha values, or one slice
+    when a slice is larger, or the orbits of consecutive rows), with the
+    same per-point arithmetic as the full scan.
 
     A slice whose perturbation radius ``2 - |c1|^2 / 2`` rounds to exactly
     0.0 (only on the ``rho = 1`` row) has one c1 and, bit for bit, one c2
     (see :func:`_collapsible`), so by the elementwise contract one value; in
     rows whose slices take a call each it is evaluated at its first point.
 
-    Each piece gives each member's first maximum; of equal maxima the loop
-    keeps the one at the smallest grid index, so the order of the pieces does
-    not matter.  A NaN in a member at any point the scan evaluates raises
-    :class:`FunctionalIsNaN`, which names the member.
+    Each call gives each member's first maximum, and the points of a call
+    are in scan order; of equal maxima the loop keeps the one at the
+    smallest grid index, so the order of the calls does not matter.  A NaN
+    in a member at any point the scan evaluates raises
+    :class:`FunctionalIsNaN`, which names the member.  A NaN at a point the
+    scan skips (in a pair the mask leaves out, or off every near orbit)
+    goes unseen.
     """
     rho, alpha, tau, beta = grid.axes
     phase_a, phase_b = grid.phases
-    keep = _candidate_pairs(functional, grid, *_leading(rho, phase_a[0]), tau, phase_b)
-    alpha_at = np.arange(len(alpha))
+    near, rows = _near_points(functional, grid, *_leading(rho, phase_a[0]))
+    whole, runs = _row_kinds(rows, len(alpha))
     stacked, best = False, []  # per member: [value, grid index]
-    for i in keep.any(axis=1).nonzero()[0].tolist():
-        tau_at = keep[i].nonzero()[0]
-        tau_kept = tau[tau_at]
+
+    def take(values, locate):
+        """Keep each member's first maximum among ``values``; ``locate``
+        gives the grid index of a flat index into them."""
+        if not best:
+            best.extend([-np.inf, (0, 0, 0, 0)] for _ in values)
+        for k, (vals, member) in enumerate(zip(values, best)):
+            idx = int(vals.argmax())  # the first NaN if any, which m < best lets through
+            m = float(vals.flat[idx])
+            if m < member[0]:
+                continue
+            at = locate(idx)
+            if math.isnan(m):
+                where = ", ".join(f"{x:.6g}" for x in _params(grid, at))
+                raise FunctionalIsNaN(
+                    f"the functional is NaN at (rho, alpha, tau, beta) = ({where})", k)
+            if m > member[0] or at < member[1]:
+                member[:] = m, at
+
+    alpha_at = np.arange(len(alpha))
+    for i, tau_at in whole:
         c1_row, radius_row = _leading(rho[i], phase_a)
-        for lead, points in _pieces(c1_row, radius_row, len(tau_kept) * len(beta)):
-            stacked, values = _evaluate(functional, c1_row[lead], radius_row[lead],
-                                        tau_kept[points], phase_b[points])
-            if not best:
-                best = [[-np.inf, (0, 0, 0, 0)] for _ in values]
-            for k, (vals, member) in enumerate(zip(values, best)):
-                idx = int(vals.argmax())  # the first NaN if any, which m < best lets through
-                m = float(vals.flat[idx])
-                if m < member[0]:
-                    continue
-                ia, rest = divmod(idx, vals.shape[1] * vals.shape[2])
-                it, ib = divmod(rest, vals.shape[2])
-                at = (i, int(alpha_at[lead][ia]), int(tau_at[it]), ib)
-                if math.isnan(m):
-                    where = ", ".join(f"{x:.6g}" for x in _params(grid, at))
-                    raise FunctionalIsNaN(
-                        f"the functional is NaN at (rho, alpha, tau, beta) = ({where})", k)
-                if m > member[0] or at < member[1]:
-                    member[:] = m, at
+        tau_kept = tau[tau_at]
+        for lead, points in _pieces(c1_row, radius_row, len(tau_at) * len(beta)):
+            stacked, values = _evaluate(functional, c1_row[lead, None, None],
+                                        radius_row[lead, None, None],
+                                        tau_kept[points, None], phase_b[points])
+            _, n_t, n_b = values[0].shape
+            take(values, lambda idx: (i, int(alpha_at[lead][idx // (n_t * n_b)]),
+                                      tau_at[idx // n_b % n_t], idx % n_b))
+    for start, stop in runs:
+        at = _orbits(near[start:stop], start, (len(rho), len(alpha), len(tau), len(beta)),
+                     2 * len(beta) // len(alpha))
+        stacked, values = _evaluate(functional, *_leading(rho[at[0]], phase_a[at[1]]),
+                                    tau[at[2]], phase_b[at[3]])
+        take(values, lambda idx: tuple([int(x[idx]) for x in at]))
     found = [(m, sample_point(*_params(grid, at))) for m, at in best]
     return found if stacked else found[0]
 

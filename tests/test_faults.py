@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 import test_bazilevic as solver_gate
+import test_caratheodory as scan_gate
 import test_cli as member_gate
-from gtnbounds import bazilevic, bounds, verify
+from gtnbounds import bazilevic, bounds, caratheodory, verify
 from gtnbounds.caratheodory import GridSpec
 from gtnbounds.series import TruncatedSeries
 
@@ -105,6 +106,22 @@ def test_nan_in_the_class_closure_names_the_experiments(monkeypatch):
     monkeypatch.setattr(verify, "_stack_functional", planted)
     with pytest.raises(ValueError, match=r"^starlike\|vk1\|a3, .*: the functional is NaN at"):
         run_full()
+
+
+def test_an_orbit_shift_off_by_one_moves_the_golden_and_the_reference_scan(monkeypatch):
+    # the orbit of (rho, 0, tau, beta_b) is planted at beta_{b + a (2B/A + 1)}
+    # instead of beta_{b + a 2B/A}: off alpha = 0 the row pass then scans
+    # points that are not rotations of the near ones
+    real = caratheodory._orbits
+    monkeypatch.setattr(caratheodory, "_orbits",
+                        lambda near, start, shape, shift: real(near, start, shape, shift + 1))
+    data, summary = run_full()
+    lines, golden = data.splitlines(), GOLDEN.splitlines()
+    assert len(lines) == len(golden)
+    assert sum(a != b for a, b in zip(lines, golden)) == 11
+    assert summary["soundness"]
+    with pytest.raises(AssertionError):
+        scan_gate.test_pruned_scan_is_exact_for_lemma_functionals(0.0, 12)
 
 
 def test_rounding_to_eleven_digits_moves_the_golden(monkeypatch):
