@@ -5,9 +5,9 @@ The sequence T_k(n) obeys T_k(0) = T_k(1) = 1 and, for n >= 2,
     T_k(n) = T_k(n-1) + k*(n-1)*T_k(n-2),
 
 and its exponential generating function is exp(x + k*x^2/2).  The recurrence
-is computed in exact rational arithmetic so the cross-check against the
-floating-point generating-function route is decisive (factorials overflow
-doubles quickly).
+is computed exactly, in integers scaled by powers of k's denominator, so the
+cross-check against the floating-point generating-function route is decisive
+(factorials overflow doubles quickly).
 
 k = 1 gives the classical involution-counting sequence 1, 1, 2, 4, 10, 26, ...
 The classical interpretation assumes k >= 1; the domain is widened to k >= 0
@@ -29,9 +29,18 @@ def gtn_sequence(varkappa: Fraction | int | float | str, max_n: int) -> list[Fra
     k = Fraction(varkappa)
     if k < 0:
         raise ValueError("the weight parameter must be >= 0")
+    # With k = p/q, N(n) = T(n) q^(n//2) is an integer:
+    # N(n) = q N(n-1) + p (n-1) N(n-2) for even n, N(n-1) + p (n-1) N(n-2) for odd n.
+    p, q = k.numerator, k.denominator
     values = [Fraction(1), Fraction(1)]
+    prev, cur, power = 1, 1, 1  # N(n-2), N(n-1), q^((n-1)//2)
     for n in range(2, max_n + 1):
-        values.append(values[n - 1] + k * (n - 1) * values[n - 2])
+        if n % 2:
+            prev, cur = cur, cur + p * (n - 1) * prev
+        else:
+            prev, cur = cur, q * cur + p * (n - 1) * prev
+            power *= q
+        values.append(Fraction(cur, power))
     return values[: max_n + 1]
 
 

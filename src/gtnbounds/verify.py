@@ -496,6 +496,20 @@ def run_suite(
 
 # ---------------------------------------------------------------------------
 # Deterministic JSON-lines serialization (12 significant digits everywhere)
+#
+# The contract of a report line: one JSON object of the fields experiment_id,
+# vartheta, kappa, varkappa, functional, as_stated, oracle, empirical_sup,
+# witness ({"c1": [re, im], "c2": [re, im]}), discrepancy_ids (strings),
+# discrepancies (each a dict in its own key order; a value that is not a
+# string prints as a float) and gap, in that order, with no spaces.  Every
+# float goes through round12 (looked up as a module global on each call) and
+# prints as its repr, and every string is escaped to ASCII as json.dumps
+# escapes it by default; a value that is not finite once rounded is refused
+# with a ValueError, as json.dumps(allow_nan=False) refuses it.  The summary
+# is the last line, {"summary": ...}, written by json.dumps.
+
+_string = json.encoder.encode_basestring_ascii
+
 
 def round12(obj):
     """``obj`` as it is printed: each float rounded to 12 significant digits
@@ -511,42 +525,55 @@ def round12(obj):
     return obj
 
 
-def report_to_dict(r: BoundReport) -> dict:
-    return round12({
-        "experiment_id": r.experiment_id,
-        "vartheta": float(r.vartheta),
-        "kappa": float(r.kappa),
-        "varkappa": float(r.varkappa),
-        "functional": r.functional,
-        "as_stated": float(r.as_stated),
-        "oracle": float(r.oracle),
-        "empirical_sup": float(r.empirical_sup),
-        "witness": {"c1": complex(r.witness.c1), "c2": complex(r.witness.c2)},
-        "discrepancy_ids": r.discrepancy_ids,
-        "discrepancies": [
-            {k: (v if isinstance(v, str) else float(v)) for k, v in d.items()}
-            for d in r.discrepancies
-        ],
-        "gap": float(r.gap),
-    })
+def _number(x) -> str:
+    """The JSON of ``float(x)`` rounded by :func:`round12`."""
+    x = round12(float(x))
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return repr(x)
+
+
+def _pair(z) -> str:
+    z = complex(z)
+    return f"[{_number(z.real)},{_number(z.imag)}]"
+
+
+def _discrepancy(d: dict) -> str:
+    return "{" + ",".join(
+        f"{_string(k)}:{_string(v) if isinstance(v, str) else _number(v)}"
+        for k, v in d.items()) + "}"
+
+
+def _report_line(r: BoundReport) -> str:
+    return (
+        f'{{"experiment_id":{_string(r.experiment_id)},"vartheta":{_number(r.vartheta)},'
+        f'"kappa":{_number(r.kappa)},"varkappa":{_number(r.varkappa)},'
+        f'"functional":{_string(r.functional)},"as_stated":{_number(r.as_stated)},'
+        f'"oracle":{_number(r.oracle)},"empirical_sup":{_number(r.empirical_sup)},'
+        f'"witness":{{"c1":{_pair(r.witness.c1)},"c2":{_pair(r.witness.c2)}}},'
+        f'"discrepancy_ids":[{",".join(map(_string, r.discrepancy_ids))}],'
+        f'"discrepancies":[{",".join(map(_discrepancy, r.discrepancies))}],'
+        f'"gap":{_number(r.gap)}}}'
+    )
 
 
 def reports_to_lines(reports: Sequence[BoundReport], summary: dict) -> list[str]:
-    return [
-        json.dumps(obj, separators=(",", ":"), allow_nan=False)
-        for obj in [*map(report_to_dict, reports), {"summary": round12(summary)}]
-    ]
+    """One JSON line per report, then the summary line."""
+    lines = [_report_line(r) for r in reports]
+    lines.append(json.dumps({"summary": round12(summary)}, separators=(",", ":"),
+                            allow_nan=False))
+    return lines
 
 
 def write_reports(path: str | Path, reports: Sequence[BoundReport], summary: dict) -> Path:
-    """Append report lines; runs never overwrite earlier output.  Nothing is
-    written when a report does not serialize (a non-finite value)."""
-    lines = reports_to_lines(reports, summary)
+    """Append report lines; runs never overwrite earlier output.  The text
+    is built first and appended in one write, so nothing is written when a
+    report does not serialize (a non-finite value)."""
+    text = "\n".join(reports_to_lines(reports, summary)) + "\n"
     p = Path(path)
     p.parent.mkdir(parents=True, exist_ok=True)
     with p.open("a", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        fh.write(text)
     return p
 
 

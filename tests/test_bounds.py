@@ -43,6 +43,14 @@ def test_printed_subclass_a3_formulas_at_weight_one():
     )
 
 
+def test_printed_subclass_a3_floors_below_an_inner_value_of_two():
+    # kappa = 1: (1 + 8 + 3) / (2 * 2^2) = 3/2, so at varkappa 1/4 the inner
+    # value is 7/4, above the floor 1 and below 2; the bound is (7/4) / (2 * 3)
+    assert bounds.a3_printed_subclass_kappa(1.0, 0.25) == pytest.approx(7 / 24, rel=1e-15)
+    # starlike: |3/2 + 1/4| = 7/4, times 1/2
+    assert bounds.a3_printed_subclass_starlike(0.25) == pytest.approx(7 / 8, rel=1e-15)
+
+
 # --- real-mu piecewise bound --------------------------------------------------
 
 def test_fs_real_above_branch():
@@ -53,6 +61,9 @@ def test_fs_real_above_branch():
     assert v.aleph == pytest.approx(-4.0)
     assert v.value == pytest.approx(1.0)
     assert v.as_printed == pytest.approx(1.0)
+    # at mu = 2, aleph = -4 - 4 = -8 and v = (1 - 1 + 8)/4 = 2, past Lemma 1's
+    # flat middle: the value is (4 v - 2) / 2 = 3
+    assert bounds.fs_real(P000, 2.0).value == pytest.approx(3.0, rel=1e-15)
 
 
 def test_fs_real_boundary_and_middle():
@@ -61,6 +72,13 @@ def test_fs_real_boundary_and_middle():
     mid = bounds.fs_real(P000, -1.75)
     assert mid.branch == bounds.BRANCH_BETWEEN
     assert mid.value == pytest.approx(1.0)
+    # vartheta = 1, kappa = 0, varkappa 1: W^2 = 4, L = 3 and 2 msq = -16, so
+    # the knots are -16/6 and -12/6, and between them the printed value 1/3
+    # is positive
+    between = bounds.fs_real(ClassParams(1, 0, 1), -2.5)
+    assert between.branch == bounds.BRANCH_BETWEEN
+    assert between.as_printed == pytest.approx(1 / 3, rel=1e-15)
+    assert not between.printed_nonpositive
 
 
 def test_fs_real_printed_third_branch_goes_negative():
@@ -127,6 +145,9 @@ def test_fs_complex_alternate_prefactor():
     p = ClassParams(0.0, 0.0, 1.0)
     assert bounds.fs_complex_alternate(p) == pytest.approx(0.5)
     assert bounds.fs_complex_alternate(ClassParams(1, 0, 1)) == pytest.approx(1 / 3)
+    # 1 / ((vartheta + 2)(1 + 2 kappa)): 1 / (2 * 2) and 1 / (3 * 3)
+    assert bounds.fs_complex_alternate(ClassParams(0, 0.5, 1)) == pytest.approx(1 / 4)
+    assert bounds.fs_complex_alternate(ClassParams(1, 1, 1)) == pytest.approx(1 / 9)
 
 
 # --- inverse coefficients -------------------------------------------------------
@@ -180,6 +201,15 @@ def test_log_coeff_values():
     assert bounds.log_gamma2_oracle(P000) == pytest.approx(0.75)
 
 
+def test_log_coeff_values_off_the_origin():
+    # vartheta = kappa = 1: W = 4, L = 9, msq = 1 - 1 - 8 = -8.  At varkappa 4,
+    # g1 = 1/(2W) = 1/8, and the g2 inner value is 1 + 4 + (-16 - 9)/16 = 55/16,
+    # so g2 = (1/9)(55/32)
+    g1, g2 = bounds.log_coeff_bounds(ClassParams(1, 1, 4))
+    assert g1 == 1 / 8
+    assert g2 == pytest.approx(55 / 288, rel=1e-15)
+
+
 def test_log_coeff_relations_from_series():
     # log(f/z) = 2 sum g_n z^n gives 2 g1 = a2 and 2 g2 = a3 - a2^2/2
     rng = np.random.default_rng(43)
@@ -207,6 +237,19 @@ def test_conv_complex_printed_value_at_origin():
     # verbatim substitution: prefactor 2, inner -1 - vk + 2*msq = -6
     assert bounds.conv_fs_complex(P000, 0.0, 1.0, 1.0) == pytest.approx(6.0)
     assert bounds.fs_complex(P000, 0.0) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("mu, want", [
+    # vartheta = kappa = 1, varkappa 2: W = 4, L = 9, msq = -8.  With wp2 = 1/2,
+    # (W wp2)^2 = 4 and the inner value is -1 - 2 + 2(-8)/4 + 2 mu (3)(3)(2)/4
+    # = -7 + 9 mu; the prefactor is 2 / (9 * 2) = 1/9
+    (1 + 1j, math.sqrt(85) / 18),  # |2 + 9i| / 2 = sqrt(85) / 2
+    (0.7, 1 / 9),  # |-0.7| / 2 is below the floor 1
+    (-1.0, 8 / 9),  # |-16| / 2
+])
+def test_conv_complex_printed_value_off_unit_weights(mu, want):
+    p = ClassParams(1, 1, 2)
+    assert bounds.conv_fs_complex(p, mu, 0.5, 2.0) == pytest.approx(want, rel=1e-15)
 
 
 def test_conv_knots_scale_with_weight_ratio():

@@ -5,8 +5,18 @@ import numpy as np
 import pytest
 
 from gtnbounds import series as ps
+from gtnbounds.cli import MAX_INDEX
 from gtnbounds.series import TruncatedSeries
 from gtnbounds.telephone import gtn_sequence, gtn_via_egf, x_series
+
+
+def reference_gtn(varkappa, max_n):
+    """T_k(0..max_n) by the recurrence T(n) = T(n-1) + k (n-1) T(n-2) in Fractions."""
+    k = Fraction(varkappa)
+    values = [Fraction(1), Fraction(1)]
+    for n in range(2, max_n + 1):
+        values.append(values[n - 1] + k * (n - 1) * values[n - 2])
+    return values[: max_n + 1]
 
 
 @pytest.mark.parametrize("vk", [1, 2, 3])
@@ -21,6 +31,21 @@ def test_classical_sequence():
 @pytest.mark.parametrize("vk", [1, 2, Fraction(7, 2)])
 def test_index_6_closed_form(vk):
     assert gtn_sequence(vk, 6)[6] == 1 + 15 * vk + 45 * vk**2 + 15 * vk**3
+
+
+@pytest.mark.parametrize(
+    "vk", [0, 1, 2, Fraction(1, 2), Fraction(7, 2), Fraction(2, 3), 0.1, "5/4",
+           Fraction(1000003, 999)])
+def test_integer_recurrence_equals_the_fraction_recurrence(vk):
+    want = reference_gtn(vk, 200)
+    for n in [*range(8), 200]:
+        assert gtn_sequence(vk, n) == want[: n + 1], n
+    assert all(type(v) is Fraction for v in gtn_sequence(vk, 200))
+
+
+@pytest.mark.parametrize("vk", [1, Fraction(1, 2), Fraction(7, 3)])
+def test_integer_recurrence_equals_the_fraction_recurrence_at_the_cli_limit(vk):
+    assert gtn_sequence(vk, MAX_INDEX) == reference_gtn(vk, MAX_INDEX)
 
 
 def test_negative_index_rejected():
