@@ -37,11 +37,11 @@ online route, ``_w_recurrence``, serves the solver and the witness.  With
 B = zf'/(f^{1-k} z^k), log B = log f' + (k-1) log(f/z); as zf''/f' =
 z(log f')' and zf'/f - 1 = z(log(f/z))', the first bracket is B + z(log B)',
 so log W(f) = t log(B + z(log B)') + (1-t) log B.  Online log/exp
-recurrences in plain complex arithmetic give coefficient n of log(f/z),
-log f', B, the bracket's log and log W from lower ones and a_{n+1}.
-Neither W nor X is formed: ``solve_from_schwarz`` chooses each a_{n+1} so
-that log W(f) = log X(w) = w + varkappa w^2/2, and ``membership_witness``
-feeds in f's own coefficients and solves that quadratic for w.
+recurrences give coefficient n of log(f/z), log f', B, the bracket's log and
+the w with log W(f) = log X(w) = w + varkappa w^2/2 from lower ones and
+a_{n+1}.  Neither W nor X is formed: ``solve_from_schwarz`` chooses each
+a_{n+1} so that this w is the given one, and ``membership_witness`` feeds in
+f's own coefficients and reads w off.
 
 ``printed_relation`` returns the two printed variants of the
 same constants, which do not always agree with the oracle (measuring that gap
@@ -122,7 +122,7 @@ def w_functional(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
     base = ps.mul(fp, ps.pow_real(f_over_z, params.kappa - 1.0))  # zf'/(f^{1-k} z^k)
     u1 = ps.add(ps.div(fp, f_over_z), ps.scale(ps.one(n), -1.0))  # zf'/f - 1
     zfpp = TruncatedSeries(np.concatenate(([0.0], ps.derive(fp).coeffs)))  # z f''
-    ratio = ps.div(ps.truncate(zfpp, n), fp)              # zf''/f'
+    ratio = ps.div(zfpp, fp)                              # zf''/f'
     bracket = ps.add(ps.add(base, ratio), ps.scale(u1, params.kappa - 1.0))
     if abs(base.coeffs[0] - 1.0) > 1e-9 or abs(bracket.coeffs[0] - 1.0) > 1e-9:
         raise ValueError("bracket base lost its unit constant term")
@@ -174,43 +174,49 @@ def printed_relation(params: ClassParams, variant: str = "expansion") -> Coeffic
 
 
 def _w_recurrence(params: ClassParams, order: int, next_coeff) -> tuple[list, list]:
-    """Coefficients 0..order of f and 0..order-1 of log W(f), one at a time.
+    """Coefficients 0..order of f and 0..order-1 of w, where
+    log W(f) = w + varkappa w^2/2, one at a time.
 
     Step n forms coefficient n of each series below with a_{n+1} = 0, from
     lower coefficients only; a_{n+1} = next_coeff(n, rest, slope), where rest
-    is coefficient n of log W at a_{n+1} = 0, and each coefficient n then
-    gains its own slope times a_{n+1}.  log W = log(1 + (W - 1)) takes
-    a_{n+1} through W's coefficient n alone, so the slope is W's.
+    is coefficient n of w at a_{n+1} = 0, and each coefficient n then gains
+    its own slope times a_{n+1}.  a_{n+1} reaches log W, and so w_n, through
+    W's coefficient n alone, so the slope is W's.  Any numbers that support
+    + - * / with each other and with ints work (complex, numpy arrays, mpmath
+    intervals, sympy expressions in a symbol), and ``params`` is read only by
+    attribute.  Step 1 divides the int 0 by 1, so a sympy Rational or a
+    Fraction entry turns into a float there.
     """
-    t, k = params.vartheta, params.kappa
-    fz, fp, b, br = ([1.0 + 0j] for _ in range(4))  # f/z, f', B, bracket
-    l1, l2, lb, l3, g = ([0j] for _ in range(5))  # log(f/z), log f', log B, log bracket, log W
+    t, k, vk = params.vartheta, params.kappa, params.varkappa
+    fz, fp, b, br = ([1] for _ in range(4))  # f/z, f', B, bracket
+    l1, l2, lb, l3, w = ([0] for _ in range(5))  # log(f/z), log f', log B, log bracket, w
     for n in range(1, order):
         # sum_{j<n} j x_j y_{n-j}: what coefficient n of y = exp(x), or of
         # x = log y (negated), takes from the lower coefficients
-        q1 = q2 = qb = q3 = 0j
+        q1 = q2 = qb = q3 = qw = 0
         for j in range(1, n):
             m = n - j
             q1 += j * l1[j] * fz[m]
             q2 += j * l2[j] * fp[m]
             qb += j * lb[j] * b[m]
             q3 += j * l3[j] * br[m]
+            qw += w[j] * w[m]
         r1 = -q1 / n
         r2 = -q2 / n
-        rlb = r2 + (k - 1.0) * r1
+        rlb = r2 + (k - 1) * r1
         rb = rlb + qb / n
         rbr = rb + n * rlb
         r3 = rbr - q3 / n
-        rg = t * r3 + (1.0 - t) * rlb
+        rw = t * r3 + (1 - t) * rlb - (vk / 2) * qw
         s1 = n + k
         s2 = s1 * (n + 1)
-        slope = s1 * (1.0 + n * t)
-        x = next_coeff(n, rg, slope)
-        for series, rest, dx in ((fz, 0j, 1), (l1, r1, 1), (fp, 0j, n + 1), (l2, r2, n + 1),
+        slope = s1 * (1 + n * t)
+        x = next_coeff(n, rw, slope)
+        for series, rest, dx in ((fz, 0, 1), (l1, r1, 1), (fp, 0, n + 1), (l2, r2, n + 1),
                                  (lb, rlb, s1), (b, rb, s1), (br, rbr, s2), (l3, r3, s2),
-                                 (g, rg, slope)):
+                                 (w, rw, slope)):
             series.append(rest + dx * x)
-    return [0j] + fz, g
+    return [0] + fz, w
 
 
 def solve_from_schwarz(w: TruncatedSeries, params: ClassParams, order: int) -> TruncatedSeries:
@@ -218,10 +224,9 @@ def solve_from_schwarz(w: TruncatedSeries, params: ClassParams, order: int) -> T
 
     It matches log W(f) to log X(w) = w + varkappa w^2/2, which is the same
     condition: exp and log are triangular bijections between series with
-    constant terms 1 and 0.  a_{n+1} enters coefficient n of log W(f) with
-    slope (n + kappa)(1 + n*vartheta) >= 1, so it is the target's coefficient
-    n less that of log W(f) at a_{n+1} = 0, over the slope.  ``_w_recurrence``
-    gives every coefficient in one pass; ``w_functional`` is not called.
+    constant terms 1 and 0.  a_{n+1} enters the w_n that ``_w_recurrence``
+    reads from log W(f) with slope (n + kappa)(1 + n*vartheta) >= 1, so it is
+    the given w_n less that one at a_{n+1} = 0, over the slope.
     """
     if order < 2:
         raise ValueError("order must be >= 2")
@@ -232,9 +237,8 @@ def solve_from_schwarz(w: TruncatedSeries, params: ClassParams, order: int) -> T
     wmax = ps.boundary_max(w)
     if wmax >= 1.0:
         raise ValueError(f"|w| reaches {wmax:.6f} >= 1 on the sampling circle")
-    wt = ps.truncate(w, order - 1)
-    target = ps.add(wt, ps.scale(ps.mul(wt, wt), params.varkappa / 2.0)).coeffs.tolist()
-    fc, _ = _w_recurrence(params, order, lambda n, rest, slope: (target[n] - rest) / slope)
+    wc = w.coeffs.tolist() + [0] * order
+    fc, _ = _w_recurrence(params, order, lambda n, rest, slope: (wc[n] - rest) / slope)
     return TruncatedSeries(fc)
 
 
@@ -243,23 +247,16 @@ def membership_witness(f: TruncatedSeries, params: ClassParams) -> tuple[Truncat
     modulus over 256 samples of |z| = 0.99; callers compare that sup-norm
     against 1 to decide membership.
 
-    log X(w) = w + varkappa w^2 / 2 is read from the log W(f) that
-    ``_w_recurrence`` forms when fed f's own coefficients, with f(0) = 0 and
-    f'(0) = 1 taken as exact.  Like the solver, it forms the logs of both
-    bracket bases at every vartheta, so one that overflows makes the witness
-    undefined even where its weight is 0.
+    w is the one ``_w_recurrence`` reads from log W(f) = w + varkappa w^2/2
+    when fed f's own coefficients, with f(0) = 0 and f'(0) = 1 taken as
+    exact.  Like the solver, it forms the logs of both bracket bases at every
+    vartheta, so one that overflows makes the witness undefined even where
+    its weight is 0.
     """
     _check_normalized(f)
     a = f.coeffs.tolist()
-    _, g = _w_recurrence(params, f.order, lambda n, rest, slope: a[n + 1])
-    vk = params.varkappa
-    wc = np.zeros(len(g), dtype=complex)
-    for m in range(1, len(g)):
-        acc = g[m]
-        if m >= 2:
-            acc -= (vk / 2.0) * np.dot(wc[1:m], wc[m - 1 : 0 : -1])
-        wc[m] = acc
-    if not np.all(np.isfinite(wc.view(float))):
-        raise ValueError("witness recursion produced non-finite coefficients")
+    _, wc = _w_recurrence(params, f.order, lambda n, rest, slope: a[n + 1])
     witness = TruncatedSeries(wc)
+    if not np.all(np.isfinite(witness.coeffs.view(float))):
+        raise ValueError("witness recursion produced non-finite coefficients")
     return witness, ps.boundary_max(witness)

@@ -1,8 +1,11 @@
 import cmath
 import math
+from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
+import sympy as sp
 
 from gtnbounds import bazilevic
 from gtnbounds import series as ps
@@ -98,8 +101,9 @@ def test_functional_mixed_params_hand_expansion():
 def test_functional_requires_normalization():
     # the functional and the witness share one guard
     for fn in (w_functional, membership_witness):
-        with pytest.raises(ValueError, match=r"f must have f\(0\) = 0"):
-            fn(TruncatedSeries([0, 2, 0, 0]), ClassParams(0, 0, 1))
+        for bad in ([0, 2, 0, 0], [2e-9, 1, 0, 0], [0, 1 + 2e-9, 0, 0]):
+            with pytest.raises(ValueError, match=r"f must have f\(0\) = 0"):
+                fn(TruncatedSeries(bad), ClassParams(0, 0, 1))
         with pytest.raises(ValueError, match="need at least order 3"):
             fn(TruncatedSeries([0, 1]), ClassParams(0, 0, 1))
 
@@ -261,9 +265,11 @@ def test_printed_quad_a2_is_twice_the_derived_one():
 # --- Schwarz solve and membership -------------------------------------------
 
 def test_solve_linear_schwarz():
-    f = solve_from_schwarz(ps.identity(8), ClassParams(0, 0, 1.0), 8)
-    assert f.coeffs[2] == pytest.approx(1.0, abs=1e-9)
-    assert f.coeffs[3] == pytest.approx(1.0, abs=1e-9)
+    # w = z given at the solve's order or at order 1, which is padded with zeros
+    for w in (ps.identity(8), TruncatedSeries([0, 1])):
+        f = solve_from_schwarz(w, ClassParams(0, 0, 1.0), 8)
+        assert f.coeffs[2] == pytest.approx(1.0, abs=1e-9)
+        assert f.coeffs[3] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_solve_zero_schwarz_gives_identity():
@@ -367,16 +373,90 @@ def test_recurrence_equals_functional():
     rng = np.random.default_rng(43)
     tk = [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (2.5, 0.3), (0.4, 3.0), (1.7, 1.9)]
     for order in range(3, 21):
-        for t, k in tk:
+        for (t, k), vk in zip(tk, (1.0, 0.0, 4.0, 1.0, 2.0, 0.5, 3.0)):
             raw = rng.normal(size=order - 1) + 1j * rng.normal(size=order - 1)
             raw *= 0.5 / np.sum(np.arange(2, order + 1) * np.abs(raw))
             c = np.concatenate(([0.0, 1.0], raw))
-            p = ClassParams(t, k, 1.0)
-            fc, gc = _w_recurrence(p, order, lambda n, rest, slope: c[n + 1])
+            p = ClassParams(t, k, vk)
+            fc, wc = _w_recurrence(p, order, lambda n, rest, slope: c[n + 1])
+            w = TruncatedSeries(wc)
+            got = ps.add(w, ps.scale(ps.mul(w, w), vk / 2.0)).coeffs  # log X(w)
             ref = ps.log_series(w_functional(TruncatedSeries(c), p)).coeffs
             assert np.array_equal(np.array(fc), c)
-            assert len(gc) == ref.size == order
-            assert np.max(np.abs(np.array(gc) - ref)) <= 1e-13 * np.max(np.abs(ref)), (p, order)
+            assert len(wc) == ref.size == order
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (p, order)
+
+
+# The recurrence reads its parameters by attribute and uses only + - * / and
+# int literals, so it runs unchanged on other number types.  Three rational
+# (vartheta, kappa) beside the presets, each at one varkappa.
+RATIONAL_CASES = [(sp.Rational(1, 3), sp.Rational(2, 5), sp.Rational(3, 2)),
+                  (sp.Rational(3, 2), sp.Rational(1, 4), sp.Integer(4)),
+                  (sp.Rational(5, 7), sp.Rational(9, 4), sp.Rational(1, 3))]
+
+
+def test_recurrence_gives_the_relation_exactly_in_sympy():
+    # the probes z + e z^2 and z + e z^3 with a symbolic step e: then
+    # b1 = w1 = A2 e, b2 = w2 + (1 + varkappa) w1^2/2 = Aq e^2 for the first
+    # and b2 = w2 = A3 e for the second, with no rounding at all
+    e = sp.Symbol("e")
+    cases = [(sp.Rational(pr.vartheta), sp.Rational(pr.kappa), sp.Integer(2)) for pr in PRESETS]
+    for t, k, vk in cases + RATIONAL_CASES:
+        p = SimpleNamespace(vartheta=t, kappa=k, varkappa=vk)
+        _, w2 = _w_recurrence(p, 3, lambda n, rest, slope: (e, 0)[n - 1])
+        _, w3 = _w_recurrence(p, 3, lambda n, rest, slope: (0, e)[n - 1])
+        got = (sp.expand(w2[1] / e), sp.expand(w3[2] / e),
+               sp.expand((w2[2] + (1 + vk) * w2[1] ** 2 / 2) / e**2))
+        msq = (t * t - t + 1) * k * k + (2 * t * t - 4 * t + 1) * k + (t * t - 7 * t - 2)
+        assert got == ((1 + t) * (1 + k), (1 + 2 * t) * (2 + k), msq / 2), (t, k)
+        rel = derive_relation(ClassParams(float(t), float(k), float(vk)))
+        for probed, exact in zip((rel.linear_a2, rel.linear_a3, rel.quad_a2), got):
+            assert abs(probed - float(exact)) <= 1e-13 * abs(float(exact)), (t, k)
+
+
+def _grid_schwarz(order):
+    """A (3, 4) grid of Blaschke drivers r z (z + a)/(1 + conj(a) z), one per
+    (r, beta) with a = 0.4 e^{i beta}: coefficient n is a (3, 4) array."""
+    r = np.array([0.3, 0.6, 0.9])[:, None]
+    a = 0.4 * np.exp(1j * np.linspace(0.0, 5.0, 4))[None, :]
+    return [0 * r * a, r * a] + [r * (-a.conjugate()) ** (n - 2) * (1.0 - abs(a) ** 2)
+                                 for n in range(2, order + 1)]
+
+
+def test_recurrence_on_arrays_equals_per_member_calls():
+    order = 12
+    wc = _grid_schwarz(order)
+    for t, k, vk in [(0.0, 0.0, 1.0), (0.5, 0.5, 2.0), (1.3, 0.2, 4.0)]:
+        p = ClassParams(t, k, vk)
+        fc, _ = _w_recurrence(p, order, lambda n, rest, slope: (wc[n] - rest) / slope)
+        _, back = _w_recurrence(p, order, lambda n, rest, slope: fc[n + 1])
+        for i, j in np.ndindex(3, 4):
+            member = [c[i, j] for c in wc]
+            f = solve_from_schwarz(TruncatedSeries(member), p, order).coeffs
+            witness, _ = membership_witness(TruncatedSeries(f), p)
+            for got, want in (([np.broadcast_to(c, (3, 4))[i, j] for c in fc], f),
+                              ([np.broadcast_to(c, (3, 4))[i, j] for c in back], witness.coeffs)):
+                ulp = np.finfo(float).eps * np.max(np.abs(want))
+                assert np.max(np.abs(np.array(got) - want)) <= 4 * ulp, (p, i, j)
+
+
+def test_recurrence_on_intervals_encloses_the_float_results():
+    # at 53 bits each interval operation rounds outward where the float one
+    # rounds to nearest, so the enclosure holds operation by operation; the
+    # leading 0, 1 of f and 0 of w come back as ints
+    assert mpmath.iv.prec == 53
+    rng = np.random.default_rng(59)
+    for t, k, vk in [(0.0, 0.0, 1.0), (0.5, 0.5, 2.0), (1.3, 0.2, 4.0)]:
+        p = ClassParams(t, k, vk)
+        w = _schwarz(rng, "blaschke", 10)
+        f = solve_from_schwarz(w, p, 10)
+        witness, _ = membership_witness(f, p)
+        wi = [mpmath.iv.mpc(c.real, c.imag) for c in w.coeffs.tolist()]
+        fi, _ = _w_recurrence(p, 10, lambda n, rest, slope: (wi[n] - rest) / slope)
+        a = [mpmath.iv.mpc(c.real, c.imag) for c in f.coeffs.tolist()]
+        _, back = _w_recurrence(p, 10, lambda n, rest, slope: a[n + 1])
+        assert all(x in box for x, box in zip(f.coeffs.tolist()[2:], fi[2:])), p
+        assert all(x in box for x, box in zip(witness.coeffs.tolist()[1:], back[1:])), p
 
 
 def test_solve_never_evaluates_the_functional(monkeypatch):
@@ -509,14 +589,23 @@ def test_witness_equals_log_of_the_functional(monkeypatch):
 
 
 def test_witness_accuracy_on_a_strong_member():
-    # f is built from w = 0.9z at varkappa = 4, where varkappa |w1| = 3.6 > 1
-    # makes the witness recursion grow the rounding of f geometrically; the
-    # same recursion in 60-digit arithmetic is off by 2.0e-11 and 5.5e-7
+    # f is built from w = 0.9z at varkappa = 4 by the series route, not by the
+    # witness's own recurrence: on a member that recurrence built, the witness
+    # repeats the solver's arithmetic and is exact to rounding at any order.
+    # varkappa |w1| = 3.6 > 1 makes the recursion grow the rounding of f
+    # geometrically, so the same recursion in 60-digit arithmetic is off too
+    # (by 4.3e-12 at order 12 and 1.2e-7 at order 20; floats: 2.2e-11, 6.1e-7)
     p = ClassParams(0.0, 0.0, 4.0)
-    for order, bound in ((12, 5e-11), (20, 1.5e-6)):
+    for order in (12, 20):
         w = TruncatedSeries([0.0, 0.9], order=order)
-        got, _ = membership_witness(solve_from_schwarz(w, p, order), p)
-        assert ps.max_coeff_diff(got, ps.truncate(w, order - 1)) <= bound, order
+        f = _reference_solve(w, p, order)
+        got, _ = membership_witness(f, p)
+        with mpmath.workdps(60):
+            a = [mpmath.mpc(c) for c in f.coeffs.tolist()]
+            _, exact = _w_recurrence(p, order, lambda n, rest, slope: a[n + 1])
+            err60 = float(max(abs(x - y) for x, y in zip(exact, w.coeffs.tolist())))
+        assert 1e-13 < err60 < 1e-6
+        assert ps.max_coeff_diff(got, ps.truncate(w, order - 1)) <= 8 * err60, order
 
 
 def test_membership_of_identity():
@@ -530,10 +619,7 @@ def test_koebe_is_not_a_member():
     assert sup > 1.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_witness_refuses_an_overflowing_recursion():
-    # the witness's quadratic recursion overflows in numpy's dot product
     f = TruncatedSeries([0, 1, 1e200, 0, 0])
     with pytest.raises(ValueError, match="witness recursion produced non-finite"):
         membership_witness(f, ClassParams(0, 0, 1))

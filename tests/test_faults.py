@@ -166,24 +166,28 @@ def test_solver_slope_off_by_one_breaks_the_solver_round_trip(monkeypatch):
             gate()
 
 
-class _DoubledDot:
-    """numpy, but with ``dot`` doubled.  In ``bazilevic`` only the witness
-    recursion ``w_m = g_m - (varkappa / 2) sum w_j w_{m-j}`` calls it, so
-    its coefficient ``varkappa / 2`` becomes ``varkappa``."""
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    @staticmethod
-    def dot(a, b):
-        return 2.0 * np.dot(a, b)
-
-
 def test_a_changed_witness_recursion_coefficient_flips_a_member_verdict(
         monkeypatch, capsys, tmp_path):
-    # the verdicts on f = z (witness 0) and on the Koebe function (sup-norm
-    # 436, then 19,634) do not move; that of a genuine member near the
-    # boundary does.  The solver that builds it does not call dot.
-    monkeypatch.setattr(bazilevic, "np", _DoubledDot())
+    # varkappa/2 taken as varkappa in the w of log W(f) = w + varkappa w^2/2.
+    # The solver reads the same w, so a member it builds with the defect
+    # carries it and the witness cancels it: the series route checks the
+    # solver, and the member near the boundary (w = 0.9 z) is built by the
+    # unplanted solver.  The verdicts on f = z (witness 0) and on the Koebe
+    # function (sup-norm 436, then 19,634) do not move; that member's does.
+    real_solve, real_recurrence = bazilevic.solve_from_schwarz, bazilevic._w_recurrence
+
+    def planted(params, order, next_coeff):
+        return real_recurrence(dataclasses.replace(params, varkappa=2 * params.varkappa),
+                               order, next_coeff)
+
+    def unplanted_solve(*args):
+        with monkeypatch.context() as m:
+            m.setattr(bazilevic, "_w_recurrence", real_recurrence)
+            return real_solve(*args)
+
+    monkeypatch.setattr(bazilevic, "_w_recurrence", planted)
+    with pytest.raises(AssertionError):
+        solver_gate.test_solve_matches_functional_target()
+    monkeypatch.setattr(member_gate, "solve_from_schwarz", unplanted_solve)
     with pytest.raises(AssertionError):
         member_gate.test_member_near_the_boundary_is_a_member(capsys, tmp_path)
