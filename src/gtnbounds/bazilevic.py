@@ -42,10 +42,6 @@ the w with log W(f) = log X(w) = w + varkappa w^2/2 from lower ones and
 a_{n+1}.  Neither W nor X is formed: ``solve_from_schwarz`` chooses each
 a_{n+1} so that this w is the given one, and ``membership_witness`` feeds in
 f's own coefficients and reads w off.
-
-``printed_relation`` returns the two printed variants of the
-same constants, which do not always agree with the oracle (measuring that gap
-is the point of this package).
 """
 
 from __future__ import annotations
@@ -106,26 +102,26 @@ class CoefficientRelation:
 
 
 def _check_normalized(f: TruncatedSeries) -> None:
-    """Order at least 3, f(0) = 0 and f'(0) = 1, each to within 1e-9."""
+    """Order at least 3, and f normalized by ``series.check_normalized``."""
     if f.order < 3:
         raise ValueError("need at least order 3 to form the functional")
-    if not (abs(f.coeffs[0]) <= 1e-9 and abs(f.coeffs[1] - 1.0) <= 1e-9):  # NaN fails
-        raise ValueError("f must have f(0) = 0 and f'(0) = 1")
+    ps.check_normalized(f)
 
 
 def w_functional(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
-    """Evaluate the class functional as a series of order f.order - 1."""
+    """Evaluate the class functional as a series of order f.order - 1, with
+    f(0) = 0 and f'(0) = 1 taken as exact."""
     _check_normalized(f)
     n = f.order - 1
-    f_over_z = TruncatedSeries(f.coeffs[1:])              # f/z, constant 1
-    fp = ps.derive(f)                                     # f'
+    c = f.coeffs.copy()
+    c[1] = 1.0                                            # f(0) is never read
+    f_over_z = TruncatedSeries(c[1:])                     # f/z, constant 1
+    fp = ps.derive(TruncatedSeries(c))                    # f'
     base = ps.mul(fp, ps.pow_real(f_over_z, params.kappa - 1.0))  # zf'/(f^{1-k} z^k)
     u1 = ps.add(ps.div(fp, f_over_z), ps.scale(ps.one(n), -1.0))  # zf'/f - 1
     zfpp = TruncatedSeries(np.concatenate(([0.0], ps.derive(fp).coeffs)))  # z f''
     ratio = ps.div(zfpp, fp)                              # zf''/f'
     bracket = ps.add(ps.add(base, ratio), ps.scale(u1, params.kappa - 1.0))
-    if abs(base.coeffs[0] - 1.0) > 1e-9 or abs(bracket.coeffs[0] - 1.0) > 1e-9:
-        raise ValueError("bracket base lost its unit constant term")
     return ps.mul(
         ps.pow_real(bracket, params.vartheta),
         ps.pow_real(base, 1.0 - params.vartheta),
@@ -154,23 +150,6 @@ def derive_relation(params: ClassParams) -> CoefficientRelation:
     w_a2 = w_functional(TruncatedSeries([0.0, 1.0, e, 0.0]), params).coeffs
     w_a3 = w_functional(TruncatedSeries([0.0, 1.0, 0.0, e]), params).coeffs
     return CoefficientRelation(w_a2[1].real / e, w_a3[2].real / e, w_a2[2].real / (e * e))
-
-
-def printed_relation(params: ClassParams, variant: str = "expansion") -> CoefficientRelation:
-    """The printed coefficient relation, exactly as stated.
-
-    variant="expansion" uses the (1+2t)(2+k) linear multiplier from the displayed
-    expansion; variant="statement" uses (1+2t)(1+2k), the constant the bound
-    statements divide by.  Both share quad_a2 = M k^2 + S k + Q.
-    """
-    t, k = params.vartheta, params.kappa
-    if variant == "expansion":
-        lin3 = (1.0 + 2.0 * t) * (2.0 + k)
-    elif variant == "statement":
-        lin3 = params.L
-    else:
-        raise ValueError("variant must be 'expansion' or 'statement'")
-    return CoefficientRelation(params.W, lin3, params.msq)
 
 
 def _w_recurrence(params: ClassParams, order: int, next_coeff) -> tuple[list, list]:

@@ -36,12 +36,6 @@ class CaratheodoryPoint:
     c1: complex
     c2: complex
 
-    def is_admissible(self, tol: float = 1e-12) -> bool:
-        return (
-            abs(self.c1) <= 2.0 + tol
-            and abs(self.c2 - self.c1**2 / 2.0) <= 2.0 - abs(self.c1) ** 2 / 2.0 + tol
-        )
-
 
 # Points in the largest pass of one scan: a row over (alpha, tau, beta), or
 # the mask over (rho, tau, beta) where every pair ties.  The scan works on

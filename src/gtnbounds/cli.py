@@ -122,7 +122,6 @@ def load_config(path: str | None) -> dict:
         if "=" not in line:
             raise ValueError(f"{where}: expected key = value, got {line!r}")
         key, value = (s.strip() for s in line.split("=", 1))
-        key = key.replace("-", "_")
         if key not in BUILTIN_DEFAULTS:
             raise ValueError(f"{where}: unknown key {key!r}")
         try:

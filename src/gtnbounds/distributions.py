@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gtnbounds.series import TruncatedSeries
+from gtnbounds.series import TruncatedSeries, check_normalized
 
 _LOG_SPACE_CUTOFF = 100
 
@@ -107,14 +107,15 @@ def coefficients(kind: str, param: float, max_n: int, s: int = 1) -> Distributio
 
 
 def convolve(f: TruncatedSeries, d: DistributionCoeffs) -> TruncatedSeries:
-    """Termwise product: coefficient n becomes wp(n) * a_n for n >= 2."""
-    if not (abs(f.coeffs[0]) <= 1e-12 and abs(f.coeffs[1] - 1.0) <= 1e-12):  # NaN fails
-        raise ValueError("f must be normalized (f(0) = 0, f'(0) = 1)")
+    """Termwise product: coefficient n becomes wp(n) * a_n for n >= 2, and
+    f(0) = 0 and f'(0) = 1 are taken as exact."""
+    check_normalized(f)
     if f.order > d.max_n:
         raise ValueError(
             f"series order {f.order} exceeds coefficient table (max n {d.max_n})"
         )
     out = np.array(f.coeffs, dtype=complex)
+    out[:2] = 0.0, 1.0
     for n in range(2, f.order + 1):
         out[n] *= d.wp(n)
     return TruncatedSeries(out)

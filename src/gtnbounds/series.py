@@ -6,10 +6,10 @@ the module's functions (``add``, ``scale``, ``mul``, ``div``, ...); the class
 defines no operators.  Binary operations truncate to the smaller of the two
 orders (composition chains naturally shrink order).  Instances are immutable:
 the coefficient array is read-only, so they are safe to share across threads.
-They may share memory: an operation adopts the array it computed without a
-copy, and ``truncate`` to a lower order returns a view of its argument.  Only
-the public constructor copies, so mutating the caller's input afterwards does
-not change the series.
+An operation adopts the array it computed without a copy.  Only the public
+constructor copies, so mutating the caller's input afterwards does not change
+the series.  ``check_normalized`` decides, for every module, whether a series
+is a normalized f with f(0) = 0 and f'(0) = 1.
 """
 
 from __future__ import annotations
@@ -54,6 +54,14 @@ class TruncatedSeries:
         return f"TruncatedSeries({np.array2string(self._c, precision=6)})"
 
 
+def check_normalized(f: TruncatedSeries) -> None:
+    """Refuse f unless f(0) = 0 and f'(0) = 1, each to within 1e-9; a NaN fails.
+    Past it, callers take the two as exactly 0 and 1."""
+    c = f.coeffs
+    if not (abs(c[0]) <= 1e-9 and abs(c[1] - 1.0) <= 1e-9):
+        raise ValueError("f must have f(0) = 0 and f'(0) = 1")
+
+
 def _wrap(c: np.ndarray) -> TruncatedSeries:
     """Adopt ``c`` as a series without copying it.
 
@@ -66,21 +74,12 @@ def _wrap(c: np.ndarray) -> TruncatedSeries:
     return s
 
 
-def zero(order: int) -> TruncatedSeries:
-    return TruncatedSeries([0.0], order=order)
-
-
 def one(order: int) -> TruncatedSeries:
     if order < 0:
         raise ValueError("truncation order must be non-negative")
     c = np.zeros(order + 1, dtype=complex)
     c[0] = 1.0
     return _wrap(c)
-
-
-def identity(order: int) -> TruncatedSeries:
-    """The series z."""
-    return TruncatedSeries([0.0, 1.0], order=order)
 
 
 def add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
@@ -199,21 +198,8 @@ def revert(a: TruncatedSeries) -> TruncatedSeries:
 def derive(a: TruncatedSeries) -> TruncatedSeries:
     """Termwise d/dz; drops the top coefficient (order N -> N-1)."""
     if a.order == 0:
-        return zero(0)
+        return TruncatedSeries([0.0])
     return _wrap(a.coeffs[1:] * np.arange(1, a.order + 1))
-
-
-def truncate(a: TruncatedSeries, order: int) -> TruncatedSeries:
-    """``a`` at order ``order``: a read-only view when that is lower, zero-padded
-    when higher."""
-    if 0 <= order <= a.order:
-        return _wrap(a.coeffs[: order + 1])
-    return TruncatedSeries(a.coeffs, order=order)
-
-
-def evaluate(a: TruncatedSeries, z) -> complex | np.ndarray:
-    """Evaluate the truncated polynomial at z (scalar or array)."""
-    return np.polyval(a.coeffs[::-1], z)
 
 
 #: the 256 equispaced points of |z| = 0.99 that ``boundary_max`` samples
@@ -223,10 +209,4 @@ _CIRCLE.setflags(write=False)
 
 def boundary_max(a: TruncatedSeries) -> float:
     """Max modulus over the 256 equispaced samples of the circle |z| = 0.99."""
-    return float(np.max(np.abs(evaluate(a, _CIRCLE))))
-
-
-def max_coeff_diff(a: TruncatedSeries, b: TruncatedSeries) -> float:
-    """Max absolute coefficient difference up to the smaller order."""
-    n = min(a.order, b.order)
-    return float(np.max(np.abs(a.coeffs[: n + 1] - b.coeffs[: n + 1])))
+    return float(np.max(np.abs(np.polyval(a.coeffs[::-1], _CIRCLE))))

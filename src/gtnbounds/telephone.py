@@ -5,9 +5,10 @@ The sequence T_k(n) obeys T_k(0) = T_k(1) = 1 and, for n >= 2,
     T_k(n) = T_k(n-1) + k*(n-1)*T_k(n-2),
 
 and its exponential generating function is exp(x + k*x^2/2).  The recurrence
-is computed exactly, in integers scaled by powers of k's denominator, so the
-cross-check against the floating-point generating-function route is decisive
-(factorials overflow doubles quickly).
+is computed exactly, in integers scaled by powers of k's denominator
+(factorials overflow doubles quickly).  The tests check it against the
+floating-point generating-function route, n! times coefficient n of
+``x_series``, which the exact values make decisive.
 
 k = 1 gives the classical involution-counting sequence 1, 1, 2, 4, 10, 26, ...
 The classical interpretation assumes k >= 1; the domain is widened to k >= 0
@@ -16,7 +17,6 @@ here so k = 0 degenerates to exp(z).
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from gtnbounds.series import TruncatedSeries, exp_series
@@ -52,10 +52,3 @@ def x_series(varkappa: float, order: int) -> TruncatedSeries:
         raise ValueError("the weight parameter must be >= 0")
     arg = TruncatedSeries([0.0, 1.0, varkappa / 2.0], order=order)
     return exp_series(arg)
-
-
-def gtn_via_egf(varkappa: float, n: int) -> float:
-    """n! times the n-th Taylor coefficient of the generating function."""
-    if n < 0:
-        raise ValueError("sequence index must be >= 0")
-    return float(math.factorial(n) * x_series(float(varkappa), n).coeffs[n].real)

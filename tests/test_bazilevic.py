@@ -15,13 +15,14 @@ from gtnbounds.bazilevic import (
     _w_recurrence,
     derive_relation,
     membership_witness,
-    printed_relation,
     solve_from_schwarz,
     w_functional,
 )
+from gtnbounds.distributions import coefficients, convolve
 from gtnbounds.series import TruncatedSeries
 from gtnbounds.telephone import x_series
 from gtnbounds.verify import PRESETS, build_suite
+from test_series import max_coeff_diff
 
 
 def koebe(order):
@@ -74,15 +75,17 @@ def test_non_finite_parameters_rejected(values):
 
 
 def test_relation_multipliers_must_be_positive():
-    with pytest.raises(ValueError):
-        CoefficientRelation(0.0, 1.0, 0.0)
+    for bad in ((0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (-0.5, 1.0, 0.0)):
+        with pytest.raises(ValueError, match="must be positive"):
+            CoefficientRelation(*bad)
+    assert CoefficientRelation(0.5, 0.5, -3.0).linear_a3 == 0.5
 
 
 # --- the class functional ----------------------------------------------------
 
 def test_functional_of_identity_is_one():
-    out = w_functional(ps.identity(6), ClassParams(0.7, 0.4, 1.0))
-    assert ps.max_coeff_diff(out, ps.one(5)) <= 1e-12
+    out = w_functional(TruncatedSeries([0, 1], order=6), ClassParams(0.7, 0.4, 1.0))
+    assert max_coeff_diff(out, ps.one(5)) <= 1e-12
 
 
 def test_functional_koebe_starlike_params():
@@ -98,21 +101,39 @@ def test_functional_mixed_params_hand_expansion():
     assert np.max(np.abs(out.coeffs[:3] - np.array([1.0, 2.0, -1.0]))) <= 1e-12
 
 
+def _convolve(f, params):
+    return convolve(f, coefficients("poisson", 1.0, f.order))
+
+
+#: every function that takes a normalized f; they share one check
+NORMALIZED_CALLEES = (w_functional, membership_witness, _convolve)
+
+
 def test_functional_requires_normalization():
-    # the functional and the witness share one guard
-    for fn in (w_functional, membership_witness):
+    for fn in NORMALIZED_CALLEES:
         for bad in ([0, 2, 0, 0], [2e-9, 1, 0, 0], [0, 1 + 2e-9, 0, 0]):
-            with pytest.raises(ValueError, match=r"f must have f\(0\) = 0"):
+            with pytest.raises(ValueError, match=r"f must have f\(0\) = 0 and f'\(0\) = 1$"):
                 fn(TruncatedSeries(bad), ClassParams(0, 0, 1))
+    for fn in (w_functional, membership_witness):
         with pytest.raises(ValueError, match="need at least order 3"):
             fn(TruncatedSeries([0, 1]), ClassParams(0, 0, 1))
+    # within 1e-9, f(0) and f'(0) are taken as exactly 0 and 1
+    p = ClassParams(0.5, 0.5, 1)
+    exact = TruncatedSeries([0, 1, 0.1, 0, 0])
+    near = TruncatedSeries([5e-10, 1 + 5e-10, 0.1, 0, 0])
+    for fn in NORMALIZED_CALLEES:
+        got, want = fn(near, p), fn(exact, p)
+        if fn is membership_witness:
+            (got, got_sup), (want, want_sup) = got, want
+            assert got_sup == want_sup
+        assert got.coeffs.tobytes() == want.coeffs.tobytes(), fn
 
 
 @pytest.mark.parametrize("coeffs", [[math.nan, 1, 0, 0], [0, math.nan, 0, 0],
                                     [0, complex(1, math.nan), 0, 0]])
 def test_functional_rejects_nan_normalization_terms(coeffs):
     # abs(nan) > 1e-9 is False: the check must fail a NaN, not pass it
-    for fn in (w_functional, membership_witness):
+    for fn in NORMALIZED_CALLEES:
         with pytest.raises(ValueError, match=r"f must have f\(0\) = 0"):
             fn(TruncatedSeries(coeffs), ClassParams(0, 0, 1))
 
@@ -227,24 +248,17 @@ def test_relation_bits_that_reports_read():
 
 
 def test_relation_discrepancies_against_paper_variants_are_recorded_not_asserted():
-    # at the origin the printed quadratic coefficient is -2 while the oracle
-    # gives -1; both printed linear variants also differ from each other
+    # at the origin the printed quadratic coefficient M k^2 + S k + Q is -2
+    # while the oracle gives -1; the printed linear multipliers of a3, the
+    # expansion's (1+2t)(2+k) and the statements' L = (1+2t)(1+2k), also
+    # differ from each other
     p = ClassParams(0.0, 0.0, 1.0)
     oracle = derive_relation(p)
-    expansion_form = printed_relation(p, "expansion")
-    statement_form = printed_relation(p, "statement")
-    assert expansion_form.quad_a2 == -2.0
+    assert p.msq == -2.0
     assert oracle.quad_a2 == pytest.approx(-1.0, abs=1e-6)
-    assert statement_form.linear_a3 == 1.0
-    assert expansion_form.linear_a3 == 2.0
-    assert abs(oracle.quad_a2 - expansion_form.quad_a2) > 0.5  # the gap is real
-
-
-def test_printed_relation_values():
-    assert printed_relation(ClassParams(0, 0, 1), "expansion") == CoefficientRelation(1, 2, -2)
-    assert printed_relation(ClassParams(1, 1, 1), "expansion").linear_a2 == 4.0
-    with pytest.raises(ValueError):
-        printed_relation(ClassParams(0, 0, 1), "nope")
+    assert p.L == 1.0
+    assert true_linear_a3(p.vartheta, p.kappa) == 2.0
+    assert abs(oracle.quad_a2 - p.msq) > 0.5  # the gap is real
 
 
 def test_printed_quad_a2_is_twice_the_derived_one():
@@ -257,7 +271,7 @@ def test_printed_quad_a2_is_twice_the_derived_one():
     tk += [tuple(x) for x in rng.uniform(0.0, 3.0, (200, 2))]
     for t, k in tk:
         p = ClassParams(t, k, 1.0)
-        printed = printed_relation(p).quad_a2
+        printed = p.msq
         derived = derive_relation(p).quad_a2
         assert abs(printed - 2.0 * derived) <= 1e-12 * max(1.0, abs(printed)), (t, k)
 
@@ -266,15 +280,15 @@ def test_printed_quad_a2_is_twice_the_derived_one():
 
 def test_solve_linear_schwarz():
     # w = z given at the solve's order or at order 1, which is padded with zeros
-    for w in (ps.identity(8), TruncatedSeries([0, 1])):
+    for w in (TruncatedSeries([0, 1], order=8), TruncatedSeries([0, 1])):
         f = solve_from_schwarz(w, ClassParams(0, 0, 1.0), 8)
         assert f.coeffs[2] == pytest.approx(1.0, abs=1e-9)
         assert f.coeffs[3] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_solve_zero_schwarz_gives_identity():
-    f = solve_from_schwarz(ps.zero(8), ClassParams(0.5, 0.5, 1.0), 8)
-    assert ps.max_coeff_diff(f, ps.identity(8)) <= 1e-10
+    f = solve_from_schwarz(TruncatedSeries([0], order=8), ClassParams(0.5, 0.5, 1.0), 8)
+    assert max_coeff_diff(f, TruncatedSeries([0, 1], order=8)) <= 1e-10
 
 
 def test_solve_square_schwarz():
@@ -303,7 +317,8 @@ def _reference_solve(w, params, order):
     """The solver as first written: each slope is measured with a second
     full-order evaluation of the functional."""
     work = max(order, 3)
-    target = ps.compose(x_series(params.varkappa, work - 1), ps.truncate(w, work - 1))
+    target = ps.compose(x_series(params.varkappa, work - 1),
+                        TruncatedSeries(w.coeffs, order=work - 1))
     fc = np.zeros(work + 1, dtype=complex)
     fc[1] = 1.0
     for n in range(1, work):
@@ -490,8 +505,8 @@ def test_solve_at_order_sixty_hits_the_target():
         w = _schwarz(rng, "blaschke", 60)
         p = ClassParams(t, k, rng.uniform(0.5, 4.0))
         f = solve_from_schwarz(w, p, 60)
-        target = ps.compose(x_series(p.varkappa, 59), ps.truncate(w, 59))
-        assert ps.max_coeff_diff(w_functional(f, p), target) <= 1e-9, p
+        target = ps.compose(x_series(p.varkappa, 59), TruncatedSeries(w.coeffs, order=59))
+        assert max_coeff_diff(w_functional(f, p), target) <= 1e-9, p
 
 
 def test_slope_is_the_closed_form_multiplier():
@@ -503,7 +518,7 @@ def test_slope_is_the_closed_form_multiplier():
     for t, k in tk:
         p = ClassParams(t, k, 1.0)
         member = solve_from_schwarz(_schwarz(rng, "blaschke", 12), p, 12).coeffs
-        for base in (ps.identity(12).coeffs, member):
+        for base in (TruncatedSeries([0, 1], order=12).coeffs, member):
             measured = {}
             for n in range(1, 12):
                 fc = base.copy()
@@ -515,7 +530,7 @@ def test_slope_is_the_closed_form_multiplier():
                 slope = (n + k) * (1.0 + n * t)
                 assert abs(measured[n] - slope) <= 1e-12 * slope, (t, k, n)
             assert abs(measured[1] - p.W) <= 1e-12 * p.W
-            a3_lin = printed_relation(p, "expansion").linear_a3
+            a3_lin = true_linear_a3(t, k)
             assert abs(measured[2] - a3_lin) <= 1e-12 * a3_lin
 
 
@@ -523,8 +538,8 @@ def test_solve_matches_functional_target():
     w = TruncatedSeries([0, 0.4, 0.2, -0.1], order=9)
     p = ClassParams(0.3, 0.7, 1.5)
     f = solve_from_schwarz(w, p, 9)
-    target = ps.compose(x_series(p.varkappa, 8), ps.truncate(w, 8))
-    assert ps.max_coeff_diff(w_functional(f, p), target) <= 1e-9
+    target = ps.compose(x_series(p.varkappa, 8), TruncatedSeries(w.coeffs, order=8))
+    assert max_coeff_diff(w_functional(f, p), target) <= 1e-9
 
 
 def test_membership_witness_round_trip():
@@ -536,7 +551,7 @@ def test_membership_witness_round_trip():
         p = ClassParams(rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0, 2))
         f = solve_from_schwarz(w, p, 9)
         back, _ = membership_witness(f, p)
-        assert ps.max_coeff_diff(back, w) <= 1e-7
+        assert max_coeff_diff(back, w) <= 1e-7
 
 
 def _reference_witness(f, params):
@@ -605,12 +620,12 @@ def test_witness_accuracy_on_a_strong_member():
             _, exact = _w_recurrence(p, order, lambda n, rest, slope: a[n + 1])
             err60 = float(max(abs(x - y) for x, y in zip(exact, w.coeffs.tolist())))
         assert 1e-13 < err60 < 1e-6
-        assert ps.max_coeff_diff(got, ps.truncate(w, order - 1)) <= 8 * err60, order
+        assert max_coeff_diff(got, TruncatedSeries(w.coeffs, order=order - 1)) <= 8 * err60, order
 
 
 def test_membership_of_identity():
-    w, sup = membership_witness(ps.identity(6), ClassParams(0, 0, 1))
-    assert ps.max_coeff_diff(w, ps.zero(5)) <= 1e-12
+    w, sup = membership_witness(TruncatedSeries([0, 1], order=6), ClassParams(0, 0, 1))
+    assert max_coeff_diff(w, TruncatedSeries([0], order=5)) <= 1e-12
     assert sup <= 1e-12
 
 

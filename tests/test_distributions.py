@@ -49,6 +49,7 @@ def test_pascal_closed_forms():
     assert pascal_coeff(0.5, 1, 2) == pytest.approx(0.25, rel=1e-14)
     assert pascal_coeff(0.5, 1, 3) == pytest.approx(0.125, rel=1e-14)
     assert pascal_coeff(0.0, 3, 5) == 0.0
+    assert pascal_coeff(0.0, 3, 200) == 0.0   # past the log-space cutoff: no log(0)
 
 
 def test_pascal_normalization_partial_sums():
@@ -57,6 +58,18 @@ def test_pascal_normalization_partial_sums():
             total = (1 - q) ** s  # the n = 1 weight
             total += sum(pascal_coeff(q, s, n) for n in range(2, 201))
             assert total == pytest.approx(1.0, abs=1e-8)
+
+
+def test_coefficient_tables():
+    # one weight for each n = 2..max_n; Pascal's s defaults to 1
+    for kind, param, weight in (("poisson", 1.5, lambda n: poisson_coeff(1.5, n)),
+                                ("borel", 0.5, lambda n: borel_coeff(0.5, n)),
+                                ("pascal", 0.5, lambda n: pascal_coeff(0.5, 1, n))):
+        d = coefficients(kind, param, 6)
+        assert d.max_n == 6
+        assert d.values == tuple(weight(n) for n in range(2, 7)), kind
+    assert coefficients("pascal", 0.5, 4, s=3).values == tuple(
+        pascal_coeff(0.5, 3, n) for n in range(2, 5))
 
 
 def test_parameter_validation():
@@ -91,11 +104,17 @@ def test_log_space_fallback_agrees_with_incremental():
     b_lo = borel_coeff(0.9, 99)
     b_hi = borel_coeff(0.9, 100)
     assert b_hi < b_lo
+    for s in (0.3, 0.9):
+        for n in range(95, 106):
+            ratio = borel_coeff(s, n + 1) / borel_coeff(s, n)
+            assert ratio == pytest.approx(s * math.exp(-s) * (n / (n - 1)) ** (n - 2), rel=1e-10)
     p_lo = pascal_coeff(0.4, 60, 40)   # direct route
     p_hi = pascal_coeff(0.4, 60, 41)   # log-space route
     direct = math.comb(41 + 60 - 2, 59) * 0.4**40 * 0.6**60
     assert p_hi == pytest.approx(direct, rel=1e-10)
     assert p_lo > 0
+    # C(n+s-2, s-1) = C(1098, 499) overflows a float: only log space gets here
+    assert pascal_coeff(0.5, 500, 600) == pytest.approx(math.comb(1098, 499) / 2**1099, rel=1e-10)
 
 
 def test_convolve_identity_series():
@@ -139,5 +158,5 @@ def test_convolve_order_mismatch():
 @pytest.mark.parametrize("coeffs", [[math.nan, 1, 0, 0], [0, math.nan, 0, 0]])
 def test_convolve_rejects_nan_normalization_terms(coeffs):
     d = coefficients("poisson", 1.0, 3)
-    with pytest.raises(ValueError, match="normalized"):
+    with pytest.raises(ValueError, match=r"f must have f\(0\) = 0 and f'\(0\) = 1"):
         convolve(TruncatedSeries(coeffs), d)

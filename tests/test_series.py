@@ -11,6 +11,12 @@ def S(coeffs, order=None):
     return TruncatedSeries(coeffs, order=order)
 
 
+def max_coeff_diff(a, b):
+    """Max absolute coefficient difference up to the smaller order."""
+    n = min(a.order, b.order)
+    return float(np.max(np.abs(a.coeffs[: n + 1] - b.coeffs[: n + 1])))
+
+
 def assert_coeffs(series, expected, tol=1e-12):
     got = series.coeffs
     want = np.asarray(expected, dtype=complex)
@@ -25,13 +31,13 @@ def test_add_cancellation():
 
 
 def test_add_identity():
-    assert_coeffs(ps.add(S([0, 1, 1]), ps.zero(2)), [0, 1, 1])
+    assert_coeffs(ps.add(S([0, 1, 1]), S([0], order=2)), [0, 1, 1])
 
 
 def test_add_min_order_rule():
-    out = ps.add(S([1, 2]), S([3, 4, 5]))
-    assert out.order == 1
-    assert_coeffs(out, [4, 6])
+    for out in (ps.add(S([1, 2]), S([3, 4, 5])), ps.add(S([3, 4, 5]), S([1, 2]))):
+        assert out.order == 1
+        assert_coeffs(out, [4, 6])
 
 
 # --- mul -------------------------------------------------------------------
@@ -68,7 +74,7 @@ def test_div_by_non_unit():
 # --- exp / log -------------------------------------------------------------
 
 def test_exp_of_z():
-    assert_coeffs(ps.exp_series(ps.identity(3)), [1, 1, 0.5, 1 / 6])
+    assert_coeffs(ps.exp_series(S([0, 1], order=3)), [1, 1, 0.5, 1 / 6])
 
 
 def test_exp_characteristic_argument():
@@ -78,7 +84,7 @@ def test_exp_characteristic_argument():
 
 
 def test_exp_of_zero():
-    assert_coeffs(ps.exp_series(ps.zero(4)), [1, 0, 0, 0, 0])
+    assert_coeffs(ps.exp_series(S([0], order=4)), [1, 0, 0, 0, 0])
 
 
 def test_exp_rejects_constant():
@@ -93,7 +99,7 @@ def test_log_mercator():
 
 def test_log_exp_round_trip():
     a = S([0, 1, 1], order=6)
-    assert ps.max_coeff_diff(ps.log_series(ps.exp_series(a)), a) <= 1e-12
+    assert max_coeff_diff(ps.log_series(ps.exp_series(a)), a) <= 1e-12
 
 
 def test_log_rejects_non_unit_constant():
@@ -114,6 +120,7 @@ def test_pow_binomial_half():
 def test_pow_zero_exponent():
     a = S([1, 0.3, -0.2, 0.7])
     assert_coeffs(ps.pow_real(a, 0.0), [1, 0, 0, 0])
+    assert_coeffs(ps.pow_real(S([1]), 0.0), [1])   # one(0)
 
 
 # --- compose / revert ------------------------------------------------------
@@ -127,14 +134,19 @@ def test_compose_identity_inner():
     from gtnbounds.telephone import x_series
 
     xs = x_series(1.0, 6)
-    assert ps.max_coeff_diff(ps.compose(xs, ps.identity(6)), xs) <= 1e-14
+    assert max_coeff_diff(ps.compose(xs, S([0, 1], order=6)), xs) <= 1e-14
 
 
 def test_compose_exp_after_log():
     geom = ps.div(ps.one(6), S([1, -1], order=6))
-    exp6 = ps.exp_series(ps.identity(6))
+    exp6 = ps.exp_series(S([0, 1], order=6))
     out = ps.compose(exp6, ps.log_series(geom))
-    assert ps.max_coeff_diff(out, geom) <= 1e-12
+    assert max_coeff_diff(out, geom) <= 1e-12
+
+
+def test_compose_at_orders_zero_and_one():
+    assert_coeffs(ps.compose(S([2, 3, 4]), S([0])), [2])
+    assert_coeffs(ps.compose(S([2, 3, 4]), S([0, 5])), [2, 15])
 
 
 def test_compose_rejects_nonzero_inner_constant():
@@ -143,7 +155,7 @@ def test_compose_rejects_nonzero_inner_constant():
 
 
 def test_revert_identity():
-    assert_coeffs(ps.revert(ps.identity(4)), [0, 1, 0, 0, 0])
+    assert_coeffs(ps.revert(S([0, 1], order=4)), [0, 1, 0, 0, 0])
 
 
 def test_revert_catalan_signs():
@@ -165,15 +177,20 @@ def test_derive_cubic():
     assert_coeffs(ps.derive(S([0, 0, 0, 1])), [0, 0, 3])
 
 
+def test_derive_at_orders_zero_and_one():
+    assert_coeffs(ps.derive(S([3])), [0])
+    assert_coeffs(ps.derive(S([3, 2])), [2])
+
+
 # --- immutability ----------------------------------------------------------
 
 def _results():
     a = S([1, 0.5, -0.25j, 0.125, 2])
     z = S([0, 1, 0.5j, -0.25, 0.1])
     yield "constructor", a
-    yield "zero", ps.zero(3)
+    yield "zero", S([0], order=3)
     yield "one", ps.one(3)
-    yield "identity", ps.identity(3)
+    yield "identity", S([0, 1], order=3)
     yield "add", ps.add(a, z)
     yield "scale", ps.scale(a, 2.5j)
     yield "mul", ps.mul(a, z)
@@ -186,9 +203,9 @@ def _results():
     yield "revert", ps.revert(z)
     yield "derive", ps.derive(a)
     yield "derive order 0", ps.derive(S([3]))
-    yield "truncate down", ps.truncate(a, 2)
-    yield "truncate same", ps.truncate(a, a.order)
-    yield "truncate up", ps.truncate(a, 7)
+    yield "truncate down", S(a.coeffs, order=2)
+    yield "truncate same", S(a.coeffs, order=a.order)
+    yield "truncate up", S(a.coeffs, order=7)
 
 
 RESULTS = dict(_results())
@@ -202,20 +219,16 @@ def test_every_result_is_read_only(name):
         coeffs[0] = 7.0
 
 
+def test_repr_shows_six_digits():
+    assert repr(S([1 / 3, 2j])) == "TruncatedSeries([0.333333+0.j 0.      +2.j])"
+
+
 def test_constructor_copies_its_input():
     arr = np.array([1.0, 2.0, 3.0], dtype=complex)
     a = TruncatedSeries(arr)
     arr[1] = -5.0
     assert_coeffs(a, [1, 2, 3], tol=0)
     assert arr.flags.writeable
-
-
-def test_truncate_down_is_a_read_only_view():
-    a = S([1, 2, 3, 4, 5])
-    t = ps.truncate(a, 2)
-    assert_coeffs(t, [1, 2, 3], tol=0)
-    assert np.shares_memory(t.coeffs, a.coeffs)
-    assert t.coeffs.flags.writeable is False
 
 
 def test_boundary_circle_is_cached_and_read_only():
@@ -236,9 +249,9 @@ small_complex = st.complex_numbers(
 @settings(max_examples=60, deadline=None)
 def test_exp_log_round_trips_order_12(tail):
     a = S([0] + list(tail), order=12)
-    assert ps.max_coeff_diff(ps.log_series(ps.exp_series(a)), a) <= 1e-10
+    assert max_coeff_diff(ps.log_series(ps.exp_series(a)), a) <= 1e-10
     b = S([1] + list(tail), order=12)
-    assert ps.max_coeff_diff(ps.exp_series(ps.log_series(b)), b) <= 1e-10
+    assert max_coeff_diff(ps.exp_series(ps.log_series(b)), b) <= 1e-10
 
 
 @given(
@@ -250,7 +263,7 @@ def test_revert_is_compositional_inverse_order_10(tail, a1):
     # tail scaled by |a1| to keep the inverse well conditioned in doubles
     a = S([0, a1] + [0.5 * abs(a1) * t for t in tail], order=10)
     back = ps.compose(a, ps.revert(a))
-    assert ps.max_coeff_diff(back, ps.identity(10)) <= 1e-10
+    assert max_coeff_diff(back, S([0, 1], order=10)) <= 1e-10
 
 
 @given(
@@ -261,8 +274,8 @@ def test_revert_is_compositional_inverse_order_10(tail, a1):
 @settings(max_examples=60, deadline=None)
 def test_mul_commutative_associative_order_8(xs, ys, zs):
     a, b, c = S(xs, order=8), S(ys, order=8), S(zs, order=8)
-    assert ps.max_coeff_diff(ps.mul(a, b), ps.mul(b, a)) <= 1e-12
-    assert ps.max_coeff_diff(ps.mul(ps.mul(a, b), c), ps.mul(a, ps.mul(b, c))) <= 1e-12
+    assert max_coeff_diff(ps.mul(a, b), ps.mul(b, a)) <= 1e-12
+    assert max_coeff_diff(ps.mul(ps.mul(a, b), c), ps.mul(a, ps.mul(b, c))) <= 1e-12
 
 
 @given(
@@ -275,4 +288,4 @@ def test_pow_additivity(tail, p, q):
     a = S([1] + list(tail), order=8)
     lhs = ps.pow_real(a, p + q)
     rhs = ps.mul(ps.pow_real(a, p), ps.pow_real(a, q))
-    assert ps.max_coeff_diff(lhs, rhs) <= 1e-10
+    assert max_coeff_diff(lhs, rhs) <= 1e-10
