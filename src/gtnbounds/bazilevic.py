@@ -162,39 +162,53 @@ def _w_recurrence(params: ClassParams, order: int, next_coeff) -> tuple[list, li
     its own slope times a_{n+1}.  a_{n+1} reaches log W, and so w_n, through
     W's coefficient n alone, so the slope is W's.  Any numbers that support
     + - * / with each other and with ints work (complex, numpy arrays, mpmath
-    intervals, sympy expressions in a symbol), and ``params`` is read only by
-    attribute.  Step 1 divides the int 0 by 1, so a sympy Rational or a
-    Fraction entry turns into a float there.
+    intervals, sympy expressions in a symbol, Fractions), and ``params`` is
+    read only by attribute.  At step 1 every sum is empty and every rest is
+    the int 0, so nothing is divided there and exact entries stay exact.
     """
     t, k, vk = params.vartheta, params.kappa, params.varkappa
     fz, fp, b, br = ([1] for _ in range(4))  # f/z, f', B, bracket
-    l1, l2, lb, l3, w = ([0] for _ in range(5))  # log(f/z), log f', log B, log bracket, w
+    # j x_j for x = log(f/z), log f', log B, log bracket; then w
+    k1, k2, kb, k3, w = ([0] for _ in range(5))
     for n in range(1, order):
-        # sum_{j<n} j x_j y_{n-j}: what coefficient n of y = exp(x), or of
-        # x = log y (negated), takes from the lower coefficients
-        q1 = q2 = qb = q3 = qw = 0
-        for j in range(1, n):
-            m = n - j
-            q1 += j * l1[j] * fz[m]
-            q2 += j * l2[j] * fp[m]
-            qb += j * lb[j] * b[m]
-            q3 += j * l3[j] * br[m]
-            qw += w[j] * w[m]
-        r1 = -q1 / n
-        r2 = -q2 / n
-        rlb = r2 + (k - 1) * r1
-        rb = rlb + qb / n
-        rbr = rb + n * rlb
-        r3 = rbr - q3 / n
-        rw = t * r3 + (1 - t) * rlb - (vk / 2) * qw
+        if n == 1:
+            r1 = r2 = rlb = rb = rbr = r3 = rw = 0
+        else:
+            # sum_{j<n} j x_j y_{n-j}: what coefficient n of y = exp(x), or
+            # of x = log y (negated), takes from the lower coefficients
+            q1 = q2 = qb = q3 = qw = 0
+            for j in range(1, n):
+                m = n - j
+                q1 += k1[j] * fz[m]
+                q2 += k2[j] * fp[m]
+                qb += kb[j] * b[m]
+                q3 += k3[j] * br[m]
+                qw += w[j] * w[m]
+            r1 = -q1 / n
+            r2 = -q2 / n
+            rlb = r2 + (k - 1) * r1
+            rb = rlb + qb / n
+            rbr = rb + n * rlb
+            r3 = rbr - q3 / n
+            rw = t * r3 + (1 - t) * rlb - (vk / 2) * qw
         s1 = n + k
         s2 = s1 * (n + 1)
         slope = s1 * (1 + n * t)
         x = next_coeff(n, rw, slope)
-        for series, rest, dx in ((fz, 0, 1), (l1, r1, 1), (fp, 0, n + 1), (l2, r2, n + 1),
-                                 (lb, rlb, s1), (b, rb, s1), (br, rbr, s2), (l3, r3, s2),
-                                 (w, rw, slope)):
-            series.append(rest + dx * x)
+        # coefficient n of each series is its rest plus its slope (1, n + 1,
+        # s1, s2 or slope) times x.  f/z adds its rest 0, which turns -0.0
+        # into 0.0, and x keeps its slope 1, whose imaginary 0 times an
+        # infinite part of x is a NaN
+        x1, x2, x3, x4 = 1 * x, (n + 1) * x, s1 * x, s2 * x
+        fz.append(0 + x1)
+        k1.append(n * (r1 + x1))
+        fp.append(x2)
+        k2.append(n * (r2 + x2))
+        kb.append(n * (rlb + x3))
+        b.append(rb + x3)
+        br.append(rbr + x4)
+        k3.append(n * (r3 + x4))
+        w.append(rw + slope * x)
     return [0] + fz, w
 
 

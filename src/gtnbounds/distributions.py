@@ -8,12 +8,15 @@ The n-th coefficients (n >= 2) are
     Pascal(q, s):  C(n+s-2, s-1) q^(n-1) (1-q)^s
 
 Values are built by incremental floating-point products, switching to
-log-space (lgamma) once n + s > 100 so large indices cannot overflow.
+log-space (lgamma) once n + s > 100 so large indices cannot overflow, and for
+Poisson also once e^(-m) is below the smallest normal float (m above about
+708.4), where the products would start from a subnormal or from 0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,9 +53,9 @@ def poisson_coeff(m: float, n: int) -> float:
         raise ValueError("Poisson parameter must be finite and > 0")
     if n < 2:
         raise ValueError("coefficients are defined for n >= 2")
-    if n + 1 > _LOG_SPACE_CUTOFF:
-        return math.exp((n - 1) * math.log(m) - m - math.lgamma(n))
     value = math.exp(-m)
+    if n + 1 > _LOG_SPACE_CUTOFF or value < sys.float_info.min:
+        return math.exp((n - 1) * math.log(m) - m - math.lgamma(n))
     for j in range(1, n):
         value *= m / j
     return value

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import mpmath
@@ -400,6 +401,82 @@ def test_recurrence_equals_functional():
             assert np.array_equal(np.array(fc), c)
             assert len(wc) == ref.size == order
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref)), (p, order)
+
+
+def reference_recurrence(params, order, next_coeff):
+    """``_w_recurrence`` as first written: the logs themselves are kept, each
+    sum forms j x_j afresh, and the nine coefficients of a step are appended
+    by one loop over (series, rest, slope)."""
+    t, k, vk = params.vartheta, params.kappa, params.varkappa
+    fz, fp, b, br = ([1] for _ in range(4))
+    l1, l2, lb, l3, w = ([0] for _ in range(5))
+    for n in range(1, order):
+        q1 = q2 = qb = q3 = qw = 0
+        for j in range(1, n):
+            m = n - j
+            q1 += j * l1[j] * fz[m]
+            q2 += j * l2[j] * fp[m]
+            qb += j * lb[j] * b[m]
+            q3 += j * l3[j] * br[m]
+            qw += w[j] * w[m]
+        r1 = -q1 / n
+        r2 = -q2 / n
+        rlb = r2 + (k - 1) * r1
+        rb = rlb + qb / n
+        rbr = rb + n * rlb
+        r3 = rbr - q3 / n
+        rw = t * r3 + (1 - t) * rlb - (vk / 2) * qw
+        s1 = n + k
+        s2 = s1 * (n + 1)
+        slope = s1 * (1 + n * t)
+        x = next_coeff(n, rw, slope)
+        for series, rest, dx in ((fz, 0, 1), (l1, r1, 1), (fp, 0, n + 1), (l2, r2, n + 1),
+                                 (lb, rlb, s1), (b, rb, s1), (br, rbr, s2), (l3, r3, s2),
+                                 (w, rw, slope)):
+            series.append(rest + dx * x)
+    return [0] + fz, w
+
+
+def test_recurrence_equals_the_reference_bit_for_bit():
+    # repr tells an int from a complex and -0.0 from 0.0, and round-trips;
+    # a negated driver has zeros of both signs
+    rng = np.random.default_rng(67)
+    for kind in ("rotation", "rotation-z2", "blaschke"):
+        for order in range(2, 41):
+            p = ClassParams(*rng.uniform(0.0, 2.0, 2), rng.uniform(0.5, 4.0))
+            wc = _schwarz(rng, kind, order).coeffs.tolist() + [0] * order
+            if order % 2:
+                wc = [-c for c in wc]
+            f, _ = reference_recurrence(p, order, lambda n, rest, slope: (wc[n] - rest) / slope)
+            for feed in (lambda n, rest, slope: (wc[n] - rest) / slope,  # the solver
+                         lambda n, rest, slope: f[n + 1]):               # the witness
+                got, want = (fn(p, order, feed) for fn in (_w_recurrence, reference_recurrence))
+                assert [list(map(repr, x)) for x in got] == [list(map(repr, x)) for x in want], \
+                    (kind, order)
+    # an infinite part: 1 * x makes inf * 0 a NaN in both
+    a = [0, 1, 0.5, complex(0.25, math.inf), 0.125]
+    got, want = (fn(ClassParams(0.5, 0.5, 1.0), 4, lambda n, rest, slope: a[n + 1])
+                 for fn in (_w_recurrence, reference_recurrence))
+    assert [list(map(repr, x)) for x in got] == [list(map(repr, x)) for x in want]
+
+
+def test_recurrence_keeps_fractions_exact():
+    # no step divides an int by an int, so Fraction parameters and a
+    # Fraction driver give Fractions: the solver's f, and the w the witness
+    # reads back from it, which is the driver itself
+    order = 9
+    exact = ClassParams(Fraction(1, 3), Fraction(7, 4), Fraction(5, 2))
+    floats = ClassParams(1 / 3, 1.75, 2.5)
+    wq = [0, Fraction(1, 2), Fraction(-1, 5), Fraction(1, 7)] + [Fraction(1, 20)] * (order - 4)
+    fq, back = _w_recurrence(exact, order, lambda n, rest, slope: (wq[n] - rest) / slope)
+    assert fq[:2] == [0, 1] and all(type(c) is Fraction for c in fq[2:])
+    assert back == wq[:order] and all(type(c) is Fraction for c in back[1:])
+    _, witness = _w_recurrence(exact, order, lambda n, rest, slope: fq[n + 1])
+    assert witness == wq[:order] and all(type(c) is Fraction for c in witness[1:])
+    wf = [float(c) for c in wq]
+    ff, _ = _w_recurrence(floats, order, lambda n, rest, slope: (wf[n] - rest) / slope)
+    scale = max(abs(float(c)) for c in fq)
+    assert all(abs(x - float(c)) <= 1e-15 * scale for x, c in zip(ff, fq))
 
 
 # The recurrence reads its parameters by attribute and uses only + - * / and

@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -117,6 +119,27 @@ def test_log_space_fallback_agrees_with_incremental():
     assert pascal_coeff(0.5, 500, 600) == pytest.approx(math.comb(1098, 499) / 2**1099, rel=1e-10)
 
 
+def test_poisson_past_the_smallest_normal_exponential():
+    # e^(-m) is subnormal past m = 708.4 and 0 past about 745: the products
+    # would start from it, so the log-space route takes over
+    with mpmath.workdps(40):
+        for m in (710, 745, 800):
+            normal = 0
+            for n in range(2, 100):
+                value = poisson_coeff(m, n)
+                if value < sys.float_info.min:
+                    continue
+                normal += 1
+                exact = mpmath.mpf(m) ** (n - 1) * mpmath.exp(-m) / mpmath.factorial(n - 1)
+                assert abs(value - exact) <= 1e-12 * exact, (m, n)
+            assert normal >= 78, m
+    # at m = 708 e^(-m) is normal, and the weights are the products, bit for bit
+    value = math.exp(-708.0)
+    for n in range(2, 100):
+        value *= 708.0 / (n - 1)
+        assert poisson_coeff(708.0, n) == value, n
+
+
 def test_convolve_identity_series():
     d = coefficients("poisson", 1.0, 6)
     out = convolve(TruncatedSeries([0, 1], order=1), d)
@@ -160,3 +183,10 @@ def test_convolve_rejects_nan_normalization_terms(coeffs):
     d = coefficients("poisson", 1.0, 3)
     with pytest.raises(ValueError, match=r"f must have f\(0\) = 0 and f'\(0\) = 1"):
         convolve(TruncatedSeries(coeffs), d)
+
+
+def test_convolve_rejects_an_order_zero_series():
+    # an order-0 f has no f'(0) to check
+    d = coefficients("poisson", 1.0, 3)
+    with pytest.raises(ValueError, match=r"f must have f\(0\) = 0 and f'\(0\) = 1$"):
+        convolve(TruncatedSeries([0]), d)

@@ -238,6 +238,22 @@ def test_boundary_circle_is_cached_and_read_only():
     assert z.tobytes() == (0.99 * np.exp(1j * angles)).tobytes()
 
 
+def test_boundary_max_is_horners_to_rounding(monkeypatch):
+    # one product with a table of circle powers, against Horner's rule.  From
+    # a one-row table the orders run down, then up, then at random, so the
+    # table grows past its height and is read below it in either order
+    monkeypatch.setattr(ps, "_POWERS", ps._POWERS[:1])
+    rng = np.random.default_rng(61)
+    orders = [*range(40, -1, -1), *range(41, 81), *rng.integers(0, 81, 40)]
+    for order in orders:
+        c = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        want = np.max(np.abs(np.polyval(c[::-1], ps._CIRCLE)))
+        got = ps.boundary_max(S(c))
+        assert abs(got - want) <= 1e-14 * want, order
+    assert ps._POWERS.flags.writeable is False
+    assert ps._POWERS.shape == (81, 256)
+
+
 # --- property tests --------------------------------------------------------
 
 small_complex = st.complex_numbers(
