@@ -41,51 +41,48 @@ class CaratheodoryPoint:
 # the mask over (rho, tau, beta) where every pair ties.  The scan works on
 # small blocks (the orbit calls too, and a row whose orbits hold more than a
 # block is scanned whole), so this bounds its work rather than its memory: a
-# uniform grid may have at most 128 steps.
+# grid may have at most 128 steps.
 MAX_SCAN_VALUES = 2**21
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Steps per sampler parameter (rho, alpha, tau, beta); a grid whose
-    largest scan pass would evaluate more than ``MAX_SCAN_VALUES`` points
-    is refused."""
+    """``steps`` sampled values of each of rho, alpha, tau and beta.  A grid
+    whose largest scan pass, ``steps**3`` points, would pass
+    ``MAX_SCAN_VALUES`` is refused."""
 
-    rho_steps: int = 60
-    alpha_steps: int = 60
-    tau_steps: int = 60
-    beta_steps: int = 60
+    steps: int = 60
 
     def __post_init__(self):
-        for name in ("rho_steps", "alpha_steps", "tau_steps", "beta_steps"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be >= 2")
-        values = max(self.rho_steps, self.alpha_steps) * self.tau_steps * self.beta_steps
-        if values > MAX_SCAN_VALUES:
-            steps = (self.rho_steps, self.alpha_steps, self.tau_steps, self.beta_steps)
-            raise ValueError(f"grid {steps} needs {values} points per scan pass, "
+        if self.steps < 2:
+            raise ValueError("grid steps must be >= 2")
+        if self.steps**3 > MAX_SCAN_VALUES:
+            raise ValueError(f"grid {self.steps} needs {self.steps**3} points per scan pass, "
                              f"more than the cap of {MAX_SCAN_VALUES}")
 
     @classmethod
+    @functools.cache
     def uniform(cls, n: int) -> "GridSpec":
-        return cls(n, n, n, n)
+        """The grid of ``n`` steps, one instance per size, so that its axes
+        and phases are built once per process."""
+        return cls(n)
+
+    # the step count of each parameter, read-only
+    rho_steps = alpha_steps = tau_steps = beta_steps = property(lambda self: self.steps)
 
     @functools.cached_property
     def axes(self) -> Tuple[np.ndarray, ...]:
         """The sampled (rho, alpha, tau, beta) values, built once per grid
         and read-only, since every scan of the grid shares them."""
-        return _frozen(
-            np.linspace(0.0, 1.0, self.rho_steps),
-            np.linspace(0.0, 2.0 * np.pi, self.alpha_steps, endpoint=False),
-            np.linspace(0.0, 1.0, self.tau_steps),
-            np.linspace(0.0, 2.0 * np.pi, self.beta_steps, endpoint=False),
-        )
+        radial, angle = _frozen(np.linspace(0.0, 1.0, self.steps),
+                                np.linspace(0.0, 2.0 * np.pi, self.steps, endpoint=False))
+        return radial, angle, radial, angle
 
     @functools.cached_property
     def phases(self) -> Tuple[np.ndarray, np.ndarray]:
         """``e^{i alpha}`` and ``e^{i beta}`` on the grid, read-only."""
-        _, alpha, _, beta = self.axes
-        return _frozen(np.exp(1j * alpha), np.exp(1j * beta))
+        phase, = _frozen(np.exp(1j * self.axes[1]))
+        return phase, phase
 
 
 def _frozen(*arrays: np.ndarray) -> tuple:
@@ -147,12 +144,7 @@ def _evaluate(functional: Functional, c1, radius, tau, phase_b):
     when broadcast together, each of that shape: (N, 1, 1), (N, 1, 1),
     (T, 1) and (B,) for every (tau, beta) of N slices, or P values each for
     P points.  ``stacked`` tells a tuple of members from one array."""
-    # numpy would cast the real factor radius * tau to complex once per
-    # element of its product with e^{i beta}; casting it first does that once
-    # per value, and the complex multiply that follows is the same, so the
-    # bits are too
-    perturbation = (radius * tau).astype(complex)
-    c2 = c1**2 / 2.0 + perturbation * phase_b
+    c2 = c1**2 / 2.0 + radius * tau * phase_b
     out = functional(c1, c2)
     stacked = isinstance(out, tuple)
     values = []
@@ -190,16 +182,14 @@ def _near_points(functional: Functional, grid: GridSpec, c1_col, radius_col):
     (rho, tau) pair, one that holds a near point.
 
     A point is near when its rotation orbit can hold the maximum of some
-    member of the functional.  When the alpha grid maps the beta grid onto
-    itself under c2 -> e^{2it} c2 (``2 * beta_steps % alpha_steps == 0``),
-    rotation takes (rho, alpha_a, tau, beta_b) to (rho, 0, tau,
-    beta_{b - 2aB/A}) up to rounding, so the orbit of a point of the
-    alpha = 0 slice of its rho (``c1_col`` and ``radius_col``) has its value
-    at every alpha.  A point more than ``2 * delta`` below a member's
+    member of the functional.  The alpha grid maps the beta grid onto itself
+    under c2 -> e^{2it} c2: rotation takes (rho, alpha_a, tau, beta_b) to
+    (rho, 0, tau, beta_{b - 2a}) up to rounding, so the orbit of a point of
+    the alpha = 0 slice of its rho (``c1_col`` and ``radius_col``) has its
+    value at every alpha.  A point more than ``2 * delta`` below a member's
     overall maximum cannot hold it; ``delta`` is 1e-9 relative to that
     maximum, and rounding moves values by about 1e-15 relative.  The mask is
-    the union of the members' masks.  On other grids every point is near:
-    ``near`` is None, and every row keeps every tau and is scanned whole.
+    the union of the members' masks.
 
     The slices are evaluated at tau = 0 and 1 first.  c2 is affine in tau,
     so by convexity in c2 an interior point is at most ``(1 - tau) m0 + tau
@@ -215,26 +205,24 @@ def _near_points(functional: Functional, grid: GridSpec, c1_col, radius_col):
     along their orbits, else 0.  It may when its kept pairs are at the tau
     ends and one of them is near at some beta but not at every beta.
     """
-    n_rho, n_tau, n_beta = grid.rho_steps, grid.tau_steps, grid.beta_steps
-    if (2 * n_beta) % grid.alpha_steps != 0:
-        return None, [(i, list(range(n_tau)), 0) for i in range(n_rho)]
+    n = grid.steps
     tau, phase_b = grid.axes[2], grid.phases[1]
     c1_col, radius_col = c1_col[:, None, None], radius_col[:, None, None]
-    ends = slice(None, None, n_tau - 1)  # tau = 0 and tau = 1
+    ends = slice(None, None, n - 1)  # tau = 0 and tau = 1
     values = None  # (K, R, 2, B): each member at the ends
-    for lead in _blocks(n_rho, 2 * n_beta):
+    for lead in _blocks(n, 2 * n):
         _, block = _evaluate(functional, c1_col[lead], radius_col[lead], tau[ends, None], phase_b)
         if values is None:
-            values = np.empty((len(block), n_rho, 2, n_beta))
+            values = np.empty((len(block), n, 2, n))
         values[:, lead] = block
     end_max = values.max(axis=3)
     tops = end_max.max(axis=(1, 2))
     # x < NaN is False: a NaN or infinite top evaluates every interior and
     # makes every point near, and a NaN is near, so the row pass meets every
     # NaN seen here
-    far = (end_max[:, :-1] < _below(tops, 3.0 * (n_tau - 1))).any(axis=2).all(axis=0)
+    far = (end_max[:, :-1] < _below(tops, 3.0 * (n - 1))).any(axis=2).all(axis=0)
     inner = {}  # row -> each member's maximum over beta at each interior tau
-    for i in (~far).nonzero()[0].tolist() if n_tau > 2 else ():
+    for i in (~far).nonzero()[0].tolist() if n > 2 else ():
         _, block = _evaluate(functional, c1_col[i:i + 1], radius_col[i:i + 1], tau[1:-1, None],
                              phase_b)
         inner[i] = np.array([vals[0].max(axis=1) for vals in block])
@@ -248,11 +236,11 @@ def _near_points(functional: Functional, grid: GridSpec, c1_col, radius_col):
         interior, orbit = [], 0
         if i in inner:
             interior = (1 + np.flatnonzero(~(inner[i] < below[:, :, 0]).all(axis=0))).tolist()
-        elif i == n_rho - 1:  # one value, so every tau is kept
-            interior = list(range(1, n_tau - 1))
-        elif 0 < c0 < n_beta or 0 < c1 < n_beta:
+        elif i == n - 1:  # one value, so every tau is kept
+            interior = list(range(1, n - 1))
+        elif 0 < c0 < n or 0 < c1 < n:
             orbit = c0 + c1
-        tau_at = [0] * bool(c0) + interior + [n_tau - 1] * bool(c1)
+        tau_at = [0] * bool(c0) + interior + [n - 1] * bool(c1)
         if tau_at:
             rows.append((i, tau_at, orbit))
     return near, rows
@@ -263,7 +251,7 @@ def _below(tops, k: float) -> np.ndarray:
     return np.array([t - k * (1e-9 * max(1.0, abs(t))) for t in tops.tolist()])[:, None, None]
 
 
-def _row_kinds(rows, n_alpha: int):
+def _row_kinds(rows, n: int):
     """The rows of :func:`_near_points` as ``(whole, runs)``: the rows
     scanned whole, as ``(row, tau)``, and runs ``(start, stop)`` of
     consecutive rows scanned along their orbits, with at most
@@ -271,7 +259,7 @@ def _row_kinds(rows, n_alpha: int):
     is scanned whole, and a whole row ends a run."""
     whole, runs, size = [], [], BLOCK_POINTS
     for i, tau_at, orbit in rows:
-        points = orbit * n_alpha
+        points = orbit * n
         if not points or points > BLOCK_POINTS:
             whole.append((i, tau_at))
             size = BLOCK_POINTS
@@ -284,19 +272,17 @@ def _row_kinds(rows, n_alpha: int):
     return whole, runs
 
 
-def _orbits(near: np.ndarray, start: int, shape: Tuple[int, ...], shift: int):
+def _orbits(near: np.ndarray, start: int, n: int):
     """The grid indices (rho, alpha, tau, beta), in scan order, of the
     orbits of ``near``, the near points at tau = 0 and 1 of the alpha = 0
-    slices of rows ``start``, ``start + 1``, ... (shape (n, 2, B)) on a grid
-    of ``shape`` (R, A, T, B): the orbit of (rho, 0, tau, beta_b) is
-    (rho, alpha_a, tau, beta_{(b + a * shift) % B}) for every alpha index a."""
-    _, n_alpha, n_tau, n_beta = shape
-    rho_end, beta = np.divmod(np.flatnonzero(near), n_beta)
+    slices of rows ``start``, ``start + 1``, ... (shape (R, 2, n)) on a grid
+    of ``n`` steps: the orbit of (rho, 0, tau, beta_b) is
+    (rho, alpha_a, tau, beta_{(b + 2a) mod n}) for every alpha index a."""
+    rho_end, beta = np.divmod(np.flatnonzero(near), n)
     rho, end = np.divmod(rho_end, 2)
-    alpha = np.arange(n_alpha)
-    at = (((start + rho[:, None]) * n_alpha + alpha) * n_tau + end[:, None] * (n_tau - 1)) * n_beta
-    return np.unravel_index(np.sort(at + (beta[:, None] + shift * alpha) % n_beta, axis=None),
-                            shape)
+    alpha = np.arange(n)
+    at = (((start + rho[:, None]) * n + alpha) * n + end[:, None] * (n - 1)) * n
+    return np.unravel_index(np.sort(at + (beta[:, None] + 2 * alpha) % n, axis=None), (n,) * 4)
 
 
 def _pieces(c1_row, radius_row, slice_points: int):
@@ -368,10 +354,9 @@ def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> Sup 
     scan skips (in a pair the mask leaves out, or off every near orbit)
     goes unseen.
     """
-    rho, alpha, tau, beta = grid.axes
-    phase_a, phase_b = grid.phases
+    n, (rho, _, tau, _), (phase_a, phase_b) = grid.steps, grid.axes, grid.phases
     near, rows = _near_points(functional, grid, *_leading(rho, phase_a[0]))
-    whole, runs = _row_kinds(rows, len(alpha))
+    whole, runs = _row_kinds(rows, n)
     stacked, best = False, []  # per member: [value, grid index]
 
     def take(values, locate):
@@ -392,11 +377,11 @@ def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> Sup 
             if m > member[0] or at < member[1]:
                 member[:] = m, at
 
-    alpha_at = np.arange(len(alpha))
+    alpha_at = np.arange(n)
     for i, tau_at in whole:
         c1_row, radius_row = _leading(rho[i], phase_a)
         tau_kept = tau[tau_at]
-        for lead, points in _pieces(c1_row, radius_row, len(tau_at) * len(beta)):
+        for lead, points in _pieces(c1_row, radius_row, len(tau_at) * n):
             stacked, values = _evaluate(functional, c1_row[lead, None, None],
                                         radius_row[lead, None, None],
                                         tau_kept[points, None], phase_b[points])
@@ -404,8 +389,7 @@ def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> Sup 
             take(values, lambda idx: (i, int(alpha_at[lead][idx // (n_t * n_b)]),
                                       tau_at[idx // n_b % n_t], idx % n_b))
     for start, stop in runs:
-        at = _orbits(near[start:stop], start, (len(rho), len(alpha), len(tau), len(beta)),
-                     2 * len(beta) // len(alpha))
+        at = _orbits(near[start:stop], start, n)
         stacked, values = _evaluate(functional, *_leading(rho[at[0]], phase_a[at[1]]),
                                     tau[at[2]], phase_b[at[3]])
         take(values, lambda idx: tuple([int(x[idx]) for x in at]))

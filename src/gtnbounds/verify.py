@@ -267,27 +267,6 @@ class _Stack:
     results: dict | None = None
 
 
-def _value_rows(count: int) -> Callable:
-    """``rows(shape)``: ``count`` value arrays of ``shape``, as views of one
-    buffer that every call reuses (it grows to the largest shape asked for).
-
-    A stack's closure writes its values there, so a call allocates only the
-    temporaries a single form needs.  Fresh arrays for K forms per call grow
-    the heap by K blocks, which glibc's malloc then trims and faults in again
-    (about 2.5k minor page faults per grid-60 full pass, against about 2).
-    The scan reads the values of a call before it makes the next."""
-    buf = np.empty(0)
-
-    def rows(shape):
-        nonlocal buf
-        size = count * math.prod(shape)
-        if buf.size < size:
-            buf = np.empty(size)
-        return buf[:size].reshape(count, *shape)
-
-    return rows
-
-
 def _stack_functional(params: ClassParams | None, forms: Sequence) -> Callable:
     """The closure that evaluates every form of a stack, in order, as a tuple.
 
@@ -297,13 +276,9 @@ def _stack_functional(params: ClassParams | None, forms: Sequence) -> Callable:
     ``abs``.  Every array goes through the same operations as in a stack of
     one, so the values are the same bits."""
     if params is None:
-        lemma_rows = _value_rows(len(forms))
-
         def lemmas(c1, c2):
-            c1_sq, out = c1**2, lemma_rows(c2.shape)
-            for v, row in zip(forms, out):
-                np.abs(c2 - v * c1_sq, out=row)
-            return tuple(out)
+            c1_sq = c1**2
+            return tuple([np.abs(c2 - v * c1_sq) for v in forms])
 
         return lemmas
     rel, vk = _relation(params.vartheta, params.kappa), params.varkappa
@@ -316,19 +291,17 @@ def _stack_functional(params: ClassParams | None, forms: Sequence) -> Callable:
     weights: dict = {}  # (wp2, wp3) -> (1 / (A3 wp3), its forms as (index, mu_eff))
     for k, (mu_eff, wp2, wp3) in enumerate(forms):
         weights.setdefault((wp2, wp3), (1.0 / (rel.linear_a3 * wp3), []))[1].append((k, mu_eff))
-    rows = _value_rows(len(forms))
 
     def stack(c1, c2):
-        out = list(rows(c2.shape))
+        out = [None] * len(forms)
         b2 = c2 * 0.5 + (vk - 1.0) * c1**2 / 8.0
         for (wp2, _), (inv3, members) in weights.items():
             a2 = c1 / (2.0 * a2l * wp2)
             a2_sq = a2**2
             a3 = (b2 - aq * (wp2 * a2) ** 2) * inv3
             for k, mu_eff in members:
-                # |a2| is one value per c1: it stays that size, and its row unused
-                out[k] = (np.abs(a2) if mu_eff is None
-                          else np.abs(a3 - mu_eff * a2_sq, out=out[k]))
+                # |a2| is one value per c1, and stays that size
+                out[k] = np.abs(a2) if mu_eff is None else np.abs(a3 - mu_eff * a2_sq)
         return tuple(out)
 
     return stack

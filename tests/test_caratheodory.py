@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtnbounds import verify
+from gtnbounds import caratheodory, verify
 from gtnbounds.bazilevic import ClassParams
 from gtnbounds.caratheodory import (
-    BLOCK_POINTS,
     MAX_SCAN_VALUES,
     FunctionalIsNaN,
     GridSpec,
@@ -105,20 +105,40 @@ def test_lemma_bounds_propagate_nan(bound, v):
 
 
 def test_grid_spec_validation():
-    with pytest.raises(ValueError):
-        GridSpec(1, 10, 10, 10)
-    assert GridSpec.uniform(5).beta_steps == 5
+    with pytest.raises(ValueError, match="must be >= 2"):
+        GridSpec(1)
+    grid = GridSpec.uniform(5)
+    # one step count, read as each parameter's through read-only aliases
+    assert [f.name for f in dataclasses.fields(GridSpec)] == ["steps"]
+    assert (grid.rho_steps, grid.alpha_steps, grid.tau_steps, grid.beta_steps) == (5, 5, 5, 5)
+    with pytest.raises(AttributeError):
+        grid.beta_steps = 6
 
 
 def test_grid_spec_refuses_a_pass_above_the_cap():
-    # the largest pass is max(rho, alpha) x tau x beta points: 128^3 is 2^21
-    assert GridSpec.uniform(128).rho_steps == 128
-    with pytest.raises(ValueError, match="cap"):
-        GridSpec.uniform(129)
-    assert GridSpec(256, 2, 128, 64).alpha_steps == 2
-    for steps in ((257, 2, 128, 64), (2, 257, 128, 64), (2, 2, 1025, 1025)):
+    # the largest pass is steps^3 points: 128^3 is 2^21
+    assert GridSpec.uniform(128).steps == 128
+    for n in (129, 1025):
         with pytest.raises(ValueError, match=f"cap of {MAX_SCAN_VALUES}"):
-            GridSpec(*steps)
+            GridSpec.uniform(n)
+
+
+def test_a_uniform_grid_is_one_instance_per_size():
+    assert GridSpec.uniform(7) is GridSpec.uniform(7)
+    assert GridSpec.uniform(7) is not GridSpec.uniform(8)
+    # equal to a grid built directly, which has axes of its own
+    assert GridSpec.uniform(7) == GridSpec(7) and GridSpec(7) is not GridSpec(7)
+
+
+def test_a_uniform_grid_builds_its_axes_and_phases_once(monkeypatch):
+    grid = GridSpec.uniform(11)
+    axes, phases = grid.axes, grid.phases
+    built = []
+    monkeypatch.setattr(np, "linspace", lambda *args, **kwargs: built.append(args))
+    for _ in range(3):
+        again = GridSpec.uniform(11)
+        assert again.axes is axes and again.phases is phases
+    assert built == []
 
 
 def test_sup_of_c1_modulus_hits_two():
@@ -166,10 +186,8 @@ def reference_sup(functional, grid):
     """The unpruned scan: every rho row, lexicographic, strict improvement.
     For a stack (a functional that returns a tuple), the list of each
     member's result."""
-    rho = np.linspace(0.0, 1.0, grid.rho_steps)
-    alpha = np.linspace(0.0, 2.0 * np.pi, grid.alpha_steps, endpoint=False)
-    tau = np.linspace(0.0, 1.0, grid.tau_steps)
-    beta = np.linspace(0.0, 2.0 * np.pi, grid.beta_steps, endpoint=False)
+    rho = tau = np.linspace(0.0, 1.0, grid.steps)
+    alpha = beta = np.linspace(0.0, 2.0 * np.pi, grid.steps, endpoint=False)
     phase_b = np.exp(1j * beta)
     best = None
     for r in rho:
@@ -239,19 +257,66 @@ def test_pruned_scan_is_exact_for_c1_modulus_and_constant(functional, n):
     assert brute_force_sup(functional, grid) == reference_sup(functional, grid)
 
 
+# ---------------------------------------------------------------------------
+# Named grid cases: a uniform grid and the points per block the scan uses on
+# it (None: BLOCK_POINTS).  A block below BLOCK_POINTS brings the branches
+# that BLOCK_POINTS reaches only from 46 steps on (slices of more than half a
+# block, which take a call each and collapse; a mask over several blocks) to
+# grids small enough for reference_sup.  Each case is named by the
+# rho x alpha x tau x beta steps of the grid it ran on when the four counts
+# could differ, and keeps that grid's alpha count, which alone decides which
+# slices of the rho = 1 row collapse.
+
+MULTI_BLOCK = "25x16x15x24"
+LONG_ROWS = "25x25x15x16"
+WIDE_SLICE = "3x4x70x80"
+PART_COLLAPSED = "3x8x46x48"
+OPEN_SLICES = "3x9x50x48"
+GRID_CASES = {
+    # one block holds every call
+    "9x3x4x6": (3, None),
+    "5x4x3x6": (4, None),
+    "6x5x6x7": (5, None),
+    "6x7x7x5": (7, None),
+    "7x8x5x4": (8, None),
+    # 256 points per slice, 4 per block: alpha splits 4 + 4 + 4 + 4
+    MULTI_BLOCK: (16, 1024),
+    # 625 points per slice, 6 per block: alpha splits 6 + 6 + 6 + 6 + 1
+    LONG_ROWS: (25, None),
+    # slices of 16 points, over half a block of 24; every rho = 1 slice has
+    # radius 0.0
+    WIDE_SLICE: (4, 24),
+    # slices of 64 points, over half a block of 96; 7 of the 8 rho = 1 slices
+    # have radius 0.0, all but alpha index 5
+    PART_COLLAPSED: (8, 96),
+    # slices of 81 points, over half a block of 128; 7 of the 9 rho = 1
+    # slices have radius 0.0, all but alpha indices 1 and 2
+    OPEN_SLICES: (9, 128),
+}
+
+
+def use_case(monkeypatch, name: str) -> GridSpec:
+    """The grid of the case ``name``, with its block size in force."""
+    n, block = GRID_CASES[name]
+    if block is not None:
+        monkeypatch.setattr(caratheodory, "BLOCK_POINTS", block)
+    return GridSpec.uniform(n)
+
+
+@pytest.fixture
+def grid(request, monkeypatch):
+    """A grid parameter: a GridSpec, or the name of a case of GRID_CASES."""
+    param = request.param
+    return param if isinstance(param, GridSpec) else use_case(monkeypatch, param)
+
+
+def _grid_id(case):
+    return case if isinstance(case, str) else "x".join([str(case.steps)] * 4)
+
+
 @pytest.mark.parametrize(
-    "grid",
-    [
-        # alpha and beta grids not aligned (2 * beta_steps % alpha_steps != 0)
-        GridSpec(6, 5, 6, 7),
-        GridSpec(6, 7, 7, 5),
-        # aligned
-        GridSpec(9, 3, 4, 6),
-        GridSpec(7, 8, 5, 4),
-        GridSpec(5, 4, 3, 6),
-        GridSpec.uniform(12),
-    ],
-    ids=lambda g: f"{g.rho_steps}x{g.alpha_steps}x{g.tau_steps}x{g.beta_steps}",
+    "grid", ["6x5x6x7", "6x7x7x5", "9x3x4x6", "7x8x5x4", "5x4x3x6", GridSpec.uniform(12)],
+    indirect=True, ids=_grid_id,
 )
 @pytest.mark.parametrize(
     "functional",
@@ -281,8 +346,8 @@ def test_pruned_scan_is_exact_for_every_verify_closure(monkeypatch):
         return got
 
     monkeypatch.setattr(verify, "brute_force_sup", checking_sup)
-    # at grid 12 nothing collapses; on WIDE_ALIGNED part of the rho = 1 row does
-    for grid in (GridSpec.uniform(12), WIDE_ALIGNED):
+    # at grid 12 nothing collapses; on PART_COLLAPSED part of the rho = 1 row does
+    for grid in (GridSpec.uniform(12), use_case(monkeypatch, PART_COLLAPSED)):
         checked.clear()
         reports, _ = verify.run_suite("full", 1.0, grid)
         # 87 reports from 6 stacked scans: per preset, one of its 9 distinct
@@ -317,8 +382,6 @@ def test_scan_skips_rows_that_cannot_hold_the_maximum():
     # between, each near at one beta, along their orbits in one call
     for v in DEGENERATE_V:
         assert _calls_per_scan(fekete(v), GridSpec.uniform(12)) == 1 + 2 + 1
-    # without aligned alpha and beta grids there is no reduced pass
-    assert _calls_per_scan(modulus_c1, GridSpec(6, 5, 6, 7)) == 6
     # The pair mask evaluates tau = 0 and 1 only, 120 points per rho: 34 rho
     # values per block, so 2 calls.  Slices of 3600 points take a call each:
     # the rho = 1 row's 38 slices of radius 0.0 in one call, then its 22 others.
@@ -338,7 +401,7 @@ def _near(functional, grid):
     (rho, tau) pairs, (R, T), for ``functional`` on ``grid``."""
     rho, _, _, _ = grid.axes
     near, rows = _near_points(functional, grid, *_leading(rho, grid.phases[0][0]))
-    keep = np.zeros((grid.rho_steps, grid.tau_steps), dtype=bool)
+    keep = np.zeros((grid.steps, grid.steps), dtype=bool)
     for i, tau_at, _ in rows:
         keep[i, tau_at] = True
     return near, keep
@@ -382,7 +445,7 @@ def assert_mask_of_every_point(functional, grid):
     assert np.array_equal(near, want_near)
 
 
-def test_scan_evaluates_only_candidate_rho_tau_pairs():
+def test_scan_evaluates_only_candidate_rho_tau_pairs(monkeypatch):
     # the mask costs 12 x 2 x 12 points (tau = 0 and 1; no interior pair
     # comes within reach of the maximum).  rho = 0 keeps tau = 1, where every
     # beta ties; the 10 rows between are near at one beta of tau = 1, an
@@ -394,14 +457,12 @@ def test_scan_evaluates_only_candidate_rho_tau_pairs():
         )
     # |c1| ignores tau: the whole rho = 1 row is kept
     assert _points_per_scan(modulus_c1, GridSpec.uniform(12)) == 12 * 2 * 12 + 12**3
-    # without aligned alpha and beta grids every row is scanned in full
-    assert _points_per_scan(modulus_c1, GridSpec(6, 5, 6, 7)) == 6 * 5 * 6 * 7
-    # slices of 5600 points: the pair mask, then the rho = 1 row, all 4 of
-    # whose slices collapse
-    assert _points_per_scan(modulus_c1, WIDE_SLICE) == 3 * 2 * 80 + 4
     # a constant ties at every pair: the mask evaluates every interior pair
     # below rho = 1, one row per call, and every row is scanned
     assert _points_per_scan(constant, GridSpec.uniform(12)) == 12 * 2 * 12 + 11 * 10 * 12 + 12**4
+    # slices over half a block: the pair mask, then the rho = 1 row, all 4 of
+    # whose slices collapse
+    assert _points_per_scan(modulus_c1, use_case(monkeypatch, WIDE_SLICE)) == 4 * 2 * 4 + 4
 
 
 def tilted(distance):
@@ -436,43 +497,23 @@ def test_pruned_scan_is_exact_when_rows_keep_part_of_tau(functional, n):
 # ---------------------------------------------------------------------------
 # The scan calls the functional on blocks of at most BLOCK_POINTS points.
 
-# 360 points per (tau, beta) slice, 11 slices per block: alpha splits 11 + 5
-MULTI_BLOCK = GridSpec(25, 16, 15, 24)
-# 256 points per rho at tau = 0 and 1, 16 per block: the pair mask splits
-# rho 16 + 9
-MULTI_BLOCK_WIDE_BETA = GridSpec(25, 16, 8, 128)
-# 240 points per slice, 17 per block; alpha and beta grids not aligned, so
-# every row keeps every tau
-MULTI_BLOCK_UNALIGNED = GridSpec(25, 25, 15, 16)
-# Slices of more than half a block take a call each, and those of radius 0.0
-# collapse.  5600 points per slice; all 4 rho = 1 slices have radius 0.0.
-WIDE_SLICE = GridSpec(3, 4, 70, 80)
-# 2208 points per slice; 7 of the 8 rho = 1 slices have radius 0.0, all but
-# alpha index 5
-WIDE_ALIGNED = GridSpec(3, 8, 46, 48)
-# 2400 points per slice; alpha and beta grids not aligned, so nothing is
-# pruned; 7 of the 9 rho = 1 slices have radius 0.0, all but alpha indices 1, 2
-WIDE_UNALIGNED = GridSpec(3, 9, 50, 48)
-BLOCKED_GRIDS = [GridSpec.uniform(12), GridSpec.uniform(60), MULTI_BLOCK,
-                 MULTI_BLOCK_UNALIGNED, WIDE_SLICE, WIDE_UNALIGNED]
+BLOCKED_GRIDS = [GridSpec.uniform(12), GridSpec.uniform(60), MULTI_BLOCK, LONG_ROWS, WIDE_SLICE,
+                 OPEN_SLICES]
 
 
-def _grid_id(g):
-    return f"{g.rho_steps}x{g.alpha_steps}x{g.tau_steps}x{g.beta_steps}"
-
-
-@pytest.mark.parametrize("grid", BLOCKED_GRIDS, ids=_grid_id)
+@pytest.mark.parametrize("grid", BLOCKED_GRIDS, indirect=True, ids=_grid_id)
 @pytest.mark.parametrize(
     "functional", [modulus_c1, constant, fekete(0.0), fekete(0.3 - 1.1j)],
     ids=["c1", "constant", "fekete-0", "fekete-a"],
 )
 def test_no_functional_call_exceeds_a_block(functional, grid):
     _, shapes = _recorded_scan(functional, grid)
-    slice_points = grid.tau_steps * grid.beta_steps
-    assert max(math.prod(shape) for shape in shapes) <= max(BLOCK_POINTS, slice_points)
+    slice_points = grid.steps**2
+    assert max(math.prod(shape) for shape in shapes) <= max(caratheodory.BLOCK_POINTS,
+                                                            slice_points)
 
 
-def test_blocking_keeps_the_points_per_scan():
+def test_blocking_keeps_the_points_per_scan(monkeypatch):
     # At grid 60 every block holds one slice, so each slice of the scan with
     # radius 0.0 collapses to one point: 38 of the 60 slices of the rho = 1
     # row.  The pair mask evaluates every point of its slices at tau = 0 and 1.
@@ -486,49 +527,53 @@ def test_blocking_keeps_the_points_per_scan():
             reduced + n**2 + (n - 2) * n + rho_one
         )
     assert _points_per_scan(modulus_c1, GridSpec.uniform(n)) == reduced + rho_one
-    # slices of 360 points share blocks and do not collapse
-    r, a, t, b = 25, 16, 15, 24
-    assert _points_per_scan(modulus_c1, MULTI_BLOCK) == r * 2 * b + a * t * b
+    # slices of 256 points share blocks and do not collapse
+    n = 16
+    assert _points_per_scan(modulus_c1, use_case(monkeypatch, MULTI_BLOCK)) == n * 2 * n + n**3
 
 
-def test_blocks_split_the_leading_axis_only():
-    # the pair mask over rho at tau = 0 and 1 (256 points per rho, 16 per
-    # block), then the rho = 1 row over alpha (1024 points per slice, 4 per block)
-    _, shapes = _recorded_scan(modulus_c1, MULTI_BLOCK_WIDE_BETA)
-    assert shapes == [(16, 2, 128), (9, 2, 128)] + [(4, 8, 128)] * 4
-    # 360 points per slice, 11 per block: the mask in one call, then alpha
-    # splits 11 + 5
-    _, shapes = _recorded_scan(modulus_c1, MULTI_BLOCK)
-    assert [shape[0] for shape in shapes] == [25, 11, 5]
-    assert shapes[0][1:] == (2, 24) and all(shape[1:] == (15, 24) for shape in shapes[1:])
-    # the pair mask, then the rho = 1 row, all 4 of its slices collapsed into
-    # one call
-    _, shapes = _recorded_scan(modulus_c1, WIDE_SLICE)
-    assert shapes == [(3, 2, 80), (4, 1, 1)]
+def test_blocks_split_the_leading_axis_only(monkeypatch):
+    # 32 points per rho at tau = 0 and 1, 12 per block of 384: the pair mask
+    # splits rho 12 + 4.  Slices of 256 points are over half a block: the
+    # rho = 1 row's 14 slices of radius 0.0 take one call, then alpha
+    # indices 10 and 13 one each
+    monkeypatch.setattr(caratheodory, "BLOCK_POINTS", 384)
+    _, shapes = _recorded_scan(modulus_c1, GridSpec.uniform(16))
+    assert shapes == [(12, 2, 16), (4, 2, 16), (14, 1, 1)] + [(1, 16, 16)] * 2
+    # 256 points per slice, 4 per block: the mask in one call, then alpha
+    # splits 4 + 4 + 4 + 4
+    _, shapes = _recorded_scan(modulus_c1, use_case(monkeypatch, MULTI_BLOCK))
+    assert shapes == [(16, 2, 16)] + [(4, 16, 16)] * 4
+    # the pair mask, 3 + 1 rho values, then the rho = 1 row, all 4 of its
+    # slices collapsed into one call
+    _, shapes = _recorded_scan(modulus_c1, use_case(monkeypatch, WIDE_SLICE))
+    assert shapes == [(3, 2, 4), (1, 2, 4), (4, 1, 1)]
 
 
-def test_blocks_visit_the_points_in_scan_order():
-    for grid in (MULTI_BLOCK_UNALIGNED, WIDE_UNALIGNED):
-        _check_scan_order(grid)
+def test_blocks_visit_the_points_in_scan_order(monkeypatch):
+    for name in (LONG_ROWS, OPEN_SLICES):
+        _check_scan_order(use_case(monkeypatch, name))
 
 
 def _check_scan_order(grid):
-    # Every row is scanned (the grids are unaligned), in scan order.  Where
-    # slices collapse (over half a block), the rho = 1 row starts with its
-    # slices of radius 0.0, in one call, each as its first point, in alpha
-    # order; its other slices follow in scan order.
+    # A constant ties everywhere: after the pair mask (the slices at tau = 0
+    # and 1, then the interior of every row below rho = 1) every row is
+    # scanned whole, in scan order.  Where slices collapse (over half a
+    # block), the rho = 1 row starts with its slices of radius 0.0, in one
+    # call, each as its first point, in alpha order; its other slices follow
+    # in scan order.
     seen = []
 
     def recorded(c1, c2):
         seen.append(c2.ravel().copy())
-        return modulus_c1(c1, c2)
+        return constant(c1, c2)
 
     brute_force_sup(recorded, grid)
-    rho = np.linspace(0.0, 1.0, grid.rho_steps)
-    alpha = np.linspace(0.0, 2.0 * np.pi, grid.alpha_steps, endpoint=False)
-    tau = np.linspace(0.0, 1.0, grid.tau_steps)
-    phase_b = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, grid.beta_steps, endpoint=False))
-    collapses = 2 * grid.tau_steps * grid.beta_steps > BLOCK_POINTS
+    n = grid.steps
+    rho = tau = np.linspace(0.0, 1.0, n)
+    alpha = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    phase_b = np.exp(1j * alpha)
+    collapses = 2 * n * n > caratheodory.BLOCK_POINTS
     slabs = []
     for r in rho:
         c1 = (2.0 * r * np.exp(1j * alpha))[:, None, None]
@@ -540,13 +585,14 @@ def _check_scan_order(grid):
             slabs += [slab[zero, 0, 0], slab[~zero].ravel()]
         else:
             slabs.append(slab.ravel())
-    got, want = np.concatenate(seen), np.concatenate(slabs)
+    mask_points = 2 * n**2 + (n - 1) * (n - 2) * n
+    got, want = np.concatenate(seen)[mask_points:], np.concatenate(slabs)
     assert got.shape == want.shape
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize(
-    "grid", [MULTI_BLOCK, MULTI_BLOCK_UNALIGNED, WIDE_SLICE, WIDE_ALIGNED], ids=_grid_id
+    "grid", [MULTI_BLOCK, LONG_ROWS, WIDE_SLICE, PART_COLLAPSED], indirect=True, ids=_grid_id
 )
 @pytest.mark.parametrize(
     "functional",
@@ -559,42 +605,40 @@ def test_blocked_scan_is_exact_across_block_boundaries(functional, grid):
     assert brute_force_sup(functional, grid) == reference_sup(functional, grid)
 
 
-def test_witness_may_lie_in_a_later_block():
-    # not rotation invariant, but the unaligned grid is not pruned; the
-    # maximum lies at alpha index 18, in the second alpha block
-    def toward(c1, c2):
-        return np.real(c1 * np.exp(-4.5j))
-
-    value, w = got = brute_force_sup(toward, MULTI_BLOCK_UNALIGNED)
-    assert got == reference_sup(toward, MULTI_BLOCK_UNALIGNED)
-    assert np.angle(w.c1) % (2 * np.pi) == pytest.approx(18 * 2 * np.pi / 25)
-
-
-def _on_circle(grid, a):
-    return 2.0 * np.exp(2j * np.pi * a / grid.alpha_steps)
+def test_witness_may_lie_in_a_later_block(monkeypatch):
+    # |c1| on the rho = 1 row first rounds one ulp above 2 at alpha index
+    # 10, in the third block of that row (4 slices per block)
+    grid = use_case(monkeypatch, MULTI_BLOCK)
+    value, w = got = brute_force_sup(modulus_c1, grid)
+    assert got == reference_sup(modulus_c1, grid)
+    assert value == np.nextafter(2.0, 3.0)
+    assert np.angle(w.c1) % (2 * np.pi) == pytest.approx(10 * 2 * np.pi / 16)
 
 
 @pytest.mark.parametrize(
-    "grid, point",
+    "grid, a",
     [
-        (MULTI_BLOCK, 2.0),
-        (MULTI_BLOCK_UNALIGNED, _on_circle(MULTI_BLOCK_UNALIGNED, 24)),
+        (MULTI_BLOCK, 0),
+        (LONG_ROWS, 24),
         # collapsed slices of the rho = 1 row
-        (WIDE_UNALIGNED, 2.0),
-        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 8)),
+        (OPEN_SLICES, 0),
+        (OPEN_SLICES, 8),
         # slices of that row that do not collapse
-        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 1)),
-        (WIDE_UNALIGNED, _on_circle(WIDE_UNALIGNED, 2)),
+        (OPEN_SLICES, 1),
+        (OPEN_SLICES, 2),
         # NaN at alpha = 0 in the reduced pass keeps the rho = 1 row, whose
         # slices all collapse into the call that meets the NaN
-        (WIDE_SLICE, 2.0),
+        (WIDE_SLICE, 0),
     ],
+    indirect=["grid"],
     ids=["first-block", "last-block", "collapsed-first", "collapsed-last",
          "open-first", "open-last", "all-collapsed"],
 )
-def test_a_nan_skips_its_whole_row_wherever_the_blocks_fall(grid, point):
-    # A NaN at one point of the rho = 1 row, whose other slices attain
+def test_a_nan_skips_its_whole_row_wherever_the_blocks_fall(grid, a):
+    # A NaN at alpha index a of the rho = 1 row, whose other slices attain
     # |c1| = 2, raises wherever the blocks fall: no row is skipped.
+    point = 2.0 * np.exp(2j * np.pi * a / grid.steps)
+
     def nan_at_point(c1, c2):
         return np.where(np.abs(c1 - point) < 1e-9, np.nan, np.abs(c1))
 
@@ -630,8 +674,8 @@ def minus_inf(c1, c2):
 
 
 @pytest.mark.parametrize(
-    "grid", [GridSpec.uniform(12), GridSpec.uniform(60), MULTI_BLOCK, WIDE_UNALIGNED],
-    ids=_grid_id,
+    "grid", [GridSpec.uniform(12), GridSpec.uniform(60), MULTI_BLOCK, OPEN_SLICES],
+    indirect=True, ids=_grid_id,
 )
 @pytest.mark.parametrize("functional", [inf_on_rim, inf_in_band, minus_inf],
                          ids=["inf-on-rim", "inf-in-band", "minus-inf"])
@@ -643,11 +687,7 @@ def test_an_infinite_maximum_is_exact(functional, grid):
 # ---------------------------------------------------------------------------
 # Slices with perturbation radius 0.0 are evaluated at their first point.
 
-PREMISE_GRIDS = [GridSpec.uniform(n) for n in range(2, 129)] + [
-    GridSpec(6, 5, 6, 7), GridSpec(6, 7, 7, 5), GridSpec(9, 3, 4, 6), GridSpec(7, 8, 5, 4),
-    GridSpec(5, 4, 3, 6), MULTI_BLOCK, MULTI_BLOCK_UNALIGNED, WIDE_SLICE, WIDE_ALIGNED,
-    WIDE_UNALIGNED,
-]
+PREMISE_GRIDS = [GridSpec.uniform(n) for n in range(2, 129)]
 
 
 def _c2_of(c1_vec, radius, tau, phase_b):
@@ -684,25 +724,27 @@ def test_collapsible_slices_hold_one_c2_bit_pattern():
 @pytest.mark.parametrize(
     "grid, rows",
     [(GridSpec.uniform(12), slice(None)), (GridSpec.uniform(24), slice(None)),
-     (GridSpec.uniform(60), slice(-3, None)), (WIDE_UNALIGNED, slice(None)),
-     (MULTI_BLOCK_UNALIGNED, slice(None))],
+     (GridSpec.uniform(60), slice(-3, None)), (GridSpec.uniform(9), slice(None)),
+     (GridSpec.uniform(25), slice(None))],
 )
-def test_c2_is_the_product_whether_or_not_its_real_factor_is_cast_first(grid, rows):
-    # the scan casts radius * tau to complex before multiplying by e^{i beta};
-    # left to numpy, the cast happens per element of the product instead
+def test_c2_is_built_as_the_reference_scan_builds_it(grid, rows):
+    # c1^2 / 2 plus radius * tau * e^{i beta}, multiplied left to right, as
+    # reference_sup builds it: every point has the same bits
     rho, _, tau, _ = grid.axes
     phase_a, phase_b = grid.phases
     c1, radius = (a.ravel() for a in _leading(rho[rows, None], phase_a))
-    uncast = (c1[:, None, None] ** 2 / 2.0
-              + radius[:, None, None] * tau[None, :, None] * phase_b[None, None, :])
-    assert _c2_of(c1, radius, tau, phase_b).tobytes() == uncast.tobytes()
+    reference = (c1[:, None, None] ** 2 / 2.0
+                 + radius[:, None, None] * tau[None, :, None] * phase_b[None, None, :])
+    assert _c2_of(c1, radius, tau, phase_b).tobytes() == reference.tobytes()
 
 
 def test_grid_axes_and_phases_are_built_once_and_read_only():
-    grid = GridSpec(5, 6, 7, 8)
+    grid = GridSpec(6)
     assert grid.axes is grid.axes and grid.phases is grid.phases
     rho, alpha, tau, beta = grid.axes
-    assert [len(a) for a in grid.axes] == [5, 6, 7, 8]
+    # rho and tau share one array, alpha and beta another
+    assert rho is tau and alpha is beta and grid.phases[0] is grid.phases[1]
+    assert [len(a) for a in grid.axes] == [6, 6, 6, 6]
     assert (rho[-1], tau[-1]) == (1.0, 1.0)
     assert alpha[-1] == pytest.approx(2 * np.pi * 5 / 6)
     assert grid.phases[1].tobytes() == np.exp(1j * beta).tobytes()
@@ -710,7 +752,7 @@ def test_grid_axes_and_phases_are_built_once_and_read_only():
         with pytest.raises(ValueError):
             a[0] = 0.0
     # equal grids still compare and hash equal once one has its axes built
-    assert grid == GridSpec(5, 6, 7, 8) and hash(grid) == hash(GridSpec(5, 6, 7, 8))
+    assert grid == GridSpec(6) and hash(grid) == hash(GridSpec(6))
 
 
 def test_a_negative_zero_part_of_c1_squared_blocks_the_collapse():
@@ -731,26 +773,29 @@ def test_a_negative_zero_part_of_c1_squared_blocks_the_collapse():
 
 
 @pytest.mark.parametrize(
-    "grid, collapses",
-    # 2048 points per slice: two share a block; 2050 points: one per call
-    [(GridSpec(3, 4, 32, 64), False), (GridSpec(3, 4, 25, 82), True)],
+    "n, collapses",
+    # 2025 points per slice: two share a block; 2116 points: one per call
+    [(45, False), (46, True)],
     ids=["shared-blocks", "one-slice-per-call"],
 )
-def test_only_slices_over_half_a_block_collapse(grid, collapses):
+def test_only_slices_over_half_a_block_collapse(n, collapses):
+    grid = GridSpec.uniform(n)
     got, shapes = _recorded_scan(modulus_c1, grid)
     assert got == reference_sup(modulus_c1, grid)
-    slice_points = grid.tau_steps * grid.beta_steps
-    rho_one = [(4, 1, 1)] if collapses else [(2, grid.tau_steps, grid.beta_steps)] * 2
-    # the pair mask, then the rho = 1 row
+    # the pair mask, then the rho = 1 row: at grid 46, its 31 slices of
+    # radius 0.0 in one call and its 15 others one each
+    rho_one = ([(31, 1, 1)] + [(1, n, n)] * 15 if collapses
+               else [(2, n, n)] * (n // 2) + [(1, n, n)])
     assert shapes[-len(rho_one):] == rho_one
-    assert _points_per_scan(modulus_c1, grid) == 3 * 2 * grid.beta_steps + (
-        4 if collapses else 4 * slice_points
+    assert _points_per_scan(modulus_c1, grid) == 2 * n**2 + (
+        31 + 15 * n**2 if collapses else n**3
     )
 
 
 def sign_of_zero(c1, c2):
-    """Reads the sign of zero: arctan2 of -0.0 and +0.0 differ by 2 pi."""
-    return np.arctan2(c2.imag, c2.real) + np.abs(c1)
+    """Reads the sign of zero: arctan2 of -0.0 and +0.0 differ by 2 pi.  The
+    |c1| term puts its maximum on the rho = 1 row."""
+    return np.arctan2(c2.imag, c2.real) + 64.0 * np.abs(c1)
 
 
 def rounded_modulus(c1, c2):
@@ -759,28 +804,32 @@ def rounded_modulus(c1, c2):
 
 
 def rounded_modulus_off_axis(c1, c2):
-    """As rounded_modulus, but lower on alpha = 0.  On WIDE_UNALIGNED the
-    first maximum of the rho = 1 row is then alpha index 1, a slice that does
-    not collapse, before index 3, the first collapsed slice that ties it."""
+    """As rounded_modulus, but lower on alpha = 0, where its maximum is still
+    on the rho = 1 row.  On OPEN_SLICES the first maximum of that row is then
+    alpha index 1, a slice that does not collapse, before index 3, the first
+    collapsed slice that ties it."""
     return np.round(np.abs(c1), 6) - (np.abs(c1.imag) < 1e-12)
 
 
-@pytest.mark.parametrize("grid", [MULTI_BLOCK_UNALIGNED, WIDE_UNALIGNED], ids=_grid_id)
+@pytest.mark.parametrize("grid", [LONG_ROWS, OPEN_SLICES], indirect=True, ids=_grid_id)
 @pytest.mark.parametrize(
     "functional",
     [sign_of_zero, rounded_modulus, rounded_modulus_off_axis, modulus_c1, constant],
     ids=["sign-of-zero", "rounded", "rounded-off-axis", "c1", "constant"],
 )
 def test_scan_is_exact_for_any_elementwise_functional(functional, grid):
-    # the grids are unaligned, so nothing is pruned and rotation invariance
-    # is not needed; on WIDE_UNALIGNED the rho = 1 row collapses in part
+    # On the alpha = 0 slices each functional is largest on the rho = 1 row,
+    # which has one value there, so the row is scanned whole: rotation
+    # invariance and convexity are not needed.  On OPEN_SLICES the row
+    # collapses in part.
     got, shapes = _recorded_scan(functional, grid)
     assert got == reference_sup(functional, grid)
-    assert any(shape[1:] == (1, 1) for shape in shapes) == (grid == WIDE_UNALIGNED)
+    collapses = 2 * grid.steps**2 > caratheodory.BLOCK_POINTS
+    assert any(shape[1:] == (1, 1) for shape in shapes) == collapses
 
 
-def test_a_tie_goes_to_the_smaller_alpha_across_collapsed_and_other_slices():
-    grid = WIDE_UNALIGNED
+def test_a_tie_goes_to_the_smaller_alpha_across_collapsed_and_other_slices(monkeypatch):
+    grid = use_case(monkeypatch, OPEN_SLICES)
     # the collapsed slice at alpha index 0 comes first
     _, w = brute_force_sup(rounded_modulus, grid)
     assert w.c1 == 2.0
@@ -808,7 +857,7 @@ def class_stack():
     return verify._stack_functional(ClassParams(0.5, 0.25, 2.5), forms)
 
 
-STACK_GRIDS = [GridSpec.uniform(12), GridSpec.uniform(60), MULTI_BLOCK, WIDE_UNALIGNED]
+STACK_GRIDS = [GridSpec.uniform(12), GridSpec.uniform(60), MULTI_BLOCK, OPEN_SLICES]
 
 # Each member reaches 2 on every row at tau = 1, at alpha = 0 at beta = 0,
 # pi and 3 pi / 2: rho = 0 (every beta ties) and rho = 1 (one value) are
@@ -816,7 +865,7 @@ STACK_GRIDS = [GridSpec.uniform(12), GridSpec.uniform(60), MULTI_BLOCK, WIDE_UNA
 ORBITS = stack_of(fekete(0.0), fekete(1.0), fekete(0.5 + 0.5j))
 
 
-@pytest.mark.parametrize("grid", STACK_GRIDS, ids=_grid_id)
+@pytest.mark.parametrize("grid", STACK_GRIDS, indirect=True, ids=_grid_id)
 @pytest.mark.parametrize(
     "stack",
     [stack_of(*(fekete(v) for v in SEEDED_V[:6])),
@@ -831,50 +880,57 @@ def test_each_member_of_a_stack_gets_its_own_scan(stack, grid):
     assert got == reference_sup(stack, grid)
 
 
-@pytest.mark.parametrize("grid", [GridSpec.uniform(12), MULTI_BLOCK], ids=_grid_id)
+@pytest.mark.parametrize("grid", [GridSpec.uniform(12), MULTI_BLOCK], indirect=True,
+                         ids=_grid_id)
 def test_one_scan_has_whole_rows_and_rows_along_member_orbits(grid):
-    n_rho, n_beta = grid.rho_steps, grid.beta_steps
+    n = grid.steps
     rho = grid.axes[0]
     near, rows = _near_points(ORBITS, grid, *_leading(rho, grid.phases[0][0]))
-    whole, runs = _row_kinds(rows, grid.alpha_steps)
-    assert [i for i, _ in whole] == [0, n_rho - 1] and runs == [[1, n_rho - 1]]
+    whole, runs = _row_kinds(rows, n)
+    assert [i for i, _ in whole] == [0, n - 1] and runs == [[1, n - 1]]
     # alone, each member is near at one beta of tau = 1 on each row between,
     # its own; the stack is near at the union
     alone = [_near(member_of(ORBITS, k), grid)[0][1:-1] for k in range(3)]
-    for k, beta_at in enumerate([0, n_beta // 2, 3 * n_beta // 4]):
+    for k, beta_at in enumerate([0, n // 2, 3 * n // 4]):
         assert np.flatnonzero(alone[k]).tolist() == [
-            (i * 2 + 1) * n_beta + beta_at for i in range(n_rho - 2)]
+            (i * 2 + 1) * n + beta_at for i in range(n - 2)]
     assert np.array_equal(near[1:-1], alone[0] | alone[1] | alone[2])
     got, shapes = _recorded_scan(ORBITS, grid)
-    assert shapes[-1] == ((n_rho - 2) * 3 * grid.alpha_steps,)
+    assert shapes[-1] == ((n - 2) * 3 * n,)
     assert got == reference_sup(ORBITS, grid)
     assert got == [brute_force_sup(member_of(ORBITS, k), grid) for k in range(3)]
 
 
-def capped(c1, c2):
-    """Invariant and capped at 1.5: at tau = 1 the rows reach the cap at
-    every beta (rho up to 2/7), at part of them (3/7 and 4/7) or at none."""
-    return np.minimum(np.abs(c2 - c1**2 / 4), 1.5)
+def peak(row, b, n=12):
+    """Invariant and convex in c2, 2 at (rho, alpha, tau, beta) indices
+    (row, 0, n - 1, b) of a grid of n steps and on their orbit, and lower
+    elsewhere: |c2 - v c1^2| is at most 2 on the body, and 2 on every row at
+    tau = 1 at one beta."""
+    rho = np.linspace(0.0, 1.0, n)[row]
+    v = 0.5 - 0.5 * np.exp(2j * np.pi * b / n)
+    return lambda c1, c2: np.abs(c2 - v * c1**2) - 2.0 * np.abs(np.abs(c1) - 2.0 * rho)
+
+
+# At grid 12, near at beta indices 0-4 of row 3 and 0 and 6 of row 4, at tau = 1
+PEAKS = stack_of(*(peak(3, b) for b in range(5)), peak(4, 0), peak(4, 6))
 
 
 @pytest.mark.parametrize(
-    "grid, calls",
-    # tau has only its two ends, so the mask evaluates every point and needs
-    # no convexity.  Rows 0-2 are near at every beta of tau = 1 and scanned
-    # whole (1 x 128 points per slice, 32 slices per call).  Row 3 is near
-    # at 99 of the 128 beta values and row 4 at 49: with 64 alpha values,
-    # row 3's 6,336 orbit points fill more than a block and it is scanned
-    # whole, and row 4 takes one call of 3,136.  With 32 alpha values both
-    # rows are scanned along their orbits, 3,168 and 1,568 points, which do
-    # not fit in one block together.
-    [(GridSpec(8, 64, 2, 128), [(32, 1, 128)] * 8 + [(49 * 64,)]),
-     (GridSpec(8, 32, 2, 128), [(32, 1, 128)] * 3 + [(99 * 32,), (49 * 32,)])],
+    "block, calls",
+    # The pair mask evaluates 24 points per rho, 2 rho values per call.  Row
+    # 3 has 60 orbit points and row 4 24.  Blocks of 48 points scan row 3
+    # whole (12 points per slice, 4 slices per call) and row 4 in one orbit
+    # call; in blocks of 64 both rows are scanned along their orbits, which
+    # do not fit in one block together.
+    [(48, [(4, 1, 12)] * 3 + [(24,)]), (64, [(60,), (24,)])],
     ids=["row-3-whole", "two-runs"],
 )
-def test_orbit_calls_hold_at_most_a_block(grid, calls):
-    got, shapes = _recorded_scan(capped, grid)
-    assert shapes == [(8, 2, 128)] + calls
-    assert got == reference_sup(capped, grid)
+def test_orbit_calls_hold_at_most_a_block(monkeypatch, block, calls):
+    monkeypatch.setattr(caratheodory, "BLOCK_POINTS", block)
+    grid = GridSpec.uniform(12)
+    got, shapes = _recorded_scan(PEAKS, grid)
+    assert shapes == [(2, 2, 12)] * 6 + calls
+    assert got == reference_sup(PEAKS, grid)
 
 
 def test_a_tie_between_orbits_goes_to_the_smaller_grid_index():
@@ -944,8 +1000,8 @@ def test_a_member_with_one_kept_pair_keeps_its_own_witness():
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
-def test_a_nan_in_a_member_names_it(k):
-    grid = WIDE_UNALIGNED
+def test_a_nan_in_a_member_names_it(monkeypatch, k):
+    grid = use_case(monkeypatch, OPEN_SLICES)
 
     def nan_at_rim(c1, c2):
         return np.where(np.abs(c1) > 2.0 - 1e-9, np.nan, np.abs(c1))
@@ -980,7 +1036,6 @@ def assert_convex_along_tau(stack, seed, n=2000):
     step = (2.0 - 2.0 * rho**2) * np.exp(1j * beta)
 
     def values(tau):
-        # a copy: the verify closures reuse one buffer from call to call
         return np.array(stack(c1, c1**2 / 2.0 + tau * step), ndmin=2)
 
     chord = (1.0 - lam) * values(tau_a) + lam * values(tau_b)
@@ -1040,7 +1095,7 @@ def test_the_mask_is_that_of_every_pair_on_every_verify_stack(monkeypatch, n):
 
 
 @pytest.mark.parametrize("grid", [*(GridSpec.uniform(n) for n in (8, 12, 16, 24, 60)),
-                                  MULTI_BLOCK, WIDE_ALIGNED], ids=_grid_id)
+                                  MULTI_BLOCK, PART_COLLAPSED], indirect=True, ids=_grid_id)
 @pytest.mark.parametrize(
     "stack", [stack_of(*(fekete(v) for v in SEEDED_V)), class_stack(), stack_of(*BANDS)],
     ids=["fekete", "class", "bands"],

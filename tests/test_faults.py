@@ -109,12 +109,17 @@ def test_nan_in_the_class_closure_names_the_experiments(monkeypatch):
 
 
 def test_an_orbit_shift_off_by_one_moves_the_golden_and_the_reference_scan(monkeypatch):
-    # the orbit of (rho, 0, tau, beta_b) is planted at beta_{b + a (2B/A + 1)}
-    # instead of beta_{b + a 2B/A}: off alpha = 0 the row pass then scans
-    # points that are not rotations of the near ones
+    # the orbit of (rho, 0, tau, beta_b) is planted at beta_{b + 3a} instead
+    # of beta_{b + 2a}: off alpha = 0 the row pass then scans points that are
+    # not rotations of the near ones
     real = caratheodory._orbits
-    monkeypatch.setattr(caratheodory, "_orbits",
-                        lambda near, start, shape, shift: real(near, start, shape, shift + 1))
+
+    def shifted(near, start, n):
+        rho, alpha, tau, beta = real(near, start, n)
+        at = np.ravel_multi_index((rho, alpha, tau, (beta + alpha) % n), (n,) * 4)
+        return np.unravel_index(np.sort(at), (n,) * 4)
+
+    monkeypatch.setattr(caratheodory, "_orbits", shifted)
     data, summary = run_full()
     lines, golden = data.splitlines(), GOLDEN.splitlines()
     assert len(lines) == len(golden)
