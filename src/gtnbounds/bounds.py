@@ -17,11 +17,15 @@ the printed expressions everywhere except a window above the upper knot), and
 non-positivity flag.
 
 Each ``max(x, 1.0)`` puts the computed ``x`` first so that a NaN stays NaN:
-``max(1.0, nan)`` is 1.0, a wrong finite bound.
+``max(1.0, nan)`` is 1.0, a wrong finite bound.  For the same reason a
+piecewise verdict whose knots or ``aleph`` are NaN has NaN ``value`` and
+``as_printed``: every comparison with a NaN is false, which would otherwise
+read as the finite middle branch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from gtnbounds.bazilevic import ClassParams
@@ -110,6 +114,8 @@ def _piecewise(
     else:
         branch, printed = BRANCH_BETWEEN, mid
         value = printed
+    if math.isnan(sigma1 + sigma2 + aleph):  # a NaN fails every comparison above
+        value = printed = math.nan
     return PiecewiseVerdict(
         value=value,
         branch=branch,

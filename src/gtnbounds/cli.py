@@ -21,7 +21,9 @@ is closed before it is done (``| head``) exits 1 and prints nothing more.
 ``main`` may be called many times in one process.  The parser is built on
 the first call and reused by every later one, so each subparser's handler is
 bound once: to change what a command does, patch what its handler calls
-(``gtn_sequence``, ``verify.run_suite``, ...), not the handler itself.
+(``gtn_sequence``, ``verify.run_suite``, ...), not the handler itself.  A
+request that starts with its subcommand is parsed by that subcommand's parser
+alone, with the same namespace and errors as argparse's top-level scan.
 """
 
 from __future__ import annotations
@@ -66,6 +68,19 @@ MAX_INDEX = 1000
 
 class CliParser(argparse.ArgumentParser):
     """argparse parser that exits 1 (not 2) on usage errors."""
+
+    commands: dict = {}  # name -> parser of each subcommand; empty on a subparser
+
+    def parse_known_args(self, args=None, namespace=None):
+        """Parse as argparse does.  A request that starts with its subcommand
+        skips the top-level scan, which would hand every later argument to
+        that subcommand's parser unchanged; one with a ``--=`` argument does
+        not, since the scan refuses it as ambiguous."""
+        sub = self.commands.get(args[0]) if args and namespace is None else None
+        if sub is None or any(a.startswith("--=") for a in args):
+            return super().parse_known_args(args, namespace)
+        values, extras = sub.parse_known_args(args[1:])
+        return argparse.Namespace(config=None, command=args[0], **vars(values)), extras
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -430,6 +445,7 @@ def build_parser() -> CliParser:
                        description="coefficient-bound verification toolkit")
     parser.add_argument("--config", default=None, help="key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("gtn", parents=[fmt], help="generalized telephone number sequence")
     p.add_argument("--varkappa", type=_parse_rational, default=None,
@@ -505,8 +521,7 @@ def build_parser() -> CliParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
     try:
         cfg = load_config(args.config)
         for key, default in BUILTIN_DEFAULTS.items():  # flag, then config, then default

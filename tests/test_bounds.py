@@ -316,6 +316,18 @@ def test_bound_formulas_propagate_nan(formula):
     assert math.isnan(NAN_BOUNDS[formula]())
 
 
+@pytest.mark.parametrize("params", [ClassParams(1e200, 1e200, 1.0), NaNQuadratic(0.0, 0.0, 1.0)],
+                         ids=["overflowing", "nan-msq"])
+def test_nan_knots_give_a_nan_verdict(params):
+    # W, L and msq overflow to inf at vartheta = kappa = 1e200, so each knot
+    # is inf / inf; a NaN knot fails both comparisons, which used to read as
+    # the finite middle branch
+    for v in (bounds.fs_real(params, 1.0), bounds.conv_fs_real(params, 1.0, 1.0, 1.0)):
+        assert math.isnan(v.sigma1) and math.isnan(v.sigma2)
+        assert math.isnan(v.value) and math.isnan(v.as_printed)
+        assert not v.printed_nonpositive
+
+
 def test_conv_real_large_mu_is_positive():
     v = bounds.conv_fs_real(P000, 50.0, 0.5, 0.7)
     assert v.branch == bounds.BRANCH_ABOVE

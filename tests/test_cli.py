@@ -656,6 +656,20 @@ def test_nan_bound_prints_nan_and_json_exits_one(capsys, sub):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("sub", ["fs", "conv-fs"])
+def test_nan_knots_print_nan_and_json_exits_one(capsys, sub):
+    # W, L and msq overflow to inf, so both knots are inf / inf
+    argv = [sub, "--vartheta", "1e200", "--kappa", "1e200", "--mu", "1"]
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert (code, err) == (0, "")
+    row = next(csv.DictReader(io.StringIO(out)))
+    verdict = "piecewise_value" if sub == "conv-fs" else "value"
+    assert [row[k] for k in ("sigma1", "sigma2", verdict, "as_printed")] == ["nan"] * 4
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("mu", ["0", "0,1"])
 def test_conv_fs_underflowing_weights_exit_one(capsys, mu):
     # (W wp2)^2 underflows to 0, and the formulas divide by it
@@ -917,3 +931,46 @@ def test_reused_parser_answers_as_a_fresh_one(tmp_path, monkeypatch):
     assert [code for code, _, _ in fresh[:2]] == [1, 0]
     assert all(code == 0 for code, _, _ in fresh[2:len(requests)])
     assert reused == fresh
+
+
+# A request that starts with its subcommand is parsed by that subcommand's
+# parser alone; argparse's own parse_known_args is the reference.
+
+PARSE_EDGES = [
+    [], ["-h"], ["fs", "-h"], ["fs", "--he"], ["fs", "-hx"], ["fs", "--config", "F"],
+    ["--config", "F", "fs"], ["--config=F", "fs", "--format", "json"],
+    ["fs", "--", "--mu", "1"], ["fs", "--format"], ["fs", "--vart", "0.5"], ["fs", "--=x"],
+    ["bound"], ["bound", "a4"], ["nosuch"],
+    ["dist", "--kind", "poisson", "--param", "1", "extra"],
+]
+CLI_CATALOGUE = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "golden" / "cli-mix.json").read_text())
+
+
+def _parsed(parse, argv):
+    """vars() and extras of parse(argv), or the exit code, stdout and stderr
+    of the usage error or help it ends in."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            namespace, extras = parse(argv)
+    except SystemExit as exc:
+        return exc.code, out.getvalue(), err.getvalue()
+    return vars(namespace), extras
+
+
+@pytest.mark.parametrize(
+    "argv", PARSE_EDGES + [req["argv"] for req in CLI_CATALOGUE["requests"]],
+    ids=lambda a: " ".join(a))
+def test_direct_parse_matches_argparse(argv):
+    parser = cli_mod.build_parser()
+    assert _parsed(parser.parse_known_args, argv) == _parsed(
+        lambda a: argparse.ArgumentParser.parse_known_args(parser, a), argv)
+
+
+def test_main_without_argv_reads_sys_argv(monkeypatch):
+    for argv, code in ((["bound", "a2", "--kappa", "1", "--format", "csv"], 0),
+                       (["fs", "--config", "F"], 1)):
+        monkeypatch.setattr(sys, "argv", ["gtnbounds", *argv])
+        assert _outcome(None) == _outcome(argv)
+        assert _outcome(argv)[0] == code
