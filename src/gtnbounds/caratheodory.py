@@ -24,7 +24,7 @@ import numpy as np
 
 class FunctionalIsNaN(ValueError):
     """The functional is NaN at a point the scan evaluates; ``member`` is the
-    index of the member of a stack that is (0 for a single functional)."""
+    index of the member of the stack that is."""
 
     def __init__(self, message: str, member: int):
         super().__init__(message)
@@ -39,9 +39,8 @@ class CaratheodoryPoint:
 
 # Points in the largest pass of one scan: a row over (alpha, tau, beta), or
 # the mask over (rho, tau, beta) where every pair ties.  The scan works on
-# small blocks (the orbit calls too, and a row whose orbits hold more than a
-# block is scanned whole), so this bounds its work rather than its memory: a
-# grid may have at most 128 steps.
+# small blocks (the orbit calls too), so this bounds its work rather than its
+# memory: a grid may have at most 128 steps.
 MAX_SCAN_VALUES = 2**21
 
 
@@ -121,8 +120,8 @@ def lemma4_bound(hbar: complex) -> float:
     return max(2.0 * abs(hbar - 1.0), 2.0)
 
 
-# One array of values, or a stack: a tuple of arrays, one per member
-Functional = Callable[[np.ndarray, np.ndarray], "np.ndarray | tuple[np.ndarray, ...]"]
+# A stack of functionals: a tuple of value arrays, one per member
+Functional = Callable[[np.ndarray, np.ndarray], "tuple[np.ndarray, ...]"]
 
 # Points per call of the functional: 64 KiB per complex128 array, below
 # glibc's 128 KiB mmap threshold, so temporaries are reused from the heap
@@ -138,20 +137,17 @@ def _leading(r, phase_a):
     return c1, 2.0 - np.abs(c1) ** 2 / 2.0
 
 
-def _evaluate(functional: Functional, c1, radius, tau, phase_b):
-    """``(stacked, values)``: the values of each member of the functional at
-    the points that c1, its perturbation radius, tau and ``e^{i beta}`` give
-    when broadcast together, each of that shape: (N, 1, 1), (N, 1, 1),
-    (T, 1) and (B,) for every (tau, beta) of N slices, or P values each for
-    P points.  ``stacked`` tells a tuple of members from one array."""
+def _evaluate(functional: Functional, c1, radius, tau, phase_b) -> list:
+    """The values of each member of the stack at the points that c1, its
+    perturbation radius, tau and ``e^{i beta}`` give when broadcast together,
+    each of that shape: (N, 1, 1), (N, 1, 1), (T, 1) and (B,) for every
+    (tau, beta) of N slices, or P values each for P points."""
     c2 = c1**2 / 2.0 + radius * tau * phase_b
     out = functional(c1, c2)
-    stacked = isinstance(out, tuple)
-    values = []
-    for vals in out if stacked else (out,):
-        vals = np.asarray(vals, dtype=float)
-        values.append(vals if vals.shape == c2.shape else np.broadcast_to(vals, c2.shape))
-    return stacked, values
+    if not isinstance(out, tuple):
+        raise TypeError("the functional must return a tuple of value arrays, one per member")
+    values = [np.asarray(vals, dtype=float) for vals in out]
+    return [v if v.shape == c2.shape else np.broadcast_to(v, c2.shape) for v in values]
 
 
 def _collapsible(c1, radius) -> np.ndarray:
@@ -177,9 +173,10 @@ def _blocks(n_lead: int, slice_points: int):
 
 
 def _near_points(functional: Functional, grid: GridSpec, c1_col, radius_col):
-    """``(near, rows)``: which points of the alpha = 0 slices at tau = 0 and
-    1 are near, a mask of shape (R, 2, B), and the rows with a kept
-    (rho, tau) pair, one that holds a near point.
+    """``(near, whole)``: which points of the alpha = 0 slices at tau = 0
+    and 1 are near, a mask of shape (R, 2, B), and the rows scanned over
+    every (alpha, beta), as ``(row, tau)``: the indices of the row's kept tau
+    values, those of its (rho, tau) pairs that hold a near point.
 
     A point is near when its rotation orbit can hold the maximum of some
     member of the functional.  The alpha grid maps the beta grid onto itself
@@ -200,10 +197,9 @@ def _near_points(functional: Functional, grid: GridSpec, c1_col, radius_col):
     those of every point.  The rho = 1 slice (c1 = 2, radius 0.0) has one
     value.
 
-    Each row is listed as ``(row, tau, orbit)``: the indices of its kept tau
-    values, and the number of its near points if the row may be scanned
-    along their orbits, else 0.  It may when its kept pairs are at the tau
-    ends and one of them is near at some beta but not at every beta.
+    A row is scanned whole when it keeps an interior tau, is the rho = 1 row
+    with a near point, or has each end near at every beta or at none; every
+    other row with a near point, along its near orbits (:func:`_orbits`).
     """
     n = grid.steps
     tau, phase_b = grid.axes[2], grid.phases[1]
@@ -211,7 +207,7 @@ def _near_points(functional: Functional, grid: GridSpec, c1_col, radius_col):
     ends = slice(None, None, n - 1)  # tau = 0 and tau = 1
     values = None  # (K, R, 2, B): each member at the ends
     for lead in _blocks(n, 2 * n):
-        _, block = _evaluate(functional, c1_col[lead], radius_col[lead], tau[ends, None], phase_b)
+        block = _evaluate(functional, c1_col[lead], radius_col[lead], tau[ends, None], phase_b)
         if values is None:
             values = np.empty((len(block), n, 2, n))
         values[:, lead] = block
@@ -223,27 +219,25 @@ def _near_points(functional: Functional, grid: GridSpec, c1_col, radius_col):
     far = (end_max[:, :-1] < _below(tops, 3.0 * (n - 1))).any(axis=2).all(axis=0)
     inner = {}  # row -> each member's maximum over beta at each interior tau
     for i in (~far).nonzero()[0].tolist() if n > 2 else ():
-        _, block = _evaluate(functional, c1_col[i:i + 1], radius_col[i:i + 1], tau[1:-1, None],
-                             phase_b)
+        block = _evaluate(functional, c1_col[i:i + 1], radius_col[i:i + 1], tau[1:-1, None],
+                          phase_b)
         inner[i] = np.array([vals[0].max(axis=1) for vals in block])
         tops = np.maximum(tops, inner[i].max(axis=1))  # only these can raise a top
     below = _below(tops, 2.0)
     near = ~(values < below[..., None]).all(axis=0)
-    rows = []
+    whole = []
     for i, (c0, c1) in enumerate(near.sum(axis=2).tolist()):  # near points at the ends
         if not (c0 or c1 or i in inner):
             continue
-        interior, orbit = [], 0
+        interior = []
         if i in inner:
             interior = (1 + np.flatnonzero(~(inner[i] < below[:, :, 0]).all(axis=0))).tolist()
         elif i == n - 1:  # one value, so every tau is kept
             interior = list(range(1, n - 1))
-        elif 0 < c0 < n or 0 < c1 < n:
-            orbit = c0 + c1
         tau_at = [0] * bool(c0) + interior + [n - 1] * bool(c1)
-        if tau_at:
-            rows.append((i, tau_at, orbit))
-    return near, rows
+        if tau_at and (interior or (c0 in (0, n) and c1 in (0, n))):
+            whole.append((i, tau_at))
+    return near, whole
 
 
 def _below(tops, k: float) -> np.ndarray:
@@ -251,37 +245,17 @@ def _below(tops, k: float) -> np.ndarray:
     return np.array([t - k * (1e-9 * max(1.0, abs(t))) for t in tops.tolist()])[:, None, None]
 
 
-def _row_kinds(rows, n: int):
-    """The rows of :func:`_near_points` as ``(whole, runs)``: the rows
-    scanned whole, as ``(row, tau)``, and runs ``(start, stop)`` of
-    consecutive rows scanned along their orbits, with at most
-    ``BLOCK_POINTS`` orbit points each.  A row whose orbits alone hold more
-    is scanned whole, and a whole row ends a run."""
-    whole, runs, size = [], [], BLOCK_POINTS
-    for i, tau_at, orbit in rows:
-        points = orbit * n
-        if not points or points > BLOCK_POINTS:
-            whole.append((i, tau_at))
-            size = BLOCK_POINTS
-        elif size + points > BLOCK_POINTS:
-            runs.append([i, i + 1])
-            size = points
-        else:
-            runs[-1][1] = i + 1
-            size += points
-    return whole, runs
-
-
-def _orbits(near: np.ndarray, start: int, n: int):
+def _orbits(near: np.ndarray):
     """The grid indices (rho, alpha, tau, beta), in scan order, of the
     orbits of ``near``, the near points at tau = 0 and 1 of the alpha = 0
-    slices of rows ``start``, ``start + 1``, ... (shape (R, 2, n)) on a grid
-    of ``n`` steps: the orbit of (rho, 0, tau, beta_b) is
-    (rho, alpha_a, tau, beta_{(b + 2a) mod n}) for every alpha index a."""
+    slice of every rho (shape (n, 2, n)) on a grid of n steps: the orbit of
+    (rho, 0, tau, beta_b) is (rho, alpha_a, tau, beta_{(b + 2a) mod n}) for
+    every alpha index a."""
+    n = near.shape[2]
     rho_end, beta = np.divmod(np.flatnonzero(near), n)
     rho, end = np.divmod(rho_end, 2)
     alpha = np.arange(n)
-    at = (((start + rho[:, None]) * n + alpha) * n + end[:, None] * (n - 1)) * n
+    at = ((rho[:, None] * n + alpha) * n + end[:, None] * (n - 1)) * n
     return np.unravel_index(np.sort(at + (beta[:, None] + 2 * alpha) % n, axis=None), (n,) * 4)
 
 
@@ -309,37 +283,34 @@ def _pieces(c1_row, radius_row, slice_points: int):
 Sup = Tuple[float, CaratheodoryPoint]
 
 
-def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> Sup | list[Sup]:
-    """Maximum of the functional over the sampled body with its argmax.
+def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> list[Sup]:
+    """Maximum of each member of a stack over the sampled body, with its argmax.
 
-    ``functional`` must accept numpy arrays of c1 and c2 (broadcast together)
-    and return real values elementwise: the value at a point depends only on
-    that point's (c1, c2).  It must also be invariant under the rotation
-    ``(c1, c2) -> (e^{it} c1, e^{2it} c2)`` and convex in c2 for fixed c1,
-    as ``|c1|`` and every ``|c2 - v c1^2|`` are.  The result, value and
-    witness, is bit for bit that of the full 4-D scan: the largest value, at
+    ``functional`` is a *stack* of K functionals scanned in one pass: it
+    must accept numpy arrays of c1 and c2 (broadcast together) and return a
+    tuple of K arrays of real values, elementwise: each value at a point
+    depends only on that point's (c1, c2).  Each member must also be
+    invariant under the rotation ``(c1, c2) -> (e^{it} c1, e^{2it} c2)`` and
+    convex in c2 for fixed c1, as ``|c1|`` and every ``|c2 - v c1^2|`` are.
+    The result is a list of K ``(value, witness)`` pairs, each bit for bit
+    what the full 4-D scan of that member alone gives: the largest value, at
     the smallest (rho, alpha, tau, beta) grid index that attains it.
-
-    A functional that returns a tuple of K value arrays is a *stack* of K
-    functionals scanned in one pass, and the result is a list of K
-    ``(value, witness)`` pairs, each bit for bit what a scan of that member
-    alone gives.  One array is the stack of one, and returns its pair.
 
     The mask (:func:`_near_points`) comes first: from the alpha = 0 slice of
     every rho, evaluated where convexity does not rule points out, it finds
     the near points, those within rounding of some member's overall
     maximum; by rotation invariance no point off their orbits can attain
-    it.  The row pass then visits each row with a near point (see
-    :func:`_row_kinds`).  A row near at every (tau, beta) of its kept tau
-    values is scanned over every (alpha, beta) and those tau values, in the
-    pieces of :func:`_pieces`.  The other rows are scanned along their near
-    orbits only (:func:`_orbits`), several rows to a call.  Every member
-    sees every point the row pass evaluates; a point off the member's own
-    near orbits lies more than ``2 * delta`` below its maximum, so it cannot
+    it.  The rows it lists are scanned over every (alpha, beta) and their
+    kept tau values, in the pieces of :func:`_pieces`.  Every other near
+    point's orbit comes from one pass (:func:`_orbits`), sorted by grid
+    index and cut into consecutive blocks, so the block size sets the size
+    of the calls and not which points are evaluated.  Every member sees
+    every point the row pass evaluates; a point off the member's own near
+    orbits lies more than ``2 * delta`` below its maximum, so it cannot
     become its result.  Every call holds at most ``BLOCK_POINTS`` points
     (whole (tau, beta) slices of several rho or alpha values, or one slice
-    when a slice is larger, or the orbits of consecutive rows), with the
-    same per-point arithmetic as the full scan.
+    when a slice is larger, or a block of orbit points), with the same
+    per-point arithmetic as the full scan.
 
     A slice whose perturbation radius ``2 - |c1|^2 / 2`` rounds to exactly
     0.0 (only on the ``rho = 1`` row) has one c1 and, bit for bit, one c2
@@ -355,9 +326,8 @@ def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> Sup 
     goes unseen.
     """
     n, (rho, _, tau, _), (phase_a, phase_b) = grid.steps, grid.axes, grid.phases
-    near, rows = _near_points(functional, grid, *_leading(rho, phase_a[0]))
-    whole, runs = _row_kinds(rows, n)
-    stacked, best = False, []  # per member: [value, grid index]
+    near, whole = _near_points(functional, grid, *_leading(rho, phase_a[0]))
+    best = []  # per member: [value, grid index]
 
     def take(values, locate):
         """Keep each member's first maximum among ``values``; ``locate``
@@ -379,22 +349,22 @@ def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> Sup 
 
     alpha_at = np.arange(n)
     for i, tau_at in whole:
+        near[i] = False  # scanned here, not along its near orbits
         c1_row, radius_row = _leading(rho[i], phase_a)
         tau_kept = tau[tau_at]
         for lead, points in _pieces(c1_row, radius_row, len(tau_at) * n):
-            stacked, values = _evaluate(functional, c1_row[lead, None, None],
-                                        radius_row[lead, None, None],
-                                        tau_kept[points, None], phase_b[points])
+            values = _evaluate(functional, c1_row[lead, None, None], radius_row[lead, None, None],
+                               tau_kept[points, None], phase_b[points])
             _, n_t, n_b = values[0].shape
             take(values, lambda idx: (i, int(alpha_at[lead][idx // (n_t * n_b)]),
                                       tau_at[idx // n_b % n_t], idx % n_b))
-    for start, stop in runs:
-        at = _orbits(near[start:stop], start, n)
-        stacked, values = _evaluate(functional, *_leading(rho[at[0]], phase_a[at[1]]),
-                                    tau[at[2]], phase_b[at[3]])
+    orbits = _orbits(near) if near.any() else [()]  # no numpy calls for an empty pass
+    for start in range(0, len(orbits[0]), BLOCK_POINTS):
+        at = [x[start:start + BLOCK_POINTS] for x in orbits]
+        values = _evaluate(functional, *_leading(rho[at[0]], phase_a[at[1]]), tau[at[2]],
+                           phase_b[at[3]])
         take(values, lambda idx: tuple([int(x[idx]) for x in at]))
-    found = [(m, sample_point(*_params(grid, at))) for m, at in best]
-    return found if stacked else found[0]
+    return [(m, sample_point(*_params(grid, at))) for m, at in best]
 
 
 def _params(grid: GridSpec, at) -> Tuple[float, ...]:

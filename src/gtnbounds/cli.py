@@ -58,11 +58,12 @@ BUILTIN_DEFAULTS = {
 
 FORMATS = ("json", "csv", "table")
 
-# Largest ``gtn --max-n``, ``xseries --order`` and ``dist --max-n``: each
-# prints one row per index, and nothing bounds the work otherwise.  The gtn
-# sequence is exact rational arithmetic whose values grow like sqrt(n!): at
-# varkappa = 1 index 1000 has 1,297 digits, and index 3000 passes Python's
-# 4300-digit limit on printing an int.
+# Largest ``gtn --max-n``, ``xseries --order``, ``dist --max-n`` and order of
+# a ``member --f-coeffs`` file: the first three print one row per index, and
+# the member's witness recurrence is quadratic in its order; nothing bounds
+# the work otherwise.  The gtn sequence is exact rational arithmetic whose
+# values grow like sqrt(n!): at varkappa = 1 index 1000 has 1,297 digits, and
+# index 3000 passes Python's 4300-digit limit on printing an int.
 MAX_INDEX = 1000
 
 
@@ -337,6 +338,7 @@ def _read_coeffs(path: str) -> TruncatedSeries:
                 raise ValueError(f"not a number: {tok!r}") from None
     if not coeffs:
         raise ValueError("no coefficients")
+    _check_index("order", len(coeffs) - 1)
     if not all(map(cmath.isfinite, coeffs)):
         raise ValueError("every coefficient must be finite")
     return TruncatedSeries(coeffs)

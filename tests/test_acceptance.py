@@ -83,14 +83,14 @@ def test_criterion_4_lemma_attainment():
         start = time.perf_counter()
         grid = GridSpec.uniform(60)
         for v in (-1.0, 0.0, 0.5, 1.0, 2.0):
-            sup, _ = brute_force_sup(lambda c1, c2: np.abs(c2 - v * c1**2), grid)
+            (sup, _), = brute_force_sup(lambda c1, c2: (np.abs(c2 - v * c1**2),), grid)
             assert lemma1_bound(v) - 0.05 <= sup <= lemma1_bound(v) + 1e-9
         rng = np.random.default_rng(202)
         for _ in range(20):
             v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
             if abs(v) > 2:
                 v = 2 * v / abs(v)
-            sup, _ = brute_force_sup(lambda c1, c2: np.abs(c2 - v * c1**2), grid)
+            (sup, _), = brute_force_sup(lambda c1, c2: (np.abs(c2 - v * c1**2),), grid)
             assert lemma3_bound(v) - 0.05 <= sup <= lemma3_bound(v) + 1e-9
         assert time.perf_counter() - start < 60.0
 

@@ -16,7 +16,6 @@ from gtnbounds.caratheodory import (
     _evaluate,
     _leading,
     _near_points,
-    _row_kinds,
     brute_force_sup,
     lemma1_bound,
     lemma3_bound,
@@ -141,8 +140,14 @@ def test_a_uniform_grid_builds_its_axes_and_phases_once(monkeypatch):
     assert built == []
 
 
+def stack_of(*functionals):
+    """The stack of ``functionals``: one callable that returns their values
+    as a tuple, the one call shape the scan takes."""
+    return lambda c1, c2: tuple(f(c1, c2) for f in functionals)
+
+
 def test_sup_of_c1_modulus_hits_two():
-    sup, w = brute_force_sup(lambda c1, c2: np.abs(c1), GridSpec.uniform(12))
+    sup, w = brute_force_sup(stack_of(lambda c1, c2: np.abs(c1)), GridSpec.uniform(12))[0]
     assert sup == pytest.approx(2.0)
     assert abs(w.c1) == pytest.approx(2.0)
 
@@ -150,8 +155,8 @@ def test_sup_of_c1_modulus_hits_two():
 @pytest.mark.parametrize("v", [-1.0, -0.3, 0.0, 0.25, 0.5, 0.75, 1.0, 1.6, 2.0])
 def test_real_functional_sup_bracketed_by_piecewise_bound(v):
     sup, _ = brute_force_sup(
-        lambda c1, c2: np.abs(c2 - v * c1**2), GridSpec.uniform(60)
-    )
+        stack_of(lambda c1, c2: np.abs(c2 - v * c1**2)), GridSpec.uniform(60)
+    )[0]
     assert sup <= lemma1_bound(v) + 1e-9
     assert sup >= lemma1_bound(v) - 0.05
 
@@ -161,20 +166,20 @@ def test_complex_functional_sup_bracketed_by_max_bound():
     for _ in range(20):
         v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         sup, _ = brute_force_sup(
-            lambda c1, c2: np.abs(c2 - v * c1**2), GridSpec.uniform(40)
-        )
+            stack_of(lambda c1, c2: np.abs(c2 - v * c1**2)), GridSpec.uniform(40)
+        )[0]
         assert sup <= lemma3_bound(v) + 1e-9
         assert sup >= lemma3_bound(v) - 0.05
 
 
 def test_sup_is_deterministic_and_lex_tie_broken():
     grid = GridSpec.uniform(9)
-    run1 = brute_force_sup(lambda c1, c2: np.abs(c1) * 0.0 + 1.0, grid)
-    run2 = brute_force_sup(lambda c1, c2: np.abs(c1) * 0.0 + 1.0, grid)
+    run1 = brute_force_sup(stack_of(lambda c1, c2: np.abs(c1) * 0.0 + 1.0), grid)
+    run2 = brute_force_sup(stack_of(lambda c1, c2: np.abs(c1) * 0.0 + 1.0), grid)
     assert run1 == run2
     # a constant functional ties everywhere: the witness must be the first
     # grid point in (rho, alpha, tau, beta) order
-    _, w = run1
+    (_, w), = run1
     assert w.c1 == pytest.approx(0.0)
     assert w.c2 == pytest.approx(0.0)
 
@@ -182,10 +187,9 @@ def test_sup_is_deterministic_and_lex_tie_broken():
 # ---------------------------------------------------------------------------
 # The row-pruned scan must return exactly what the plain 4-D scan returns.
 
-def reference_sup(functional, grid):
-    """The unpruned scan: every rho row, lexicographic, strict improvement.
-    For a stack (a functional that returns a tuple), the list of each
-    member's result."""
+def reference_sup(stack, grid):
+    """The unpruned scan of a stack: every rho row, lexicographic, strict
+    improvement; the list of each member's result."""
     rho = tau = np.linspace(0.0, 1.0, grid.steps)
     alpha = beta = np.linspace(0.0, 2.0 * np.pi, grid.steps, endpoint=False)
     phase_b = np.exp(1j * beta)
@@ -195,9 +199,7 @@ def reference_sup(functional, grid):
         radius = 2.0 - np.abs(c1_row) ** 2 / 2.0
         c1 = c1_row[:, None, None]
         c2 = c1**2 / 2.0 + radius[:, None, None] * tau[None, :, None] * phase_b[None, None, :]
-        out = functional(c1, c2)
-        stacked = isinstance(out, tuple)
-        members = out if stacked else (out,)
+        members = stack(c1, c2)
         if best is None:
             best = [(-np.inf, (0.0, 0.0, 0.0, 0.0)) for _ in members]
         for k, member in enumerate(members):
@@ -207,8 +209,7 @@ def reference_sup(functional, grid):
             if m > best[k][0]:
                 ia, it, ib = np.unravel_index(idx, c2.shape)
                 best[k] = m, (float(r), float(alpha[ia]), float(tau[it]), float(beta[ib]))
-    found = [(m, sample_point(*params)) for m, params in best]
-    return found if stacked else found[0]
+    return [(m, sample_point(*params)) for m, params in best]
 
 
 def fekete(v):
@@ -240,21 +241,21 @@ GRIDS = [2, 3, 4, 5, 7, 8, 12, 16, 24]
 @pytest.mark.parametrize("n", GRIDS)
 @pytest.mark.parametrize("v", list(LEMMA1_V_VALUES) + DEGENERATE_V[2:])
 def test_pruned_scan_is_exact_for_lemma_functionals(v, n):
-    grid = GridSpec.uniform(n)
-    assert brute_force_sup(fekete(v), grid) == reference_sup(fekete(v), grid)
+    grid, stack = GridSpec.uniform(n), stack_of(fekete(v))
+    assert brute_force_sup(stack, grid) == reference_sup(stack, grid)
 
 
 @pytest.mark.parametrize("v", SEEDED_V)
 def test_pruned_scan_is_exact_for_seeded_complex_v(v):
-    grid = GridSpec.uniform(16)
-    assert brute_force_sup(fekete(v), grid) == reference_sup(fekete(v), grid)
+    grid, stack = GridSpec.uniform(16), stack_of(fekete(v))
+    assert brute_force_sup(stack, grid) == reference_sup(stack, grid)
 
 
 @pytest.mark.parametrize("n", range(2, 25))
 @pytest.mark.parametrize("functional", [modulus_c1, constant])
 def test_pruned_scan_is_exact_for_c1_modulus_and_constant(functional, n):
-    grid = GridSpec.uniform(n)
-    assert brute_force_sup(functional, grid) == reference_sup(functional, grid)
+    grid, stack = GridSpec.uniform(n), stack_of(functional)
+    assert brute_force_sup(stack, grid) == reference_sup(stack, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +326,13 @@ def _grid_id(case):
     ids=["c1", "constant", "fekete-a", "fekete-b", "weighted-a", "weighted-b"],
 )
 def test_pruned_scan_is_exact_on_non_uniform_grids(grid, functional):
-    assert brute_force_sup(functional, grid) == reference_sup(functional, grid)
+    stack = stack_of(functional)
+    assert brute_force_sup(stack, grid) == reference_sup(stack, grid)
 
 
 def member_of(stack, k):
-    """Member ``k`` of a stack as a functional of its own."""
-    return lambda c1, c2: stack(c1, c2)[k]
+    """Member ``k`` of a stack as a stack of its own."""
+    return lambda c1, c2: (stack(c1, c2)[k],)
 
 
 def test_pruned_scan_is_exact_for_every_verify_closure(monkeypatch):
@@ -340,7 +342,7 @@ def test_pruned_scan_is_exact_for_every_verify_closure(monkeypatch):
         got = brute_force_sup(functional, grid)
         assert got == reference_sup(functional, grid)
         # each member's result is that of a scan of the member alone
-        assert got == [brute_force_sup(member_of(functional, k), grid)
+        assert got == [brute_force_sup(member_of(functional, k), grid)[0]
                        for k in range(len(got))]
         checked.append(got)
         return got
@@ -358,19 +360,19 @@ def test_pruned_scan_is_exact_for_every_verify_closure(monkeypatch):
         assert [len(got) for got in checked] == [9] * 5 + [17]
 
 
-def _recorded_scan(functional, grid):
-    """The scan's result and the shape of c2 in each call of the functional."""
+def _recorded_scan(stack, grid):
+    """The scan's result and the shape of c2 in each call of the stack."""
     shapes = []
 
     def recorded(c1, c2):
         shapes.append(c2.shape)
-        return functional(c1, c2)
+        return stack(c1, c2)
 
     return brute_force_sup(recorded, grid), shapes
 
 
 def _calls_per_scan(functional, grid):
-    return len(_recorded_scan(functional, grid)[1])
+    return len(_recorded_scan(stack_of(functional), grid)[1])
 
 
 def test_scan_skips_rows_that_cannot_hold_the_maximum():
@@ -393,26 +395,28 @@ def test_scan_skips_rows_that_cannot_hold_the_maximum():
 
 
 def _points_per_scan(functional, grid):
-    return sum(math.prod(shape) for shape in _recorded_scan(functional, grid)[1])
+    return sum(math.prod(shape) for shape in _recorded_scan(stack_of(functional), grid)[1])
 
 
-def _near(functional, grid):
+def _near(stack, grid):
     """The scan's near points at tau = 0 and 1, (R, 2, B), and its kept
-    (rho, tau) pairs, (R, T), for ``functional`` on ``grid``."""
+    (rho, tau) pairs, (R, T), for ``stack`` on ``grid``: the tau ends that
+    hold a near point, and the kept tau values of the rows scanned whole."""
     rho, _, _, _ = grid.axes
-    near, rows = _near_points(functional, grid, *_leading(rho, grid.phases[0][0]))
+    near, whole = _near_points(stack, grid, *_leading(rho, grid.phases[0][0]))
     keep = np.zeros((grid.steps, grid.steps), dtype=bool)
-    for i, tau_at, _ in rows:
+    keep[:, ::grid.steps - 1] = near.any(axis=2)
+    for i, tau_at in whole:
         keep[i, tau_at] = True
     return near, keep
 
 
-def _mask(functional, grid):
-    """The scan's kept (rho, tau) pairs of ``functional`` on ``grid``."""
-    return _near(functional, grid)[1]
+def _mask(stack, grid):
+    """The scan's kept (rho, tau) pairs of ``stack`` on ``grid``."""
+    return _near(stack, grid)[1]
 
 
-def full_pass_near(functional, grid):
+def full_pass_near(stack, grid):
     """The near points at tau = 0 and 1, (R, 2, B), and the kept pairs,
     (R, T), from every point of the alpha = 0 slices, with no convexity
     bound: each member's points and pairs within ``2 * delta`` of its top."""
@@ -421,7 +425,7 @@ def full_pass_near(functional, grid):
     c1_col, radius_col = _leading(rho, phase_a[0])
     ends, pair_max = None, None
     for r in range(len(rho)):
-        _, block = _evaluate(functional, c1_col[r], radius_col[r], tau[:, None], phase_b)
+        block = _evaluate(stack, c1_col[r], radius_col[r], tau[:, None], phase_b)
         if ends is None:
             ends = np.empty((len(block), len(rho), 2, len(phase_b)))
             pair_max = np.empty((len(block), len(rho), len(tau)))
@@ -438,9 +442,9 @@ def full_pass_near(functional, grid):
     return near, keep
 
 
-def assert_mask_of_every_point(functional, grid):
-    near, keep = _near(functional, grid)
-    want_near, want_keep = full_pass_near(functional, grid)
+def assert_mask_of_every_point(stack, grid):
+    near, keep = _near(stack, grid)
+    want_near, want_keep = full_pass_near(stack, grid)
     assert np.array_equal(keep, want_keep)
     assert np.array_equal(near, want_near)
 
@@ -479,18 +483,18 @@ BANDS = [tilted(lambda c1, c2: np.abs(c2 - c1**2 / 2)),
 @pytest.mark.parametrize("n", [9, 12, 16, 24])
 @pytest.mark.parametrize("functional", BANDS, ids=["modulus-band", "phase-band"])
 def test_pruned_scan_is_exact_when_rows_keep_part_of_tau(functional, n):
-    grid = GridSpec.uniform(n)
-    got, shapes = _recorded_scan(functional, grid)
-    assert got == reference_sup(functional, grid)
-    assert_mask_of_every_point(functional, grid)
-    keep = _mask(functional, grid)
+    grid, stack = GridSpec.uniform(n), stack_of(functional)
+    got, shapes = _recorded_scan(stack, grid)
+    assert got == reference_sup(stack, grid)
+    assert_mask_of_every_point(stack, grid)
+    keep = _mask(stack, grid)
     # some row keeps part of tau, interior values among them
     assert any(keep[i, 1:-1].any() and not keep[i].all() for i in range(n))
     # the mask evaluates the interior of the rows near the top, one row per
     # call (at these grids no other call holds one rho or alpha value)
     assert 0 < sum(shape == (1, n - 2, n) for shape in shapes) < n
     # by convexity the maximum lies on tau = 1
-    _, w = got
+    (_, w), = got
     assert abs(w.c2 - w.c1**2 / 2) == pytest.approx(2 - abs(w.c1) ** 2 / 2)
 
 
@@ -507,7 +511,7 @@ BLOCKED_GRIDS = [GridSpec.uniform(12), GridSpec.uniform(60), MULTI_BLOCK, LONG_R
     ids=["c1", "constant", "fekete-0", "fekete-a"],
 )
 def test_no_functional_call_exceeds_a_block(functional, grid):
-    _, shapes = _recorded_scan(functional, grid)
+    _, shapes = _recorded_scan(stack_of(functional), grid)
     slice_points = grid.steps**2
     assert max(math.prod(shape) for shape in shapes) <= max(caratheodory.BLOCK_POINTS,
                                                             slice_points)
@@ -538,15 +542,15 @@ def test_blocks_split_the_leading_axis_only(monkeypatch):
     # rho = 1 row's 14 slices of radius 0.0 take one call, then alpha
     # indices 10 and 13 one each
     monkeypatch.setattr(caratheodory, "BLOCK_POINTS", 384)
-    _, shapes = _recorded_scan(modulus_c1, GridSpec.uniform(16))
+    _, shapes = _recorded_scan(stack_of(modulus_c1), GridSpec.uniform(16))
     assert shapes == [(12, 2, 16), (4, 2, 16), (14, 1, 1)] + [(1, 16, 16)] * 2
     # 256 points per slice, 4 per block: the mask in one call, then alpha
     # splits 4 + 4 + 4 + 4
-    _, shapes = _recorded_scan(modulus_c1, use_case(monkeypatch, MULTI_BLOCK))
+    _, shapes = _recorded_scan(stack_of(modulus_c1), use_case(monkeypatch, MULTI_BLOCK))
     assert shapes == [(16, 2, 16)] + [(4, 16, 16)] * 4
     # the pair mask, 3 + 1 rho values, then the rho = 1 row, all 4 of its
     # slices collapsed into one call
-    _, shapes = _recorded_scan(modulus_c1, use_case(monkeypatch, WIDE_SLICE))
+    _, shapes = _recorded_scan(stack_of(modulus_c1), use_case(monkeypatch, WIDE_SLICE))
     assert shapes == [(3, 2, 4), (1, 2, 4), (4, 1, 1)]
 
 
@@ -566,7 +570,7 @@ def _check_scan_order(grid):
 
     def recorded(c1, c2):
         seen.append(c2.ravel().copy())
-        return constant(c1, c2)
+        return (constant(c1, c2),)
 
     brute_force_sup(recorded, grid)
     n = grid.steps
@@ -602,15 +606,17 @@ def _check_scan_order(grid):
     + ["c1", "constant", "modulus-band", "phase-band"],
 )
 def test_blocked_scan_is_exact_across_block_boundaries(functional, grid):
-    assert brute_force_sup(functional, grid) == reference_sup(functional, grid)
+    stack = stack_of(functional)
+    assert brute_force_sup(stack, grid) == reference_sup(stack, grid)
 
 
 def test_witness_may_lie_in_a_later_block(monkeypatch):
     # |c1| on the rho = 1 row first rounds one ulp above 2 at alpha index
     # 10, in the third block of that row (4 slices per block)
-    grid = use_case(monkeypatch, MULTI_BLOCK)
-    value, w = got = brute_force_sup(modulus_c1, grid)
-    assert got == reference_sup(modulus_c1, grid)
+    grid, stack = use_case(monkeypatch, MULTI_BLOCK), stack_of(modulus_c1)
+    got = brute_force_sup(stack, grid)
+    assert got == reference_sup(stack, grid)
+    (value, w), = got
     assert value == np.nextafter(2.0, 3.0)
     assert np.angle(w.c1) % (2 * np.pi) == pytest.approx(10 * 2 * np.pi / 16)
 
@@ -643,7 +649,7 @@ def test_a_nan_skips_its_whole_row_wherever_the_blocks_fall(grid, a):
         return np.where(np.abs(c1 - point) < 1e-9, np.nan, np.abs(c1))
 
     with pytest.raises(ValueError, match=r"NaN at \(rho, alpha, tau, beta\) = \(1, "):
-        brute_force_sup(nan_at_point, grid)
+        brute_force_sup(stack_of(nan_at_point), grid)
 
 
 def test_a_nan_at_an_interior_rho_raises():
@@ -657,7 +663,7 @@ def test_a_nan_at_an_interior_rho_raises():
         return np.where(np.abs(np.abs(c1) - ring) < 1e-9, np.nan, np.abs(c1))
 
     with pytest.raises(ValueError, match=r"= \(0\.454545, 0, 0, 0\)"):
-        brute_force_sup(nan_on_ring, grid)
+        brute_force_sup(stack_of(nan_on_ring), grid)
 
 
 def inf_on_rim(c1, c2):
@@ -681,7 +687,8 @@ def minus_inf(c1, c2):
                          ids=["inf-on-rim", "inf-in-band", "minus-inf"])
 def test_an_infinite_maximum_is_exact(functional, grid):
     # an infinite top keeps every (rho, tau) pair: x < NaN and x < -inf are False
-    assert brute_force_sup(functional, grid) == reference_sup(functional, grid)
+    stack = stack_of(functional)
+    assert brute_force_sup(stack, grid) == reference_sup(stack, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +700,7 @@ PREMISE_GRIDS = [GridSpec.uniform(n) for n in range(2, 129)]
 def _c2_of(c1_vec, radius, tau, phase_b):
     """c2 over every (tau, beta) as the scan builds it, shape (N, T, B)."""
     seen = []
-    _evaluate(lambda c1, c2: seen.append(c2) or 0.0,
+    _evaluate(lambda c1, c2: seen.append(c2) or (0.0,),
               c1_vec[:, None, None], radius[:, None, None], tau[:, None], phase_b)
     return seen[0]
 
@@ -779,9 +786,9 @@ def test_a_negative_zero_part_of_c1_squared_blocks_the_collapse():
     ids=["shared-blocks", "one-slice-per-call"],
 )
 def test_only_slices_over_half_a_block_collapse(n, collapses):
-    grid = GridSpec.uniform(n)
-    got, shapes = _recorded_scan(modulus_c1, grid)
-    assert got == reference_sup(modulus_c1, grid)
+    grid, stack = GridSpec.uniform(n), stack_of(modulus_c1)
+    got, shapes = _recorded_scan(stack, grid)
+    assert got == reference_sup(stack, grid)
     # the pair mask, then the rho = 1 row: at grid 46, its 31 slices of
     # radius 0.0 in one call and its 15 others one each
     rho_one = ([(31, 1, 1)] + [(1, n, n)] * 15 if collapses
@@ -822,8 +829,9 @@ def test_scan_is_exact_for_any_elementwise_functional(functional, grid):
     # which has one value there, so the row is scanned whole: rotation
     # invariance and convexity are not needed.  On OPEN_SLICES the row
     # collapses in part.
-    got, shapes = _recorded_scan(functional, grid)
-    assert got == reference_sup(functional, grid)
+    stack = stack_of(functional)
+    got, shapes = _recorded_scan(stack, grid)
+    assert got == reference_sup(stack, grid)
     collapses = 2 * grid.steps**2 > caratheodory.BLOCK_POINTS
     assert any(shape[1:] == (1, 1) for shape in shapes) == collapses
 
@@ -831,24 +839,20 @@ def test_scan_is_exact_for_any_elementwise_functional(functional, grid):
 def test_a_tie_goes_to_the_smaller_alpha_across_collapsed_and_other_slices(monkeypatch):
     grid = use_case(monkeypatch, OPEN_SLICES)
     # the collapsed slice at alpha index 0 comes first
-    _, w = brute_force_sup(rounded_modulus, grid)
+    (_, w), = brute_force_sup(stack_of(rounded_modulus), grid)
     assert w.c1 == 2.0
     # the slice at alpha index 1 beats the collapsed one at index 3
-    _, w = brute_force_sup(rounded_modulus_off_axis, grid)
+    (_, w), = brute_force_sup(stack_of(rounded_modulus_off_axis), grid)
     assert np.angle(w.c1) == pytest.approx(2 * np.pi / 9)
 
 
 def test_functional_may_return_a_scalar():
     grid = GridSpec.uniform(5)
-    assert brute_force_sup(lambda c1, c2: 1.0, grid) == reference_sup(constant, grid)
+    assert brute_force_sup(lambda c1, c2: (1.0,), grid) == reference_sup(stack_of(constant), grid)
 
 
 # ---------------------------------------------------------------------------
 # A stack: one scan for K functionals, each with its own result.
-
-def stack_of(*functionals):
-    return lambda c1, c2: tuple(f(c1, c2) for f in functionals)
-
 
 def class_stack():
     """Class forms (mu_eff, wp2, wp3) of verify's closure, |a2| among them."""
@@ -876,7 +880,7 @@ ORBITS = stack_of(fekete(0.0), fekete(1.0), fekete(0.5 + 0.5j))
 def test_each_member_of_a_stack_gets_its_own_scan(stack, grid):
     got = brute_force_sup(stack, grid)
     assert isinstance(got, list)
-    assert got == [brute_force_sup(member_of(stack, k), grid) for k in range(len(got))]
+    assert got == [brute_force_sup(member_of(stack, k), grid)[0] for k in range(len(got))]
     assert got == reference_sup(stack, grid)
 
 
@@ -885,9 +889,9 @@ def test_each_member_of_a_stack_gets_its_own_scan(stack, grid):
 def test_one_scan_has_whole_rows_and_rows_along_member_orbits(grid):
     n = grid.steps
     rho = grid.axes[0]
-    near, rows = _near_points(ORBITS, grid, *_leading(rho, grid.phases[0][0]))
-    whole, runs = _row_kinds(rows, n)
-    assert [i for i, _ in whole] == [0, n - 1] and runs == [[1, n - 1]]
+    near, whole = _near_points(ORBITS, grid, *_leading(rho, grid.phases[0][0]))
+    # rho = 0 (every beta ties at tau = 1) and rho = 1 (one value) are whole
+    assert whole == [(0, [n - 1]), (n - 1, list(range(n)))]
     # alone, each member is near at one beta of tau = 1 on each row between,
     # its own; the stack is near at the union
     alone = [_near(member_of(ORBITS, k), grid)[0][1:-1] for k in range(3)]
@@ -895,10 +899,11 @@ def test_one_scan_has_whole_rows_and_rows_along_member_orbits(grid):
         assert np.flatnonzero(alone[k]).tolist() == [
             (i * 2 + 1) * n + beta_at for i in range(n - 2)]
     assert np.array_equal(near[1:-1], alone[0] | alone[1] | alone[2])
+    # the rows between take one orbit call, of three orbits each
     got, shapes = _recorded_scan(ORBITS, grid)
     assert shapes[-1] == ((n - 2) * 3 * n,)
     assert got == reference_sup(ORBITS, grid)
-    assert got == [brute_force_sup(member_of(ORBITS, k), grid) for k in range(3)]
+    assert got == [brute_force_sup(member_of(ORBITS, k), grid)[0] for k in range(3)]
 
 
 def peak(row, b, n=12):
@@ -918,12 +923,11 @@ PEAKS = stack_of(*(peak(3, b) for b in range(5)), peak(4, 0), peak(4, 6))
 @pytest.mark.parametrize(
     "block, calls",
     # The pair mask evaluates 24 points per rho, 2 rho values per call.  Row
-    # 3 has 60 orbit points and row 4 24.  Blocks of 48 points scan row 3
-    # whole (12 points per slice, 4 slices per call) and row 4 in one orbit
-    # call; in blocks of 64 both rows are scanned along their orbits, which
-    # do not fit in one block together.
-    [(48, [(4, 1, 12)] * 3 + [(24,)]), (64, [(60,), (24,)])],
-    ids=["row-3-whole", "two-runs"],
+    # 3 has 60 orbit points and row 4 24, and no row is scanned whole: the
+    # 84 orbit points, in scan order, are cut into calls of one block and
+    # the rest.
+    [(48, [(48,), (36,)]), (64, [(64,), (20,)])],
+    ids=["block-48", "block-64"],
 )
 def test_orbit_calls_hold_at_most_a_block(monkeypatch, block, calls):
     monkeypatch.setattr(caratheodory, "BLOCK_POINTS", block)
@@ -931,6 +935,37 @@ def test_orbit_calls_hold_at_most_a_block(monkeypatch, block, calls):
     got, shapes = _recorded_scan(PEAKS, grid)
     assert shapes == [(2, 2, 12)] * 6 + calls
     assert got == reference_sup(PEAKS, grid)
+
+
+def _sorted_points(c1, c2):
+    """The points (c1, c2) as rows (Re c1, Im c1, Re c2, Im c2), sorted."""
+    rows = np.stack([c1.real, c1.imag, c2.real, c2.imag], axis=1)
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("stack", [PEAKS, ORBITS], ids=["peaks", "orbits"])
+def test_the_block_size_sets_the_calls_and_not_the_points(monkeypatch, stack):
+    # The orbit points of the rows between rho = 0 and rho = 1 (0 < |c1| < 2)
+    # are the same at every block size; only the calls they are cut into
+    # change.  At grid 12 no other call holds more than 24 points.
+    grid = GridSpec.uniform(12)
+    between = []
+    for block in (24, 48, 64, 4096):
+        monkeypatch.setattr(caratheodory, "BLOCK_POINTS", block)
+        seen = []
+
+        def recorded(c1, c2):
+            seen.append((np.broadcast_to(c1, c2.shape).ravel(), c2.ravel()))
+            return stack(c1, c2)
+
+        assert brute_force_sup(recorded, grid) == reference_sup(stack, grid)
+        assert max(c2.size for _, c2 in seen) <= block
+        c1, c2 = (np.concatenate(parts) for parts in zip(*seen))
+        inside = (np.abs(c1) > 0.0) & (np.abs(c1) < 2.0)
+        between.append(_sorted_points(c1[inside], c2[inside]))
+    assert len(between[0]) > 0
+    for points in between[1:]:
+        assert np.array_equal(points, between[0])
 
 
 def test_a_tie_between_orbits_goes_to_the_smaller_grid_index():
@@ -947,11 +982,13 @@ def test_a_tie_between_orbits_goes_to_the_smaller_grid_index():
         at = sum((np.abs(c1 - p.c1) < 1e-9) & (np.abs(c2 - p.c2) < 1e-9) for p in risen)
         return np.minimum(np.abs(c2 + c1**2), 3.0) + 1e-12 * at
 
-    _, rows = _near_points(bumped, grid, *_leading(rho, grid.phases[0][0]))
-    assert (7, [11], 5) in rows
-    got = brute_force_sup(bumped, grid)
-    assert got == reference_sup(bumped, grid)
-    assert got[1] == risen[1]
+    stack = stack_of(bumped)
+    near, whole = _near_points(stack, grid, *_leading(rho, grid.phases[0][0]))
+    assert 7 not in [i for i, _ in whole]
+    assert not near[7, 0].any() and np.flatnonzero(near[7, 1]).tolist() == [0, 1, 2, 10, 11]
+    got = brute_force_sup(stack, grid)
+    assert got == reference_sup(stack, grid)
+    assert got[0][1] == risen[1]
 
 
 def test_a_nan_on_a_near_orbit_raises_and_one_off_every_orbit_goes_unseen():
@@ -988,13 +1025,13 @@ def test_a_member_with_one_kept_pair_keeps_its_own_witness():
     rho = grid.axes[0]
     peaked = one_pair(rho[5])
     # alone, it keeps one (rho, tau) pair; the constant keeps every pair
-    assert np.flatnonzero(_mask(peaked, grid)).tolist() == [5 * 12 + 11]
+    assert np.flatnonzero(_mask(stack_of(peaked), grid)).tolist() == [5 * 12 + 11]
     assert _mask(stack_of(peaked, constant), grid).all()
-    alone = brute_force_sup(peaked, grid)
+    alone, = brute_force_sup(stack_of(peaked), grid)
     for stack in (stack_of(peaked, constant), stack_of(constant, peaked)):
         got = brute_force_sup(stack, grid)
         assert got == reference_sup(stack, grid)
-        assert alone in got and brute_force_sup(constant, grid) in got
+        assert alone in got and brute_force_sup(stack_of(constant), grid)[0] in got
     _, w = alone
     assert abs(w.c1) == pytest.approx(2.0 * rho[5])
 
@@ -1011,15 +1048,19 @@ def test_a_nan_in_a_member_names_it(monkeypatch, k):
     with pytest.raises(FunctionalIsNaN, match=r"NaN at \(rho, alpha, tau, beta\) = \(1, ") as exc:
         brute_force_sup(stack_of(*members), grid)
     assert exc.value.member == k
-    # a single functional is member 0
-    with pytest.raises(FunctionalIsNaN) as exc:
-        brute_force_sup(nan_at_rim, grid)
-    assert exc.value.member == 0
 
 
 def test_a_stack_of_one_returns_a_list_of_one():
-    grid = GridSpec.uniform(8)
-    assert brute_force_sup(stack_of(fekete(0.5)), grid) == [brute_force_sup(fekete(0.5), grid)]
+    grid, stack = GridSpec.uniform(8), stack_of(fekete(0.5))
+    got = brute_force_sup(stack, grid)
+    assert isinstance(got, list) and len(got) == 1
+    assert got == reference_sup(stack, grid)
+
+
+def test_a_functional_that_returns_one_array_is_refused():
+    # an array would be read as a stack of its rows
+    with pytest.raises(TypeError, match="must return a tuple"):
+        brute_force_sup(fekete(0.5), GridSpec.uniform(8))
 
 
 # ---------------------------------------------------------------------------
@@ -1104,7 +1145,9 @@ def test_the_mask_is_that_of_every_pair_on_seeded_stacks(stack, grid):
     assert_mask_of_every_point(stack, grid)
 
 
-def test_a_grid_60_full_pass_evaluates_each_mask_at_tau_0_and_1_only(monkeypatch):
+def _suite_work(monkeypatch, suite, n):
+    """The calls of the functional and the points they hold in one pass of
+    ``suite`` at varkappa 1 on the grid of ``n`` steps."""
     counts = {"calls": 0, "points": 0}
     real = verify.brute_force_sup
 
@@ -1116,17 +1159,35 @@ def test_a_grid_60_full_pass_evaluates_each_mask_at_tau_0_and_1_only(monkeypatch
         return real(counted, grid)
 
     monkeypatch.setattr(verify, "brute_force_sup", counting)
-    verify.run_suite("full", 1.0, GridSpec.uniform(60))
+    verify.run_suite(suite, 1.0, GridSpec.uniform(n))
+    return counts
+
+
+def test_a_grid_60_full_pass_evaluates_each_mask_at_tau_0_and_1_only(monkeypatch):
     # 6 stacks.  Each mask takes 60 x 2 x 60 points in 2 calls and evaluates
     # no interior pair.  Each stack scans rho = 0 (at tau = 1) and rho = 1
     # whole, in 1 + 23 calls; the rows between of three class stacks take
-    # one call of 3,480 orbit points each, and those of the lemma stack two
-    # calls of 4,080 and 2,880.  Every row with a kept pair scanned over
-    # every (alpha, beta) made 388 calls and 1,375,428 points; every point
-    # of the alpha = 0 slices, 6 x 60 calls and 6 x 60^3 points, made 736
-    # calls and 2,628,228 points.
-    assert counts == {"calls": 6 * (2 + 24) + 3 + 2,
-                      "points": 6 * 60 * 2 * 60 + 514_428}
+    # one call of 3,480 orbit points each, and those of the lemma stack,
+    # 6,960 orbit points in scan order, two calls of 4,096 and 2,864.
+    # Every row with a kept pair scanned over every (alpha, beta) made 388
+    # calls and 1,375,428 points; every point of the alpha = 0 slices, 6 x 60
+    # calls and 6 x 60^3 points, made 736 calls and 2,628,228 points.
+    assert _suite_work(monkeypatch, "full", 60) == {"calls": 6 * (2 + 24) + 3 + 2,
+                                                    "points": 6 * 60 * 2 * 60 + 514_428}
+
+
+@pytest.mark.parametrize(
+    "suite, n, calls, points",
+    # the full suite of the grid-12 golden, the lemma suite at the grids of
+    # the benchmark's lemma requests (8, 12 and 16) and the remarks suite at
+    # grid 8, as the benchmark's cli-mix workload runs them
+    [("full", 12, 22, 13_560), ("lemmas", 8, 4, 800), ("lemmas", 12, 4, 2_400),
+     ("lemmas", 16, 4, 5_312), ("remarks", 8, 18, 3_664)],
+    ids=["full-g12", "lemmas-g8", "lemmas-g12", "lemmas-g16", "remarks-g8"],
+)
+def test_a_small_suite_keeps_its_calls_and_points(monkeypatch, suite, n, calls, points):
+    # a change to the scan that changes its work changes these counts
+    assert _suite_work(monkeypatch, suite, n) == {"calls": calls, "points": points}
 
 
 def test_an_evaluated_interior_pair_can_raise_the_top():
@@ -1141,7 +1202,8 @@ def test_an_evaluated_interior_pair_can_raise_the_top():
         at = (np.abs(np.abs(c2 - c1**2 / 2) - radius * tau_5) < 1e-12) & (radius > 0.0)
         return 1.0 + 1e-8 * at
 
-    assert_mask_of_every_point(risen, grid)
-    keep = _mask(risen, grid)
+    stack = stack_of(risen)
+    assert_mask_of_every_point(stack, grid)
+    keep = _mask(stack, grid)
     assert np.flatnonzero(keep.any(axis=0)).tolist() == [5]
-    assert brute_force_sup(risen, grid) == reference_sup(risen, grid)
+    assert brute_force_sup(stack, grid) == reference_sup(stack, grid)

@@ -73,6 +73,28 @@ def test_gtn_refuses_max_n_above_the_limit_before_computing(capsys, monkeypatch)
         assert err == f"error: --max-n {n} is more than the limit of {MAX_INDEX}\n"
 
 
+@pytest.mark.parametrize("json_list", [False, True], ids=["tokens", "json"])
+def test_member_refuses_an_order_above_the_limit_before_computing(
+        capsys, monkeypatch, tmp_path, json_list):
+    reached = []
+    monkeypatch.setattr(cli_mod, "membership_witness",
+                        lambda f, params: reached.append(f.order) or (f, 0.0))
+
+    def run(order):
+        coeffs = [0, 1] + [0] * (order - 1)
+        path = tmp_path / "f.txt"
+        path.write_text(json.dumps(coeffs) if json_list else " ".join(map(str, coeffs)))
+        return path, run_cli(capsys, "member", "--f-coeffs", str(path))
+
+    for n in (MAX_INDEX + 1, 3000):
+        path, (code, out, err) = run(n)
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: order {n} is more than the limit of {MAX_INDEX}\n"
+    assert reached == []
+    _, (code, _, err) = run(MAX_INDEX)
+    assert (code, err, reached) == (0, "", [MAX_INDEX])
+
+
 def test_gtn_prints_every_row_up_to_the_limit(capsys):
     code, out, err = run_cli(capsys, "gtn", "--max-n", str(MAX_INDEX), "--format", "csv")
     assert (code, err) == (0, "")
@@ -768,8 +790,8 @@ def test_lemma_matches_a_direct_scan_bit_for_bit(monkeypatch, which, v, grid):
     assert main(["lemma", "--which", which, f"--v={v}", "--grid", str(grid)]) == 0
     z = cli_mod._parse_complex(v)
     veff = {"1": complex(z.real, 0.0), "3": z, "4": z / 2.0}[which]
-    sup, witness = brute_force_sup(lambda c1, c2: np.abs(c2 - veff * c1**2),
-                                   GridSpec.uniform(grid))
+    (sup, witness), = brute_force_sup(lambda c1, c2: (np.abs(c2 - veff * c1**2),),
+                                      GridSpec.uniform(grid))
     (row,) = rows
     assert row["empirical_sup"].hex() == sup.hex()
     assert _bits(row["witness_c1"]) == _bits(witness.c1)

@@ -114,8 +114,9 @@ def test_an_orbit_shift_off_by_one_moves_the_golden_and_the_reference_scan(monke
     # not rotations of the near ones
     real = caratheodory._orbits
 
-    def shifted(near, start, n):
-        rho, alpha, tau, beta = real(near, start, n)
+    def shifted(near):
+        n = near.shape[2]
+        rho, alpha, tau, beta = real(near)
         at = np.ravel_multi_index((rho, alpha, tau, (beta + alpha) % n), (n,) * 4)
         return np.unravel_index(np.sort(at), (n,) * 4)
 

@@ -454,7 +454,7 @@ def _grid_slabs(grid):
     phase_a, phase_b = grid.phases
     c1, radius = _leading(rho[:, None], phase_a)
     seen = []
-    _evaluate(lambda a, b: seen.append((a, b)) or 0.0,
+    _evaluate(lambda a, b: seen.append((a, b)) or (0.0,),
               c1.reshape(-1, 1, 1), radius.reshape(-1, 1, 1), tau[:, None], phase_b)
     return seen[0]
 
