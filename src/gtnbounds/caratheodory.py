@@ -37,8 +37,7 @@ class CaratheodoryPoint:
     c2: complex
 
 
-# Points in the largest pass of one scan: a row over (alpha, tau, beta), or
-# the mask over (rho, tau, beta) where every pair ties.  The scan works on
+# Points in one row of the scan, over (alpha, tau, beta).  The scan works on
 # small blocks (the orbit calls too), so this bounds its work rather than its
 # memory: a grid may have at most 128 steps.
 MAX_SCAN_VALUES = 2**21
@@ -175,8 +174,7 @@ def _blocks(n_lead: int, slice_points: int):
 def _near_points(functional: Functional, grid: GridSpec, c1_col, radius_col):
     """``(near, whole)``: which points of the alpha = 0 slices at tau = 0
     and 1 are near, a mask of shape (R, 2, B), and the rows scanned over
-    every (alpha, beta), as ``(row, tau)``: the indices of the row's kept tau
-    values, those of its (rho, tau) pairs that hold a near point.
+    every (alpha, beta), as ``(row, tau)``: the row's scanned tau indices.
 
     A point is near when its rotation orbit can hold the maximum of some
     member of the functional.  The alpha grid maps the beta grid onto itself
@@ -188,18 +186,14 @@ def _near_points(functional: Functional, grid: GridSpec, c1_col, radius_col):
     maximum, and rounding moves values by about 1e-15 relative.  The mask is
     the union of the members' masks.
 
-    The slices are evaluated at tau = 0 and 1 first.  c2 is affine in tau,
-    so by convexity in c2 an interior point is at most ``(1 - tau) m0 + tau
-    m1`` from its row's end maxima, both weights at least ``1 / (T - 1)``:
-    more than ``3 * delta`` below ``top``, the largest end maximum, unless
-    both ends lie within ``3 * (T - 1) * delta`` of it.  Only rows where they
-    do for some member have their interior evaluated, so the kept pairs are
-    those of every point.  The rho = 1 slice (c1 = 2, radius 0.0) has one
-    value.
-
-    A row is scanned whole when it keeps an interior tau, is the rho = 1 row
-    with a near point, or has each end near at every beta or at none; every
-    other row with a near point, along its near orbits (:func:`_orbits`).
+    Only tau = 0 and 1 are evaluated.  c2 is affine in tau, so by convexity
+    in c2 an interior point is at most ``(1 - tau) m0 + tau m1`` from its
+    row's end maxima, both weights at least ``1 / (T - 1)``: more than ``3 *
+    delta`` below ``top``, the largest end maximum, unless the row is
+    *tied*, with both end maxima within ``3 * (T - 1) * delta`` of ``top``
+    for some member.  A row with a near point is scanned whole at every tau
+    when tied (as the rho = 1 row, one value, then is), at its near ends
+    when each end is near at every beta or none, else along its near orbits.
     """
     n = grid.steps
     tau, phase_b = grid.axes[2], grid.phases[1]
@@ -213,30 +207,16 @@ def _near_points(functional: Functional, grid: GridSpec, c1_col, radius_col):
         values[:, lead] = block
     end_max = values.max(axis=3)
     tops = end_max.max(axis=(1, 2))
-    # x < NaN is False: a NaN or infinite top evaluates every interior and
-    # makes every point near, and a NaN is near, so the row pass meets every
-    # NaN seen here
-    far = (end_max[:, :-1] < _below(tops, 3.0 * (n - 1))).any(axis=2).all(axis=0)
-    inner = {}  # row -> each member's maximum over beta at each interior tau
-    for i in (~far).nonzero()[0].tolist() if n > 2 else ():
-        block = _evaluate(functional, c1_col[i:i + 1], radius_col[i:i + 1], tau[1:-1, None],
-                          phase_b)
-        inner[i] = np.array([vals[0].max(axis=1) for vals in block])
-        tops = np.maximum(tops, inner[i].max(axis=1))  # only these can raise a top
-    below = _below(tops, 2.0)
-    near = ~(values < below[..., None]).all(axis=0)
+    # x < NaN is False: a NaN or infinite top ties every row and makes every
+    # point near, and a NaN is near, so the scan meets every NaN seen here
+    tied = ~(end_max < _below(tops, 3.0 * (n - 1))).any(axis=2).all(axis=0)
+    near = ~(values < _below(tops, 2.0)[..., None]).all(axis=0)
     whole = []
     for i, (c0, c1) in enumerate(near.sum(axis=2).tolist()):  # near points at the ends
-        if not (c0 or c1 or i in inner):
-            continue
-        interior = []
-        if i in inner:
-            interior = (1 + np.flatnonzero(~(inner[i] < below[:, :, 0]).all(axis=0))).tolist()
-        elif i == n - 1:  # one value, so every tau is kept
-            interior = list(range(1, n - 1))
-        tau_at = [0] * bool(c0) + interior + [n - 1] * bool(c1)
-        if tau_at and (interior or (c0 in (0, n) and c1 in (0, n))):
-            whole.append((i, tau_at))
+        if (c0 or c1) and tied[i]:
+            whole.append((i, list(range(n))))
+        elif (c0 or c1) and c0 in (0, n) and c1 in (0, n):
+            whole.append((i, [0] * bool(c0) + [n - 1] * bool(c1)))
     return near, whole
 
 
@@ -297,20 +277,20 @@ def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> list
     the smallest (rho, alpha, tau, beta) grid index that attains it.
 
     The mask (:func:`_near_points`) comes first: from the alpha = 0 slice of
-    every rho, evaluated where convexity does not rule points out, it finds
-    the near points, those within rounding of some member's overall
-    maximum; by rotation invariance no point off their orbits can attain
-    it.  The rows it lists are scanned over every (alpha, beta) and their
-    kept tau values, in the pieces of :func:`_pieces`.  Every other near
-    point's orbit comes from one pass (:func:`_orbits`), sorted by grid
-    index and cut into consecutive blocks, so the block size sets the size
-    of the calls and not which points are evaluated.  Every member sees
-    every point the row pass evaluates; a point off the member's own near
-    orbits lies more than ``2 * delta`` below its maximum, so it cannot
-    become its result.  Every call holds at most ``BLOCK_POINTS`` points
-    (whole (tau, beta) slices of several rho or alpha values, or one slice
-    when a slice is larger, or a block of orbit points), with the same
-    per-point arithmetic as the full scan.
+    every rho at tau = 0 and 1 it finds the near points, those within
+    rounding of some member's overall maximum; by rotation invariance no
+    point off their orbits can attain it, nor, by convexity, an interior tau
+    of a row that is not tied.  Its rows are scanned over every (alpha,
+    beta), a tied row at every tau and the others at their near ends, in
+    the pieces of :func:`_pieces`.  Every other near point's orbit comes
+    from one pass (:func:`_orbits`), sorted by grid index and cut into
+    blocks, so the block size sets the size of the calls and not which
+    points are evaluated.  Every member sees every point the row pass
+    evaluates; a point off the member's own near orbits lies more than
+    ``2 * delta`` below its maximum, so it cannot become its result.  Each
+    call holds at most ``BLOCK_POINTS`` points (whole (tau, beta) slices of
+    several rho or alpha values, one slice when a slice is larger, or a
+    block of orbit points), with the per-point arithmetic of the full scan.
 
     A slice whose perturbation radius ``2 - |c1|^2 / 2`` rounds to exactly
     0.0 (only on the ``rho = 1`` row) has one c1 and, bit for bit, one c2
@@ -322,8 +302,8 @@ def brute_force_sup(functional: Functional, grid: GridSpec = GridSpec()) -> list
     smallest grid index, so the order of the calls does not matter.  A NaN
     in a member at any point the scan evaluates raises
     :class:`FunctionalIsNaN`, which names the member.  A NaN at a point the
-    scan skips (in a pair the mask leaves out, or off every near orbit)
-    goes unseen.
+    scan skips (at an interior tau of a row that is not tied, or off every
+    near orbit) goes unseen.
     """
     n, (rho, _, tau, _), (phase_a, phase_b) = grid.steps, grid.axes, grid.phases
     near, whole = _near_points(functional, grid, *_leading(rho, phase_a[0]))
