@@ -4,7 +4,10 @@ Subcommands: gtn, xseries, bound, fs, inverse-fs, log-coeff, conv-fs, dist,
 member, lemma, presets, verify; each accepts only the flags its handler
 reads.  Every handler but ``cmd_verify`` returns its rows, which :func:`main`
 prints with :func:`emit_rows` in the ``--format`` json, csv or table (machine
-formats print floats with 12 significant digits, tables with 6).  ``cmd_verify``
+formats print floats with 12 significant digits, tables with 6).  Each format
+builds its whole text and writes it once; the JSON is byte for byte, errors
+included, what ``json.dumps(..., indent=2)`` prints, without json's
+pure-Python indent encoder.  ``cmd_verify``
 writes its reports, prints its summary on stdout and a digest on stderr (the
 first report of each discrepancy ID and the report with the tightest oracle
 gap) and returns the exit code.
@@ -23,7 +26,9 @@ the first call and reused by every later one, so each subparser's handler is
 bound once: to change what a command does, patch what its handler calls
 (``gtn_sequence``, ``verify.run_suite``, ...), not the handler itself.  A
 request that starts with its subcommand is parsed by that subcommand's parser
-alone, with the same namespace and errors as argparse's top-level scan.
+alone, with the same namespace and errors as argparse's top-level scan.  Each
+parser formats its usage text once per terminal width, so a process that
+reports the same usage error twice wraps the text once.
 """
 
 from __future__ import annotations
@@ -32,9 +37,11 @@ import argparse
 import cmath
 import csv
 import functools
+import io
 import json
 import math
 import os
+import shutil
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -72,6 +79,10 @@ class CliParser(argparse.ArgumentParser):
 
     commands: dict = {}  # name -> parser of each subcommand; empty on a subparser
 
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._usage: dict[int, str] = {}  # terminal width -> usage text
+
     def parse_known_args(self, args=None, namespace=None):
         """Parse as argparse does.  A request that starts with its subcommand
         skips the top-level scan, which would hand every later argument to
@@ -82,6 +93,16 @@ class CliParser(argparse.ArgumentParser):
             return super().parse_known_args(args, namespace)
         values, extras = sub.parse_known_args(args[1:])
         return argparse.Namespace(config=None, command=args[0], **vars(values)), extras
+
+    def format_usage(self):
+        """argparse's usage text, formatted once per terminal width: the
+        width is the one input argparse's ``HelpFormatter`` reads, and a
+        parser does not change once :func:`build_parser` has built it."""
+        columns = shutil.get_terminal_size().columns
+        usage = self._usage.get(columns)
+        if usage is None:
+            usage = self._usage[columns] = super().format_usage()
+        return usage
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -171,23 +192,64 @@ def _cell(v, digits: int) -> str:
     return str(v)
 
 
+def _json_value(v, pad: str) -> str:
+    """``v`` as ``json.dumps(verify.round12(v), indent=2)`` prints it as a
+    member of an object whose members are indented by ``pad``."""
+    if isinstance(v, str):
+        return verify._string(v)
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)  # refuses an int past the 4300-digit limit
+    if isinstance(v, float):
+        return verify._number(v)
+    if isinstance(v, complex):  # round12 prints it as [re, im]
+        return f"[\n{pad}  {verify._number(v.real)},\n{pad}  {verify._number(v.imag)}\n{pad}]"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _json_object(row: dict, pad: str) -> str:
+    if not row:
+        return "{}"
+    inner = pad + "  "
+    return "{\n" + ",\n".join(
+        f"{inner}{verify._string(k)}: {_json_value(v, inner)}" for k, v in row.items()
+    ) + f"\n{pad}}}"
+
+
+def _json_rows(rows: list[dict]) -> str:
+    """``json.dumps(verify.round12(payload), indent=2, allow_nan=False)`` of
+    the one row, or else of the list of rows, with its errors: a float not
+    finite once rounded and an int past Python's digit limit are a
+    ``ValueError``, a value not str, int, bool, float or complex a
+    ``TypeError``.  Floats and strings follow the report lines' rules."""
+    if len(rows) == 1:
+        return _json_object(rows[0], "")
+    if not rows:
+        return "[]"
+    return "[\n  " + ",\n  ".join(_json_object(row, "  ") for row in rows) + "\n]"
+
+
 def emit_rows(rows: list[dict], fmt: str) -> None:
-    """Print a list of records as json, csv, or an aligned table.  Every
-    value is formatted before anything is written, so a value that does not
-    format writes nothing."""
+    """Print a list of records as json, csv, or an aligned table.  The whole
+    text is built before it is written in one write, so a value that does
+    not format writes nothing."""
     if fmt == "json":
-        payload = verify.round12(rows if len(rows) != 1 else rows[0])
-        sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        sys.stdout.write(_json_rows(rows) + "\n")
         return
     header = list(rows[0].keys())
     cells = [[_cell(row[h], 12 if fmt == "csv" else 6) for h in header] for row in rows]
     if fmt == "csv":
-        csv.writer(sys.stdout).writerows([header, *cells])
+        text = io.StringIO()
+        csv.writer(text).writerows([header, *cells])
+        sys.stdout.write(text.getvalue())
         return
     widths = [max(len(h), *(len(c[i]) for c in cells)) for i, h in enumerate(header)]
-    sys.stdout.write("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)) + "\n")
-    for c in cells:
-        sys.stdout.write("  ".join(c[i].ljust(widths[i]) for i in range(len(header))) + "\n")
+    sys.stdout.write("".join(
+        "  ".join(c.ljust(w) for c, w in zip(line, widths)) + "\n" for line in [header, *cells]
+    ))
 
 
 # ---------------------------------------------------------------------------

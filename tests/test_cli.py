@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -157,12 +158,66 @@ def test_gtn_prints_nothing_when_a_value_is_too_long_to_print(capsys, fmt):
     assert err.startswith("error: a value has more than 4300 digits")
 
 
-@pytest.mark.parametrize("fmt", ["csv", "table"])
+@pytest.mark.parametrize("fmt", FORMATS)
 def test_emit_rows_writes_nothing_when_a_later_cell_fails(fmt):
     stream = io.StringIO()
     with contextlib.redirect_stdout(stream), pytest.raises(ValueError):
         emit_rows([{"n": 0, "value": 1}, {"n": 1, "value": 10**5000}], fmt)
     assert stream.getvalue() == ""
+
+
+# The JSON writer against json.dumps, the reference it replaces: same text,
+# same errors, and nothing written on an error.
+
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, -1e16, 9999999999999998.0,
+                  1.0000000000000002e16, 0.1, 1.7976931348623157e308,
+                  float("nan"), float("inf"), float("-inf")]
+json_floats = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS),
+                        st.floats(min_value=9e15, max_value=2e16),
+                        st.floats(min_value=-2e16, max_value=-9e15))
+json_values = st.one_of(
+    st.text(), st.booleans(), st.integers(), json_floats,
+    st.builds(complex, json_floats, json_floats), st.complex_numbers(),
+    # an int past Python's 4300-digit limit on printing one
+    st.builds(lambda digits, sign: sign * 10**digits, st.integers(4295, 4305),
+              st.sampled_from([1, -1])),
+    st.sampled_from([b"x", np.int64(3), np.float64(0.1), np.complex128(0.5 - 2j)]),
+)
+json_rows = st.lists(st.dictionaries(st.text(), json_values, max_size=6), max_size=4)
+
+
+def _json_outcome(call):
+    """What call() returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_rows)
+def test_json_rows_match_json_dumps(rows):
+    payload = rows if len(rows) != 1 else rows[0]
+    want = _json_outcome(
+        lambda: json.dumps(verify.round12(payload), indent=2, allow_nan=False) + "\n")
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream):
+        got = _json_outcome(lambda: emit_rows(rows, "json"))
+    assert (stream.getvalue() if got is None else got) == want
+    if got is not None:
+        assert stream.getvalue() == ""
+
+
+@pytest.mark.parametrize("value, error", [
+    (float("nan"), "Out of range float values are not JSON compliant: nan"),
+    (complex(1, float("-inf")), "Out of range float values are not JSON compliant: -inf"),
+    (1.8e308, "Out of range float values are not JSON compliant: inf"),  # rounds to inf
+])
+def test_json_rows_refuse_a_value_that_is_not_finite_once_rounded(value, error):
+    stream = io.StringIO()
+    with contextlib.redirect_stdout(stream), pytest.raises(ValueError) as exc:
+        emit_rows([{"n": 0, "value": 1.0}, {"n": 1, "value": value}], "json")
+    assert (str(exc.value), stream.getvalue()) == (error, "")
 
 
 def test_bound_a2_convex_preset(capsys):
@@ -988,6 +1043,36 @@ def test_direct_parse_matches_argparse(argv):
     parser = cli_mod.build_parser()
     assert _parsed(parser.parse_known_args, argv) == _parsed(
         lambda a: argparse.ArgumentParser.parse_known_args(parser, a), argv)
+
+
+def test_catalogue_request_matches_its_golden(tmp_path):
+    for name, text in CLI_CATALOGUE["files"].items():
+        (tmp_path / name).write_text(text)
+    work = str(tmp_path)
+    for req in CLI_CATALOGUE["requests"]:
+        argv = [a.replace("{work}", work) for a in req["argv"]]
+        if "--out" in argv:
+            out_file = Path(argv[argv.index("--out") + 1])
+            out_file.unlink(missing_ok=True)  # verify --out appends
+        code, out, _ = _outcome(argv)
+        assert (code, out) == (req["exit"], req.get("stdout", "").replace("{work}", work)), argv
+        if "out_sha256" in req:
+            assert hashlib.sha256(out_file.read_bytes()).hexdigest() == req["out_sha256"], argv
+
+
+def test_usage_follows_the_terminal_width(monkeypatch):
+    """Each parser formats its usage once per width; the text is argparse's
+    own at every width, so a usage cached at one width never shows at another."""
+    parsers = list(_parsers(cli_mod.build_parser()))
+    usages = {}
+    for columns in ("40", "200", "40", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        for parser in parsers:
+            usage = parser.format_usage()
+            assert usage == argparse.ArgumentParser.format_usage(parser), (parser.prog, columns)
+            assert parser.format_usage() is usage
+            usages.setdefault(columns, []).append(usage)
+    assert usages["40"] != usages["200"]
 
 
 def test_main_without_argv_reads_sys_argv(monkeypatch):
