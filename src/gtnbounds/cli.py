@@ -270,7 +270,8 @@ def cmd_gtn(args) -> list[dict]:
             file=sys.stderr,
         )
     try:
-        # every format prints each value as str() does, and fails where it does
+        # every format prints each value as str() does, and fails where it
+        # does; the row keeps an integral value's numerator, an int
         texts = [str(v) for v in values]
     except ValueError as exc:  # the only one: an int too long to print
         raise ValueError(
@@ -278,7 +279,7 @@ def cmd_gtn(args) -> list[dict]:
             "lower --max-n or --varkappa"
         ) from exc
     return [
-        {"n": n, "value": int(v) if v.denominator == 1 else text}
+        {"n": n, "value": v.numerator if v.denominator == 1 else text}
         for n, (v, text) in enumerate(zip(values, texts))
     ]
 

@@ -40,17 +40,24 @@ sharing ``c1^2``, or ``b2`` and each ``(a2, a2^2, a3)``, and
 and witness, bit for bit those of a scan of that form alone.  Experiments
 with the same form read the same result (so ``log-g2`` takes half of the
 ``fs(1/2)`` result); nothing is kept once the call returns.
+
+:func:`sweep` plans each experiment once: its body, form, scale, label and
+id, with each functional's label and each parameter entry's id prefix built
+once.  It then calls :func:`run_experiment` once per report, looked up as a
+module attribute, and hands it the plan and the stack of its body; a direct
+call plans itself.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -240,21 +247,42 @@ def _differ(did: str, **pair: float) -> list[dict]:
     return [{"id": did, **pair}] if abs(a - b) > 1e-9 else []
 
 
-def _member(fn: Functional, params: ClassParams, grid: GridSpec) -> tuple:
-    """Where an experiment's supremum comes from, as ``(body, form, scale)``:
-    the body it scans, the form of its member in that body's stack and the
-    scale of the result.  Class experiments scan ``(params, grid)`` with
-    the form ``(mu_eff, wp2, wp3)``; lemma experiments scan ``(None, grid)``
+class _Plan(NamedTuple):
+    """Where an experiment's supremum comes from and what its report is
+    called: the ``body`` it scans, the ``form`` of its member in that body's
+    stack, the ``scale`` of the result, the functional's ``label`` and the
+    ``experiment_id``.  Class experiments scan ``(params, grid)`` with the
+    form ``(mu_eff, wp2, wp3)``; lemma experiments scan ``(None, grid)``
     with the form ``v``, or ``v / 2`` for ``lemma4``."""
-    if fn.kind in LEMMA_BOUNDS:
-        return (None, grid), fn.v / 2.0 if fn.kind == "lemma4" else fn.v, 1.0
-    scale, mu_eff = _form(fn)
-    return (params, grid), (mu_eff, fn.wp2, fn.wp3), scale
+
+    body: tuple
+    form: object
+    scale: float
+    label: str
+    experiment_id: str
 
 
-def _experiment_id(fn: Functional, params: ClassParams, preset_id: str) -> str:
-    slug = preset_id or f"vt{params.vartheta:g}-kp{params.kappa:g}"
-    return f"{slug}|vk{params.varkappa:g}|{fn.label()}"
+def _plans(param_entries: Sequence[tuple], functionals: Sequence[Functional],
+           grid: GridSpec) -> list[_Plan]:
+    """The plan of each (parameter entry, functional), in :func:`sweep`
+    order.  Each functional's form, scale and label are worked out once, and
+    each entry's ``slug|vk...|`` id prefix once."""
+    # (body, form, scale, label); a class member's body is its entry's, None here
+    lemma_body, members = (None, grid), []
+    for fn in functionals:
+        if fn.kind in LEMMA_BOUNDS:
+            form = fn.v / 2.0 if fn.kind == "lemma4" else fn.v
+            members.append((lemma_body, form, 1.0, fn.label()))
+        else:
+            scale, mu_eff = _form(fn)
+            members.append((None, (mu_eff, fn.wp2, fn.wp3), scale, fn.label()))
+    plans = []
+    for preset_id, params, _ in param_entries:
+        slug = preset_id or f"vt{params.vartheta:g}-kp{params.kappa:g}"
+        prefix, class_body = f"{slug}|vk{params.varkappa:g}|", (params, grid)
+        plans += [_Plan(body or class_body, form, scale, label, prefix + label)
+                  for body, form, scale, label in members]
+    return plans
 
 
 @dataclass
@@ -314,18 +342,20 @@ def run_experiment(
     preset_id: str = "",
     subclass_a3: Callable[[float], float] | None = None,
     *,
-    _scans: dict | None = None,
+    _plan: _Plan | None = None,
+    _stack: _Stack | None = None,
 ) -> BoundReport:
     """Run one functional at one parameter point and assemble the report.
 
-    ``_scans`` is the per-sweep store of :func:`sweep`: the :class:`_Stack`
-    of each body.  The first experiment of a stack scans all of its forms in
-    one call; the others read their results.  A direct call scans a stack of
-    one.  A NaN from the scan is re-raised as a ``ValueError`` that names the
-    experiments of the form that met it."""
+    :func:`sweep` passes the experiment's ``_plan`` and the :class:`_Stack`
+    of its body.  The first experiment of a stack scans all of its forms in
+    one call; the others read their results.  A direct call plans itself
+    and scans a stack of one.  A NaN from the scan is re-raised as a
+    ``ValueError`` that names the experiments of the form that met it."""
+    if _plan is None:
+        _plan = _plans([(preset_id, params, None)], [functional], grid)[0]
+    body, form, scale, label, experiment_id = _plan
     vk = params.varkappa
-    body, form, scale = _member(functional, params, grid)
-    experiment_id = _experiment_id(functional, params, preset_id)
     if functional.kind in LEMMA_BOUNDS:
         stated = LEMMA_BOUNDS[functional.kind](functional.v)
         oracle_value, discrepancies = lemma3_bound(form), []
@@ -334,8 +364,7 @@ def run_experiment(
         oracle_value = scale * oracle(_relation(params.vartheta, params.kappa), vk, form[0],
                                       functional.wp2, functional.wp3)
 
-    scans = {} if _scans is None else _scans
-    stack = scans.setdefault(body, _Stack({form: [experiment_id]}))
+    stack = _Stack({form: [experiment_id]}) if _stack is None else _stack
     if stack.results is None:
         forms = list(stack.ids)
         try:
@@ -353,7 +382,7 @@ def run_experiment(
         vartheta=params.vartheta,
         kappa=params.kappa,
         varkappa=vk,
-        functional=functional.label(),
+        functional=label,
         as_stated=float(stated),
         oracle=float(oracle_value),
         empirical_sup=float(sup),
@@ -369,37 +398,46 @@ def sweep(
 ) -> tuple[list[BoundReport], dict]:
     """One report per (parameter entry, functional), in deterministic order.
 
-    The experiments are first grouped into one :class:`_Stack` per body, so
-    each body is scanned once, for all of its forms; the stacks are kept only
-    for this call.  Each experiment's ``scale`` applies to its form's
-    result, so ``log-g2`` (``|a3 - a2^2/2| / 2``) reads that of ``fs(1/2)``."""
+    Each experiment is planned once (:func:`_plans`), and the plans are
+    grouped into one :class:`_Stack` per body, so each body is scanned once,
+    for all of its forms; the stacks are kept only for this call.  Each
+    experiment's ``scale`` applies to its form's result, so ``log-g2``
+    (``|a3 - a2^2/2| / 2``) reads that of ``fs(1/2)``."""
     if not param_entries or not functionals:
         raise ValueError("need at least one parameter set and one functional")
+    plans = _plans(param_entries, functionals, grid)
     scans: dict = {}
-    for pid, params, _ in param_entries:
-        for fn in functionals:
-            body, form, _ = _member(fn, params, grid)
-            ids = scans.setdefault(body, _Stack({})).ids
-            ids.setdefault(form, []).append(_experiment_id(fn, params, pid))
+    stacks = []
+    for plan in plans:
+        stack = scans.get(plan.body)
+        if stack is None:
+            stack = scans[plan.body] = _Stack({})
+        stack.ids.setdefault(plan.form, []).append(plan.experiment_id)
+        stacks.append(stack)
     reports = [
-        run_experiment(fn, params, grid, preset_id=pid, subclass_a3=subclass, _scans=scans)
-        for pid, params, subclass in param_entries
-        for fn in functionals
+        run_experiment(fn, params, grid, pid, subclass, _plan=plan, _stack=stack)
+        for ((pid, params, subclass), fn), plan, stack
+        in zip(itertools.product(param_entries, functionals), plans, stacks)
     ]
     return reports, summarize(reports)
 
 
 def summarize(reports: Sequence[BoundReport]) -> dict:
     counts: dict[str, int] = {}
+    worst, sound = None, True
     for r in reports:
-        for did in r.discrepancy_ids:
-            counts[did] = counts.get(did, 0) + 1
-    worst = max((r.empirical_sup - r.oracle for r in reports), default=-math.inf)
+        for d in r.discrepancies:
+            counts[d["id"]] = counts.get(d["id"], 0) + 1
+        excess = r.empirical_sup - r.oracle
+        if worst is None or excess > worst:  # max()'s rule, NaN included
+            worst = excess
+        if sound and not r.sound:
+            sound = False
     return {
         "reports": len(reports),
         "discrepancy_counts": dict(sorted(counts.items())),
-        "soundness": all(r.sound for r in reports),
-        "max_sup_minus_oracle": worst,
+        "soundness": sound,
+        "max_sup_minus_oracle": -math.inf if worst is None else worst,
     }
 
 
@@ -434,15 +472,18 @@ def extended_functionals() -> list[Functional]:
     return out
 
 
+@functools.cache
+def _lemma3_v() -> tuple[complex, ...]:
+    """The 8 Lemma 3 ``v``, drawn once per process."""
+    rng = np.random.default_rng(20240817)
+    return tuple(complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(8))
+
+
 def lemma_functionals() -> list[Functional]:
     """Lemma 1 at each of ``LEMMA1_V_VALUES``, then Lemma 3 at 8 complex v
     drawn uniformly from [-2, 2] x [-2, 2] by numpy's generator, seed 20240817."""
-    out = [Functional("lemma1", v=v) for v in LEMMA1_V_VALUES]
-    rng = np.random.default_rng(20240817)
-    for _ in range(8):
-        v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        out.append(Functional("lemma3", v=v))
-    return out
+    return ([Functional("lemma1", v=v) for v in LEMMA1_V_VALUES]
+            + [Functional("lemma3", v=v) for v in _lemma3_v()])
 
 
 def build_suite(name: str, varkappa: float = 1.0) -> tuple[list, list[Functional]]:
@@ -476,10 +517,12 @@ def run_suite(
 # discrepancies (each a dict in its own key order; a value that is not a
 # string prints as a float) and gap, in that order, with no spaces.  Every
 # float goes through round12 (looked up as a module global on each call) and
-# prints as its repr, and every string is escaped to ASCII as json.dumps
-# escapes it by default; a value that is not finite once rounded is refused
-# with a ValueError, as json.dumps(allow_nan=False) refuses it.  The summary
-# is the last line, {"summary": ...}, written by json.dumps.
+# prints as its repr: a report's eleven floats go through one round12 call on
+# their list, each discrepancy value through its own.  Every string is
+# escaped to ASCII as json.dumps escapes it by default.  A value that is not
+# finite once rounded is refused with the ValueError of
+# json.dumps(allow_nan=False), naming the first such value in line order.
+# The summary is the last line, {"summary": ...}, written by json.dumps.
 
 _string = json.encoder.encode_basestring_ascii
 
@@ -498,17 +541,16 @@ def round12(obj):
     return obj
 
 
+def _refuse(x: float):
+    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+
+
 def _number(x) -> str:
     """The JSON of ``float(x)`` rounded by :func:`round12`."""
     x = round12(float(x))
     if not math.isfinite(x):
-        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+        _refuse(x)
     return repr(x)
-
-
-def _pair(z) -> str:
-    z = complex(z)
-    return f"[{_number(z.real)},{_number(z.imag)}]"
 
 
 def _discrepancy(d: dict) -> str:
@@ -518,15 +560,34 @@ def _discrepancy(d: dict) -> str:
 
 
 def _report_line(r: BoundReport) -> str:
+    """The line of ``r``.  Its eleven floats are rounded by one
+    :func:`round12` call, checked in one pass and printed by one f-string."""
+    c1, c2 = r.witness.c1, r.witness.c2
+    (vartheta, kappa, varkappa, as_stated, oracle_value, empirical_sup,
+     c1_re, c1_im, c2_re, c2_im, gap) = values = round12([
+         float(r.vartheta), float(r.kappa), float(r.varkappa), float(r.as_stated),
+         float(r.oracle), float(r.empirical_sup), float(c1.real), float(c1.imag),
+         float(c2.real), float(c2.imag), float(r.oracle - r.empirical_sup)])
+    ds = r.discrepancies
+    if not all(map(math.isfinite, values)):
+        # refuse the value json.dumps meets first: the gap follows the discrepancies
+        for x in values[:-1]:
+            if not math.isfinite(x):
+                _refuse(x)
+        for d in ds:
+            _discrepancy(d)
+        _refuse(gap)
+    ids = discrepancies = ""
+    if ds:
+        ids = ",".join([_string(d["id"]) for d in ds])
+        discrepancies = ",".join(map(_discrepancy, ds))
     return (
-        f'{{"experiment_id":{_string(r.experiment_id)},"vartheta":{_number(r.vartheta)},'
-        f'"kappa":{_number(r.kappa)},"varkappa":{_number(r.varkappa)},'
-        f'"functional":{_string(r.functional)},"as_stated":{_number(r.as_stated)},'
-        f'"oracle":{_number(r.oracle)},"empirical_sup":{_number(r.empirical_sup)},'
-        f'"witness":{{"c1":{_pair(r.witness.c1)},"c2":{_pair(r.witness.c2)}}},'
-        f'"discrepancy_ids":[{",".join(map(_string, r.discrepancy_ids))}],'
-        f'"discrepancies":[{",".join(map(_discrepancy, r.discrepancies))}],'
-        f'"gap":{_number(r.gap)}}}'
+        f'{{"experiment_id":{_string(r.experiment_id)},"vartheta":{vartheta!r},'
+        f'"kappa":{kappa!r},"varkappa":{varkappa!r},'
+        f'"functional":{_string(r.functional)},"as_stated":{as_stated!r},'
+        f'"oracle":{oracle_value!r},"empirical_sup":{empirical_sup!r},'
+        f'"witness":{{"c1":[{c1_re!r},{c1_im!r}],"c2":[{c2_re!r},{c2_im!r}]}},'
+        f'"discrepancy_ids":[{ids}],"discrepancies":[{discrepancies}],"gap":{gap!r}}}'
     )
 
 

@@ -163,6 +163,18 @@ def test_reports_are_append_only(tmp_path):
     assert len(path.read_text().splitlines()) == 2 * (len(reports) + 1)
 
 
+def test_reports_create_missing_directories_then_append(tmp_path):
+    reports, summary = verify.sweep(
+        verify.preset_entries(1.0)[:1], [Functional("a2"), Functional("a3")], SMALL
+    )
+    path = tmp_path / "new" / "dir" / "out.jsonl"
+    assert verify.write_reports(path, reports, summary) == path
+    first = path.read_text().splitlines()
+    assert first == verify.reports_to_lines(reports, summary)
+    verify.write_reports(path, reports, summary)
+    assert path.read_text().splitlines() == first + first
+
+
 def test_non_finite_report_is_refused_and_nothing_written(tmp_path):
     reports, summary = verify.sweep(
         verify.preset_entries(1.0)[:1], [Functional("a2")], SMALL
@@ -289,6 +301,22 @@ def test_lemma4_experiment_scans_half_hbar(hbar):
     assert r.sound and r.discrepancies == []
 
 
+def test_lemma_functionals_are_the_same_on_every_call():
+    rng = np.random.default_rng(20240817)
+    drawn = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(8)]
+    want = ([Functional("lemma1", v=v) for v in verify.LEMMA1_V_VALUES]
+            + [Functional("lemma3", v=v) for v in drawn])
+    first = verify.lemma_functionals()
+    assert first == want and len(want) == 17
+    # a caller that changes its list changes no later call's
+    first.append(Functional("a2"))
+    second = verify.lemma_functionals()
+    assert second == want and second is not first
+    second.clear()
+    assert verify.lemma_functionals() == want
+    assert verify.build_suite("lemmas")[1] == want
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         verify.build_suite("everything")
@@ -400,6 +428,39 @@ def test_a_nan_names_the_experiments_of_its_form():
                                   GridSpec.uniform(8))
 
 
+@pytest.mark.parametrize("suite, reports", [("full", 87), ("remarks", 35)])
+def test_sweep_calls_run_experiment_once_per_report_and_scans_in_first_calls(
+        monkeypatch, suite, reports):
+    # the benchmark times each report by wrapping verify.run_experiment, and
+    # its tracer counts a scan as the class's only inside that call
+    bodies, ids, scans, running = [], [], [], []
+    real_run, real_scan = verify.run_experiment, verify.brute_force_sup
+
+    def counting_run(fn, params, *args, **kwargs):
+        running.append(len(bodies))
+        bodies.append(None if fn.kind in verify.LEMMA_BOUNDS else params)
+        try:
+            report = real_run(fn, params, *args, **kwargs)
+        finally:
+            running.pop()
+        ids.append(report.experiment_id)
+        return report
+
+    def counting_scan(functional, grid):
+        scans.append(running[-1] if running else None)
+        return real_scan(functional, grid)
+
+    monkeypatch.setattr(verify, "run_experiment", counting_run)
+    monkeypatch.setattr(verify, "brute_force_sup", counting_scan)
+    got, _ = verify.run_suite(suite, 1.0, GridSpec.uniform(8))
+    assert len(got) == len(bodies) == reports
+    assert ids == [r.experiment_id for r in got]
+    # each body (a preset's parameters, or the lemmas) is scanned once, in
+    # the call of its first report
+    assert scans == [k for k, body in enumerate(bodies) if body not in bodies[:k]]
+    assert len(scans) == (6 if suite == "full" else 5)
+
+
 def test_no_scan_outlives_its_sweep(monkeypatch):
     calls = _counting_scans(monkeypatch)
     entries, functionals = verify.preset_entries(1.0)[:1], [Functional("a3")]
@@ -444,7 +505,8 @@ def _scanned_stacks(monkeypatch, params, functionals):
     monkeypatch.setattr(verify, "brute_force_sup", capture)
     verify.sweep([("", params, None)], functionals, grid)
     assert len(seen) == 1
-    return seen[0], list(dict.fromkeys(verify._member(fn, params, grid)[1] for fn in functionals))
+    plans = verify._plans([("", params, None)], functionals, grid)
+    return seen[0], list(dict.fromkeys(plan.form for plan in plans))
 
 
 def _grid_slabs(grid):
