@@ -46,6 +46,7 @@ f's own coefficients and reads w off.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -223,14 +224,15 @@ def solve_from_schwarz(w: TruncatedSeries, params: ClassParams, order: int) -> T
     """
     if order < 2:
         raise ValueError("order must be >= 2")
-    if not np.all(np.isfinite(w.coeffs.view(float))):
+    wc = w.coeffs.tolist()
+    if not all(map(cmath.isfinite, wc)):
         raise ValueError("w must have finite coefficients")
-    if abs(w.coeffs[0]) > 1e-9:
+    if abs(wc[0]) > 1e-9:
         raise ValueError("w(0) must be 0")
     wmax = ps.boundary_max(w)
     if wmax >= 1.0:
         raise ValueError(f"|w| reaches {wmax:.6f} >= 1 on the sampling circle")
-    wc = w.coeffs.tolist() + [0] * order
+    wc += [0] * order
     fc, _ = _w_recurrence(params, order, lambda n, rest, slope: (wc[n] - rest) / slope)
     return TruncatedSeries(fc)
 
@@ -249,7 +251,7 @@ def membership_witness(f: TruncatedSeries, params: ClassParams) -> tuple[Truncat
     _check_normalized(f)
     a = f.coeffs.tolist()
     _, wc = _w_recurrence(params, f.order, lambda n, rest, slope: a[n + 1])
-    witness = TruncatedSeries(wc)
-    if not np.all(np.isfinite(witness.coeffs.view(float))):
+    if not all(map(cmath.isfinite, wc)):
         raise ValueError("witness recursion produced non-finite coefficients")
+    witness = TruncatedSeries(wc)
     return witness, ps.boundary_max(witness)

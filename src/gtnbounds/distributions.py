@@ -117,8 +117,6 @@ def convolve(f: TruncatedSeries, d: DistributionCoeffs) -> TruncatedSeries:
         raise ValueError(
             f"series order {f.order} exceeds coefficient table (max n {d.max_n})"
         )
-    out = np.array(f.coeffs, dtype=complex)
+    out = f.coeffs * np.array((0.0, 0.0) + d.values[: f.order - 1])
     out[:2] = 0.0, 1.0
-    for n in range(2, f.order + 1):
-        out[n] *= d.wp(n)
     return TruncatedSeries(out)

@@ -32,7 +32,7 @@ form.  The lemma functionals are ``|c2 - v c1^2|``, and ``|c2 - v c1^2 / 2|``
 for ``lemma4``: :data:`LEMMA_BOUNDS` gives each one's printed bound.
 
 Experiments that scan the same (c1, c2) body share one scan: within one
-:func:`sweep` call, the class experiments with the same parameters and grid
+:func:`_sweep` call, the class experiments with the same parameters and grid
 are one *stack*, and so are the lemma experiments with the same grid.  One
 closure evaluates every distinct form of a stack on each block of points,
 sharing ``c1^2``, or ``b2`` and each ``(a2, a2^2, a3)``, and
@@ -41,7 +41,7 @@ and witness, bit for bit those of a scan of that form alone.  Experiments
 with the same form read the same result (so ``log-g2`` takes half of the
 ``fs(1/2)`` result); nothing is kept once the call returns.
 
-:func:`sweep` plans each experiment once: its body, form, scale, label and
+:func:`_sweep` plans each experiment once: its body, form, scale, label and
 id, with each functional's label and each parameter entry's id prefix built
 once.  It then calls :func:`run_experiment` once per report, looked up as a
 module attribute, and hands it the plan and the stack of its body; a direct
@@ -264,7 +264,7 @@ class _Plan(NamedTuple):
 
 def _plans(param_entries: Sequence[tuple], functionals: Sequence[Functional],
            grid: GridSpec) -> list[_Plan]:
-    """The plan of each (parameter entry, functional), in :func:`sweep`
+    """The plan of each (parameter entry, functional), in :func:`_sweep`
     order.  Each functional's form, scale and label are worked out once, and
     each entry's ``slug|vk...|`` id prefix once."""
     # (body, form, scale, label); a class member's body is its entry's, None here
@@ -347,7 +347,7 @@ def run_experiment(
 ) -> BoundReport:
     """Run one functional at one parameter point and assemble the report.
 
-    :func:`sweep` passes the experiment's ``_plan`` and the :class:`_Stack`
+    :func:`_sweep` passes the experiment's ``_plan`` and the :class:`_Stack`
     of its body.  The first experiment of a stack scans all of its forms in
     one call; the others read their results.  A direct call plans itself
     and scans a stack of one.  A NaN from the scan is re-raised as a
@@ -396,6 +396,13 @@ def sweep(
     functionals: Sequence[Functional],
     grid: GridSpec = GridSpec(),
 ) -> tuple[list[BoundReport], dict]:
+    """The reports of :func:`_sweep` and their :func:`summarize`."""
+    reports = _sweep(param_entries, functionals, grid)
+    return reports, summarize(reports)
+
+
+def _sweep(param_entries: Sequence[tuple], functionals: Sequence[Functional],
+           grid: GridSpec) -> list[BoundReport]:
     """One report per (parameter entry, functional), in deterministic order.
 
     Each experiment is planned once (:func:`_plans`), and the plans are
@@ -414,12 +421,11 @@ def sweep(
             stack = scans[plan.body] = _Stack({})
         stack.ids.setdefault(plan.form, []).append(plan.experiment_id)
         stacks.append(stack)
-    reports = [
+    return [
         run_experiment(fn, params, grid, pid, subclass, _plan=plan, _stack=stack)
         for ((pid, params, subclass), fn), plan, stack
         in zip(itertools.product(param_entries, functionals), plans, stacks)
     ]
-    return reports, summarize(reports)
 
 
 def summarize(reports: Sequence[BoundReport]) -> dict:
@@ -501,11 +507,12 @@ def build_suite(name: str, varkappa: float = 1.0) -> tuple[list, list[Functional
 def run_suite(
     name: str, varkappa: float = 1.0, grid: GridSpec = GridSpec()
 ) -> tuple[list[BoundReport], dict]:
-    reports, summary = sweep(*build_suite(name, varkappa), grid)
+    """The suite's reports, one :func:`_sweep` of its class experiments and,
+    for ``full``, one of the lemma suite, and one :func:`summarize` of them all."""
+    reports = _sweep(*build_suite(name, varkappa), grid)
     if name == "full":
-        reports += sweep(*build_suite("lemmas", varkappa), grid)[0]
-        summary = summarize(reports)
-    return reports, summary
+        reports += _sweep(*build_suite("lemmas", varkappa), grid)
+    return reports, summarize(reports)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from gtnbounds.distributions import coefficients, convolve
 from gtnbounds.series import TruncatedSeries
 from gtnbounds.telephone import x_series
 from gtnbounds.verify import PRESETS, build_suite
+from test_distributions import convolve_by_loop
 from test_series import max_coeff_diff
 
 
@@ -715,6 +716,94 @@ def test_witness_refuses_an_overflowing_recursion():
     f = TruncatedSeries([0, 1, 1e200, 0, 0])
     with pytest.raises(ValueError, match="witness recursion produced non-finite"):
         membership_witness(f, ClassParams(0, 0, 1))
+
+
+def _solve_with_array_guards(w, params, order):
+    """``solve_from_schwarz`` with its guards on the numpy array, as first
+    written."""
+    if order < 2:
+        raise ValueError("order must be >= 2")
+    if not np.all(np.isfinite(w.coeffs.view(float))):
+        raise ValueError("w must have finite coefficients")
+    if abs(w.coeffs[0]) > 1e-9:
+        raise ValueError("w(0) must be 0")
+    wmax = ps.boundary_max(w)
+    if wmax >= 1.0:
+        raise ValueError(f"|w| reaches {wmax:.6f} >= 1 on the sampling circle")
+    wc = w.coeffs.tolist() + [0] * order
+    fc, _ = _w_recurrence(params, order, lambda n, rest, slope: (wc[n] - rest) / slope)
+    return TruncatedSeries(fc)
+
+
+def _witness_with_array_guard(f, params):
+    """``membership_witness`` checking the built series, as first written."""
+    bazilevic._check_normalized(f)
+    a = f.coeffs.tolist()
+    _, wc = _w_recurrence(params, f.order, lambda n, rest, slope: a[n + 1])
+    witness = TruncatedSeries(wc)
+    if not np.all(np.isfinite(witness.coeffs.view(float))):
+        raise ValueError("witness recursion produced non-finite coefficients")
+    return witness, ps.boundary_max(witness)
+
+
+def test_member_path_equals_the_array_guarded_route_bit_for_bit():
+    # tobytes tells -0.0 from 0.0; a negated driver has zeros of both signs
+    rng = np.random.default_rng(71)
+    dists = [("poisson", 1.7, 1), ("borel", 0.4, 1), ("pascal", 0.6, 3), ("pascal", 0.0, 2)]
+    for kind in ("rotation", "rotation-z2", "blaschke"):
+        for order in range(2, 41):
+            p = ClassParams(*rng.uniform(0.0, 2.0, 2), rng.uniform(0.5, 4.0))
+            w = _schwarz(rng, kind, order)
+            # a truncated Blaschke product may leave the disk
+            w = ps.scale(w, min(1.0, 0.95 / ps.boundary_max(w)))
+            if order % 2:
+                w = TruncatedSeries([-c for c in w.coeffs.tolist()])
+            f = solve_from_schwarz(w, p, order)
+            assert f.coeffs.tobytes() == _solve_with_array_guards(w, p, order).coeffs.tobytes()
+            if order >= 3:
+                (got, got_sup), (want, want_sup) = (
+                    fn(f, p) for fn in (membership_witness, _witness_with_array_guard))
+                assert got.coeffs.tobytes() == want.coeffs.tobytes() and got_sup == want_sup
+            d = coefficients(*dists[order % 4][:2], max(order, 3), s=dists[order % 4][2])
+            assert convolve(f, d).coeffs.tobytes() == convolve_by_loop(f, d).coeffs.tobytes()
+
+
+def _message(fn, *args):
+    with pytest.raises(ValueError) as err:
+        fn(*args)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0, complex(math.nan, 0.1), 0.2],              # NaN in a real part
+    [0, complex(0.1, math.nan), 0.2],              # NaN in an imaginary part
+    [0, 0.1, complex(math.inf, 0.0)],              # inf in a real part
+    [0, 0.1, complex(0.2, -math.inf)],             # -inf in an imaginary part
+    [complex(math.nan, 0.0), 0.1],                 # NaN at w(0): finiteness first
+    [0.5, 0.5],                                    # w(0) != 0
+    [2.0, 2.0],                                    # w(0) != 0 before |w| >= 1
+    [0, 2.0],                                      # |w| >= 1 on the circle
+    [0, 0.6, 0.45],                                # |w| >= 1 near z = 1
+])
+def test_solver_guards_keep_their_messages(coeffs):
+    p = ClassParams(0.3, 0.7, 1.5)
+    w = TruncatedSeries(coeffs)
+    assert _message(solve_from_schwarz, w, p, 6) == _message(_solve_with_array_guards, w, p, 6)
+    assert _message(solve_from_schwarz, w, p, 1) == "order must be >= 2"
+
+
+@pytest.mark.parametrize("coeffs", [
+    [0, 1, 1e200, 0, 0],                           # the recursion overflows
+    [0, 1, complex(0.1, math.nan), 0, 0],          # NaN in an imaginary part
+    [0, 1, 0.1, complex(math.inf, 0.0), 0],        # inf in a real part
+    [0, 1, 0.1, 0.2, complex(0.0, -math.inf)],     # only the top coefficient
+    [0, 2, 0, 0],                                  # not normalized
+    [0, 1, 0.5],                                   # below order 3
+])
+def test_witness_guards_keep_their_messages(coeffs):
+    p = ClassParams(0.5, 0.5, 2.0)
+    f = TruncatedSeries(coeffs)
+    assert _message(membership_witness, f, p) == _message(_witness_with_array_guard, f, p)
 
 
 def test_a2_equals_c1_over_2w():

@@ -13,7 +13,7 @@ from gtnbounds.distributions import (
     pascal_coeff,
     poisson_coeff,
 )
-from gtnbounds.series import TruncatedSeries
+from gtnbounds.series import TruncatedSeries, check_normalized
 
 
 def test_poisson_closed_forms():
@@ -190,3 +190,29 @@ def test_convolve_rejects_an_order_zero_series():
     d = coefficients("poisson", 1.0, 3)
     with pytest.raises(ValueError, match=r"f must have f\(0\) = 0 and f'\(0\) = 1$"):
         convolve(TruncatedSeries([0]), d)
+
+
+def convolve_by_loop(f, d):
+    """``convolve`` with one numpy scalar update per coefficient, as first
+    written."""
+    check_normalized(f)
+    out = np.array(f.coeffs, dtype=complex)
+    out[:2] = 0.0, 1.0
+    for n in range(2, f.order + 1):
+        out[n] *= d.wp(n)
+    return TruncatedSeries(out)
+
+
+def test_convolve_equals_the_loop_bit_for_bit_on_edge_values():
+    # signed zeros in both parts, zero, subnormal and unit weights, the
+    # largest and smallest normal floats, and an infinite part, whose
+    # product with the weight's imaginary 0 is a NaN in both
+    tail = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), -1.5 + 2j,
+            complex(sys.float_info.max, -sys.float_info.min), complex(-3.0, math.inf), 1e-300j]
+    f = TruncatedSeries([5e-10, 1 - 5e-10] + tail)
+    for weights in ([0.0] * 7, [1.0] * 7, [5e-324, 2.0, 0.5, 1e-300, 1e300, 0.25, 3.0],
+                    list(coefficients("pascal", 0.3, 8, s=2).values)):
+        d = DistributionCoeffs(tuple(weights))
+        with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+            got, want = convolve(f, d), convolve_by_loop(f, d)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes(), weights

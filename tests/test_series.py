@@ -171,6 +171,45 @@ def test_revert_rejects_zero_linear_term():
         ps.revert(S([0, 0, 1]))
 
 
+@pytest.mark.parametrize("coeffs", [[0.0], [0j], [1.0], [np.nan]])
+def test_revert_refuses_an_order_zero_series(coeffs):
+    # no c1 to invert: the same refusal as a zero c1, not an IndexError
+    with pytest.raises(ValueError) as order_zero:
+        ps.revert(S(coeffs))
+    with pytest.raises(ValueError) as zero_c1:
+        ps.revert(S([0, 0, 1]))
+    assert str(order_zero.value) == str(zero_c1.value)
+
+
+def _revert_by_division(a):
+    """``revert`` with z/a formed by ``div``, one ``np.dot`` per coefficient,
+    as first written."""
+    n = a.order
+    h = ps.div(ps.one(n - 1), S(a.coeffs[1:])).coeffs
+    b = np.zeros(n + 1, dtype=complex)
+    b[1] = h[0]
+    p = h
+    for m in range(2, n + 1):
+        p = np.convolve(p, h)[:n]
+        b[m] = p[m - 1] / m
+    return b
+
+
+@pytest.mark.parametrize("c1", [1.0, 2 - 0.5j])
+def test_revert_matches_the_division_route(c1):
+    # the reciprocal recurrence sums in another order than np.dot, so the
+    # two agree to rounding (4.1e-15 of the largest coefficient at most
+    # here), not bit for bit
+    rng = np.random.default_rng(71)
+    for order in range(1, 61):
+        tail = rng.normal(size=order - 1) + 1j * rng.normal(size=order - 1)
+        a = S(np.concatenate(([0, c1], 0.5 * abs(c1) * tail)))
+        got, want = ps.revert(a).coeffs, _revert_by_division(a)
+        assert got.size == want.size == order + 1
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), order
+        assert got.flags.writeable is False
+
+
 # --- derive -----------------------------------------------------------------
 
 def test_derive_cubic():

@@ -461,6 +461,45 @@ def test_sweep_calls_run_experiment_once_per_report_and_scans_in_first_calls(
     assert len(scans) == (6 if suite == "full" else 5)
 
 
+@pytest.mark.parametrize("suite, reports", [("full", 87), ("remarks", 35), ("lemmas", 17)])
+def test_run_suite_summarizes_once(monkeypatch, suite, reports):
+    grid = GridSpec.uniform(8)
+    parts = [verify.sweep(*verify.build_suite(suite), grid)]
+    if suite == "full":
+        parts.append(verify.sweep(*verify.build_suite("lemmas"), grid))
+    real, sizes = verify.summarize, []
+
+    def counting(rs):
+        sizes.append(len(rs))
+        return real(rs)
+
+    monkeypatch.setattr(verify, "summarize", counting)
+    got, summary = verify.run_suite(suite, 1.0, grid)
+    assert sizes == [len(got)] == [reports]
+    assert got == [r for rs, _ in parts for r in rs]
+    # the summary of one sweep, or of the class and lemma sweeps together
+    assert summary == (parts[0][1] if suite != "full" else real(got))
+
+
+# Ma-Minda (1994): with X = 1 + B1 z + B2 z^2 + ..., B1 = 1 and
+# B2 = (1 + varkappa)/2, the sharp bounds on |a3 - mu a2^2| at three
+# reductions of the class
+MA_MINDA = {
+    (0.0, 0.0): lambda b2, mu: 0.5 * max(1.0, abs(b2 + 1.0 - 2.0 * mu)),  # S*(X): W = zf'/f
+    (1.0, 0.0): lambda b2, mu: max(1.0, abs(b2 + 1.0 - 1.5 * mu)) / 6.0,  # C(X): W = 1 + zf''/f'
+    (0.0, 1.0): lambda b2, mu: max(1.0 / 3.0, abs(b2 / 3.0 - mu / 4.0)),  # f' subordinate to X
+}
+
+
+@pytest.mark.parametrize("vartheta, kappa", list(MA_MINDA))
+def test_oracle_equals_ma_minda_at_three_reductions(vartheta, kappa):
+    rel = verify._relation(vartheta, kappa)
+    for vk in (0.0, 0.5, 1.0, 2.0, 3.5):
+        for mu in (-2.0, 0.0, 0.5, 1.0, 2.0, 1.0 + 1.0j, -0.5 + 2.0j):
+            want = MA_MINDA[vartheta, kappa]((1.0 + vk) / 2.0, mu)
+            assert abs(verify.oracle(rel, vk, mu) - want) <= 1e-15 * want, (vk, mu)
+
+
 def test_no_scan_outlives_its_sweep(monkeypatch):
     calls = _counting_scans(monkeypatch)
     entries, functionals = verify.preset_entries(1.0)[:1], [Functional("a3")]
