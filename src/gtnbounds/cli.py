@@ -6,11 +6,12 @@ reads.  Every handler but ``cmd_verify`` returns its rows, which :func:`main`
 prints with :func:`emit_rows` in the ``--format`` json, csv or table (machine
 formats print floats with 12 significant digits, tables with 6).  Each format
 builds its whole text and writes it once; the JSON is byte for byte, errors
-included, what ``json.dumps(..., indent=2)`` prints, without json's
-pure-Python indent encoder.  ``cmd_verify``
-writes its reports, prints its summary on stdout and a digest on stderr (the
-first report of each discrepancy ID and the report with the tightest oracle
-gap) and returns the exit code.
+included, what ``json.dumps(verify.round12(...), indent=2)`` prints, without
+json's pure-Python indent encoder, each float written from its 12-digit text
+by ``verify._number``.  ``cmd_verify`` writes its reports, prints its
+summary on stdout and a digest on stderr (the first report of each
+discrepancy ID and the report with the tightest oracle gap) and returns the
+exit code.
 
 Flag values override an optional ``--config FILE`` (simple ``key=value``
 lines), which overrides built-in defaults.  :func:`main` fills the unset keys

@@ -7,7 +7,8 @@ The n-th coefficients (n >= 2) are
     Borel(s):      (s(n-1))^(n-2) e^(-s(n-1)) / (n-1)!
     Pascal(q, s):  C(n+s-2, s-1) q^(n-1) (1-q)^s
 
-Values are built by incremental floating-point products, switching to
+Values are built by incremental floating-point products (a Poisson table by
+one running product, each weight from the one before), switching to
 log-space (lgamma) once n + s > 100 so large indices cannot overflow, and for
 Poisson also once e^(-m) is below the smallest normal float (m above about
 708.4), where the products would start from a subnormal or from 0.
@@ -61,6 +62,21 @@ def poisson_coeff(m: float, n: int) -> float:
     return value
 
 
+def _poisson_table(m: float, max_n: int) -> tuple[float, ...]:
+    """``poisson_coeff(m, n)`` for n = 2..max_n, bit for bit.  Below the
+    log-space cutoff each weight is the one before times ``m / (n - 1)``:
+    the multiplications of ``poisson_coeff``'s loop, in the same order."""
+    value = poisson_coeff(m, 2)  # checks m
+    vals = [value]
+    # poisson_coeff's loop runs below the cutoff, and only from a normal e^(-m)
+    last = 2 if math.exp(-m) < sys.float_info.min else min(max_n, _LOG_SPACE_CUTOFF - 1)
+    for n in range(3, last + 1):
+        value *= m / (n - 1)
+        vals.append(value)
+    vals += [poisson_coeff(m, n) for n in range(last + 1, max_n + 1)]
+    return tuple(vals)
+
+
 def borel_coeff(sigma: float, n: int) -> float:
     if not 0.0 < sigma <= 1.0:
         raise ValueError("Borel parameter must lie in (0, 1]")
@@ -72,11 +88,10 @@ def borel_coeff(sigma: float, n: int) -> float:
         )
     value = math.exp(-sigma * (n - 1))
     base = sigma * (n - 1)
-    for j in range(1, n):
-        if j <= n - 2:
-            value *= base
+    for j in range(1, n - 1):
+        value *= base
         value /= j
-    return value
+    return value / (n - 1)
 
 
 def pascal_coeff(q: float, s: int, n: int) -> float:
@@ -99,7 +114,7 @@ def coefficients(kind: str, param: float, max_n: int, s: int = 1) -> Distributio
     if max_n < 3:
         raise ValueError("need coefficients at least through n = 3")
     if kind == "poisson":
-        vals = tuple(poisson_coeff(param, n) for n in range(2, max_n + 1))
+        vals = _poisson_table(param, max_n)
     elif kind == "borel":
         vals = tuple(borel_coeff(param, n) for n in range(2, max_n + 1))
     elif kind == "pascal":

@@ -54,6 +54,7 @@ import functools
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -523,15 +524,17 @@ def run_suite(
 # witness ({"c1": [re, im], "c2": [re, im]}), discrepancy_ids (strings),
 # discrepancies (each a dict in its own key order; a value that is not a
 # string prints as a float) and gap, in that order, with no spaces.  Every
-# float goes through round12 (looked up as a module global on each call) and
-# prints as its repr: a report's eleven floats go through one round12 call on
-# their list, each discrepancy value through its own.  Every string is
-# escaped to ASCII as json.dumps escapes it by default.  A value that is not
-# finite once rounded is refused with the ValueError of
-# json.dumps(allow_nan=False), naming the first such value in line order.
-# The summary is the last line, {"summary": ...}, written by json.dumps.
+# float prints as repr(round12(x)), its repr once rounded to 12 significant
+# digits; _text12 writes that text from the 12-digit text itself.  Every
+# string is escaped to ASCII as json.dumps escapes it by default.  A value
+# that is not finite is refused with the ValueError of
+# json.dumps(allow_nan=False), naming the first such value in line order;
+# rounding a finite double to 12 digits never overflows, so that is the
+# value json.dumps of the rounded line would refuse.  The summary is the
+# last line, {"summary": ...}, written by json.dumps of its round12.
 
 _string = json.encoder.encode_basestring_ascii
+_MIN_NORMAL = sys.float_info.min
 
 
 def round12(obj):
@@ -548,16 +551,34 @@ def round12(obj):
     return obj
 
 
+def _text12(x: float) -> str:
+    """``repr(round12(x))`` of a finite float, without the round trip.
+
+    A decimal of at most 15 significant digits reads back from the double
+    nearest it unchanged, so the ``.12g`` text already holds the digits of
+    ``repr``'s shortest round-trip text and only its layout can differ:
+    ``repr`` ends a whole number in ``.0`` and prints exponents 12 to 15 in
+    fixed notation.  A subnormal has fewer digits of precision, so its
+    12-digit text need not be the shortest; it goes through ``repr`` too."""
+    s = f"{x:.12g}"
+    if "e" not in s:
+        return s if "." in s else s + ".0"  # "-0" too
+    if 12 <= int(s[s.index("e") + 1:]) < 16 or abs(x) < _MIN_NORMAL:
+        return repr(float(s))
+    return s
+
+
 def _refuse(x: float):
     raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
 
 
 def _number(x) -> str:
-    """The JSON of ``float(x)`` rounded by :func:`round12`."""
-    x = round12(float(x))
+    """The JSON of ``float(x)`` rounded by :func:`round12`, written by
+    :func:`_text12`; a value that is not finite is refused."""
+    x = float(x)
     if not math.isfinite(x):
         _refuse(x)
-    return repr(x)
+    return _text12(x)
 
 
 def _discrepancy(d: dict) -> str:
@@ -567,14 +588,13 @@ def _discrepancy(d: dict) -> str:
 
 
 def _report_line(r: BoundReport) -> str:
-    """The line of ``r``.  Its eleven floats are rounded by one
-    :func:`round12` call, checked in one pass and printed by one f-string."""
+    """The line of ``r``.  Its eleven floats are checked in one pass and
+    written by :func:`_text12` into one f-string."""
     c1, c2 = r.witness.c1, r.witness.c2
-    (vartheta, kappa, varkappa, as_stated, oracle_value, empirical_sup,
-     c1_re, c1_im, c2_re, c2_im, gap) = values = round12([
-         float(r.vartheta), float(r.kappa), float(r.varkappa), float(r.as_stated),
-         float(r.oracle), float(r.empirical_sup), float(c1.real), float(c1.imag),
-         float(c2.real), float(c2.imag), float(r.oracle - r.empirical_sup)])
+    values = [
+        float(r.vartheta), float(r.kappa), float(r.varkappa), float(r.as_stated),
+        float(r.oracle), float(r.empirical_sup), float(c1.real), float(c1.imag),
+        float(c2.real), float(c2.imag), float(r.oracle - r.empirical_sup)]
     ds = r.discrepancies
     if not all(map(math.isfinite, values)):
         # refuse the value json.dumps meets first: the gap follows the discrepancies
@@ -583,18 +603,20 @@ def _report_line(r: BoundReport) -> str:
                 _refuse(x)
         for d in ds:
             _discrepancy(d)
-        _refuse(gap)
+        _refuse(values[-1])
+    (vartheta, kappa, varkappa, as_stated, oracle_value, empirical_sup,
+     c1_re, c1_im, c2_re, c2_im, gap) = map(_text12, values)
     ids = discrepancies = ""
     if ds:
         ids = ",".join([_string(d["id"]) for d in ds])
         discrepancies = ",".join(map(_discrepancy, ds))
     return (
-        f'{{"experiment_id":{_string(r.experiment_id)},"vartheta":{vartheta!r},'
-        f'"kappa":{kappa!r},"varkappa":{varkappa!r},'
-        f'"functional":{_string(r.functional)},"as_stated":{as_stated!r},'
-        f'"oracle":{oracle_value!r},"empirical_sup":{empirical_sup!r},'
-        f'"witness":{{"c1":[{c1_re!r},{c1_im!r}],"c2":[{c2_re!r},{c2_im!r}]}},'
-        f'"discrepancy_ids":[{ids}],"discrepancies":[{discrepancies}],"gap":{gap!r}}}'
+        f'{{"experiment_id":{_string(r.experiment_id)},"vartheta":{vartheta},'
+        f'"kappa":{kappa},"varkappa":{varkappa},'
+        f'"functional":{_string(r.functional)},"as_stated":{as_stated},'
+        f'"oracle":{oracle_value},"empirical_sup":{empirical_sup},'
+        f'"witness":{{"c1":[{c1_re},{c1_im}],"c2":[{c2_re},{c2_im}]}},'
+        f'"discrepancy_ids":[{ids}],"discrepancies":[{discrepancies}],"gap":{gap}}}'
     )
 
 

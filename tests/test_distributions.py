@@ -72,6 +72,14 @@ def test_coefficient_tables():
         assert d.values == tuple(weight(n) for n in range(2, 7)), kind
     assert coefficients("pascal", 0.5, 4, s=3).values == tuple(
         pascal_coeff(0.5, 3, n) for n in range(2, 5))
+    # a Poisson table is one running product up to the log-space cutoff, with
+    # poisson_coeff's bits: past the cutoff, at a small m, near the largest m
+    # whose e^(-m) is normal, and at m 709 and 740, where e^(-m) is subnormal
+    for m, max_n in ((1.5, 150), (1e-5, 150), (700.0, 150), (709.0, 150), (740.0, 12)):
+        assert coefficients("poisson", m, max_n).values == tuple(
+            poisson_coeff(m, n) for n in range(2, max_n + 1)), m
+    assert coefficients("borel", 0.5, 150).values == tuple(
+        borel_coeff(0.5, n) for n in range(2, 151))
 
 
 def test_parameter_validation():

@@ -2,10 +2,13 @@ import dataclasses
 import importlib.util
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gtnbounds import bounds, verify
 from gtnbounds.bazilevic import ClassParams
@@ -269,6 +272,26 @@ def test_writer_equals_the_reference_serializer_on_crafted_reports():
     lines = verify.reports_to_lines(reports, summary)
     assert lines == reference_lines(reports, summary)
     assert all(line.isascii() for line in lines)
+
+
+finite_doubles = st.floats(allow_nan=False, allow_infinity=False) | st.integers(
+    0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]).filter(
+    math.isfinite)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(finite_doubles)
+def test_text12_is_the_repr_of_round12(x):
+    assert verify._text12(x) == repr(verify.round12(x))
+
+
+@pytest.mark.parametrize("x", [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-05, 123456789012.0,
+    999999999999.5, 1e12, -1e12, 1e15, 9.99999999999e15, 1e16, 1.7976931348623157e308])
+def test_text12_layout_cases(x):
+    # a whole number gains ".0", exponents 12 to 15 print in fixed notation,
+    # and a subnormal's 12-digit text is not always its shortest
+    assert verify._text12(x) == repr(verify.round12(x))
 
 
 def test_serialization_is_deterministic():
