@@ -8,16 +8,4 @@ admissible Caratheodory coefficient body.  Disagreements between printed
 formulas and oracle values are reported, never silently corrected.
 """
 
-from gtnbounds.series import TruncatedSeries
-from gtnbounds.bazilevic import ClassParams, CoefficientRelation
-from gtnbounds.caratheodory import CaratheodoryPoint, GridSpec
-
-__all__ = [
-    "TruncatedSeries",
-    "ClassParams",
-    "CoefficientRelation",
-    "CaratheodoryPoint",
-    "GridSpec",
-]
-
 __version__ = "0.1.0"

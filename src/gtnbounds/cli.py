@@ -381,7 +381,7 @@ def cmd_dist(args) -> list[dict]:
     return [{"n": n, "coefficient": d.wp(n)} for n in range(2, args.max_n + 1)]
 
 
-def _number(x) -> bool:
+def _is_real(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
@@ -389,7 +389,7 @@ def _read_coeffs(path: str) -> TruncatedSeries:
     text = Path(path).read_text().strip()
     if text.startswith("["):
         data = json.loads(text)
-        if not all(_number(c) or isinstance(c, list) and len(c) == 2 and all(map(_number, c))
+        if not all(_is_real(c) or isinstance(c, list) and len(c) == 2 and all(map(_is_real, c))
                    for c in data):
             raise ValueError("expected a list of numbers or [re, im] pairs")
         coeffs = [complex(*c) if isinstance(c, list) else complex(c) for c in data]

@@ -41,11 +41,12 @@ and witness, bit for bit those of a scan of that form alone.  Experiments
 with the same form read the same result (so ``log-g2`` takes half of the
 ``fs(1/2)`` result); nothing is kept once the call returns.
 
-:func:`_sweep` plans each experiment once: its body, form, scale, label and
-id, with each functional's label and each parameter entry's id prefix built
-once.  It then calls :func:`run_experiment` once per report, looked up as a
-module attribute, and hands it the plan and the stack of its body; a direct
-call plans itself.
+:func:`_plans` plans each experiment once: its stack, form, scale, label
+and id, with each functional's label and each parameter entry's id prefix
+built once, and one :class:`_Stack` per body, which runs its scan the first
+time its results are read.  :func:`_sweep` calls :func:`run_experiment` once
+per report, looked up as a module attribute, and hands it the plan; a direct
+call plans itself, so both take the same path.
 """
 
 from __future__ import annotations
@@ -248,15 +249,38 @@ def _differ(did: str, **pair: float) -> list[dict]:
     return [{"id": did, **pair}] if abs(a - b) > 1e-9 else []
 
 
+@dataclass(eq=False)
+class _Stack:
+    """The experiments that scan one body, the class ``params`` (None for
+    the lemma body) on ``grid``: each distinct form, in order of first use,
+    with the ids of the experiments that read it.  The first read of
+    :attr:`results` scans every form in one call."""
+
+    params: ClassParams | None
+    grid: GridSpec
+    ids: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def results(self) -> dict:
+        """Each form's ``(sup, witness)``.  A NaN from the scan is re-raised
+        as a ``ValueError`` that names the experiments of the form that met
+        it."""
+        forms = list(self.ids)
+        try:
+            found = brute_force_sup(_stack_functional(self.params, forms), self.grid)
+        except FunctionalIsNaN as exc:
+            raise ValueError(f"{', '.join(self.ids[forms[exc.member]])}: {exc}") from exc
+        return dict(zip(forms, found))
+
+
 class _Plan(NamedTuple):
     """Where an experiment's supremum comes from and what its report is
-    called: the ``body`` it scans, the ``form`` of its member in that body's
+    called: the :class:`_Stack` it reads, the ``form`` of its member in that
     stack, the ``scale`` of the result, the functional's ``label`` and the
-    ``experiment_id``.  Class experiments scan ``(params, grid)`` with the
-    form ``(mu_eff, wp2, wp3)``; lemma experiments scan ``(None, grid)``
-    with the form ``v``, or ``v / 2`` for ``lemma4``."""
+    ``experiment_id``.  Class forms are ``(mu_eff, wp2, wp3)``; lemma forms
+    are ``v``, or ``v / 2`` for ``lemma4``."""
 
-    body: tuple
+    stack: _Stack
     form: object
     scale: float
     label: str
@@ -266,34 +290,28 @@ class _Plan(NamedTuple):
 def _plans(param_entries: Sequence[tuple], functionals: Sequence[Functional],
            grid: GridSpec) -> list[_Plan]:
     """The plan of each (parameter entry, functional), in :func:`_sweep`
-    order.  Each functional's form, scale and label are worked out once, and
-    each entry's ``slug|vk...|`` id prefix once."""
-    # (body, form, scale, label); a class member's body is its entry's, None here
-    lemma_body, members = (None, grid), []
+    order, with one :class:`_Stack` per distinct class ``params`` and one
+    for the lemmas.  Each functional's form, scale and label are worked out
+    once, and each entry's ``slug|vk...|`` id prefix once."""
+    # (stack, form, scale, label); a class member's stack is its entry's, None here
+    lemma_stack, members = _Stack(None, grid), []
     for fn in functionals:
         if fn.kind in LEMMA_BOUNDS:
             form = fn.v / 2.0 if fn.kind == "lemma4" else fn.v
-            members.append((lemma_body, form, 1.0, fn.label()))
+            members.append((lemma_stack, form, 1.0, fn.label()))
         else:
             scale, mu_eff = _form(fn)
             members.append((None, (mu_eff, fn.wp2, fn.wp3), scale, fn.label()))
-    plans = []
+    plans, stacks = [], {}
     for preset_id, params, _ in param_entries:
         slug = preset_id or f"vt{params.vartheta:g}-kp{params.kappa:g}"
-        prefix, class_body = f"{slug}|vk{params.varkappa:g}|", (params, grid)
-        plans += [_Plan(body or class_body, form, scale, label, prefix + label)
-                  for body, form, scale, label in members]
+        prefix = f"{slug}|vk{params.varkappa:g}|"
+        class_stack = stacks.setdefault(params, _Stack(params, grid))
+        for stack, form, scale, label in members:
+            stack, experiment_id = stack or class_stack, prefix + label
+            stack.ids.setdefault(form, []).append(experiment_id)
+            plans.append(_Plan(stack, form, scale, label, experiment_id))
     return plans
-
-
-@dataclass
-class _Stack:
-    """The experiments that scan one body: each distinct form, in order of
-    first use, with the ids of the experiments that read it, and each form's
-    ``(sup, witness)`` once the body is scanned."""
-
-    ids: dict
-    results: dict | None = None
 
 
 def _stack_functional(params: ClassParams | None, forms: Sequence) -> Callable:
@@ -344,18 +362,15 @@ def run_experiment(
     subclass_a3: Callable[[float], float] | None = None,
     *,
     _plan: _Plan | None = None,
-    _stack: _Stack | None = None,
 ) -> BoundReport:
     """Run one functional at one parameter point and assemble the report.
 
-    :func:`_sweep` passes the experiment's ``_plan`` and the :class:`_Stack`
-    of its body.  The first experiment of a stack scans all of its forms in
-    one call; the others read their results.  A direct call plans itself
-    and scans a stack of one.  A NaN from the scan is re-raised as a
-    ``ValueError`` that names the experiments of the form that met it."""
+    :func:`_sweep` passes the experiment's ``_plan``; a direct call plans
+    itself, in a stack of its own.  The first experiment to read its
+    stack's results runs the stack's scan; the others read them."""
     if _plan is None:
         _plan = _plans([(preset_id, params, None)], [functional], grid)[0]
-    body, form, scale, label, experiment_id = _plan
+    stack, form, scale, label, experiment_id = _plan
     vk = params.varkappa
     if functional.kind in LEMMA_BOUNDS:
         stated = LEMMA_BOUNDS[functional.kind](functional.v)
@@ -365,14 +380,6 @@ def run_experiment(
         oracle_value = scale * oracle(_relation(params.vartheta, params.kappa), vk, form[0],
                                       functional.wp2, functional.wp3)
 
-    stack = _Stack({form: [experiment_id]}) if _stack is None else _stack
-    if stack.results is None:
-        forms = list(stack.ids)
-        try:
-            found = brute_force_sup(_stack_functional(body[0], forms), grid)
-        except FunctionalIsNaN as exc:
-            raise ValueError(f"{', '.join(stack.ids[forms[exc.member]])}: {exc}") from exc
-        stack.results = dict(zip(forms, found))
     sup, witness = stack.results[form]
     sup = scale * sup
     if sup > stated + _slack(stated):
@@ -406,45 +413,32 @@ def _sweep(param_entries: Sequence[tuple], functionals: Sequence[Functional],
            grid: GridSpec) -> list[BoundReport]:
     """One report per (parameter entry, functional), in deterministic order.
 
-    Each experiment is planned once (:func:`_plans`), and the plans are
-    grouped into one :class:`_Stack` per body, so each body is scanned once,
-    for all of its forms; the stacks are kept only for this call.  Each
-    experiment's ``scale`` applies to its form's result, so ``log-g2``
+    Each experiment is planned once (:func:`_plans`), with the
+    :class:`_Stack` of its body, so each body is scanned once, for all of
+    its forms; the stacks are kept only for this call.  Each experiment's
+    ``scale`` applies to its form's result, so ``log-g2``
     (``|a3 - a2^2/2| / 2``) reads that of ``fs(1/2)``."""
     if not param_entries or not functionals:
         raise ValueError("need at least one parameter set and one functional")
     plans = _plans(param_entries, functionals, grid)
-    scans: dict = {}
-    stacks = []
-    for plan in plans:
-        stack = scans.get(plan.body)
-        if stack is None:
-            stack = scans[plan.body] = _Stack({})
-        stack.ids.setdefault(plan.form, []).append(plan.experiment_id)
-        stacks.append(stack)
     return [
-        run_experiment(fn, params, grid, pid, subclass, _plan=plan, _stack=stack)
-        for ((pid, params, subclass), fn), plan, stack
-        in zip(itertools.product(param_entries, functionals), plans, stacks)
+        run_experiment(fn, params, grid, pid, subclass, _plan=plan)
+        for ((pid, params, subclass), fn), plan
+        in zip(itertools.product(param_entries, functionals), plans)
     ]
 
 
 def summarize(reports: Sequence[BoundReport]) -> dict:
     counts: dict[str, int] = {}
-    worst, sound = None, True
     for r in reports:
         for d in r.discrepancies:
             counts[d["id"]] = counts.get(d["id"], 0) + 1
-        excess = r.empirical_sup - r.oracle
-        if worst is None or excess > worst:  # max()'s rule, NaN included
-            worst = excess
-        if sound and not r.sound:
-            sound = False
     return {
         "reports": len(reports),
         "discrepancy_counts": dict(sorted(counts.items())),
-        "soundness": sound,
-        "max_sup_minus_oracle": -math.inf if worst is None else worst,
+        "soundness": all(r.sound for r in reports),
+        "max_sup_minus_oracle": max((r.empirical_sup - r.oracle for r in reports),
+                                    default=-math.inf),
     }
 
 

@@ -658,6 +658,16 @@ def test_overflow_prints_one_error_line_and_no_warning(tmp_path, argv):
     assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
+def test_importing_the_package_leaves_numpy_unloaded():
+    # gtnbounds/__init__.py imports no module of its own, so a command that
+    # needs no numpy is not made to load it by the package
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gtnbounds, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
 def test_oversized_grid_is_refused_before_allocation(capsys, tmp_path, monkeypatch):
     # GridSpec refuses the grid, so no command reaches the scan
     monkeypatch.setattr(verify, "brute_force_sup", lambda *a: pytest.fail("scanned"))

@@ -534,6 +534,35 @@ def test_no_scan_outlives_its_sweep(monkeypatch):
     assert len(calls) == 3
 
 
+def test_plans_of_one_body_share_one_stack_that_scans_on_first_read(monkeypatch):
+    calls = _counting_scans(monkeypatch)
+    grid = GridSpec.uniform(8)
+    entries = verify.preset_entries(1.0)[:2]
+    functionals = [Functional("a3"), Functional("fs", mu=2.0), Functional("lemma3", v=0.5)]
+    plans = verify._plans(entries, functionals, grid)
+    stacks = [plan.stack for plan in plans]
+    # one stack per distinct class params, one lemma stack per call
+    assert stacks[0] is stacks[1] and stacks[3] is stacks[4] and stacks[2] is stacks[5]
+    assert len({id(s) for s in stacks}) == 3
+    assert (stacks[0].params, stacks[3].params, stacks[2].params) == (
+        entries[0][1], entries[1][1], None)
+    assert all(s.grid is grid for s in stacks)
+    assert stacks[0].ids == {plans[0].form: [plans[0].experiment_id],
+                             plans[1].form: [plans[1].experiment_id]}
+    assert calls == []
+    # reading each form's results scans the stack once
+    for plan in plans[:2]:
+        assert plan.form in stacks[0].results
+    assert len(calls) == 1 and list(stacks[0].results) == list(stacks[0].ids)
+    # a report read from a scanned stack scans nothing more; a direct call
+    # plans a fresh stack and scans it
+    planned = verify.run_experiment(functionals[0], entries[0][1], grid, entries[0][0],
+                                    _plan=plans[0])
+    assert len(calls) == 1
+    assert verify.run_experiment(functionals[0], entries[0][1], grid, entries[0][0]) == planned
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # The class closure multiplies by reciprocals where the report arithmetic
 # divided by real constants; the values must not move by one bit.
