@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gtnbounds import cli as cli_mod
@@ -196,6 +196,14 @@ def _json_outcome(call):
 
 @settings(max_examples=200, deadline=None)
 @given(json_rows)
+# the rows of `xseries --varkappa 1e13 --order 3`, which round to whole
+# numbers with exponent 12 and print in fixed notation (5000000000000.0),
+# and of `dist --kind poisson --param 740 --max-n 4`, whose subnormal
+# weights print with e-319 to e-314
+@example([{"n": 0, "coefficient": 1.0}, {"n": 1, "coefficient": 1.0},
+          {"n": 2, "coefficient": 5000000000000.5}, {"n": 3, "coefficient": 5000000000000.166}])
+@example([{"n": 2, "coefficient": 3.09967e-319}, {"n": 3, "coefficient": 1.14687696e-316},
+          {"n": 4, "coefficient": 2.8289632153e-314}])
 def test_json_rows_match_json_dumps(rows):
     payload = rows if len(rows) != 1 else rows[0]
     want = _json_outcome(
@@ -288,19 +296,34 @@ def test_member_identity_function(capsys, tmp_path):
     assert json.loads(out)["verdict"] == "member"
 
 
-def test_member_near_the_boundary_is_a_member(capsys, tmp_path):
-    # built from w = 0.9 z: the witness must recover it, whose largest
-    # modulus on the sampling circle |z| = 0.99 is 0.891
-    params = ClassParams(0.5, 0.5, 2.0)
-    f = solve_from_schwarz(TruncatedSeries([0.0, 0.9], order=8), params, 8)
-    path = tmp_path / "f.json"
-    path.write_text(json.dumps([[c.real, c.imag] for c in f.coeffs.tolist()]))
-    code, out, _ = run_cli(capsys, "member", "--f-coeffs", str(path), "--vartheta", "0.5",
-                           "--kappa", "0.5", "--varkappa", "2", "--format", "json")
+# the slope of a Schwarz driver w = slope z, the class f is solved in, its
+# order, and how the file holds f: [re, im] pairs in JSON, or the real parts
+# as 17-digit tokens
+BOUNDARY_MEMBERS = {
+    "w0.9z-pairs": (0.9, ClassParams(0.5, 0.5, 2.0), 8, "pairs"),
+    "w0.5z-tokens": (0.5, ClassParams(0.3, 0.4, 2.0), 12, "tokens"),
+}
+
+
+@pytest.mark.parametrize("case", list(BOUNDARY_MEMBERS))
+def test_member_near_the_boundary_is_a_member(capsys, tmp_path, case):
+    # the witness must recover w, whose largest modulus on the sampling
+    # circle |z| = 0.99 is 0.99 slope
+    slope, params, order, layout = BOUNDARY_MEMBERS[case]
+    f = solve_from_schwarz(TruncatedSeries([0.0, slope], order=order), params, order)
+    path = tmp_path / "f.txt"
+    if layout == "pairs":
+        path.write_text(json.dumps([[c.real, c.imag] for c in f.coeffs.tolist()]))
+    else:
+        assert not f.coeffs.imag.any()
+        path.write_text(" ".join(f"{c:.17g}" for c in f.coeffs.real) + "\n")
+    code, out, _ = run_cli(capsys, "member", "--f-coeffs", str(path),
+                           *(f"--{k}={getattr(params, k)!r}"
+                             for k in ("vartheta", "kappa", "varkappa")), "--format", "json")
     assert code == 0
     row = json.loads(out)
     assert row["verdict"] == "member"
-    assert row["sup_norm"] == pytest.approx(0.9 * 0.99, abs=1e-9)
+    assert row["sup_norm"] == pytest.approx(slope * 0.99, abs=1e-9)
 
 
 def test_member_koebe_rejected(capsys, tmp_path):
@@ -683,6 +706,18 @@ def test_oversized_grid_is_refused_before_allocation(capsys, tmp_path, monkeypat
     assert (code, out) == (1, "")
     assert "cap" in err
     assert not out_path.exists()
+
+
+def test_largest_grid_under_the_cap_runs(capsys, tmp_path):
+    # 128 steps, the largest uniform grid under the cap, is scanned, not
+    # refused: by one lemma and by the 17-member lemma stack
+    code, _, err = run_cli(capsys, "lemma", "--which", "3", "--v", "1", "--grid", "128")
+    assert (code, err) == (0, "")
+    out_path = tmp_path / "r.jsonl"
+    code, _, _ = run_cli(capsys, "verify", "--suite", "lemmas", "--grid", "128",
+                         "--out", str(out_path))
+    assert code == 0
+    assert json.loads(out_path.read_text().splitlines()[-1])["summary"]["soundness"] is True
 
 
 def test_missing_config_prints_one_error_line(capsys, tmp_path):

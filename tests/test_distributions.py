@@ -74,10 +74,14 @@ def test_coefficient_tables():
         pascal_coeff(0.5, 3, n) for n in range(2, 5))
     # a Poisson table is one running product up to the log-space cutoff, with
     # poisson_coeff's bits: past the cutoff, at a small m, near the largest m
-    # whose e^(-m) is normal, and at m 709 and 740, where e^(-m) is subnormal
-    for m, max_n in ((1.5, 150), (1e-5, 150), (700.0, 150), (709.0, 150), (740.0, 12)):
+    # whose e^(-m) is normal, at m 709 and 740, where e^(-m) is subnormal, and
+    # at m 800, where e^(-m) is 0
+    for m, max_n in ((1.5, 150), (1e-5, 150), (700.0, 150), (709.0, 150), (740.0, 12),
+                     (800.0, 100)):
         assert coefficients("poisson", m, max_n).values == tuple(
             poisson_coeff(m, n) for n in range(2, max_n + 1)), m
+    # the weight below the cutoff is read in log space, not as 0 * products
+    assert coefficients("poisson", 800.0, 100).wp(99) > 0
     assert coefficients("borel", 0.5, 150).values == tuple(
         borel_coeff(0.5, n) for n in range(2, 151))
 

@@ -167,9 +167,10 @@ def test_a_changed_witness_recursion_coefficient_flips_a_member_verdict(
     # varkappa/2 taken as varkappa in the w of log W(f) = w + varkappa w^2/2.
     # The solver reads the same w, so a member it builds with the defect
     # carries it and the witness cancels it: the series route checks the
-    # solver, and the member near the boundary (w = 0.9 z) is built by the
-    # unplanted solver.  The verdicts on f = z (witness 0) and on the Koebe
-    # function (sup-norm 436, then 19,634) do not move; that member's does.
+    # solver, and the members near the boundary (w = 0.9 z and w = 0.5 z) are
+    # built by the unplanted solver.  The verdicts on f = z (witness 0) and on
+    # the Koebe function (sup-norm 436, then 19,634) do not move; those
+    # members' do.
     real_solve, real_recurrence = bazilevic.solve_from_schwarz, bazilevic._w_recurrence
 
     def planted(params, order, next_coeff):
@@ -185,5 +186,6 @@ def test_a_changed_witness_recursion_coefficient_flips_a_member_verdict(
     with pytest.raises(AssertionError):
         solver_gate.test_solve_matches_functional_target()
     monkeypatch.setattr(member_gate, "solve_from_schwarz", unplanted_solve)
-    with pytest.raises(AssertionError):
-        member_gate.test_member_near_the_boundary_is_a_member(capsys, tmp_path)
+    for case in member_gate.BOUNDARY_MEMBERS:
+        with pytest.raises(AssertionError):
+            member_gate.test_member_near_the_boundary_is_a_member(capsys, tmp_path, case)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtnbounds import bounds, verify
+from gtnbounds import bounds, cli, verify
 from gtnbounds.bazilevic import ClassParams
 from gtnbounds.caratheodory import (
     CaratheodoryPoint,
@@ -105,6 +105,16 @@ def test_full_suite_reproduces_golden_bytes_at_grid_12():
     lines = verify.reports_to_lines(*verify.run_suite("full", 1.0, GridSpec.uniform(12)))
     golden = (DATA / "verify-full-g12.jsonl").read_bytes()
     assert ("\n".join(lines) + "\n").encode() == golden
+
+
+def test_verify_command_appends_the_grid_60_golden(capsys, tmp_path):
+    # two runs into one file: the benchmark's golden twice, byte for byte
+    out_path = str(tmp_path / "v60.jsonl")
+    for _ in range(2):
+        assert cli.main(["verify", "--suite", "full", "--grid", "60", "--out", out_path]) == 0
+    capsys.readouterr()
+    golden = (ROOT / "perfbench" / "golden" / "verify-full-g60.jsonl").read_bytes()
+    assert Path(out_path).read_bytes() == golden + golden
 
 
 NOISE_SEED = 26  # fixed before the test first ran; a line that moves is not reseeded away
