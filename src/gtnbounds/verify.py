@@ -32,7 +32,7 @@ form.  The lemma functionals are ``|c2 - v c1^2|``, and ``|c2 - v c1^2 / 2|``
 for ``lemma4``: :data:`LEMMA_BOUNDS` gives each one's printed bound.
 
 Experiments that scan the same (c1, c2) body share one scan: within one
-:func:`_sweep` call, the class experiments with the same parameters and grid
+:func:`sweep` call, the class experiments with the same parameters and grid
 are one *stack*, and so are the lemma experiments with the same grid.  One
 closure evaluates every distinct form of a stack on each block of points,
 sharing ``c1^2``, or ``b2`` and each ``(a2, a2^2, a3)``, and
@@ -44,9 +44,10 @@ with the same form read the same result (so ``log-g2`` takes half of the
 :func:`_plans` plans each experiment once: its stack, form, scale, label
 and id, with each functional's label and each parameter entry's id prefix
 built once, and one :class:`_Stack` per body, which runs its scan the first
-time its results are read.  :func:`_sweep` calls :func:`run_experiment` once
-per report, looked up as a module attribute, and hands it the plan; a direct
-call plans itself, so both take the same path.
+time its results are read.  :func:`sweep` calls :func:`run_experiment` once
+per report, looked up as a module attribute, hands it the plan and returns
+the reports, which :func:`summarize` counts; a direct call plans itself, so
+both take the same path.
 """
 
 from __future__ import annotations
@@ -141,10 +142,6 @@ class BoundReport:
     @property
     def gap(self) -> float:
         return self.oracle - self.empirical_sup
-
-    @property
-    def discrepancy_ids(self) -> list[str]:
-        return [d["id"] for d in self.discrepancies]
 
     @property
     def sound(self) -> bool:
@@ -289,7 +286,7 @@ class _Plan(NamedTuple):
 
 def _plans(param_entries: Sequence[tuple], functionals: Sequence[Functional],
            grid: GridSpec) -> list[_Plan]:
-    """The plan of each (parameter entry, functional), in :func:`_sweep`
+    """The plan of each (parameter entry, functional), in :func:`sweep`
     order, with one :class:`_Stack` per distinct class ``params`` and one
     for the lemmas.  Each functional's form, scale and label are worked out
     once, and each entry's ``slug|vk...|`` id prefix once."""
@@ -365,7 +362,7 @@ def run_experiment(
 ) -> BoundReport:
     """Run one functional at one parameter point and assemble the report.
 
-    :func:`_sweep` passes the experiment's ``_plan``; a direct call plans
+    :func:`sweep` passes the experiment's ``_plan``; a direct call plans
     itself, in a stack of its own.  The first experiment to read its
     stack's results runs the stack's scan; the others read them."""
     if _plan is None:
@@ -403,14 +400,7 @@ def sweep(
     param_entries: Sequence[tuple[str, ClassParams, Callable[[float], float] | None]],
     functionals: Sequence[Functional],
     grid: GridSpec = GridSpec(),
-) -> tuple[list[BoundReport], dict]:
-    """The reports of :func:`_sweep` and their :func:`summarize`."""
-    reports = _sweep(param_entries, functionals, grid)
-    return reports, summarize(reports)
-
-
-def _sweep(param_entries: Sequence[tuple], functionals: Sequence[Functional],
-           grid: GridSpec) -> list[BoundReport]:
+) -> list[BoundReport]:
     """One report per (parameter entry, functional), in deterministic order.
 
     Each experiment is planned once (:func:`_plans`), with the
@@ -502,11 +492,11 @@ def build_suite(name: str, varkappa: float = 1.0) -> tuple[list, list[Functional
 def run_suite(
     name: str, varkappa: float = 1.0, grid: GridSpec = GridSpec()
 ) -> tuple[list[BoundReport], dict]:
-    """The suite's reports, one :func:`_sweep` of its class experiments and,
+    """The suite's reports, one :func:`sweep` of its class experiments and,
     for ``full``, one of the lemma suite, and one :func:`summarize` of them all."""
-    reports = _sweep(*build_suite(name, varkappa), grid)
+    reports = sweep(*build_suite(name, varkappa), grid)
     if name == "full":
-        reports += _sweep(*build_suite("lemmas", varkappa), grid)
+        reports += sweep(*build_suite("lemmas", varkappa), grid)
     return reports, summarize(reports)
 
 
@@ -522,10 +512,11 @@ def run_suite(
 # digits; _text12 writes that text from the 12-digit text itself.  Every
 # string is escaped to ASCII as json.dumps escapes it by default.  A value
 # that is not finite is refused with the ValueError of
-# json.dumps(allow_nan=False), naming the first such value in line order;
-# rounding a finite double to 12 digits never overflows, so that is the
-# value json.dumps of the rounded line would refuse.  The summary is the
-# last line, {"summary": ...}, written by json.dumps of its round12.
+# json.dumps(allow_nan=False), naming it; _number writes the floats in line
+# order, so that is the first such value, and since rounding a finite double
+# to 12 digits never overflows, the one json.dumps of the rounded line would
+# refuse.  The summary is the last line, {"summary": ...}, written by
+# json.dumps of its round12.
 
 _string = json.encoder.encode_basestring_ascii
 _MIN_NORMAL = sys.float_info.min
@@ -562,16 +553,12 @@ def _text12(x: float) -> str:
     return s
 
 
-def _refuse(x: float):
-    raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-
-
 def _number(x) -> str:
     """The JSON of ``float(x)`` rounded by :func:`round12`, written by
     :func:`_text12`; a value that is not finite is refused."""
     x = float(x)
     if not math.isfinite(x):
-        _refuse(x)
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
     return _text12(x)
 
 
@@ -582,28 +569,18 @@ def _discrepancy(d: dict) -> str:
 
 
 def _report_line(r: BoundReport) -> str:
-    """The line of ``r``.  Its eleven floats are checked in one pass and
-    written by :func:`_text12` into one f-string."""
+    """The line of ``r``, one f-string.  Its floats are written by
+    :func:`_number` in line order, so the first that is not finite is the
+    one refused."""
     c1, c2 = r.witness.c1, r.witness.c2
-    values = [
-        float(r.vartheta), float(r.kappa), float(r.varkappa), float(r.as_stated),
-        float(r.oracle), float(r.empirical_sup), float(c1.real), float(c1.imag),
-        float(c2.real), float(c2.imag), float(r.oracle - r.empirical_sup)]
-    ds = r.discrepancies
-    if not all(map(math.isfinite, values)):
-        # refuse the value json.dumps meets first: the gap follows the discrepancies
-        for x in values[:-1]:
-            if not math.isfinite(x):
-                _refuse(x)
-        for d in ds:
-            _discrepancy(d)
-        _refuse(values[-1])
     (vartheta, kappa, varkappa, as_stated, oracle_value, empirical_sup,
-     c1_re, c1_im, c2_re, c2_im, gap) = map(_text12, values)
-    ids = discrepancies = ""
-    if ds:
-        ids = ",".join([_string(d["id"]) for d in ds])
-        discrepancies = ",".join(map(_discrepancy, ds))
+     c1_re, c1_im, c2_re, c2_im) = map(_number, (
+         r.vartheta, r.kappa, r.varkappa, r.as_stated, r.oracle, r.empirical_sup,
+         c1.real, c1.imag, c2.real, c2.imag))
+    ds = r.discrepancies
+    ids = ",".join([_string(d["id"]) for d in ds])
+    discrepancies = ",".join(map(_discrepancy, ds))
+    gap = _number(r.gap)
     return (
         f'{{"experiment_id":{_string(r.experiment_id)},"vartheta":{vartheta},'
         f'"kappa":{kappa},"varkappa":{varkappa},'

@@ -56,7 +56,8 @@ def test_sweep_a2_over_parameter_grid_has_no_discrepancies():
         for t in (0.0, 0.5, 1.0)
         for k in (0.0, 0.5, 1.0)
     ]
-    reports, summary = verify.sweep(entries, [Functional("a2")], SMALL)
+    reports = verify.sweep(entries, [Functional("a2")], SMALL)
+    summary = verify.summarize(reports)
     assert len(reports) == 9
     assert summary["discrepancy_counts"] == {}
     assert summary["soundness"]
@@ -64,9 +65,9 @@ def test_sweep_a2_over_parameter_grid_has_no_discrepancies():
 
 def test_subclass_presets_a3_flag_d1_at_starlike():
     entries = verify.preset_entries(1.0)
-    reports, summary = verify.sweep(entries, [Functional("a3")], SMALL)
+    reports = verify.sweep(entries, [Functional("a3")], SMALL)
     starlike = next(r for r in reports if r.experiment_id.startswith("starlike"))
-    assert "D1" in starlike.discrepancy_ids
+    assert "D1" in [d["id"] for d in starlike.discrepancies]
     d1 = next(d for d in starlike.discrepancies if d["id"] == "D1")
     assert d1["subclass"] == pytest.approx(1.25)
     assert d1["general"] == pytest.approx(1.0)
@@ -167,9 +168,8 @@ def test_full_suite_flags_all_catalogued_discrepancies(tmp_path):
 
 
 def test_reports_are_append_only(tmp_path):
-    reports, summary = verify.sweep(
-        verify.preset_entries(1.0)[:1], [Functional("a2")], SMALL
-    )
+    reports = verify.sweep(verify.preset_entries(1.0)[:1], [Functional("a2")], SMALL)
+    summary = verify.summarize(reports)
     path = tmp_path / "out.jsonl"
     verify.write_reports(path, reports, summary)
     verify.write_reports(path, reports, summary)
@@ -177,9 +177,10 @@ def test_reports_are_append_only(tmp_path):
 
 
 def test_reports_create_missing_directories_then_append(tmp_path):
-    reports, summary = verify.sweep(
+    reports = verify.sweep(
         verify.preset_entries(1.0)[:1], [Functional("a2"), Functional("a3")], SMALL
     )
+    summary = verify.summarize(reports)
     path = tmp_path / "new" / "dir" / "out.jsonl"
     assert verify.write_reports(path, reports, summary) == path
     first = path.read_text().splitlines()
@@ -189,9 +190,8 @@ def test_reports_create_missing_directories_then_append(tmp_path):
 
 
 def test_non_finite_report_is_refused_and_nothing_written(tmp_path):
-    reports, summary = verify.sweep(
-        verify.preset_entries(1.0)[:1], [Functional("a2")], SMALL
-    )
+    reports = verify.sweep(verify.preset_entries(1.0)[:1], [Functional("a2")], SMALL)
+    summary = verify.summarize(reports)
     # 1.8e308 is finite, but rounds to 12 digits as inf
     for k, value in enumerate([float("nan"), float("inf"), -float("inf"), 1.8e308]):
         bad = [*reports, _crafted(empirical_sup=value)]
@@ -206,6 +206,20 @@ def test_non_finite_report_is_refused_and_nothing_written(tmp_path):
         with pytest.raises(ValueError):
             verify.write_reports(path, bad, summary)
         assert path.read_text() == "earlier\n"
+
+
+@pytest.mark.parametrize("fields, named", [
+    (dict(as_stated=math.nan, empirical_sup=math.inf), "nan"),
+    (dict(witness=CaratheodoryPoint(0j, complex(1.0, -math.inf))), "-inf"),
+    # the discrepancy comes before the gap, which is inf
+    (dict(discrepancies=[{"id": "D5", "stated": -math.inf, "empirical": 1.0}],
+          oracle=1.7e308, empirical_sup=-1.7e308), "-inf"),
+    (dict(oracle=1.7e308, empirical_sup=-1.7e308), "inf"),
+])
+def test_a_report_line_refuses_its_first_non_finite_value_in_line_order(fields, named):
+    with pytest.raises(ValueError) as exc:
+        verify.reports_to_lines([_crafted(**fields)], {})
+    assert str(exc.value).endswith(f": {named}")
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +238,7 @@ def reference_dict(r: verify.BoundReport) -> dict:
         "oracle": float(r.oracle),
         "empirical_sup": float(r.empirical_sup),
         "witness": {"c1": complex(r.witness.c1), "c2": complex(r.witness.c2)},
-        "discrepancy_ids": r.discrepancy_ids,
+        "discrepancy_ids": [d["id"] for d in r.discrepancies],
         "discrepancies": [
             {k: (v if isinstance(v, str) else float(v)) for k, v in d.items()}
             for d in r.discrepancies
@@ -305,8 +319,9 @@ def test_text12_layout_cases(x):
 
 
 def test_serialization_is_deterministic():
-    reports1, s1 = verify.sweep(verify.preset_entries(1.0)[:2], [Functional("a3")], SMALL)
-    reports2, s2 = verify.sweep(verify.preset_entries(1.0)[:2], [Functional("a3")], SMALL)
+    reports1 = verify.sweep(verify.preset_entries(1.0)[:2], [Functional("a3")], SMALL)
+    reports2 = verify.sweep(verify.preset_entries(1.0)[:2], [Functional("a3")], SMALL)
+    s1, s2 = verify.summarize(reports1), verify.summarize(reports2)
     assert verify.reports_to_lines(reports1, s1) == verify.reports_to_lines(reports2, s2)
     for line in verify.reports_to_lines(reports1, s1):
         json.loads(line)  # every line is valid JSON
@@ -407,9 +422,9 @@ def test_shared_scans_give_the_reports_of_unshared_ones():
     reports, _ = verify.run_suite("full", 1.0, grid)
     entries, functionals = verify.build_suite("full", 1.0)
     alone = [
-        verify.sweep([entry], [fn], grid)[0][0] for entry in entries for fn in functionals
+        verify.sweep([entry], [fn], grid)[0] for entry in entries for fn in functionals
     ] + [
-        verify.sweep([("caratheodory", ClassParams(0.0, 0.0, 1.0), None)], [fn], grid)[0][0]
+        verify.sweep([("caratheodory", ClassParams(0.0, 0.0, 1.0), None)], [fn], grid)[0]
         for fn in verify.lemma_functionals()
     ]
     assert len(reports) == len(alone) == 87
@@ -509,9 +524,9 @@ def test_run_suite_summarizes_once(monkeypatch, suite, reports):
     monkeypatch.setattr(verify, "summarize", counting)
     got, summary = verify.run_suite(suite, 1.0, grid)
     assert sizes == [len(got)] == [reports]
-    assert got == [r for rs, _ in parts for r in rs]
-    # the summary of one sweep, or of the class and lemma sweeps together
-    assert summary == (parts[0][1] if suite != "full" else real(got))
+    assert got == [r for rs in parts for r in rs]
+    # the summary of one sweep's reports, or of the class and lemma sweeps' together
+    assert summary == real(got)
 
 
 # Ma-Minda (1994): with X = 1 + B1 z + B2 z^2 + ..., B1 = 1 and
